@@ -11,10 +11,9 @@ rewrites that the construction is supposed to satisfy.
 __version__ = "0.1.0"
 
 from .connection import (ConnectionData, ContortionFamily, FieldFrame,
-                         adapted_derivative, affine_coefficients, b_family,
-                         connection_data, contortion_vector,
-                         d_covariant_derivative, field_frame, fiber_parts,
-                         nonlinear_connection, phase_point, spray,
+                         adapted_derivative, b_family, connection_data,
+                         contortion_vector, d_covariant_derivative,
+                         field_frame, fiber_parts, phase_point,
                          strong_torsion)
 from .curvature import (TidalPacket, TraceDecomposition, d_curvature,
                         nonlinear_curvature, tidal_packet, tidal_tensor,
@@ -36,9 +35,7 @@ from .jets import Jet, jeinsum, jsqrt, value_of
 from .scenario import (BUILTIN_IDS, DEFAULT_SUITE, Scenario, builtin_scenario,
                        builtin_scenarios, load_scenario, resolve_scenario,
                        scenario_defaults, scenario_from_dict)
-from .tensors import (PhasePoint, SmallTensor, angular_metric,
-                      distinguished_section, lower_index, norm_and_sign,
-                      raise_index)
+from .tensors import PhasePoint, norm_and_sign
 from .verify import (CheckResult, alpha_sweep, check_einstein_trace,
                      check_homogeneous_maxwell, check_inhomogeneous_maxwell,
                      check_structural, report_json, report_summary_table,

@@ -178,11 +178,15 @@ def cmd_deviate(args) -> int:
                               f"deviation: {sc.id}", "separation")
 
 
+def _log_progress(scenario_id, idx) -> None:
+    log.info("verify %s: point %d done", scenario_id, idx)
+
+
 def cmd_verify(args) -> int:
     refs = args.scenario or list(DEFAULT_SUITE)
     scenarios = [resolve_scenario(r) for r in refs]
     report = run_suite(scenarios, points=args.points, seed=args.seed,
-                       alphas=args.alphas)
+                       alphas=args.alphas, progress=_log_progress)
     out = args.out or "report.json"
     Path(out).write_text(report_json(report))
     sys.stdout.write(report_summary_table(report))

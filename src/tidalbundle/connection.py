@@ -205,24 +205,6 @@ def b_family(metric, potential, alpha, p: PhasePoint) -> ContortionFamily:
     return ContortionFamily(parts.B, parts.B1, parts.B2, parts.B3)
 
 
-def spray(metric, potential, alpha, p: PhasePoint):
-    """Spray coefficients G^i; autoparallels obey dy^i/dt = -2 G^i."""
-    _, parts = _point_parts(metric, potential, alpha, p)
-    return parts.G
-
-
-def nonlinear_connection(metric, potential, alpha, p: PhasePoint):
-    """Connection coefficients N^i_j of the horizontal splitting."""
-    _, parts = _point_parts(metric, potential, alpha, p)
-    return parts.N
-
-
-def affine_coefficients(metric, potential, alpha, p: PhasePoint):
-    """Affine coefficients G^i_jk = gamma^i_jk + B^i_jk, symmetric in jk."""
-    _, parts = _point_parts(metric, potential, alpha, p)
-    return parts.Gaff
-
-
 def strong_torsion(metric, potential, alpha, p: PhasePoint, perturbation=0.0):
     """Homogeneity defect y^k dN^i_k/dy^j - N^i_j; zero for spray connections.
 
@@ -232,8 +214,12 @@ def strong_torsion(metric, potential, alpha, p: PhasePoint, perturbation=0.0):
     """
     frame = field_frame(metric, potential, p.x)
     yj = Jet.seed(np.asarray(p.y, dtype=float), DIM)
-    N = fiber_parts(frame, alpha, yj).N
-    return np.einsum("jik,k->ij", N.d, p.y) - (N.v + perturbation)
+    return _strong_torsion(fiber_parts(frame, alpha, yj).N, p.y, perturbation)
+
+
+def _strong_torsion(N, y, perturbation):
+    """strong_torsion from the fiber-jet N of fiber_parts at y."""
+    return np.einsum("jik,k->ij", N.d, y) - (N.v + perturbation)
 
 
 # ---- phase jets and derivatives in the adapted frame -------------------
@@ -315,11 +301,15 @@ def d_covariant_derivative(metric, potential, alpha, p: PhasePoint, field,
     the alpha = 0 coefficients (Levi-Civita transport) instead.
     """
     frame = field_frame(metric, potential, p.x)
-    ctx = phase_context(frame, alpha, p.y)
+    return _d_covariant(phase_context(frame, alpha, p.y), field, reference)
+
+
+def _d_covariant(ctx, field, reference="full"):
+    """d_covariant_derivative from a prebuilt phase_context."""
     T = field.build(ctx)
     if reference == "base":
         N_value = value_of(ctx.n1)
-        coeff = frame.gamma
+        coeff = ctx.frame.gamma
     else:
         N_value = value_of(ctx.N)
         coeff = value_of(ctx.Gaff)

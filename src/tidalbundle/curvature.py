@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connection import field_frame, fiber_parts, strong_torsion
-from .fields import base_riemann
+from .connection import _strong_torsion, field_frame, fiber_parts
+from .fields import _riemann
 from .jets import Jet, value_of
 from .tensors import DIM, PhasePoint
 
@@ -113,9 +113,14 @@ def trace_decomposition(metric, potential, alpha, p: PhasePoint):
     frame = field_frame(metric, potential, p.x)
     y = np.asarray(p.y, dtype=float)
     parts = fiber_parts(frame, alpha, y, curvature=True)
+    riem, _ = _riemann(frame.gamma, frame.dgamma)
+    return _trace_decomposition(frame, parts,
+                                float(np.einsum("iaib,a,b->", riem, y, y)))
+
+
+def _trace_decomposition(frame, parts, e_trace):
+    """trace_decomposition from plain curvature parts and the gravity trace."""
     lhs = float(np.trace(parts.E))
-    riem, _ = base_riemann(metric.pack(p.x))
-    e_trace = float(np.einsum("iaib,a,b->", riem, y, y))
     div = contortion_divergence(frame, parts)
     quad = float(np.einsum("li,il->", parts.B1, parts.B1))
     return TraceDecomposition(lhs, e_trace - 2.0 * div + quad,
@@ -130,10 +135,9 @@ def tidal_packet(metric, potential, alpha, p: PhasePoint,
     R3 = value_of(jparts.R3)
     E = value_of(jparts.E)
     h_low = value_of(jparts.h_low)
-    riem, base_ricci = base_riemann(metric.pack(p.x))
+    riem, base_ricci = _riemann(frame.gamma, frame.dgamma)
     e = np.einsum("iajb,a,b->ij", riem, y, y)
-    torsion = strong_torsion(metric, potential, alpha, p,
-                             perturbation=nonspray_perturbation)
+    torsion = _strong_torsion(jparts.N, y, nonspray_perturbation)
     return TidalPacket(point=p, alpha=float(alpha),
                        nonlinear_curvature=R3, tidal=E,
                        tidal_angular=h_low @ E, tidal_trace=float(np.trace(E)),

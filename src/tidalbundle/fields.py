@@ -15,7 +15,7 @@ strengths carry the same mass units as M.  Spherical charts use
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -425,7 +425,11 @@ def base_riemann(metric, x=None):
     the last lower slot, ricci[j,k] = riem[i,j,k,i], which is the sign
     that makes a charged exterior satisfy ricci = 8 pi T_em.
     """
-    gamma, dgamma = christoffel(_metric_pack(metric, x))
+    return _riemann(*christoffel(_metric_pack(metric, x)))
+
+
+def _riemann(gamma, dgamma):
+    """base_riemann from prebuilt Christoffel symbols and their derivatives."""
     riem = (np.einsum("lijk->ijkl", dgamma) - np.einsum("kijl->ijkl", dgamma)
             + np.einsum("hjk,ihl->ijkl", gamma, gamma)
             - np.einsum("hjl,ihk->ijkl", gamma, gamma))
@@ -442,11 +446,15 @@ def gravity_tidal(metric, y, x=None):
 def current(potential, metric, x=None):
     """Source 4-current J^i = (1/4 pi) nabla_j F^{ji}."""
     metric_pack = _metric_pack(metric, x)
-    g, dg = metric_pack.g, metric_pack.dg
     ginv = metric_pack.ginv
     gamma, _ = christoffel(metric_pack)
     F, dF = faraday(_potential_pack(potential, x))
-    dginv = -np.einsum("ia,mab,bl->mil", ginv, dg, ginv)
+    dginv = -np.einsum("ia,mab,bl->mil", ginv, metric_pack.dg, ginv)
+    return _current(ginv, dginv, gamma, F, dF)
+
+
+def _current(ginv, dginv, gamma, F, dF):
+    """current from prebuilt inverse metric, Christoffels and field strength."""
     Fup = ginv @ F @ ginv
     dFup = (np.einsum("mac,cd,bd->mab", dginv, F, ginv)
             + np.einsum("ac,mcd,bd->mab", ginv, dF, ginv)
@@ -455,18 +463,6 @@ def current(potential, metric, x=None):
             + np.einsum("jbj,ba->a", gamma, Fup)
             + np.einsum("abj,jb->a", gamma, Fup))
     return divF / (4.0 * np.pi)
-
-
-@dataclass(frozen=True)
-class StressEnergy:
-    """Electromagnetic part plus optional matter part."""
-
-    em_part: np.ndarray
-    matter_part: np.ndarray = field(default_factory=lambda: np.zeros((DIM, DIM)))
-
-    @property
-    def total(self):
-        return self.em_part + self.matter_part
 
 
 def stress_energy_em(F, g) -> np.ndarray:

@@ -1,51 +1,27 @@
-"""Small dense tensors at a point of a 4d Lorentzian manifold.
+"""Phase points, norms and causal signs on a 4d Lorentzian manifold.
 
-Signature convention is (-,+,+,+).  Index variance is tracked as a string
-of 'u' (contravariant) and 'd' (covariant) characters; components live in
-either the coordinate frame or the adapted frame of a nonlinear connection.
+Signature convention is (-,+,+,+).  A fiber vector's squared length is
+kept positive; its causal character rides along as a separate sign.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FrameMismatchError, NullFiberError
+from .errors import NullFiberError
 
 DIM = 4
 
-COORDINATE = "coordinate"
-ADAPTED = "adapted"
 
-
-def _as_components(values, rank):
+def _as_vector(values):
     arr = np.asarray(values, dtype=float)
-    if arr.shape != (DIM,) * rank:
-        raise ValueError(f"expected shape {(DIM,) * rank}, got {arr.shape}")
+    if arr.shape != (DIM,):
+        raise ValueError(f"expected shape {(DIM,)}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("tensor components must be finite")
     return arr
-
-
-@dataclass(frozen=True)
-class BasePoint:
-    """A point on the base manifold."""
-
-    x: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", _as_components(self.x, 1))
-
-
-@dataclass(frozen=True)
-class FiberVector:
-    """A tangent vector attached to a base point."""
-
-    y: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "y", _as_components(self.y, 1))
 
 
 def null_tolerance(y):
@@ -71,123 +47,20 @@ def norm_and_sign(g, y, tol=None):
     return float(np.sqrt(abs(q))), int(np.sign(q))
 
 
-def distinguished_section(g, y):
-    """Unit vector along the fiber direction, both index positions.
-
-    Returns (l^i, l_i) with l^i = y^i / ||y|| and l_i = g_ij l^j, so that
-    l_i l^i equals the causal sign.
-    """
-    g = np.asarray(g, dtype=float)
-    nrm, _ = norm_and_sign(g, y)
-    l_up = np.asarray(y, dtype=float) / nrm
-    return l_up, g @ l_up
-
-
-def angular_metric(g, y):
-    """Projector h_ij = g_ij - eps l_i l_j orthogonal to the fiber direction.
-
-    eps is the causal sign, so h_ij y^j = 0 for spacelike and timelike
-    fibers alike, and h_ij = ||y|| d(l_i)/dy^j holds exactly.
-    """
-    g = np.asarray(g, dtype=float)
-    nrm, eps = norm_and_sign(g, y)
-    l_low = g @ (np.asarray(y, dtype=float) / nrm)
-    return g - eps * np.outer(l_low, l_low)
-
-
 @dataclass(frozen=True)
 class PhasePoint:
     """Base point plus non-null fiber vector, with cached norm data."""
 
-    base: BasePoint
-    fiber: FiberVector
+    x: np.ndarray
+    y: np.ndarray
     norm: float
     causal_sign: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "x", _as_vector(self.x))
+        object.__setattr__(self, "y", _as_vector(self.y))
 
     @classmethod
     def create(cls, g, x, y):
         nrm, eps = norm_and_sign(g, y)
-        return cls(BasePoint(x), FiberVector(y), nrm, eps)
-
-    @property
-    def x(self):
-        return self.base.x
-
-    @property
-    def y(self):
-        return self.fiber.y
-
-
-@dataclass(frozen=True)
-class SmallTensor:
-    """Dense tensor components with variance and frame tags."""
-
-    components: np.ndarray
-    variance: str
-    frame: str = COORDINATE
-    name: str = field(default="", compare=False)
-
-    def __post_init__(self):
-        if any(c not in "ud" for c in self.variance):
-            raise ValueError(f"variance must use 'u'/'d', got {self.variance!r}")
-        if self.frame not in (COORDINATE, ADAPTED):
-            raise ValueError(f"unknown frame {self.frame!r}")
-        object.__setattr__(
-            self, "components", _as_components(self.components, len(self.variance))
-        )
-
-    @property
-    def rank(self):
-        return len(self.variance)
-
-    def _check_frame(self, other):
-        if self.frame != other.frame:
-            raise FrameMismatchError(
-                f"cannot combine {self.frame} components with {other.frame}"
-            )
-
-    def __add__(self, other):
-        self._check_frame(other)
-        if self.variance != other.variance:
-            raise ValueError("variance mismatch in addition")
-        return SmallTensor(self.components + other.components, self.variance, self.frame)
-
-    def __sub__(self, other):
-        self._check_frame(other)
-        if self.variance != other.variance:
-            raise ValueError("variance mismatch in subtraction")
-        return SmallTensor(self.components - other.components, self.variance, self.frame)
-
-    def __mul__(self, scalar):
-        return SmallTensor(self.components * float(scalar), self.variance, self.frame)
-
-    __rmul__ = __mul__
-
-
-def lower_index(tensor: SmallTensor, g, slot: int) -> SmallTensor:
-    """Lower one contravariant slot with the metric (coordinate frame only)."""
-    if tensor.frame != COORDINATE:
-        raise FrameMismatchError("index lowering expects coordinate-frame components")
-    if tensor.variance == "":
-        return tensor
-    if tensor.variance[slot] != "u":
-        raise ValueError(f"slot {slot} is already covariant")
-    comps = np.tensordot(np.asarray(g, dtype=float), tensor.components, axes=([1], [slot]))
-    comps = np.moveaxis(comps, 0, slot)
-    variance = tensor.variance[:slot] + "d" + tensor.variance[slot + 1:]
-    return SmallTensor(comps, variance, tensor.frame)
-
-
-def raise_index(tensor: SmallTensor, g, slot: int) -> SmallTensor:
-    """Raise one covariant slot with the inverse metric (coordinate frame only)."""
-    if tensor.frame != COORDINATE:
-        raise FrameMismatchError("index raising expects coordinate-frame components")
-    if tensor.variance == "":
-        return tensor
-    if tensor.variance[slot] != "d":
-        raise ValueError(f"slot {slot} is already contravariant")
-    ginv = np.linalg.inv(np.asarray(g, dtype=float))
-    comps = np.tensordot(ginv, tensor.components, axes=([1], [slot]))
-    comps = np.moveaxis(comps, 0, slot)
-    variance = tensor.variance[:slot] + "u" + tensor.variance[slot + 1:]
-    return SmallTensor(comps, variance, tensor.frame)
+        return cls(x, y, nrm, eps)

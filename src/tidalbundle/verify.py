@@ -7,6 +7,13 @@ adapted-frame transport against the electromagnetic 2-form, Hessian blocks
 against direct contractions.  A passing check is therefore a genuine
 numerical confirmation, not a tautology.
 
+The raw field evaluation is the FieldFrame: metric, potential and their
+derivatives at the base point.  It is built once per sampled point, with
+the rest of the coupling-independent data (base curvature, charge
+density, stress-energy), and reused for every coupling; each check's two
+sides still run on disjoint paths from it (fiber jet against plain
+fiber, phase jet against closed form).
+
 Residual policy: every check reports an absolute residual and a relative
 one.  The relative denominator is the magnitude of the data feeding the
 comparison (for identities whose both sides vanish, the pre-cancellation
@@ -22,12 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .connection import (contortion_vector, d_covariant_derivative,
-                         field_frame, fiber_parts, strong_torsion,
+from .connection import (_d_covariant, _strong_torsion, contortion_vector,
+                         field_frame, fiber_parts, phase_context,
                          unit_direction_low)
-from .curvature import (_hessian_blocks, contortion_divergence,
-                        trace_decomposition)
-from .fields import base_riemann, current, stress_energy_em
+from .curvature import _hessian_blocks, _trace_decomposition
+from .fields import _current, _riemann, stress_energy_em
 from .jets import Jet, value_of
 from .tensors import DIM, PhasePoint
 
@@ -88,44 +94,41 @@ class CheckResult:
         }
 
 
-@dataclass(frozen=True)
-class ChargeAndMatterDensities:
-    rho_c: float           # -J^i l_i
-    rho_m: float           # T^m_ij l^i l^j
-    matter_trace: float    # g^ij T^m_ij
-
-
-def densities(metric, potential, p: PhasePoint,
-              matter_stress=None) -> ChargeAndMatterDensities:
-    mp = metric.pack(p.x)
-    J = current(potential, metric, p.x)
-    l_up = p.y / p.norm
-    l_low = mp.g @ l_up
-    rho_c = -float(J @ l_low)
-    if matter_stress is None:
-        return ChargeAndMatterDensities(rho_c, 0.0, 0.0)
-    T = np.asarray(matter_stress, dtype=float)
-    rho_m = float(l_up @ T @ l_up)
-    tr = float(np.einsum("ij,ij->", np.linalg.inv(mp.g), T))
-    return ChargeAndMatterDensities(rho_c, rho_m, tr)
-
-
 # ---------------------------------------------------------------------------
 # per-point bench: everything the checks consume, built once
 
 
-class _Bench:
-    def __init__(self, metric, potential, alpha, p: PhasePoint,
-                 nonspray_perturbation=0.0):
-        self.metric = metric
-        self.potential = potential
-        self.alpha = float(alpha)
+class _Point:
+    """Coupling-independent data at one sampled point, shared by every alpha."""
+
+    def __init__(self, metric, potential, p: PhasePoint):
         self.p = p
-        self.y = np.asarray(p.y, dtype=float)
-        self.frame = field_frame(metric, potential, p.x)
-        self.jparts = fiber_parts(self.frame, alpha, Jet.seed(self.y, DIM),
-                                  curvature=True)
-        jp = self.jparts
+        self.y = y = np.asarray(p.y, dtype=float)
+        self.frame = fr = field_frame(metric, potential, p.x)
+        riem, self.base_ricci = _riemann(fr.gamma, fr.dgamma)
+        self.e_trace = float(np.einsum("iaib,a,b->", riem, y, y))
+        self.e_scale = float(np.einsum("iaib,a,b->", np.abs(riem),
+                                       np.abs(y), np.abs(y)))
+        J = _current(fr.ginv, fr.dginv, fr.gamma, fr.F, fr.dF)
+        self.rho_c = -float(J @ (fr.g @ (p.y / p.norm)))   # -J^i l_i
+        self.nrm2 = p.norm ** 2
+        self.eps = p.causal_sign
+        self.q = self.eps * self.nrm2
+        self.T_em = stress_energy_em(fr.F, fr.g)
+        # field invariant for the d'Alembertian assembly
+        self.F_sq = float(np.einsum("ab,ac,bd,cd->", fr.F, fr.ginv, fr.ginv,
+                                    fr.F))
+
+
+class _Bench:
+    """One coupling at a _Point: fiber-jet and plain parts, one phase context."""
+
+    def __init__(self, point: _Point, alpha, nonspray_perturbation=0.0):
+        vars(self).update(vars(point))   # the same arrays for every alpha
+        self.alpha = float(alpha)
+        fr, y = self.frame, self.y
+        self.jparts = jp = fiber_parts(fr, alpha, Jet.seed(y, DIM),
+                                       curvature=True)
         self.E = value_of(jp.E)
         self.N = value_of(jp.N)
         self.G = value_of(jp.G)
@@ -140,46 +143,17 @@ class _Bench:
         self.l_low = value_of(jp.l_low)
         self.block, self.bblock, self.ricci = _hessian_blocks(jp)
         self.trace_E = float(np.trace(self.E))
-        self.torsion = strong_torsion(metric, potential, alpha, p,
-                                      perturbation=nonspray_perturbation)
-        riem, self.base_ricci = base_riemann(metric.pack(p.x))
-        self.base_riemann = riem
-        self.e_trace = float(np.einsum("iaib,a,b->", riem, self.y, self.y))
-        self.e_scale = float(np.einsum("iaib,a,b->", np.abs(riem),
-                                       np.abs(self.y), np.abs(self.y)))
-        # pre-cancellation magnitude of the tidal trace: the curvature
-        # assembly with absolute values taken term by term, so it stays
-        # nonzero when the curvature itself cancels to zero (flat space in
-        # a spherical chart)
-        fr = self.frame
-        ag, adg = np.abs(fr.gamma), np.abs(fr.dgamma)
-        riem_abs = (np.einsum("lijk->ijkl", adg) + np.einsum("kijl->ijkl", adg)
-                    + np.einsum("hjk,ihl->ijkl", ag, ag)
-                    + np.einsum("hjl,ihk->ijkl", ag, ag))
-        ay = np.abs(self.y)
-        self.assembly_scale = float(
-            np.einsum("iaib,a,b->", riem_abs, ay, ay)
-            + abs(alpha) * (np.einsum("kik,i->", np.abs(fr.dFmix), ay)
-                            + np.einsum("iak,ak->", ag, np.abs(fr.Fmix)))
-            * p.norm)
+        self.torsion = _strong_torsion(jp.N, y, nonspray_perturbation)
         self.quad = float(np.einsum("li,il->", self.B1, self.B1))
-        nparts = fiber_parts(self.frame, alpha, self.y, curvature=True)
-        self.div_closed = contortion_divergence(self.frame, nparts)
-        dB_phase = d_covariant_derivative(metric, potential, alpha, p,
-                                          contortion_vector, reference="base")
-        self.div_phase = float(np.einsum("ii->", dB_phase))
-        self.dens = densities(metric, potential, p)
-        self.nrm2 = p.norm ** 2
-        self.eps = p.causal_sign
-        self.q = self.eps * self.nrm2
-        g = self.frame.g
-        self.T_em = stress_energy_em(self.frame.F, g)
-        # field invariants for the d'Alembertian assembly
-        F, ginv = self.frame.F, self.frame.ginv
-        self.F_sq = float(np.einsum("ab,ac,bd,cd->", F, ginv, ginv, F))
-        F_up = value_of(jp.F_up) if hasattr(jp, "F_up") else np.einsum(
-            "ia,ab,b->i", ginv, F, self.y)
-        self.F_vec_sq = float(F_up @ (g @ F_up))
+        F_up = value_of(jp.F_up)
+        self.F_vec_sq = float(F_up @ (fr.g @ F_up))
+        self.td = _trace_decomposition(
+            fr, fiber_parts(fr, alpha, y, curvature=True), self.e_trace)
+        self.div_closed = self.td.divergence
+        ctx = phase_context(fr, alpha, y)
+        self.transport = _d_covariant(ctx, unit_direction_low)
+        self.div_phase = float(np.einsum(
+            "ii->", _d_covariant(ctx, contortion_vector, reference="base")))
 
 
 def _residual_parts(lhs, rhs, scale=None):
@@ -236,8 +210,7 @@ def _structural(bench, scenario_id, point):
                                           float(np.max(np.abs(b.ricci))),
                                           b.e_scale / b.nrm2) or None))
 
-    transport = d_covariant_derivative(b.metric, b.potential, b.alpha, b.p,
-                                       unit_direction_low)
+    transport = b.transport
     target = 0.5 * b.alpha * b.frame.F
     # scale includes the connection magnitude: the derivative is assembled
     # from terms of that size even when the result cancels to zero
@@ -289,9 +262,8 @@ def _structural(bench, scenario_id, point):
                     or worst[2] <= _ABS_FLOOR))
     out.append(result)
 
-    spray_jac = b.jparts.G.d.T if isinstance(b.jparts.G, Jet) else None
     out.append(_make_result("spray-coherence", scenario_id, point, b,
-                            spray_jac, b.N, scale=np.max(np.abs(b.N))))
+                            b.jparts.G.d.T, b.N, scale=np.max(np.abs(b.N))))
 
     out.append(_make_result("strong-torsion", scenario_id, point, b,
                             b.torsion, np.zeros((DIM, DIM)),
@@ -336,20 +308,20 @@ def _maxwell_homogeneous(bench, scenario_id, point):
 
 def _rhs_quadratic(bench):
     b = bench
-    return (b.e_trace - 4.0 * np.pi * b.alpha * b.dens.rho_c * b.nrm2
+    return (b.e_trace - 4.0 * np.pi * b.alpha * b.rho_c * b.nrm2
             + b.quad)
 
 
 def _rhs_divergence(bench):
     b = bench
-    return (b.e_trace - 2.0 * np.pi * b.alpha * b.dens.rho_c * b.nrm2
+    return (b.e_trace - 2.0 * np.pi * b.alpha * b.rho_c * b.nrm2
             - b.div_phase + b.quad)
 
 
 def _maxwell_inhomogeneous(bench, scenario_id, point):
     b = bench
     scale = max(abs(b.trace_E), b.e_scale, abs(b.quad),
-                4.0 * np.pi * abs(b.alpha) * abs(b.dens.rho_c) * b.nrm2,
+                4.0 * np.pi * abs(b.alpha) * abs(b.rho_c) * b.nrm2,
                 abs(b.div_phase)) or None
     rhs46 = _rhs_quadratic(b)
     rhs47 = _rhs_divergence(b)
@@ -363,9 +335,9 @@ def _maxwell_inhomogeneous(bench, scenario_id, point):
     ]
 
 
-def _trace_decomposition(bench, scenario_id, point):
+def _trace_split(bench, scenario_id, point):
     b = bench
-    td = trace_decomposition(b.metric, b.potential, b.alpha, b.p)
+    td = b.td
     scale = max(abs(td.lhs), b.e_scale, 2.0 * abs(td.divergence),
                 abs(td.quadratic)) or None
     return [_make_result("trace-decomposition", scenario_id, point, b,
@@ -418,7 +390,7 @@ def _bench_checks(bench, scenario, point):
     rows += _structural(bench, scenario.id, point)
     rows += _maxwell_homogeneous(bench, scenario.id, point)
     rows += _maxwell_inhomogeneous(bench, scenario.id, point)
-    rows += _trace_decomposition(bench, scenario.id, point)
+    rows += _trace_split(bench, scenario.id, point)
     if scenario.einstein_consistent:
         rows += _einstein(bench, scenario.id, point)
     return rows
@@ -430,7 +402,7 @@ def _bench_checks(bench, scenario, point):
 
 def _point_bench(scenario, p, alpha=None):
     a = scenario.alpha if alpha is None else alpha
-    return _Bench(scenario.metric, scenario.potential, a, p,
+    return _Bench(_Point(scenario.metric, scenario.potential, p), a,
                   nonspray_perturbation=scenario.nonspray_perturbation)
 
 
@@ -503,9 +475,9 @@ def run_suite(scenarios, points=50, seed=0, alphas=None, progress=None):
     for scenario in ordered:
         pts = sample_phase_points(scenario, points, rng)
         for idx, p in enumerate(pts):
+            point = _Point(scenario.metric, scenario.potential, p)
             for alpha in alphas:
-                bench = _Bench(scenario.metric, scenario.potential, alpha, p,
-                               scenario.nonspray_perturbation)
+                bench = _Bench(point, alpha, scenario.nonspray_perturbation)
                 rows += _bench_checks(bench, scenario, idx)
             if progress is not None:
                 progress(scenario.id, idx)
@@ -527,6 +499,25 @@ def run_suite(scenarios, points=50, seed=0, alphas=None, progress=None):
     }
 
 
+def _assembly_scales(point):
+    """Pre-cancellation magnitude of the tidal trace, split by coupling order.
+
+    The curvature assembly with absolute values taken term by term, so it
+    stays nonzero when the curvature itself cancels to zero (flat space in
+    a spherical chart).  Returns the alpha-free part and the coefficient
+    of |alpha| ||y||.
+    """
+    fr = point.frame
+    ag, adg = np.abs(fr.gamma), np.abs(fr.dgamma)
+    riem_abs = (np.einsum("lijk->ijkl", adg) + np.einsum("kijl->ijkl", adg)
+                + np.einsum("hjk,ihl->ijkl", ag, ag)
+                + np.einsum("hjl,ihk->ijkl", ag, ag))
+    ay = np.abs(point.y)
+    return (np.einsum("iaib,a,b->", riem_abs, ay, ay),
+            np.einsum("kik,i->", np.abs(fr.dFmix), ay)
+            + np.einsum("iak,ak->", ag, np.abs(fr.Fmix)))
+
+
 def alpha_sweep(scenario, alphas, points=10, seed=0):
     """Tidal traces and residuals across the coupling family.
 
@@ -538,20 +529,22 @@ def alpha_sweep(scenario, alphas, points=10, seed=0):
     pts = sample_phase_points(scenario, points, rng)
     rows = []
     for idx, p in enumerate(pts):
+        point = _Point(scenario.metric, scenario.potential, p)
+        grav_scale, charge_scale = _assembly_scales(point)
         for alpha in alphas:
-            b = _Bench(scenario.metric, scenario.potential, float(alpha), p,
-                       scenario.nonspray_perturbation)
+            b = _Bench(point, float(alpha), scenario.nonspray_perturbation)
+            assembly_scale = float(grav_scale
+                                   + abs(alpha) * charge_scale * p.norm)
             scale = max(abs(b.trace_E), b.e_scale, abs(b.quad),
-                        b.assembly_scale) or None
+                        assembly_scale) or None
             quad_res = _make_result("maxwell-inhomogeneous-quadratic",
                                     scenario.id, idx, b,
                                     b.trace_E, _rhs_quadratic(b), scale=scale)
             div_res = _make_result("maxwell-inhomogeneous-divergence",
                                    scenario.id, idx, b,
                                    b.trace_E, _rhs_divergence(b), scale=scale)
-            td = trace_decomposition(b.metric, b.potential, b.alpha, b.p)
             td_res = _make_result("trace-decomposition", scenario.id, idx, b,
-                                  td.lhs, td.rhs, scale=scale)
+                                  b.td.lhs, b.td.rhs, scale=scale)
             rows.append({
                 "scenario": scenario.id, "point": idx, "alpha": float(alpha),
                 "x": [float(v) for v in p.x], "y": [float(v) for v in p.y],
@@ -559,7 +552,7 @@ def alpha_sweep(scenario, alphas, points=10, seed=0):
                 "gravity_trace": float(b.e_trace),
                 "contortion_quadratic": float(b.quad),
                 "divergence": float(b.div_closed),
-                "charge_density": float(b.dens.rho_c),
+                "charge_density": float(b.rho_c),
                 "rel_residual_quadratic": float(quad_res.rel_residual),
                 "rel_residual_divergence": float(div_res.rel_residual),
                 "rel_residual_trace_decomposition": float(td_res.rel_residual),

@@ -1,11 +1,14 @@
 import json
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tidalbundle
 from tidalbundle.cli import main
 
 INFALL = {
@@ -150,3 +153,23 @@ def test_console_script_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "passed" in proc.stdout
+
+
+def test_verify_progress_logging_keeps_report_bytes(tmp_path):
+    # TIDAL_LOG=info adds one stderr line per sampled point and nothing else
+    src = Path(tidalbundle.__file__).parents[1]
+    args = [sys.executable, "-m", "tidalbundle", "verify", "--scenario",
+            "flat_vacuum", "--points", "2", "--out"]
+    runs = {}
+    for level in ("warning", "info"):
+        out = tmp_path / f"{level}.json"
+        env = {**os.environ, "PYTHONPATH": str(src), "TIDAL_LOG": level}
+        proc = subprocess.run(args + [str(out)], capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        runs[level] = (out.read_bytes(), proc.stderr)
+    assert runs["info"][0] == runs["warning"][0]
+    assert runs["warning"][1] == ""
+    lines = runs["info"][1].splitlines()
+    assert lines == [f"INFO tidalbundle: verify flat_vacuum: point {i} done"
+                     for i in range(2)]

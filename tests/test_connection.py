@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 from conftest import fd_gradient
 
-from tidalbundle.connection import (adapted_derivative, affine_coefficients,
-                                    b_family, connection_data,
-                                    d_covariant_derivative, field_frame,
-                                    fiber_parts, fiber_square,
-                                    fiber_velocity, nonlinear_connection,
-                                    phase_point, spray, strong_torsion,
-                                    unit_direction_low)
+from tidalbundle.connection import (adapted_derivative, b_family,
+                                    connection_data, d_covariant_derivative,
+                                    field_frame, fiber_parts, fiber_square,
+                                    fiber_velocity, phase_point,
+                                    strong_torsion, unit_direction_low)
 from tidalbundle.errors import NullFiberError
 from tidalbundle.fields import builtin_metric, builtin_potential
 from tidalbundle.jets import value_of
@@ -86,11 +84,6 @@ def test_spray_and_connection_contractions():
     np.testing.assert_allclose(
         np.einsum("ijk,k->ij", cd.affine, p.y), cd.nonlinear,
         rtol=1e-12, atol=1e-15)
-    np.testing.assert_allclose(spray(RN, COULOMB, ALPHA, p), cd.spray)
-    np.testing.assert_allclose(nonlinear_connection(RN, COULOMB, ALPHA, p),
-                               cd.nonlinear)
-    np.testing.assert_allclose(affine_coefficients(RN, COULOMB, ALPHA, p),
-                               cd.affine)
 
 
 def test_uncharged_limit_is_levi_civita():
@@ -106,7 +99,7 @@ def test_uncharged_limit_is_levi_civita():
 def test_strong_torsion_vanishes_for_spray():
     p = _rn_point()
     tor = strong_torsion(RN, COULOMB, ALPHA, p)
-    nmag = np.max(np.abs(nonlinear_connection(RN, COULOMB, ALPHA, p)))
+    nmag = np.max(np.abs(connection_data(RN, COULOMB, ALPHA, p).nonlinear))
     assert np.max(np.abs(tor)) < 1e-13 * nmag
     # and the deliberate perturbation shows up at its own scale
     tor = strong_torsion(RN, COULOMB, ALPHA, p, perturbation=0.05)
@@ -131,7 +124,7 @@ def test_adapted_derivative_of_fiber_velocity():
     # delta_k y^i = -N^i_k: the fiber coordinate field measures the
     # nonlinear connection
     p = _rn_point()
-    N = nonlinear_connection(RN, COULOMB, ALPHA, p)
+    N = connection_data(RN, COULOMB, ALPHA, p).nonlinear
     got = np.stack([adapted_derivative(RN, COULOMB, ALPHA, p,
                                        fiber_velocity, k) for k in range(4)],
                    axis=-1)

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from tidalbundle.errors import FrameMismatchError, NullFiberError
-from tidalbundle.tensors import (ADAPTED, COORDINATE, PhasePoint, SmallTensor,
-                                 angular_metric, distinguished_section,
-                                 lower_index, norm_and_sign, null_tolerance,
-                                 raise_index)
+from tidalbundle.connection import field_frame, fiber_parts
+from tidalbundle.errors import NullFiberError
+from tidalbundle.fields import builtin_metric, builtin_potential
+from tidalbundle.tensors import PhasePoint, norm_and_sign, null_tolerance
 
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 
@@ -35,19 +34,23 @@ def test_null_tolerance_scales_with_components():
 
 def test_distinguished_section_unit_lengths():
     y = np.array([1.5, 0.2, -0.4, 0.1])
-    l_up, l_low = distinguished_section(ETA, y)
-    assert l_low @ l_up == pytest.approx(-1.0)  # timelike causal sign
+    frame = field_frame(builtin_metric("minkowski"),
+                        builtin_potential("zero"), np.zeros(4))
+    parts = fiber_parts(frame, 0.0, y)
+    assert parts.l_low @ parts.l_up == pytest.approx(-1.0)  # timelike sign
     nrm, _ = norm_and_sign(ETA, y)
-    np.testing.assert_allclose(l_up * nrm, y)
+    np.testing.assert_allclose(parts.l_up * nrm, y)
 
 
 def test_angular_metric_annihilates_fiber():
+    frame = field_frame(builtin_metric("schwarzschild", {"M": 1.0}),
+                        builtin_potential("zero"), [0.0, 5.0, 1.2, 0.3])
+    g = frame.g
     rng = np.random.default_rng(7)
-    g = ETA + 0.1 * np.eye(4)
     for _ in range(5):
         y = rng.uniform(-1, 1, 4)
         y[0] = rng.uniform(1.5, 2.5)
-        h = angular_metric(g, y)
+        h = fiber_parts(frame, 0.0, y).h_low
         np.testing.assert_allclose(h @ y, np.zeros(4), atol=1e-14)
         # h is a rank-3 projector once an index is raised
         hmix = np.linalg.inv(g) @ h
@@ -60,37 +63,7 @@ def test_phase_point_caches_norm():
     assert p.norm == pytest.approx(np.sqrt(3.0))
     assert p.causal_sign == -1
     np.testing.assert_array_equal(p.x, np.zeros(4))
-
-
-def test_small_tensor_variance_checks():
-    t = SmallTensor(np.eye(4), "ud")
     with pytest.raises(ValueError):
-        SmallTensor(np.eye(4), "xy")
+        PhasePoint.create(ETA, np.zeros(3), [2.0, 1.0, 0.0, 0.0])
     with pytest.raises(ValueError):
-        t + SmallTensor(np.eye(4), "uu")
-    s = t + t
-    np.testing.assert_array_equal(s.components, 2 * np.eye(4))
-    assert (2.0 * t).components[1, 1] == 2.0
-
-
-def test_frame_mixing_rejected():
-    a = SmallTensor(np.eye(4), "ud", frame=COORDINATE)
-    b = SmallTensor(np.eye(4), "ud", frame=ADAPTED)
-    with pytest.raises(FrameMismatchError):
-        a + b
-    with pytest.raises(FrameMismatchError):
-        lower_index(b, ETA, 0)
-
-
-def test_raise_lower_round_trip():
-    rng = np.random.default_rng(3)
-    comps = rng.standard_normal((4, 4))
-    g = ETA + 0.05 * np.outer([0, 1, 0, 1.0], [0, 1, 0, 1.0])
-    t = SmallTensor(comps, "uu")
-    down = lower_index(t, g, 1)
-    assert down.variance == "ud"
-    np.testing.assert_allclose(down.components, comps @ g.T, atol=1e-15)
-    back = raise_index(down, g, 1)
-    np.testing.assert_allclose(back.components, comps, atol=1e-14)
-    with pytest.raises(ValueError):
-        lower_index(down, g, 1)
+        PhasePoint.create(ETA, [0.0, np.nan, 0.0, 0.0], [2.0, 1.0, 0.0, 0.0])

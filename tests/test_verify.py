@@ -5,9 +5,12 @@ import jsonschema
 import numpy as np
 import pytest
 
-from tidalbundle.connection import phase_point
+from tidalbundle import connection, curvature, verify
+from tidalbundle.connection import (d_covariant_derivative, phase_point,
+                                    strong_torsion, unit_direction_low)
+from tidalbundle.curvature import tidal_packet, trace_decomposition
 from tidalbundle.scenario import builtin_scenario, builtin_scenarios
-from tidalbundle.verify import (DEFAULT_ALPHAS, TOLERANCES, _Bench,
+from tidalbundle.verify import (DEFAULT_ALPHAS, TOLERANCES, _Bench, _Point,
                                 alpha_sweep, check_einstein_trace,
                                 check_homogeneous_maxwell,
                                 check_inhomogeneous_maxwell, check_structural,
@@ -106,7 +109,7 @@ def test_full_trace_rhs_matter_linearity():
     sc = builtin_scenario("reissner_nordstrom")
     rng = np.random.default_rng(3)
     p = sample_phase_points(sc, 1, rng)[0]
-    b = _Bench(sc.metric, sc.potential, 1.0, p)
+    b = _Bench(_Point(sc.metric, sc.potential, p), 1.0)
     base = full_trace_rhs(b)
     shifted = full_trace_rhs(b, rho_m=0.2, matter_trace=0.3)
     want = -8.0 * np.pi * (0.2 - 0.5 * b.eps * 0.3)
@@ -140,3 +143,40 @@ def test_zero_points_gives_empty_report():
     report = _suite(points=0)
     assert report["checks"] == []
     assert report["summary"] == {"pass": 0, "fail": 0, "max_rel_residual": 0.0}
+
+
+def test_shared_cores_match_public_functions():
+    # the bench reads one frame per point; its inputs must be exactly what
+    # the public per-point functions compute on their own frames
+    for sid in ("reissner_nordstrom", "flat_uniform_b", "negative_control"):
+        sc = builtin_scenario(sid)
+        pert = sc.nonspray_perturbation
+        for p in sample_phase_points(sc, 2, np.random.default_rng(11)):
+            point = _Point(sc.metric, sc.potential, p)
+            for alpha in (0.0, 1.0):
+                b = _Bench(point, alpha, pert)
+                args = (sc.metric, sc.potential, alpha, p)
+                torsion = strong_torsion(*args, perturbation=pert)
+                assert np.array_equal(b.torsion, torsion)
+                packet = tidal_packet(*args, nonspray_perturbation=pert)
+                assert np.array_equal(packet.torsion, torsion)
+                td = trace_decomposition(*args)
+                assert (b.td.lhs, b.td.rhs) == (td.lhs, td.rhs)
+                assert np.array_equal(
+                    b.transport,
+                    d_covariant_derivative(*args, unit_direction_low))
+
+
+def test_suite_builds_one_frame_per_point(monkeypatch):
+    calls = []
+    original = connection.field_frame
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
+
+    for module in (connection, curvature, verify):
+        monkeypatch.setattr(module, "field_frame", counted)
+    report = _suite(points=2)
+    assert len(calls) == 2 * len(report["scenarios"])
+    assert len({np.asarray(x).tobytes() for x in calls}) == len(calls)

@@ -10,7 +10,8 @@ gamma^i_jk(x) y^k and the charge part built from the contortion family
 with F^i = F^i_j y^j, l = y/||y||, h the angular metric, and eps the causal
 sign.  On spacelike fibers (eps = +1) these reduce to the textbook Randers
 expressions; the eps insertions keep every identity exact on timelike
-fibers under the positive-norm convention.
+fibers under the positive-norm convention.  The third fiber derivative
+B^i_jkl is built on demand (_contortion_third), only where it is read.
 
 Index layout of derivative arrays is always derivative-axis leading:
 dN[k,i,j] = d(N^i_j)/dx^k.  Fiber quantities accept a Jet for y, so exact
@@ -43,7 +44,6 @@ class FieldFrame:
     g: np.ndarray
     ginv: np.ndarray
     dg: np.ndarray
-    d2g: np.ndarray
     dginv: np.ndarray
     gamma: np.ndarray
     dgamma: np.ndarray
@@ -69,7 +69,7 @@ def field_frame(metric: MetricField, potential: PotentialField, x,
     dginv = -np.einsum("ia,mab,bl->mil", ginv, mp.dg, ginv)
     Fmix = ginv @ F
     dFmix = np.einsum("kia,aj->kij", dginv, F) + np.einsum("ia,kaj->kij", ginv, dF)
-    return FieldFrame(x=x, g=mp.g, ginv=ginv, dg=mp.dg, d2g=mp.d2g, dginv=dginv,
+    return FieldFrame(x=x, g=mp.g, ginv=ginv, dg=mp.dg, dginv=dginv,
                       gamma=gamma, dgamma=dgamma, A=pp.A, F=F, dF=dF,
                       Fmix=Fmix, dFmix=dFmix)
 
@@ -92,21 +92,32 @@ def _contortion(g, ginv, gamma, F, alpha, y, eps, nrm):
     B2 = (half * eps) * (jeinsum("jk,i->ijk", h_low, F_up) / nrm
                          + jeinsum("j,ik->ijk", l_low, Fmix)
                          + jeinsum("k,ij->ijk", l_low, Fmix))
-    hl = (jeinsum("jl,k->jkl", h_low, l_low)
-          + jeinsum("j,kl->jkl", l_low, h_low)
-          + jeinsum("l,jk->jkl", l_low, h_low))
-    B3 = (half * eps) * (jeinsum("jk,il->ijkl", h_low, Fmix)
-                         + jeinsum("jl,ik->ijkl", h_low, Fmix)
-                         + jeinsum("kl,ij->ijkl", h_low, Fmix)) / nrm \
-        - (half * eps * eps) * jeinsum("jkl,i->ijkl", hl, F_up) / (nrm * nrm)
     n1 = jeinsum("ijk,k->ij", gamma, y)
     N = n1 + B1
     Gaff = gamma + B2
     G = 0.5 * jeinsum("ij,j->i", N, y)
-    return SimpleNamespace(eps=eps, nrm=nrm, l_up=l_up, l_low=l_low, h_low=h_low,
+    return SimpleNamespace(alpha=alpha, eps=eps, nrm=nrm, l_up=l_up,
+                           l_low=l_low, h_low=h_low,
                            Fmix=Fmix, F_up=F_up, F_low=F_low,
-                           B=B, B1=B1, B2=B2, B3=B3,
+                           B=B, B1=B1, B2=B2,
                            n1=n1, N=N, Gaff=Gaff, G=G)
+
+
+def _contortion_third(parts):
+    """B^i_jkl, the third fiber derivative of B, from _contortion's parts.
+
+    Only a few readers need it, so fiber_parts does not build it.
+    """
+    eps, nrm, h_low, l_low = parts.eps, parts.nrm, parts.h_low, parts.l_low
+    Fmix, F_up = parts.Fmix, parts.F_up
+    half = -0.5 * parts.alpha
+    hl = (jeinsum("jl,k->jkl", h_low, l_low)
+          + jeinsum("j,kl->jkl", l_low, h_low)
+          + jeinsum("l,jk->jkl", l_low, h_low))
+    return (half * eps) * (jeinsum("jk,il->ijkl", h_low, Fmix)
+                           + jeinsum("jl,ik->ijkl", h_low, Fmix)
+                           + jeinsum("kl,ij->ijkl", h_low, Fmix)) / nrm \
+        - (half * eps * eps) * jeinsum("jkl,i->ijkl", hl, F_up) / (nrm * nrm)
 
 
 def _curvature_channel(frame: FieldFrame, alpha, parts, y):
@@ -192,7 +203,8 @@ def _point_parts(metric, potential, alpha, p: PhasePoint, curvature=False):
 
 def connection_data(metric, potential, alpha, p: PhasePoint) -> ConnectionData:
     frame, parts = _point_parts(metric, potential, alpha, p)
-    fam = ContortionFamily(parts.B, parts.B1, parts.B2, parts.B3)
+    fam = ContortionFamily(parts.B, parts.B1, parts.B2,
+                           _contortion_third(parts))
     return ConnectionData(point=p, alpha=float(alpha),
                           christoffel=frame.gamma, faraday_mixed=parts.Fmix,
                           faraday_fiber=parts.F_up, contortion=fam,
@@ -202,7 +214,8 @@ def connection_data(metric, potential, alpha, p: PhasePoint) -> ConnectionData:
 def b_family(metric, potential, alpha, p: PhasePoint) -> ContortionFamily:
     """Contortion vector B^i and its first three fiber derivatives."""
     _, parts = _point_parts(metric, potential, alpha, p)
-    return ContortionFamily(parts.B, parts.B1, parts.B2, parts.B3)
+    return ContortionFamily(parts.B, parts.B1, parts.B2,
+                            _contortion_third(parts))
 
 
 def strong_torsion(metric, potential, alpha, p: PhasePoint, perturbation=0.0):
@@ -231,21 +244,21 @@ Y_DIRS = slice(DIM, 2 * DIM)
 def phase_context(frame: FieldFrame, alpha, y):
     """Connection data as order-1 jets in all eight phase directions.
 
-    Directions 0..3 are base, 4..7 fiber.  First derivatives are exact;
-    second-order channels of these jets are not populated for the lifted
-    fields and must not be read.
+    Directions 0..3 are base, 4..7 fiber.  The jets are order 1: the
+    adapted derivatives read first derivatives only, and those are exact.
     """
     m = 2 * DIM
-    g = Jet.from_pack(frame.g, frame.dg, frame.d2g, m)
-    ginv = Jet.from_pack(frame.ginv, frame.dginv, None, m)
-    gamma = Jet.from_pack(frame.gamma, frame.dgamma, None, m)
-    F = Jet.from_pack(frame.F, frame.dF, None, m)
-    yj = Jet.seed(np.asarray(y, dtype=float), m, start=DIM)
+    eye = np.eye(DIM)
+    g = Jet.from_pack(frame.g, frame.dg, m)
+    ginv = Jet.from_pack(frame.ginv, frame.dginv, m)
+    gamma = Jet.from_pack(frame.gamma, frame.dgamma, m)
+    F = Jet.from_pack(frame.F, frame.dF, m)
+    yj = Jet.from_pack(np.asarray(y, dtype=float), eye, m, start=DIM)
     nrm_v, eps = norm_and_sign(frame.g, y)
     q = jeinsum("i,i->", jeinsum("ij,j->i", g, yj), yj)
     nrm = jsqrt(eps * q)
     parts = _contortion(g, ginv, gamma, F, alpha, yj, eps, nrm)
-    parts.x = Jet.seed(frame.x, m)
+    parts.x = Jet.from_pack(frame.x, eye, m)
     parts.y = yj
     parts.g = g
     parts.ginv = ginv
@@ -253,7 +266,6 @@ def phase_context(frame: FieldFrame, alpha, y):
     parts.F = F
     parts.q = q
     parts.frame = frame
-    parts.alpha = float(alpha)
     return parts
 
 

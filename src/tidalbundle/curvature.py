@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connection import _strong_torsion, field_frame, fiber_parts
+from .connection import (_contortion_third, _strong_torsion, field_frame,
+                         fiber_parts)
 from .fields import _riemann
 from .jets import Jet, value_of
 from .tensors import DIM, PhasePoint
@@ -68,11 +69,15 @@ def tidal_tensor(metric, potential, alpha, p: PhasePoint):
 
 
 def _hessian_blocks(parts):
-    """(curvature block, contortion block, Ricci) from fiber-jet parts."""
+    """(curvature block, Ricci) from fiber-jet parts."""
     block = 0.5 * np.einsum("jlik->jikl", parts.E.h)
-    bblock = np.einsum("ijkl->jikl", value_of(parts.B3))
     ricci = -0.5 * np.einsum("ZYii->ZY", parts.E.h)
-    return block, bblock, ricci
+    return block, ricci
+
+
+def _contortion_block(parts):
+    """B^i_jkl from fiber-jet parts, in the block slot order [j,i,k,l]."""
+    return np.einsum("ijkl->jikl", value_of(_contortion_third(parts)))
 
 
 def d_curvature(metric, potential, alpha, p: PhasePoint):
@@ -85,7 +90,8 @@ def d_curvature(metric, potential, alpha, p: PhasePoint):
     with the third slot and negating reproduces ricci.
     """
     _, _, parts = _jet_parts(metric, potential, alpha, p)
-    return _hessian_blocks(parts)
+    block, ricci = _hessian_blocks(parts)
+    return block, _contortion_block(parts), ricci
 
 
 TraceDecomposition = namedtuple(
@@ -131,7 +137,7 @@ def tidal_packet(metric, potential, alpha, p: PhasePoint,
                  nonspray_perturbation=0.0) -> TidalPacket:
     """Assemble the full curvature picture at one phase point."""
     frame, y, jparts = _jet_parts(metric, potential, alpha, p)
-    block, bblock, ricci = _hessian_blocks(jparts)
+    block, ricci = _hessian_blocks(jparts)
     R3 = value_of(jparts.R3)
     E = value_of(jparts.E)
     h_low = value_of(jparts.h_low)
@@ -143,5 +149,6 @@ def tidal_packet(metric, potential, alpha, p: PhasePoint,
                        tidal_angular=h_low @ E, tidal_trace=float(np.trace(E)),
                        gravity_tidal=e, base_riemann=riem,
                        base_ricci=base_ricci, curvature_block=block,
-                       contortion_block=bblock, d_ricci=ricci,
+                       contortion_block=_contortion_block(jparts),
+                       d_ricci=ricci,
                        torsion=torsion)

@@ -16,6 +16,7 @@ strengths carry the same mass units as M.  Spherical charts use
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,7 +33,7 @@ class MetricPack:
     dg: np.ndarray
     d2g: np.ndarray
 
-    @property
+    @cached_property
     def ginv(self):
         return np.linalg.inv(self.g)
 
@@ -472,8 +473,13 @@ def stress_energy_em(F, g) -> np.ndarray:
     in the (-,+,+,+) signature; the charged exterior solution then satisfies
     ricci_ij = 8 pi T_ij exactly.
     """
-    ginv = np.linalg.inv(np.asarray(g, dtype=float))
+    g = np.asarray(g, dtype=float)
+    return _stress_energy_em(F, g, np.linalg.inv(g))
+
+
+def _stress_energy_em(F, g, ginv):
+    """stress_energy_em with a prebuilt inverse metric."""
     F = np.asarray(F, dtype=float)
     term = np.einsum("ia,ab,jb->ij", F, ginv, F)
     scalar = np.einsum("ab,ab->", F, ginv @ F @ ginv)
-    return (term - 0.25 * np.asarray(g) * scalar) / (4.0 * np.pi)
+    return (term - 0.25 * g * scalar) / (4.0 * np.pi)

@@ -29,11 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .connection import (_d_covariant, _strong_torsion, contortion_vector,
-                         field_frame, fiber_parts, phase_context,
-                         unit_direction_low)
+from .connection import (_contortion_third, _d_covariant, _strong_torsion,
+                         contortion_vector, field_frame, fiber_parts,
+                         phase_context, unit_direction_low)
 from .curvature import _hessian_blocks, _trace_decomposition
-from .fields import _current, _riemann, stress_energy_em
+from .fields import _current, _riemann, _stress_energy_em
 from .jets import Jet, value_of
 from .tensors import DIM, PhasePoint
 
@@ -114,7 +114,7 @@ class _Point:
         self.nrm2 = p.norm ** 2
         self.eps = p.causal_sign
         self.q = self.eps * self.nrm2
-        self.T_em = stress_energy_em(fr.F, fr.g)
+        self.T_em = _stress_energy_em(fr.F, fr.g, fr.ginv)
         # field invariant for the d'Alembertian assembly
         self.F_sq = float(np.einsum("ab,ac,bd,cd->", fr.F, fr.ginv, fr.ginv,
                                     fr.F))
@@ -135,13 +135,13 @@ class _Bench:
         self.B = value_of(jp.B)
         self.B1 = value_of(jp.B1)
         self.B2 = value_of(jp.B2)
-        self.B3 = value_of(jp.B3)
+        self.B3 = value_of(_contortion_third(jp))
         self.Gaff = value_of(jp.Gaff)
         self.R3 = value_of(jp.R3)
         self.h_low = value_of(jp.h_low)
         self.l_up = value_of(jp.l_up)
         self.l_low = value_of(jp.l_low)
-        self.block, self.bblock, self.ricci = _hessian_blocks(jp)
+        self.block, self.ricci = _hessian_blocks(jp)
         self.trace_E = float(np.trace(self.E))
         self.torsion = _strong_torsion(jp.N, y, nonspray_perturbation)
         self.quad = float(np.einsum("li,il->", self.B1, self.B1))

@@ -146,11 +146,13 @@ def test_bad_inputs_exit_two(tmp_path, capsys):
 
 
 def test_console_script_entry_point(tmp_path):
-    # the installed `tidal` executable, end to end
+    # the `tidal` entry point, end to end, in a fresh interpreter
+    src = Path(tidalbundle.__file__).parents[1]
     proc = subprocess.run(
         [sys.executable, "-m", "tidalbundle", "verify", "--scenario",
          "flat_vacuum", "--points", "1", "--out", str(tmp_path / "r.json")],
-        capture_output=True, text=True)
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
     assert "passed" in proc.stdout
 

@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 from conftest import fd_gradient
 
+from tidalbundle import connection
 from tidalbundle.connection import (adapted_derivative, b_family,
                                     connection_data, d_covariant_derivative,
                                     field_frame, fiber_parts, fiber_square,
-                                    fiber_velocity, phase_point,
+                                    fiber_velocity, phase_context, phase_point,
                                     strong_torsion, unit_direction_low)
+from tidalbundle.dynamics import worldline_rhs
 from tidalbundle.errors import NullFiberError
 from tidalbundle.fields import builtin_metric, builtin_potential
-from tidalbundle.jets import value_of
+from tidalbundle.jets import Jet, value_of
 
 RN = builtin_metric("reissner_nordstrom", {"M": 1.0, "Q": 0.5})
 COULOMB = builtin_potential("coulomb", {"Q": 0.5})
@@ -48,9 +50,7 @@ def test_euler_degree_ladder():
 
 
 def test_third_derivative_annihilates_fiber():
-    frame = field_frame(RN, COULOMB, X)
-    parts = fiber_parts(frame, ALPHA, Y)
-    B3 = value_of(parts.B3)
+    B3 = b_family(RN, COULOMB, ALPHA, _rn_point()).third
     out = np.einsum("ijkl,l->ijk", B3, Y)
     scale = np.max(np.abs(B3)) * np.max(np.abs(Y))
     assert np.max(np.abs(out)) < 1e-13 * scale
@@ -139,6 +139,26 @@ def test_unit_direction_transport_closed_form():
     want = 0.5 * ALPHA * frame.F
     np.testing.assert_allclose(got, want, rtol=1e-12,
                                atol=1e-14 * max(1.0, np.max(np.abs(frame.gamma))))
+
+
+def test_phase_context_jets_are_order_one():
+    ctx = phase_context(field_frame(RN, COULOMB, X), ALPHA, Y)
+    jets = {k: v for k, v in vars(ctx).items() if isinstance(v, Jet)}
+    assert {"x", "y", "g", "N", "Gaff", "B", "l_low"} <= set(jets)
+    assert all(j.h is None and j.m == 8 for j in jets.values())
+
+
+def test_third_contortion_built_only_on_demand(monkeypatch):
+    def refuse(parts):
+        raise AssertionError("B^i_jkl built without a reader")
+
+    monkeypatch.setattr(connection, "_contortion_third", refuse)
+    frame = field_frame(RN, COULOMB, X)
+    parts = fiber_parts(frame, ALPHA, Y, curvature=True)
+    assert not hasattr(parts, "B3")
+    worldline_rhs(RN, COULOMB, ALPHA, X, Y)
+    with pytest.raises(AssertionError, match="without a reader"):
+        b_family(RN, COULOMB, ALPHA, _rn_point())
 
 
 def test_base_reference_recovers_metric_compatibility():

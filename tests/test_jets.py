@@ -45,13 +45,17 @@ def _scalar_chain(y):
     return np.sqrt(abs(q)) * (1.0 + (y[0] * y[1] - 0.3 * y[2]) / (2.0 + q * q))
 
 
-def test_chain_rule_against_finite_differences():
-    j = Jet.seed(Y, 4)
+def _chain_jet(j):
+    """_scalar_chain evaluated on a seeded jet."""
     q = jeinsum("a,a->", jeinsum("ab,b->a", G, j), j)
     s = jsqrt(-1.0 * q)  # q < 0 at Y, so |q| = -q
     assert q.v < 0
     rat = (j[0] * j[1] - 0.3 * j[2]) / (2.0 + q * q)
-    f = s * (1.0 + rat)
+    return s * (1.0 + rat)
+
+
+def test_chain_rule_against_finite_differences():
+    f = _chain_jet(Jet.seed(Y, 4))
     assert f.v == pytest.approx(_scalar_chain(Y), rel=1e-14)
     np.testing.assert_allclose(f.d, fd_gradient(_scalar_chain, Y),
                                rtol=1e-8, atol=1e-10)
@@ -73,10 +77,28 @@ def test_reciprocal_against_finite_differences():
 def test_from_pack_direction_placement():
     # lift a base field into directions 4..7 of an 8-direction jet
     d1 = np.arange(4.0)[:, None] * np.ones(4)
-    j = Jet.from_pack(Y, d1, None, m=8, start=4)
+    j = Jet.from_pack(Y, d1, m=8, start=4)
     assert j.d[:4].max() == 0.0
     np.testing.assert_array_equal(j.d[4:], d1)
-    assert not j.h.any()
+    assert j.h is None
+
+
+def test_order_one_matches_order_two_bitwise():
+    # dropping h must not touch the value or first-derivative arithmetic
+    f2 = _chain_jet(Jet.seed(Y, 4))
+    f1 = _chain_jet(Jet.from_pack(Y, np.eye(4), 4))
+    assert f1.h is None
+    assert np.array_equal(f1.v, f2.v)
+    assert np.array_equal(f1.d, f2.d)
+
+
+def test_mixed_orders_rejected():
+    j2 = Jet.seed(Y, 4)
+    j1 = Jet.from_pack(Y, np.eye(4), 4)
+    for op in (lambda: j1 + j2, lambda: j2 * j1, lambda: j1 / j2,
+               lambda: jeinsum("i,j->ij", j1, j2)):
+        with pytest.raises(ValueError, match="orders differ"):
+            op()
 
 
 def test_getitem_keeps_jet_axes():

@@ -15,9 +15,8 @@ from .connection import (ConnectionData, ContortionFamily, FieldFrame,
                          contortion_vector, d_covariant_derivative,
                          field_frame, fiber_parts, phase_point,
                          strong_torsion)
-from .curvature import (TidalPacket, TraceDecomposition, d_curvature,
-                        nonlinear_curvature, tidal_packet, tidal_tensor,
-                        trace_decomposition)
+from .curvature import (TidalPacket, TraceDecomposition, nonlinear_curvature,
+                        tidal_packet, tidal_tensor, trace_decomposition)
 from .dynamics import (IntegratorConfig, Trajectory, convert_deviation_frame,
                        integrate_deviation_classical,
                        integrate_deviation_tidal, integrate_geodesic_lc,
@@ -36,9 +35,7 @@ from .scenario import (BUILTIN_IDS, DEFAULT_SUITE, Scenario, builtin_scenario,
                        builtin_scenarios, load_scenario, resolve_scenario,
                        scenario_defaults, scenario_from_dict)
 from .tensors import PhasePoint, norm_and_sign
-from .verify import (CheckResult, alpha_sweep, check_einstein_trace,
-                     check_homogeneous_maxwell, check_inhomogeneous_maxwell,
-                     check_structural, report_json, report_summary_table,
-                     run_suite, sample_phase_points)
+from .verify import (CheckResult, alpha_sweep, report_json,
+                     report_summary_table, run_suite, sample_phase_points)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -10,8 +10,12 @@ gamma^i_jk(x) y^k and the charge part built from the contortion family
 with F^i = F^i_j y^j, l = y/||y||, h the angular metric, and eps the causal
 sign.  On spacelike fibers (eps = +1) these reduce to the textbook Randers
 expressions; the eps insertions keep every identity exact on timelike
-fibers under the positive-norm convention.  The third fiber derivative
-B^i_jkl is built on demand (_contortion_third), only where it is read.
+fibers under the positive-norm convention.
+
+Each tensor is built on its first read and kept, so a point computes only
+what its caller reads: the field packs and the FieldFrame derive the base
+tensors, and FiberParts builds N and its inputs up front and everything
+else (B^i_jk, B^i_jkl, G^i_jk, the spray, the curvature of N) on demand.
 
 Index layout of derivative arrays is always derivative-axis leading:
 dN[k,i,j] = d(N^i_j)/dx^k.  Fiber quantities accept a Jet for y, so exact
@@ -23,12 +27,13 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from types import SimpleNamespace
+from functools import cached_property
 
 import numpy as np
 
 from .errors import FrameMismatchError
-from .fields import MetricField, PotentialField, christoffel, faraday, coords_compatible
+from .fields import (MetricField, MetricPack, PotentialField, PotentialPack,
+                     coords_compatible)
 from .jets import Jet, jeinsum, jsqrt, value_of
 from .tensors import DIM, PhasePoint, norm_and_sign
 
@@ -41,17 +46,26 @@ class FieldFrame:
     """
 
     x: np.ndarray
-    g: np.ndarray
-    ginv: np.ndarray
-    dg: np.ndarray
-    dginv: np.ndarray
-    gamma: np.ndarray
-    dgamma: np.ndarray
-    A: np.ndarray
-    F: np.ndarray
-    dF: np.ndarray
-    Fmix: np.ndarray
-    dFmix: np.ndarray
+    metric_pack: MetricPack
+    potential_pack: PotentialPack
+
+    g = property(lambda self: self.metric_pack.g)
+    ginv = property(lambda self: self.metric_pack.ginv)
+    dg = property(lambda self: self.metric_pack.dg)
+    dginv = property(lambda self: self.metric_pack.dginv)
+    gamma = property(lambda self: self.metric_pack.gamma)
+    dgamma = property(lambda self: self.metric_pack.dgamma)
+    F = property(lambda self: self.potential_pack.F)
+    dF = property(lambda self: self.potential_pack.dF)
+
+    @cached_property
+    def Fmix(self):
+        return self.ginv @ self.F
+
+    @cached_property
+    def dFmix(self):
+        return (np.einsum("kia,aj->kij", self.dginv, self.F)
+                + np.einsum("ia,kaj->kij", self.ginv, self.dF))
 
 
 def field_frame(metric: MetricField, potential: PotentialField, x,
@@ -61,95 +75,116 @@ def field_frame(metric: MetricField, potential: PotentialField, x,
             f"{metric.name} uses {metric.coords} coordinates but "
             f"{potential.name} expects {potential.coords}")
     x = np.asarray(x, dtype=float)
-    mp = metric.pack(x, check=check)
-    pp = potential.pack(x, check=check)
-    gamma, dgamma = christoffel(mp)
-    F, dF = faraday(pp)
-    ginv = mp.ginv
-    dginv = -np.einsum("ia,mab,bl->mil", ginv, mp.dg, ginv)
-    Fmix = ginv @ F
-    dFmix = np.einsum("kia,aj->kij", dginv, F) + np.einsum("ia,kaj->kij", ginv, dF)
-    return FieldFrame(x=x, g=mp.g, ginv=ginv, dg=mp.dg, dginv=dginv,
-                      gamma=gamma, dgamma=dgamma, A=pp.A, F=F, dF=dF,
-                      Fmix=Fmix, dFmix=dFmix)
+    return FieldFrame(x, metric.pack(x, check=check),
+                      potential.pack(x, check=check))
 
 
 def phase_point(metric: MetricField, x, y) -> PhasePoint:
     return PhasePoint.create(metric.pack(np.asarray(x, dtype=float)).g, x, y)
 
 
-def _contortion(g, ginv, gamma, F, alpha, y, eps, nrm):
-    """Shared fiber algebra; any of g/ginv/gamma/F/y may be a Jet."""
-    l_up = y / nrm
-    l_low = jeinsum("ij,j->i", g, l_up)
-    h_low = g - eps * jeinsum("i,j->ij", l_low, l_low)
-    Fmix = jeinsum("ia,aj->ij", ginv, F)
-    F_up = jeinsum("ij,j->i", Fmix, y)
-    F_low = jeinsum("ij,j->i", F, y)
-    half = -0.5 * alpha
-    B = half * (nrm * F_up)
-    B1 = half * (eps * jeinsum("j,i->ij", l_low, F_up) + nrm * Fmix)
-    B2 = (half * eps) * (jeinsum("jk,i->ijk", h_low, F_up) / nrm
-                         + jeinsum("j,ik->ijk", l_low, Fmix)
-                         + jeinsum("k,ij->ijk", l_low, Fmix))
-    n1 = jeinsum("ijk,k->ij", gamma, y)
-    N = n1 + B1
-    Gaff = gamma + B2
-    G = 0.5 * jeinsum("ij,j->i", N, y)
-    return SimpleNamespace(alpha=alpha, eps=eps, nrm=nrm, l_up=l_up,
-                           l_low=l_low, h_low=h_low,
-                           Fmix=Fmix, F_up=F_up, F_low=F_low,
-                           B=B, B1=B1, B2=B2,
-                           n1=n1, N=N, Gaff=Gaff, G=G)
+class FiberParts:
+    """Connection data at one fiber; g, ginv, gamma, F and y may be Jets.
 
-
-def _contortion_third(parts):
-    """B^i_jkl, the third fiber derivative of B, from _contortion's parts.
-
-    Only a few readers need it, so fiber_parts does not build it.
+    N and its inputs are built here; the rest on first read.  The curvature
+    channel (dB, dB1, R3, E) differentiates the base dependence in closed
+    form, so it reads the plain frame arrays whether y is plain or a
+    fiber-seeded Jet.
     """
-    eps, nrm, h_low, l_low = parts.eps, parts.nrm, parts.h_low, parts.l_low
-    Fmix, F_up = parts.Fmix, parts.F_up
-    half = -0.5 * parts.alpha
-    hl = (jeinsum("jl,k->jkl", h_low, l_low)
-          + jeinsum("j,kl->jkl", l_low, h_low)
-          + jeinsum("l,jk->jkl", l_low, h_low))
-    return (half * eps) * (jeinsum("jk,il->ijkl", h_low, Fmix)
-                           + jeinsum("jl,ik->ijkl", h_low, Fmix)
-                           + jeinsum("kl,ij->ijkl", h_low, Fmix)) / nrm \
-        - (half * eps * eps) * jeinsum("jkl,i->ijkl", hl, F_up) / (nrm * nrm)
+
+    def __init__(self, frame: FieldFrame, g, ginv, gamma, F, alpha, y, eps, nrm):
+        self.frame, self.g, self.gamma = frame, g, gamma
+        self.alpha, self.y, self.eps, self.nrm = alpha, y, eps, nrm
+        self.l_up = y / nrm
+        self.l_low = jeinsum("ij,j->i", g, self.l_up)
+        self.Fmix = jeinsum("ia,aj->ij", ginv, F)
+        self.F_up = jeinsum("ij,j->i", self.Fmix, y)
+        half = -0.5 * alpha
+        self.B = half * (nrm * self.F_up)
+        self.B1 = half * (eps * jeinsum("j,i->ij", self.l_low, self.F_up)
+                          + nrm * self.Fmix)
+        self.n1 = jeinsum("ijk,k->ij", gamma, y)
+        self.N = self.n1 + self.B1
+
+    @cached_property
+    def h_low(self):
+        return self.g - self.eps * jeinsum("i,j->ij", self.l_low, self.l_low)
+
+    @cached_property
+    def B2(self):
+        l_low, Fmix = self.l_low, self.Fmix
+        return (-0.5 * self.alpha * self.eps) * (
+            jeinsum("jk,i->ijk", self.h_low, self.F_up) / self.nrm
+            + jeinsum("j,ik->ijk", l_low, Fmix)
+            + jeinsum("k,ij->ijk", l_low, Fmix))
+
+    @cached_property
+    def Gaff(self):
+        return self.gamma + self.B2
+
+    @cached_property
+    def G(self):
+        return 0.5 * jeinsum("ij,j->i", self.N, self.y)
+
+    @cached_property
+    def B3(self):
+        """B^i_jkl, the third fiber derivative of B."""
+        eps, nrm, h_low, l_low = self.eps, self.nrm, self.h_low, self.l_low
+        Fmix, F_up = self.Fmix, self.F_up
+        half = -0.5 * self.alpha
+        hl = (jeinsum("jl,k->jkl", h_low, l_low)
+              + jeinsum("j,kl->jkl", l_low, h_low)
+              + jeinsum("l,jk->jkl", l_low, h_low))
+        return (half * eps) * (jeinsum("jk,il->ijkl", h_low, Fmix)
+                               + jeinsum("jl,ik->ijkl", h_low, Fmix)
+                               + jeinsum("kl,ij->ijkl", h_low, Fmix)) / nrm \
+            - (half * eps * eps) * jeinsum("jkl,i->ijkl", hl, F_up) / (nrm * nrm)
+
+    # ---- curvature channel: base derivatives and the curvature of N ----
+
+    @cached_property
+    def dnrm(self):
+        y = self.y
+        dq = jeinsum("kab,ab->k", self.frame.dg, jeinsum("a,b->ab", y, y))
+        return (self.eps / 2.0) * dq / self.nrm
+
+    @cached_property
+    def dF_up(self):
+        return jeinsum("kij,j->ki", self.frame.dFmix, self.y)
+
+    @cached_property
+    def dB(self):
+        return (-0.5 * self.alpha) * (jeinsum("k,i->ki", self.dnrm, self.F_up)
+                                      + self.nrm * self.dF_up)
+
+    @cached_property
+    def dB1(self):
+        frame, y, eps, nrm = self.frame, self.y, self.eps, self.nrm
+        dnrm = self.dnrm
+        ylow = jeinsum("ja,a->j", frame.g, y)
+        dylow = jeinsum("kja,a->kj", frame.dg, y)
+        dl_low = dylow / nrm - jeinsum("k,j->kj", dnrm, ylow) / (nrm * nrm)
+        return (-0.5 * self.alpha) * (
+            eps * (jeinsum("kj,i->kij", dl_low, self.F_up)
+                   + jeinsum("j,ki->kij", self.l_low, self.dF_up))
+            + jeinsum("k,ij->kij", dnrm, self.Fmix)
+            + nrm * frame.dFmix)
+
+    @cached_property
+    def R3(self):
+        dN = jeinsum("kijm,m->kij", self.frame.dgamma, self.y) + self.dB1
+        N, Gaff = self.N, self.Gaff
+        return (jeinsum("kij->ijk", dN) - jeinsum("jik->ijk", dN)
+                - jeinsum("lk,ijl->ijk", N, Gaff)
+                + jeinsum("lj,ikl->ijk", N, Gaff))
+
+    @cached_property
+    def E(self):
+        return jeinsum("ijk,k->ij", self.R3, self.y)
 
 
-def _curvature_channel(frame: FieldFrame, alpha, parts, y):
-    """Base-derivative channel and the curvature of N.
-
-    Works for plain y or a fiber-seeded Jet; frame arrays stay plain
-    because the x-dependence is differentiated in closed form here.
-    """
-    eps, nrm = parts.eps, parts.nrm
-    dq = jeinsum("kab,ab->k", frame.dg, jeinsum("a,b->ab", y, y))
-    dnrm = (eps / 2.0) * dq / nrm
-    ylow = jeinsum("ja,a->j", frame.g, y)
-    dylow = jeinsum("kja,a->kj", frame.dg, y)
-    dl_low = dylow / nrm - jeinsum("k,j->kj", dnrm, ylow) / (nrm * nrm)
-    dF_up = jeinsum("kij,j->ki", frame.dFmix, y)
-    half = -0.5 * alpha
-    dB = half * (jeinsum("k,i->ki", dnrm, parts.F_up) + nrm * dF_up)
-    dB1 = half * (eps * (jeinsum("kj,i->kij", dl_low, parts.F_up)
-                         + jeinsum("j,ki->kij", parts.l_low, dF_up))
-                  + jeinsum("k,ij->kij", dnrm, parts.Fmix)
-                  + nrm * frame.dFmix)
-    dN = jeinsum("kijm,m->kij", frame.dgamma, y) + dB1
-    R3 = (jeinsum("kij->ijk", dN) - jeinsum("jik->ijk", dN)
-          - jeinsum("lk,ijl->ijk", parts.N, parts.Gaff)
-          + jeinsum("lj,ikl->ijk", parts.N, parts.Gaff))
-    E = jeinsum("ijk,k->ij", R3, y)
-    return SimpleNamespace(dnrm=dnrm, dl_low=dl_low, dF_up=dF_up,
-                           dB=dB, dB1=dB1, dN=dN, R3=R3, E=E)
-
-
-def fiber_parts(frame: FieldFrame, alpha, y, curvature=False, check=True):
-    """Assemble the connection (and optionally curvature) data at one fiber.
+def fiber_parts(frame: FieldFrame, alpha, y, check=True) -> FiberParts:
+    """The connection at one fiber; each part is built when first read.
 
     y may be a plain 4-vector or a Jet seeded in fiber directions; in the
     latter case every output carries exact fiber derivatives.
@@ -167,13 +202,8 @@ def fiber_parts(frame: FieldFrame, alpha, y, curvature=False, check=True):
     else:
         y = np.asarray(y, dtype=float)
         nrm = nrm_v
-    parts = _contortion(frame.g, frame.ginv, frame.gamma, frame.F,
-                        alpha, y, eps, nrm)
-    if curvature:
-        chan = _curvature_channel(frame, alpha, parts, y)
-        for key, val in vars(chan).items():
-            setattr(parts, key, val)
-    return parts
+    return FiberParts(frame, frame.g, frame.ginv, frame.gamma, frame.F,
+                      alpha, y, eps, nrm)
 
 
 # ---- public per-point operations --------------------------------------
@@ -196,15 +226,14 @@ class ConnectionData:
     affine: np.ndarray            # G^i_jk
 
 
-def _point_parts(metric, potential, alpha, p: PhasePoint, curvature=False):
+def _point_parts(metric, potential, alpha, p: PhasePoint):
     frame = field_frame(metric, potential, p.x)
-    return frame, fiber_parts(frame, alpha, p.y, curvature=curvature)
+    return frame, fiber_parts(frame, alpha, p.y)
 
 
 def connection_data(metric, potential, alpha, p: PhasePoint) -> ConnectionData:
     frame, parts = _point_parts(metric, potential, alpha, p)
-    fam = ContortionFamily(parts.B, parts.B1, parts.B2,
-                           _contortion_third(parts))
+    fam = ContortionFamily(parts.B, parts.B1, parts.B2, parts.B3)
     return ConnectionData(point=p, alpha=float(alpha),
                           christoffel=frame.gamma, faraday_mixed=parts.Fmix,
                           faraday_fiber=parts.F_up, contortion=fam,
@@ -214,8 +243,7 @@ def connection_data(metric, potential, alpha, p: PhasePoint) -> ConnectionData:
 def b_family(metric, potential, alpha, p: PhasePoint) -> ContortionFamily:
     """Contortion vector B^i and its first three fiber derivatives."""
     _, parts = _point_parts(metric, potential, alpha, p)
-    return ContortionFamily(parts.B, parts.B1, parts.B2,
-                            _contortion_third(parts))
+    return ContortionFamily(parts.B, parts.B1, parts.B2, parts.B3)
 
 
 def strong_torsion(metric, potential, alpha, p: PhasePoint, perturbation=0.0):
@@ -257,15 +285,9 @@ def phase_context(frame: FieldFrame, alpha, y):
     nrm_v, eps = norm_and_sign(frame.g, y)
     q = jeinsum("i,i->", jeinsum("ij,j->i", g, yj), yj)
     nrm = jsqrt(eps * q)
-    parts = _contortion(g, ginv, gamma, F, alpha, yj, eps, nrm)
+    parts = FiberParts(frame, g, ginv, gamma, F, alpha, yj, eps, nrm)
     parts.x = Jet.from_pack(frame.x, eye, m)
-    parts.y = yj
-    parts.g = g
-    parts.ginv = ginv
-    parts.gamma = gamma
-    parts.F = F
     parts.q = q
-    parts.frame = frame
     return parts
 
 
@@ -283,7 +305,6 @@ class PhaseFieldSpec:
 
 
 unit_direction_low = PhaseFieldSpec("d", lambda ctx: ctx.l_low)
-unit_direction_up = PhaseFieldSpec("u", lambda ctx: ctx.l_up)
 fiber_velocity = PhaseFieldSpec("u", lambda ctx: ctx.y)
 fiber_square = PhaseFieldSpec("", lambda ctx: ctx.q)
 contortion_vector = PhaseFieldSpec("u", lambda ctx: ctx.B)

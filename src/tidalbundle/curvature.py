@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connection import (_contortion_third, _strong_torsion, field_frame,
-                         fiber_parts)
+from .connection import _strong_torsion, field_frame, fiber_parts
 from .fields import _riemann
 from .jets import Jet, value_of
 from .tensors import DIM, PhasePoint
@@ -46,23 +45,16 @@ class TidalPacket:
     torsion: np.ndarray               # strong torsion, zero for sprays
 
 
-def _jet_parts(metric, potential, alpha, p: PhasePoint):
-    frame = field_frame(metric, potential, p.x)
-    y = np.asarray(p.y, dtype=float)
-    parts = fiber_parts(frame, alpha, Jet.seed(y, DIM), curvature=True)
-    return frame, y, parts
-
-
 def nonlinear_curvature(metric, potential, alpha, p: PhasePoint):
     """Curvature R^i_jk of the nonlinear connection, antisymmetric in jk."""
     frame = field_frame(metric, potential, p.x)
-    return fiber_parts(frame, alpha, p.y, curvature=True).R3
+    return fiber_parts(frame, alpha, p.y).R3
 
 
 def tidal_tensor(metric, potential, alpha, p: PhasePoint):
     """Tidal tensor E^i_j, its angular projection, and the trace."""
     frame = field_frame(metric, potential, p.x)
-    parts = fiber_parts(frame, alpha, p.y, curvature=True)
+    parts = fiber_parts(frame, alpha, p.y)
     E = parts.E
     Et = parts.h_low @ E
     return E, Et, float(np.trace(E))
@@ -73,25 +65,6 @@ def _hessian_blocks(parts):
     block = 0.5 * np.einsum("jlik->jikl", parts.E.h)
     ricci = -0.5 * np.einsum("ZYii->ZY", parts.E.h)
     return block, ricci
-
-
-def _contortion_block(parts):
-    """B^i_jkl from fiber-jet parts, in the block slot order [j,i,k,l]."""
-    return np.einsum("ijkl->jikl", value_of(_contortion_third(parts)))
-
-
-def d_curvature(metric, potential, alpha, p: PhasePoint):
-    """Curvature blocks of the affine connection and its Ricci tensor.
-
-    Returns (R_block[j,i,k,l], B_block[j,i,k,l], ricci[j,l]) where the
-    first block is half the fiber Hessian of the tidal tensor and ricci
-    is minus half the fiber Hessian of its trace.  Contracting the first
-    block with y^j y^l reconstructs E^i_k; contracting its upper index
-    with the third slot and negating reproduces ricci.
-    """
-    _, _, parts = _jet_parts(metric, potential, alpha, p)
-    block, ricci = _hessian_blocks(parts)
-    return block, _contortion_block(parts), ricci
 
 
 TraceDecomposition = namedtuple(
@@ -118,7 +91,7 @@ def trace_decomposition(metric, potential, alpha, p: PhasePoint):
     """
     frame = field_frame(metric, potential, p.x)
     y = np.asarray(p.y, dtype=float)
-    parts = fiber_parts(frame, alpha, y, curvature=True)
+    parts = fiber_parts(frame, alpha, y)
     riem, _ = _riemann(frame.gamma, frame.dgamma)
     return _trace_decomposition(frame, parts,
                                 float(np.einsum("iaib,a,b->", riem, y, y)))
@@ -136,7 +109,9 @@ def _trace_decomposition(frame, parts, e_trace):
 def tidal_packet(metric, potential, alpha, p: PhasePoint,
                  nonspray_perturbation=0.0) -> TidalPacket:
     """Assemble the full curvature picture at one phase point."""
-    frame, y, jparts = _jet_parts(metric, potential, alpha, p)
+    frame = field_frame(metric, potential, p.x)
+    y = np.asarray(p.y, dtype=float)
+    jparts = fiber_parts(frame, alpha, Jet.seed(y, DIM))
     block, ricci = _hessian_blocks(jparts)
     R3 = value_of(jparts.R3)
     E = value_of(jparts.E)
@@ -149,6 +124,7 @@ def tidal_packet(metric, potential, alpha, p: PhasePoint,
                        tidal_angular=h_low @ E, tidal_trace=float(np.trace(E)),
                        gravity_tidal=e, base_riemann=riem,
                        base_ricci=base_ricci, curvature_block=block,
-                       contortion_block=_contortion_block(jparts),
+                       contortion_block=np.einsum("ijkl->jikl",
+                                                  value_of(jparts.B3)),
                        d_ricci=ricci,
                        torsion=torsion)

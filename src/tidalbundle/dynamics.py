@@ -26,7 +26,6 @@ from scipy.integrate import solve_ivp
 
 from .connection import field_frame, fiber_parts
 from .errors import ChartDomainError, NullFiberError, TidalError
-from .fields import christoffel
 from .tensors import DIM, PhasePoint, norm_and_sign
 
 
@@ -160,6 +159,19 @@ def _drift(metric, t, xs, ys):
     return float(np.max(np.abs(np.asarray(q) - q[0])))
 
 
+def _trajectory(rhs, cfg, metric, potential, init: PhasePoint,
+                deviation=(), rate_channel=None) -> Trajectory:
+    """Integrate from init, plus a deviation (w0, v0) in rate_channel."""
+    state0 = np.concatenate([init.x, init.y,
+                             *(np.asarray(d, float) for d in deviation)])
+    t, states, truncated, exit_time = _integrate(rhs, state0, cfg, metric, potential)
+    xs, ys = states[:, :DIM], states[:, DIM:2 * DIM]
+    w, v = (states[:, 8:12], states[:, 12:16]) if deviation else (None, None)
+    return Trajectory(t=t, x=xs, y=ys, truncated=truncated, exit_time=exit_time,
+                      norm_drift=_drift(metric, t, xs, ys), method=cfg.method,
+                      w=w, v=v, rate_channel=rate_channel)
+
+
 def integrate_worldline(metric, potential, alpha, init: PhasePoint,
                         cfg: IntegratorConfig) -> Trajectory:
     """Integrate the charged worldline from an initial phase point."""
@@ -168,11 +180,7 @@ def integrate_worldline(metric, potential, alpha, init: PhasePoint,
         dx, dy = worldline_rhs(metric, potential, alpha, s[:DIM], s[DIM:])
         return np.concatenate([dx, dy])
 
-    state0 = np.concatenate([init.x, init.y])
-    t, states, truncated, exit_time = _integrate(rhs, state0, cfg, metric, potential)
-    xs, ys = states[:, :DIM], states[:, DIM:]
-    return Trajectory(t=t, x=xs, y=ys, truncated=truncated, exit_time=exit_time,
-                      norm_drift=_drift(metric, t, xs, ys), method=cfg.method)
+    return _trajectory(rhs, cfg, metric, potential, init)
 
 
 def integrate_geodesic_lc(metric, init: PhasePoint,
@@ -185,14 +193,10 @@ def integrate_geodesic_lc(metric, init: PhasePoint,
 
     def rhs(t, s):
         x, y = s[:DIM], s[DIM:]
-        gamma, _ = christoffel(metric.pack(x, check=False))
+        gamma = metric.pack(x, check=False).gamma
         return np.concatenate([y, -np.einsum("ijk,j,k->i", gamma, y, y)])
 
-    state0 = np.concatenate([init.x, init.y])
-    t, states, truncated, exit_time = _integrate(rhs, state0, cfg, metric, None)
-    xs, ys = states[:, :DIM], states[:, DIM:]
-    return Trajectory(t=t, x=xs, y=ys, truncated=truncated, exit_time=exit_time,
-                      norm_drift=_drift(metric, t, xs, ys), method=cfg.method)
+    return _trajectory(rhs, cfg, metric, None, init)
 
 
 def integrate_deviation_tidal(metric, potential, alpha, init: PhasePoint,
@@ -202,7 +206,7 @@ def integrate_deviation_tidal(metric, potential, alpha, init: PhasePoint,
     def rhs(t, s):
         x, y, w, v = s[:4], s[4:8], s[8:12], s[12:16]
         frame = field_frame(metric, potential, x, check=False)
-        parts = fiber_parts(frame, alpha, y, curvature=True, check=False)
+        parts = fiber_parts(frame, alpha, y, check=False)
         return np.concatenate([
             y,
             -parts.N @ y,
@@ -210,14 +214,7 @@ def integrate_deviation_tidal(metric, potential, alpha, init: PhasePoint,
             parts.E @ w - parts.N @ v,
         ])
 
-    state0 = np.concatenate([init.x, init.y,
-                             np.asarray(w0, float), np.asarray(v0, float)])
-    t, states, truncated, exit_time = _integrate(rhs, state0, cfg, metric, potential)
-    xs, ys = states[:, :4], states[:, 4:8]
-    return Trajectory(t=t, x=xs, y=ys, truncated=truncated, exit_time=exit_time,
-                      norm_drift=_drift(metric, t, xs, ys), method=cfg.method,
-                      w=states[:, 8:12], v=states[:, 12:16],
-                      rate_channel="adapted")
+    return _trajectory(rhs, cfg, metric, potential, init, (w0, v0), "adapted")
 
 
 def _classical_pieces(metric, potential, x):
@@ -256,14 +253,8 @@ def integrate_deviation_classical(metric, potential, alpha, init: PhasePoint,
             -gu @ om + alpha * (E_cl @ w + frame.Fmix @ om),
         ])
 
-    state0 = np.concatenate([init.x, init.y,
-                             np.asarray(w0, float), np.asarray(omega0, float)])
-    t, states, truncated, exit_time = _integrate(rhs, state0, cfg, metric, potential)
-    xs, ys = states[:, :4], states[:, 4:8]
-    return Trajectory(t=t, x=xs, y=ys, truncated=truncated, exit_time=exit_time,
-                      norm_drift=_drift(metric, t, xs, ys), method=cfg.method,
-                      w=states[:, 8:12], v=states[:, 12:16],
-                      rate_channel="levi-civita")
+    return _trajectory(rhs, cfg, metric, potential, init, (w0, omega0),
+                       "levi-civita")
 
 
 def two_worldline_oracle(metric, potential, alpha, init: PhasePoint, w0, v0,

@@ -8,6 +8,11 @@ order, packed with the derivative axes leading:
     dA[k, i]         = d A_i / dx^k
     d2A[l, k, i]     = d^2 A_i / dx^l dx^k
 
+The packs derive the rest on first read and keep it: MetricPack the
+inverse metric, its derivative and the Christoffel symbols with theirs,
+PotentialPack the field strength and its derivative.  So each is computed
+at most once per pack, and only if something reads it.
+
 Units: geometrized Gaussian, c = G = k_Coulomb = 1.  Charges and field
 strengths carry the same mass units as M.  Spherical charts use
 (t, r, theta, phi); flat charts use (t, x, y, z).
@@ -37,12 +42,45 @@ class MetricPack:
     def ginv(self):
         return np.linalg.inv(self.g)
 
+    @cached_property
+    def dginv(self):
+        return -np.einsum("ia,mab,bl->mil", self.ginv, self.dg, self.ginv)
+
+    @cached_property
+    def _lowered_gamma(self):
+        """S[l,j,k] = d_j g_lk + d_k g_lj - d_l g_jk, twice gamma_ljk."""
+        dg = self.dg
+        return np.einsum("jlk->ljk", dg) + np.einsum("klj->ljk", dg) - dg
+
+    @cached_property
+    def gamma(self):
+        """Levi-Civita coefficients gamma^i_jk."""
+        return 0.5 * np.einsum("il,ljk->ijk", self.ginv, self._lowered_gamma)
+
+    @cached_property
+    def dgamma(self):
+        """dgamma[m,i,j,k], the x^m partial of gamma^i_jk."""
+        d2g = self.d2g
+        dS = (np.einsum("mjlk->mljk", d2g) + np.einsum("mklj->mljk", d2g)
+              - np.einsum("mljk->mljk", d2g))
+        return (0.5 * np.einsum("mil,ljk->mijk", self.dginv, self._lowered_gamma)
+                + 0.5 * np.einsum("il,mljk->mijk", self.ginv, dS))
+
 
 @dataclass(frozen=True)
 class PotentialPack:
     A: np.ndarray
     dA: np.ndarray
     d2A: np.ndarray
+
+    @cached_property
+    def F(self):
+        """Field strength F_ij = d_i A_j - d_j A_i."""
+        return self.dA - self.dA.T
+
+    @cached_property
+    def dF(self):
+        return self.d2A - np.einsum("kij->kji", self.d2A)
 
 
 class MetricField:
@@ -396,25 +434,13 @@ def christoffel(metric, x=None):
     Returns (gamma[i,j,k], dgamma[m,i,j,k]) with dgamma the x^m partial.
     """
     pack = _metric_pack(metric, x)
-    ginv = pack.ginv
-    dg, d2g = pack.dg, pack.d2g
-    # S[l,j,k] = d_j g_lk + d_k g_lj - d_l g_jk
-    S = np.einsum("jlk->ljk", dg) + np.einsum("klj->ljk", dg) - dg
-    gamma = 0.5 * np.einsum("il,ljk->ijk", ginv, S)
-    dginv = -np.einsum("ia,mab,bl->mil", ginv, dg, ginv)
-    dS = (np.einsum("mjlk->mljk", d2g) + np.einsum("mklj->mljk", d2g)
-          - np.einsum("mljk->mljk", d2g))
-    dgamma = (0.5 * np.einsum("mil,ljk->mijk", dginv, S)
-              + 0.5 * np.einsum("il,mljk->mijk", ginv, dS))
-    return gamma, dgamma
+    return pack.gamma, pack.dgamma
 
 
 def faraday(potential, x=None):
     """Field strength F_ij = d_i A_j - d_j A_i and its base derivatives."""
     pack = _potential_pack(potential, x)
-    F = pack.dA - pack.dA.T
-    dF = pack.d2A - np.einsum("kij->kji", pack.d2A)
-    return F, dF
+    return pack.F, pack.dF
 
 
 def base_riemann(metric, x=None):
@@ -445,17 +471,12 @@ def gravity_tidal(metric, y, x=None):
 
 
 def current(potential, metric, x=None):
-    """Source 4-current J^i = (1/4 pi) nabla_j F^{ji}."""
-    metric_pack = _metric_pack(metric, x)
-    ginv = metric_pack.ginv
-    gamma, _ = christoffel(metric_pack)
-    F, dF = faraday(_potential_pack(potential, x))
-    dginv = -np.einsum("ia,mab,bl->mil", ginv, metric_pack.dg, ginv)
-    return _current(ginv, dginv, gamma, F, dF)
+    """Source 4-current J^i = (1/4 pi) nabla_j F^{ji}.
 
-
-def _current(ginv, dginv, gamma, F, dF):
-    """current from prebuilt inverse metric, Christoffels and field strength."""
+    Accepts fields with a point, or prebuilt packs.
+    """
+    mp, pp = _metric_pack(metric, x), _potential_pack(potential, x)
+    ginv, dginv, gamma, F, dF = mp.ginv, mp.dginv, mp.gamma, pp.F, pp.dF
     Fup = ginv @ F @ ginv
     dFup = (np.einsum("mac,cd,bd->mab", dginv, F, ginv)
             + np.einsum("ac,mcd,bd->mab", ginv, dF, ginv)

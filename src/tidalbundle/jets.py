@@ -81,12 +81,6 @@ class Jet:
         d[start:start + r] = d1
         return cls(value, d)
 
-    @classmethod
-    def const(cls, value, m):
-        value = np.asarray(value, dtype=float)
-        return cls(value, np.zeros((m,) + value.shape),
-                   np.zeros((m, m) + value.shape))
-
     # ---- arithmetic ---------------------------------------------------
 
     def __add__(self, other):

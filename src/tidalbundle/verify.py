@@ -12,7 +12,8 @@ derivatives at the base point.  It is built once per sampled point, with
 the rest of the coupling-independent data (base curvature, charge
 density, stress-energy), and reused for every coupling; each check's two
 sides still run on disjoint paths from it (fiber jet against plain
-fiber, phase jet against closed form).
+fiber, phase jet against closed form).  The frame and the fiber parts
+build each tensor on first read, so the bench only reads attributes.
 
 Residual policy: every check reports an absolute residual and a relative
 one.  The relative denominator is the magnitude of the data feeding the
@@ -29,11 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .connection import (_contortion_third, _d_covariant, _strong_torsion,
-                         contortion_vector, field_frame, fiber_parts,
-                         phase_context, unit_direction_low)
+from .connection import (_d_covariant, _strong_torsion, contortion_vector,
+                         field_frame, fiber_parts, phase_context,
+                         unit_direction_low)
 from .curvature import _hessian_blocks, _trace_decomposition
-from .fields import _current, _riemann, _stress_energy_em
+from .fields import _riemann, _stress_energy_em, current
 from .jets import Jet, value_of
 from .tensors import DIM, PhasePoint
 
@@ -109,7 +110,7 @@ class _Point:
         self.e_trace = float(np.einsum("iaib,a,b->", riem, y, y))
         self.e_scale = float(np.einsum("iaib,a,b->", np.abs(riem),
                                        np.abs(y), np.abs(y)))
-        J = _current(fr.ginv, fr.dginv, fr.gamma, fr.F, fr.dF)
+        J = current(fr.potential_pack, fr.metric_pack)
         self.rho_c = -float(J @ (fr.g @ (p.y / p.norm)))   # -J^i l_i
         self.nrm2 = p.norm ** 2
         self.eps = p.causal_sign
@@ -127,15 +128,14 @@ class _Bench:
         vars(self).update(vars(point))   # the same arrays for every alpha
         self.alpha = float(alpha)
         fr, y = self.frame, self.y
-        self.jparts = jp = fiber_parts(fr, alpha, Jet.seed(y, DIM),
-                                       curvature=True)
+        self.jparts = jp = fiber_parts(fr, alpha, Jet.seed(y, DIM))
         self.E = value_of(jp.E)
         self.N = value_of(jp.N)
         self.G = value_of(jp.G)
         self.B = value_of(jp.B)
         self.B1 = value_of(jp.B1)
         self.B2 = value_of(jp.B2)
-        self.B3 = value_of(_contortion_third(jp))
+        self.B3 = value_of(jp.B3)
         self.Gaff = value_of(jp.Gaff)
         self.R3 = value_of(jp.R3)
         self.h_low = value_of(jp.h_low)
@@ -147,8 +147,8 @@ class _Bench:
         self.quad = float(np.einsum("li,il->", self.B1, self.B1))
         F_up = value_of(jp.F_up)
         self.F_vec_sq = float(F_up @ (fr.g @ F_up))
-        self.td = _trace_decomposition(
-            fr, fiber_parts(fr, alpha, y, curvature=True), self.e_trace)
+        self.td = _trace_decomposition(fr, fiber_parts(fr, alpha, y),
+                                       self.e_trace)
         self.div_closed = self.td.divergence
         ctx = phase_context(fr, alpha, y)
         self.transport = _d_covariant(ctx, unit_direction_low)
@@ -173,8 +173,14 @@ def _residual_parts(lhs, rhs, scale=None):
 
 
 def _make_result(check, scenario_id, point, bench, lhs, rhs, scale=None):
+    return _judge(check, scenario_id, point, bench,
+                  _residual_parts(lhs, rhs, scale))
+
+
+def _judge(check, scenario_id, point, bench, residual_parts):
+    """The pass rule, applied to the parts _residual_parts returns."""
     tol = TOLERANCES[check]
-    lhs_mag, rhs_mag, abs_res, rel = _residual_parts(lhs, rhs, scale)
+    lhs_mag, rhs_mag, abs_res, rel = residual_parts
     passed = bool(rel <= tol or abs_res <= _ABS_FLOOR)
     return CheckResult(
         check=check, scenario=scenario_id, point=point, alpha=bench.alpha,
@@ -252,15 +258,7 @@ def _structural(bench, scenario_id, point):
         if parts[3] >= worst[3] or (parts[3] == 0.0 and worst[3] == 0.0
                                     and parts[2] >= worst[2]):
             worst = parts
-    result = CheckResult(
-        check="homogeneity-ladder", scenario=scenario_id, point=point,
-        alpha=b.alpha, x=tuple(float(v) for v in b.p.x),
-        y=tuple(float(v) for v in b.p.y), lhs_magnitude=worst[0],
-        rhs_magnitude=worst[1], abs_residual=worst[2],
-        rel_residual=float(worst[3]), tol=TOLERANCES["homogeneity-ladder"],
-        passed=bool(worst[3] <= TOLERANCES["homogeneity-ladder"]
-                    or worst[2] <= _ABS_FLOOR))
-    out.append(result)
+    out.append(_judge("homogeneity-ladder", scenario_id, point, b, worst))
 
     out.append(_make_result("spray-coherence", scenario_id, point, b,
                             b.jparts.G.d.T, b.N, scale=np.max(np.abs(b.N))))
@@ -394,34 +392,6 @@ def _bench_checks(bench, scenario, point):
     if scenario.einstein_consistent:
         rows += _einstein(bench, scenario.id, point)
     return rows
-
-
-# ---------------------------------------------------------------------------
-# public per-point entry points
-
-
-def _point_bench(scenario, p, alpha=None):
-    a = scenario.alpha if alpha is None else alpha
-    return _Bench(_Point(scenario.metric, scenario.potential, p), a,
-                  nonspray_perturbation=scenario.nonspray_perturbation)
-
-
-def check_structural(scenario, p: PhasePoint, alpha=None):
-    return _structural(_point_bench(scenario, p, alpha), scenario.id, 0)
-
-
-def check_homogeneous_maxwell(scenario, p: PhasePoint, alpha=None):
-    return _maxwell_homogeneous(_point_bench(scenario, p, alpha),
-                                scenario.id, 0)
-
-
-def check_inhomogeneous_maxwell(scenario, p: PhasePoint, alpha=None):
-    return _maxwell_inhomogeneous(_point_bench(scenario, p, alpha),
-                                  scenario.id, 0)
-
-
-def check_einstein_trace(scenario, p: PhasePoint, alpha=None):
-    return _einstein(_point_bench(scenario, p, alpha), scenario.id, 0)
 
 
 # ---------------------------------------------------------------------------

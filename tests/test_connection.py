@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from conftest import fd_gradient
 
-from tidalbundle import connection
+from tidalbundle import dynamics
 from tidalbundle.connection import (adapted_derivative, b_family,
                                     connection_data, d_covariant_derivative,
                                     field_frame, fiber_parts, fiber_square,
@@ -143,22 +143,36 @@ def test_unit_direction_transport_closed_form():
 
 def test_phase_context_jets_are_order_one():
     ctx = phase_context(field_frame(RN, COULOMB, X), ALPHA, Y)
-    jets = {k: v for k, v in vars(ctx).items() if isinstance(v, Jet)}
-    assert {"x", "y", "g", "N", "Gaff", "B", "l_low"} <= set(jets)
-    assert all(j.h is None and j.m == 8 for j in jets.values())
+    names = ("x", "y", "g", "q", "l_up", "l_low", "B", "B1", "N", "n1",
+             "Gaff", "h_low", "G")
+    jets = [getattr(ctx, k) for k in names]
+    assert all(isinstance(j, Jet) and j.h is None and j.m == 8 for j in jets)
 
 
-def test_third_contortion_built_only_on_demand(monkeypatch):
-    def refuse(parts):
-        raise AssertionError("B^i_jkl built without a reader")
-
-    monkeypatch.setattr(connection, "_contortion_third", refuse)
+def test_third_contortion_built_only_on_demand():
     frame = field_frame(RN, COULOMB, X)
-    parts = fiber_parts(frame, ALPHA, Y, curvature=True)
-    assert not hasattr(parts, "B3")
+    parts = fiber_parts(frame, ALPHA, Y)
+    parts.E   # the curvature channel does not read B^i_jkl
+    assert "B3" not in vars(parts)
+    np.testing.assert_array_equal(
+        parts.B3, b_family(RN, COULOMB, ALPHA, _rn_point()).third)
+    assert "B3" in vars(parts)
+
+
+def test_worldline_rhs_builds_only_what_it_reads(monkeypatch):
+    seen = []
+
+    def spy(frame, alpha, y, **kw):
+        seen.append(fiber_parts(frame, alpha, y, **kw))
+        return seen[-1]
+
+    monkeypatch.setattr(dynamics, "fiber_parts", spy)
     worldline_rhs(RN, COULOMB, ALPHA, X, Y)
-    with pytest.raises(AssertionError, match="without a reader"):
-        b_family(RN, COULOMB, ALPHA, _rn_point())
+    (parts,) = seen
+    built = (set(vars(parts)) | set(vars(parts.frame))
+             | set(vars(parts.frame.metric_pack)))
+    assert "N" in built
+    assert not built & {"dgamma", "dginv", "dFmix", "B2", "B3", "h_low", "E"}
 
 
 def test_base_reference_recovers_metric_compatibility():

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from tidalbundle.connection import phase_point
-from tidalbundle.curvature import (d_curvature, nonlinear_curvature,
-                                   tidal_packet, tidal_tensor,
-                                   trace_decomposition)
+from tidalbundle.curvature import (nonlinear_curvature, tidal_packet,
+                                   tidal_tensor, trace_decomposition)
 from tidalbundle.fields import builtin_metric, builtin_potential
 
 RN = builtin_metric("reissner_nordstrom", {"M": 1.0, "Q": 0.5})
@@ -89,15 +88,6 @@ def test_trace_decomposition_identity(alpha):
     scale = max(abs(td.gravity_trace), abs(td.quadratic),
                 abs(td.divergence), 1e-30)
     assert abs(td.lhs - td.rhs) < 1e-10 * scale
-
-
-def test_d_curvature_matches_packet():
-    p = phase_point(RN, X, Y)
-    block, bblock, ricci = d_curvature(RN, COULOMB, 1.0, p)
-    tp = _packet()
-    np.testing.assert_array_equal(block, tp.curvature_block)
-    np.testing.assert_array_equal(bblock, tp.contortion_block)
-    np.testing.assert_array_equal(ricci, tp.d_ricci)
 
 
 def test_nonspray_perturbation_breaks_torsion():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from conftest import fd_gradient, fd_hessian
 
+from tidalbundle.connection import field_frame
 from tidalbundle.errors import ChartDomainError
 from tidalbundle.fields import (base_riemann, builtin_metric,
                                 builtin_potential, christoffel,
@@ -105,6 +106,26 @@ def test_christoffel_matches_fd_of_metric():
 
 # ---------------------------------------------------------------------------
 # curvature and sources
+
+
+def test_derived_tensors_are_the_packs():
+    # christoffel, current and field_frame read the pack's cached tensors
+    m = builtin_metric("reissner_nordstrom", {"M": 1.0, "Q": 0.5})
+    pot = builtin_potential("coulomb", {"Q": 0.5})
+    mp, pp = m.pack(X_SPH), pot.pack(X_SPH)
+    gamma, dgamma = christoffel(m, X_SPH)
+    np.testing.assert_array_equal(gamma, mp.gamma)
+    np.testing.assert_array_equal(dgamma, mp.dgamma)
+    np.testing.assert_array_equal(current(pot, m, X_SPH),
+                                  current(pp, mp))
+    frame = field_frame(m, pot, X_SPH)
+    for name in ("g", "ginv", "dg", "dginv", "gamma", "dgamma"):
+        np.testing.assert_array_equal(getattr(frame, name),
+                                      getattr(mp, name))
+    F, dF = faraday(pot, X_SPH)
+    np.testing.assert_array_equal(frame.F, F)
+    np.testing.assert_array_equal(frame.dF, dF)
+    assert christoffel(mp)[1] is mp.dgamma
 
 
 def test_flat_spherical_chart_is_flat():

@@ -10,10 +10,9 @@ from tidalbundle.connection import (d_covariant_derivative, phase_point,
                                     strong_torsion, unit_direction_low)
 from tidalbundle.curvature import tidal_packet, trace_decomposition
 from tidalbundle.scenario import builtin_scenario, builtin_scenarios
-from tidalbundle.verify import (DEFAULT_ALPHAS, TOLERANCES, _Bench, _Point,
-                                alpha_sweep, check_einstein_trace,
-                                check_homogeneous_maxwell,
-                                check_inhomogeneous_maxwell, check_structural,
+from tidalbundle.verify import (DEFAULT_ALPHAS, TOLERANCES, _Bench, _einstein,
+                                _maxwell_homogeneous, _maxwell_inhomogeneous,
+                                _Point, _structural, alpha_sweep,
                                 full_trace_rhs, report_json,
                                 report_summary_table, run_suite,
                                 sample_phase_points)
@@ -82,9 +81,10 @@ def test_check_groups_pass_individually():
     sc = builtin_scenario("reissner_nordstrom")
     rng = np.random.default_rng(0)
     p = sample_phase_points(sc, 1, rng)[0]
-    for fn in (check_structural, check_homogeneous_maxwell,
-               check_inhomogeneous_maxwell, check_einstein_trace):
-        results = fn(sc, p, alpha=1.0)
+    bench = _Bench(_Point(sc.metric, sc.potential, p), 1.0)
+    for fn in (_structural, _maxwell_homogeneous, _maxwell_inhomogeneous,
+               _einstein):
+        results = fn(bench, sc.id, 0)
         assert results, fn.__name__
         for r in results:
             assert r.passed, (fn.__name__, r.check, r.rel_residual)
@@ -98,9 +98,10 @@ def test_alpha_zero_skips_full_trace():
     sc = builtin_scenario("reissner_nordstrom")
     rng = np.random.default_rng(0)
     p = sample_phase_points(sc, 1, rng)[0]
-    names = {r.check for r in check_einstein_trace(sc, p, alpha=0.0)}
+    point = _Point(sc.metric, sc.potential, p)
+    names = {r.check for r in _einstein(_Bench(point, 0.0), sc.id, 0)}
     assert names == {"einstein-trace"}
-    names = {r.check for r in check_einstein_trace(sc, p, alpha=1.0)}
+    names = {r.check for r in _einstein(_Bench(point, 1.0), sc.id, 0)}
     assert names == {"einstein-trace", "einstein-trace-full"}
 
 

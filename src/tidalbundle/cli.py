@@ -17,7 +17,6 @@ messages on stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -59,10 +58,6 @@ def _plot_path(out) -> str:
     if out is None:
         return "tidal-plot.svg"
     return str(Path(out).with_suffix(".svg"))
-
-
-def _json_dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _tolist(a):
@@ -138,7 +133,7 @@ def cmd_compute(args) -> int:
             "torsion_max": float(np.max(np.abs(tp.torsion))),
         },
     }
-    _emit(_json_dumps(payload), args.out)
+    _emit(report_json(payload), args.out)
     return EXIT_OK
 
 
@@ -219,7 +214,7 @@ def cmd_sweep(args) -> int:
     sc = _single_scenario(args, "sweep")
     rows = alpha_sweep(sc, args.alphas, points=args.points, seed=args.seed)
     if args.format == "json":
-        _emit(_json_dumps(rows), args.out)
+        _emit(report_json(rows), args.out)
     else:
         lines = [",".join(_SWEEP_COLUMNS)]
         for row in rows:
@@ -254,7 +249,7 @@ def cmd_list(args) -> int:
                            for n, (ps, doc) in POTENTIAL_CATALOG.items()},
             "scenarios": list(BUILTIN_IDS),
         }
-        _emit(_json_dumps(payload), args.out)
+        _emit(report_json(payload), args.out)
         return EXIT_OK
     lines = ["metrics:"]
     for n, (ps, doc) in METRIC_CATALOG.items():
@@ -360,9 +355,9 @@ def main(argv=None) -> int:
         if args.echo_defaults:
             if args.scenario:
                 sc = resolve_scenario(args.scenario[0])
-                _emit(_json_dumps(sc.raw), args.out)
+                _emit(report_json(sc.raw), args.out)
             else:
-                _emit(_json_dumps(scenario_defaults()), args.out)
+                _emit(report_json(scenario_defaults()), args.out)
             return EXIT_OK
         return args.fn(args)
     except SystemExit2 as exc:

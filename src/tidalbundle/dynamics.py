@@ -93,6 +93,11 @@ def _combined_margin(metric, potential, x):
     return float(m)
 
 
+_MAX_STEPS_EXCEEDED = ("integrator exceeded max_steps; the step size is too "
+                       "small for t_span or, when adaptive, has collapsed "
+                       "(stiff or noise-limited right-hand side)")
+
+
 def _integrate(rhs, state0, cfg, metric, potential):
     """Shared driver: adaptive or fixed-step, with chart-guard truncation.
 
@@ -113,9 +118,7 @@ def _integrate(rhs, state0, cfg, metric, potential):
         def counted(t, s):
             nfev[0] += 1
             if nfev[0] > 6 * cfg.max_steps:   # six stage evaluations per step
-                raise TidalError(
-                    "integrator exceeded max_steps; the step size has likely "
-                    "collapsed (stiff or noise-limited right-hand side)")
+                raise TidalError(_MAX_STEPS_EXCEEDED)
             return rhs(t, s)
 
         sol = solve_ivp(counted, (t0, t1), state0, method="RK45",
@@ -145,7 +148,7 @@ def _integrate(rhs, state0, cfg, metric, potential):
             t += h
             taken += 1
             if taken > cfg.max_steps:
-                raise ChartDomainError("rk4-fixed exceeded max_steps")
+                raise TidalError(_MAX_STEPS_EXCEEDED)
         if _combined_margin(metric, potential, s[:DIM]) <= 0.0:
             return (t_eval[:k], np.array(states), True, float(t_eval[k - 1]))
         states.append(s)

@@ -15,11 +15,17 @@ sides still run on disjoint paths from it (fiber jet against plain
 fiber, phase jet against closed form).  The frame and the fiber parts
 build each tensor on first read, so the bench only reads attributes.
 
-Residual policy: every check reports an absolute residual and a relative
-one.  The relative denominator is the magnitude of the data feeding the
-comparison (for identities whose both sides vanish, the pre-cancellation
-scale), so "rel < tol" measures conditioning, not luck.  Residuals under
-1e-14 absolute pass outright; exact zeros stay exact.
+Residual policy: every check is one row (check, lhs, rhs, scale), and one
+rule judges every row.  It reports the absolute residual max|lhs - rhs|
+and the relative one, that residual over the row's scale: the magnitude
+of the data feeding the comparison (for identities whose both sides
+vanish, the pre-cancellation scale), so "rel < tol" measures
+conditioning, not luck.  Each check name has one scale, shared by the
+suite and by alpha_sweep; the trace-level checks (the inhomogeneous
+Maxwell forms and the trace decomposition) include the term-by-term
+magnitude of the curvature assembly.  A zero scale falls back to the
+larger side.  Residuals under 1e-14 absolute pass outright; exact zeros
+stay exact.
 """
 
 from __future__ import annotations
@@ -119,6 +125,18 @@ class _Point:
         # field invariant for the d'Alembertian assembly
         self.F_sq = float(np.einsum("ab,ac,bd,cd->", fr.F, fr.ginv, fr.ginv,
                                     fr.F))
+        # pre-cancellation size of the tidal trace: the curvature assembly
+        # with absolute values taken term by term, so it stays nonzero where
+        # the curvature cancels (flat space in a spherical chart); the
+        # alpha-free part and the coefficient of |alpha| ||y||
+        ag, adg = np.abs(fr.gamma), np.abs(fr.dgamma)
+        riem_abs = (np.einsum("lijk->ijkl", adg) + np.einsum("kijl->ijkl", adg)
+                    + np.einsum("hjk,ihl->ijkl", ag, ag)
+                    + np.einsum("hjl,ihk->ijkl", ag, ag))
+        ay = np.abs(y)
+        self.grav_scale = np.einsum("iaib,a,b->", riem_abs, ay, ay)
+        self.charge_scale = (np.einsum("kik,i->", np.abs(fr.dFmix), ay)
+                             + np.einsum("iak,ak->", ag, np.abs(fr.Fmix)))
 
 
 class _Bench:
@@ -128,6 +146,8 @@ class _Bench:
         vars(self).update(vars(point))   # the same arrays for every alpha
         self.alpha = float(alpha)
         fr, y = self.frame, self.y
+        self.assembly_scale = float(self.grav_scale + abs(self.alpha)
+                                    * self.charge_scale * self.p.norm)
         self.jparts = jp = fiber_parts(fr, alpha, Jet.seed(y, DIM))
         self.E = value_of(jp.E)
         self.N = value_of(jp.N)
@@ -156,13 +176,13 @@ class _Bench:
             "ii->", _d_covariant(ctx, contortion_vector, reference="base")))
 
 
-def _residual_parts(lhs, rhs, scale=None):
+def _residual_parts(lhs, rhs, scale):
     lhs = np.asarray(lhs, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     lhs_mag = float(np.max(np.abs(lhs))) if lhs.size else 0.0
     rhs_mag = float(np.max(np.abs(rhs))) if rhs.size else 0.0
     abs_res = float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0
-    denom = float(scale) if scale is not None else max(lhs_mag, rhs_mag)
+    denom = float(scale) or max(lhs_mag, rhs_mag)
     if abs_res == 0.0:
         rel = 0.0
     elif denom > 0.0:
@@ -172,15 +192,10 @@ def _residual_parts(lhs, rhs, scale=None):
     return lhs_mag, rhs_mag, abs_res, rel
 
 
-def _make_result(check, scenario_id, point, bench, lhs, rhs, scale=None):
-    return _judge(check, scenario_id, point, bench,
-                  _residual_parts(lhs, rhs, scale))
-
-
-def _judge(check, scenario_id, point, bench, residual_parts):
-    """The pass rule, applied to the parts _residual_parts returns."""
+def _judge(check, scenario_id, point, bench, lhs, rhs, scale):
+    """The pass rule for one row: rel <= tol, or under the absolute floor."""
     tol = TOLERANCES[check]
-    lhs_mag, rhs_mag, abs_res, rel = residual_parts
+    lhs_mag, rhs_mag, abs_res, rel = _residual_parts(lhs, rhs, scale)
     passed = bool(rel <= tol or abs_res <= _ABS_FLOOR)
     return CheckResult(
         check=check, scenario=scenario_id, point=point, alpha=bench.alpha,
@@ -191,87 +206,63 @@ def _judge(check, scenario_id, point, bench, residual_parts):
 
 
 # ---------------------------------------------------------------------------
-# check groups
+# check groups: each yields rows (check, lhs, rhs, scale) from one bench
 
 
-def _structural(bench, scenario_id, point):
-    b = bench
+def _structural(b):
     y = b.y
-    out = []
+    yield ("reconstruction", np.einsum("jikl,j,l->ik", b.block, y, y), b.E,
+           np.max(np.abs(b.E)))
 
-    recon = np.einsum("jikl,j,l->ik", b.block, y, y)
-    out.append(_make_result("reconstruction", scenario_id, point, b,
-                            recon, b.E, scale=np.max(np.abs(b.E))))
-
-    contracted = -np.einsum("jiil->jl", b.block)
-    out.append(_make_result("ricci-hessian", scenario_id, point, b,
-                            b.ricci, contracted,
-                            scale=max(np.max(np.abs(b.ricci)),
-                                      np.max(np.abs(b.block)))))
+    yield ("ricci-hessian", b.ricci, -np.einsum("jiil->jl", b.block),
+           max(np.max(np.abs(b.ricci)), np.max(np.abs(b.block))))
 
     if b.alpha == 0.0:
-        out.append(_make_result("ricci-base-reduction", scenario_id, point, b,
-                                b.ricci, b.base_ricci,
-                                scale=max(float(np.max(np.abs(b.base_ricci))),
-                                          float(np.max(np.abs(b.ricci))),
-                                          b.e_scale / b.nrm2) or None))
+        yield ("ricci-base-reduction", b.ricci, b.base_ricci,
+               max(float(np.max(np.abs(b.base_ricci))),
+                   float(np.max(np.abs(b.ricci))), b.e_scale / b.nrm2))
 
-    transport = b.transport
-    target = 0.5 * b.alpha * b.frame.F
     # scale includes the connection magnitude: the derivative is assembled
     # from terms of that size even when the result cancels to zero
-    transport_scale = max(float(np.max(np.abs(b.frame.F))),
-                          float(np.max(np.abs(transport))),
-                          float(np.max(np.abs(b.N))) / b.p.norm,
-                          float(np.max(np.abs(b.frame.gamma))))
-    out.append(_make_result("unit-direction-transport", scenario_id, point, b,
-                            transport, target,
-                            scale=transport_scale or None))
+    yield ("unit-direction-transport", b.transport, 0.5 * b.alpha * b.frame.F,
+           max(float(np.max(np.abs(b.frame.F))),
+               float(np.max(np.abs(b.transport))),
+               float(np.max(np.abs(b.N))) / b.p.norm,
+               float(np.max(np.abs(b.frame.gamma)))))
 
     Et = b.h_low @ b.E
     E_low = b.frame.g @ b.E
-    rhs = E_low - b.eps * np.outer(b.l_low, b.l_low @ b.E)
-    out.append(_make_result("angular-projection", scenario_id, point, b,
-                            Et, rhs, scale=np.max(np.abs(E_low))))
+    yield ("angular-projection", Et,
+           E_low - b.eps * np.outer(b.l_low, b.l_low @ b.E),
+           np.max(np.abs(E_low)))
 
-    raised_trace = float(np.einsum("ik,ki->", b.frame.ginv, Et))
-    out.append(_make_result("angular-trace", scenario_id, point, b,
-                            raised_trace, b.trace_E,
-                            scale=max(abs(b.trace_E), np.max(np.abs(Et)))))
+    yield ("angular-trace", float(np.einsum("ik,ki->", b.frame.ginv, Et)),
+           b.trace_E, max(abs(b.trace_E), np.max(np.abs(Et))))
 
-    longitudinal = float(np.einsum("k,i,ik->", b.l_up, b.l_low, b.E))
-    out.append(_make_result("tidal-orthogonality", scenario_id, point, b,
-                            longitudinal, 0.0, scale=np.max(np.abs(b.E))))
+    yield ("tidal-orthogonality",
+           float(np.einsum("k,i,ik->", b.l_up, b.l_low, b.E)), 0.0,
+           np.max(np.abs(b.E)))
 
-    # homogeneity ladder: each fiber derivative drops the degree by one
-    rungs = [
-        (b.B1 @ y, 2.0 * b.B, np.abs(b.B)),
-        (np.einsum("ijk,k->ij", b.B2, y), b.B1, np.abs(b.B1)),
-        (np.einsum("ijkl,l->ijk", b.B3, y), np.zeros((DIM,) * 3), np.abs(b.B2)),
-        (np.einsum("ijk,k->ij", b.Gaff, y), b.N, np.abs(b.N)),
-        (b.N @ y, 2.0 * b.G, np.abs(b.G)),
-    ]
-    worst = (0.0, 0.0, 0.0, 0.0)
-    for lhs, rhs, scl in rungs:
-        scale = max(float(np.max(scl)), float(np.max(np.abs(lhs))))
-        parts = _residual_parts(lhs, rhs, scale if scale > 0 else None)
-        if parts[3] >= worst[3] or (parts[3] == 0.0 and worst[3] == 0.0
-                                    and parts[2] >= worst[2]):
-            worst = parts
-    out.append(_judge("homogeneity-ladder", scenario_id, point, b, worst))
+    # homogeneity ladder: each fiber derivative drops the degree by one;
+    # the check is its worst rung (the last one, on a tie)
+    rungs = [("homogeneity-ladder", lhs, rhs,
+              max(float(np.max(scl)), float(np.max(np.abs(lhs)))))
+             for lhs, rhs, scl in (
+                 (b.B1 @ y, 2.0 * b.B, np.abs(b.B)),
+                 (np.einsum("ijk,k->ij", b.B2, y), b.B1, np.abs(b.B1)),
+                 (np.einsum("ijkl,l->ijk", b.B3, y), np.zeros((DIM,) * 3),
+                  np.abs(b.B2)),
+                 (np.einsum("ijk,k->ij", b.Gaff, y), b.N, np.abs(b.N)),
+                 (b.N @ y, 2.0 * b.G, np.abs(b.G)))]
+    yield max(reversed(rungs), key=lambda row: _residual_parts(*row[1:])[3])
 
-    out.append(_make_result("spray-coherence", scenario_id, point, b,
-                            b.jparts.G.d.T, b.N, scale=np.max(np.abs(b.N))))
+    yield ("spray-coherence", b.jparts.G.d.T, b.N, np.max(np.abs(b.N)))
 
-    out.append(_make_result("strong-torsion", scenario_id, point, b,
-                            b.torsion, np.zeros((DIM, DIM)),
-                            scale=max(np.max(np.abs(b.N)),
-                                      np.max(np.abs(b.torsion)))))
+    yield ("strong-torsion", b.torsion, np.zeros((DIM, DIM)),
+           max(np.max(np.abs(b.N)), np.max(np.abs(b.torsion))))
 
-    out.append(_make_result("curvature-antisymmetry", scenario_id, point, b,
-                            b.R3, -np.swapaxes(b.R3, 1, 2),
-                            scale=np.max(np.abs(b.R3))))
-    return out
+    yield ("curvature-antisymmetry", b.R3, -np.swapaxes(b.R3, 1, 2),
+           np.max(np.abs(b.R3)))
 
 
 def _cyclic_side(bench):
@@ -287,59 +278,35 @@ def _cyclic_side(bench):
     return -0.5 * bench.alpha * bench.p.norm * cyc
 
 
-def _maxwell_homogeneous(bench, scenario_id, point):
-    b = bench
+def _maxwell_homogeneous(b):
     Et = b.h_low @ b.E
     antisym = 0.5 * (Et - Et.T)
     scale = max(float(np.max(np.abs(Et))), float(np.max(np.abs(b.E))))
-    r1 = _make_result("maxwell-homogeneous", scenario_id, point, b,
-                      antisym, np.zeros((DIM, DIM)),
-                      scale=scale if scale > 0 else None)
-    cyc = _cyclic_side(b)
+    yield ("maxwell-homogeneous", antisym, np.zeros((DIM, DIM)), scale)
     cyc_scale = (abs(b.alpha) * b.p.norm
                  * float(np.max(np.abs(b.frame.dF))) * float(np.max(np.abs(b.y))))
-    r2 = _make_result("maxwell-homogeneous-cyclic", scenario_id, point, b,
-                      antisym, cyc,
-                      scale=max(scale, cyc_scale) or None)
-    return [r1, r2]
+    yield ("maxwell-homogeneous-cyclic", antisym, _cyclic_side(b),
+           max(scale, cyc_scale))
 
 
-def _rhs_quadratic(bench):
-    b = bench
-    return (b.e_trace - 4.0 * np.pi * b.alpha * b.rho_c * b.nrm2
-            + b.quad)
-
-
-def _rhs_divergence(bench):
-    b = bench
-    return (b.e_trace - 2.0 * np.pi * b.alpha * b.rho_c * b.nrm2
-            - b.div_phase + b.quad)
-
-
-def _maxwell_inhomogeneous(bench, scenario_id, point):
-    b = bench
+def _maxwell_inhomogeneous(b):
     scale = max(abs(b.trace_E), b.e_scale, abs(b.quad),
                 4.0 * np.pi * abs(b.alpha) * abs(b.rho_c) * b.nrm2,
-                abs(b.div_phase)) or None
-    rhs46 = _rhs_quadratic(b)
-    rhs47 = _rhs_divergence(b)
-    return [
-        _make_result("maxwell-inhomogeneous-quadratic", scenario_id, point, b,
-                     b.trace_E, rhs46, scale=scale),
-        _make_result("maxwell-inhomogeneous-divergence", scenario_id, point, b,
-                     b.trace_E, rhs47, scale=scale),
-        _make_result("maxwell-variants-agree", scenario_id, point, b,
-                     rhs46, rhs47, scale=scale),
-    ]
+                abs(b.div_phase), b.assembly_scale)
+    quadratic = (b.e_trace - 4.0 * np.pi * b.alpha * b.rho_c * b.nrm2
+                 + b.quad)
+    divergence = (b.e_trace - 2.0 * np.pi * b.alpha * b.rho_c * b.nrm2
+                  - b.div_phase + b.quad)
+    yield ("maxwell-inhomogeneous-quadratic", b.trace_E, quadratic, scale)
+    yield ("maxwell-inhomogeneous-divergence", b.trace_E, divergence, scale)
+    yield ("maxwell-variants-agree", quadratic, divergence, scale)
 
 
-def _trace_split(bench, scenario_id, point):
-    b = bench
+def _trace_split(b):
     td = b.td
-    scale = max(abs(td.lhs), b.e_scale, 2.0 * abs(td.divergence),
-                abs(td.quadratic)) or None
-    return [_make_result("trace-decomposition", scenario_id, point, b,
-                         td.lhs, td.rhs, scale=scale)]
+    yield ("trace-decomposition", td.lhs, td.rhs,
+           max(abs(td.lhs), b.e_scale, 2.0 * abs(td.divergence),
+               abs(td.quadratic), b.assembly_scale))
 
 
 def full_trace_rhs(bench, rho_m=0.0, matter_trace=0.0):
@@ -361,37 +328,30 @@ def full_trace_rhs(bench, rho_m=0.0, matter_trace=0.0):
     return rhs
 
 
-def _einstein(bench, scenario_id, point):
-    b = bench
-    out = []
+def _einstein(b):
     T = b.T_em
     T_yy = float(b.y @ T @ b.y)
     T_tr = float(np.einsum("ij,ij->", b.frame.ginv, T))
-    rhs = -8.0 * np.pi * (T_yy - 0.5 * T_tr * b.q)
-    scale = max(b.e_scale,
-                8.0 * np.pi * (abs(T_yy) + 0.5 * abs(T_tr) * b.nrm2)) or None
-    out.append(_make_result("einstein-trace", scenario_id, point, b,
-                            b.e_trace, rhs, scale=scale))
+    yield ("einstein-trace", b.e_trace,
+           -8.0 * np.pi * (T_yy - 0.5 * T_tr * b.q),
+           max(b.e_scale,
+               8.0 * np.pi * (abs(T_yy) + 0.5 * abs(T_tr) * b.nrm2)))
     if b.alpha != 0.0:
         lhs = b.trace_E / b.nrm2
-        rhs_full = full_trace_rhs(b)
-        scale_full = max(abs(lhs), abs(rhs_full), b.e_scale / b.nrm2,
-                         abs(b.div_closed) / b.nrm2,
-                         abs(b.quad) / b.nrm2) or None
-        out.append(_make_result("einstein-trace-full", scenario_id, point, b,
-                                lhs, rhs_full, scale=scale_full))
-    return out
+        rhs = full_trace_rhs(b)
+        yield ("einstein-trace-full", lhs, rhs,
+               max(abs(lhs), abs(rhs), b.e_scale / b.nrm2,
+                   abs(b.div_closed) / b.nrm2, abs(b.quad) / b.nrm2))
 
 
-def _bench_checks(bench, scenario, point):
-    rows = []
-    rows += _structural(bench, scenario.id, point)
-    rows += _maxwell_homogeneous(bench, scenario.id, point)
-    rows += _maxwell_inhomogeneous(bench, scenario.id, point)
-    rows += _trace_split(bench, scenario.id, point)
-    if scenario.einstein_consistent:
-        rows += _einstein(bench, scenario.id, point)
-    return rows
+_GROUPS = (_structural, _maxwell_homogeneous, _maxwell_inhomogeneous,
+           _trace_split)
+
+
+def _checks(groups, bench, scenario_id, point):
+    """Judge every row the groups yield at one bench."""
+    return [_judge(check, scenario_id, point, bench, lhs, rhs, scale)
+            for group in groups for check, lhs, rhs, scale in group(bench)]
 
 
 # ---------------------------------------------------------------------------
@@ -443,12 +403,14 @@ def run_suite(scenarios, points=50, seed=0, alphas=None, progress=None):
     rng = np.random.default_rng(seed)
     rows = []
     for scenario in ordered:
+        groups = _GROUPS + ((_einstein,) if scenario.einstein_consistent
+                            else ())
         pts = sample_phase_points(scenario, points, rng)
         for idx, p in enumerate(pts):
             point = _Point(scenario.metric, scenario.potential, p)
             for alpha in alphas:
                 bench = _Bench(point, alpha, scenario.nonspray_perturbation)
-                rows += _bench_checks(bench, scenario, idx)
+                rows += _checks(groups, bench, scenario.id, idx)
             if progress is not None:
                 progress(scenario.id, idx)
     rows.sort(key=lambda r: (r.scenario, r.point, r.alpha, r.check))
@@ -469,52 +431,23 @@ def run_suite(scenarios, points=50, seed=0, alphas=None, progress=None):
     }
 
 
-def _assembly_scales(point):
-    """Pre-cancellation magnitude of the tidal trace, split by coupling order.
-
-    The curvature assembly with absolute values taken term by term, so it
-    stays nonzero when the curvature itself cancels to zero (flat space in
-    a spherical chart).  Returns the alpha-free part and the coefficient
-    of |alpha| ||y||.
-    """
-    fr = point.frame
-    ag, adg = np.abs(fr.gamma), np.abs(fr.dgamma)
-    riem_abs = (np.einsum("lijk->ijkl", adg) + np.einsum("kijl->ijkl", adg)
-                + np.einsum("hjk,ihl->ijkl", ag, ag)
-                + np.einsum("hjl,ihk->ijkl", ag, ag))
-    ay = np.abs(point.y)
-    return (np.einsum("iaib,a,b->", riem_abs, ay, ay),
-            np.einsum("kik,i->", np.abs(fr.dFmix), ay)
-            + np.einsum("iak,ak->", ag, np.abs(fr.Fmix)))
-
-
 def alpha_sweep(scenario, alphas, points=10, seed=0):
     """Tidal traces and residuals across the coupling family.
 
     Returns one row dict per (sampled point, alpha), suitable for CSV
     emission: traces, the contortion quadratic, the divergence, and the
-    relative residuals of the trace identities.
+    relative residuals of the trace identities, judged by the suite's own
+    checks.
     """
     rng = np.random.default_rng(seed)
     pts = sample_phase_points(scenario, points, rng)
     rows = []
     for idx, p in enumerate(pts):
         point = _Point(scenario.metric, scenario.potential, p)
-        grav_scale, charge_scale = _assembly_scales(point)
         for alpha in alphas:
             b = _Bench(point, float(alpha), scenario.nonspray_perturbation)
-            assembly_scale = float(grav_scale
-                                   + abs(alpha) * charge_scale * p.norm)
-            scale = max(abs(b.trace_E), b.e_scale, abs(b.quad),
-                        assembly_scale) or None
-            quad_res = _make_result("maxwell-inhomogeneous-quadratic",
-                                    scenario.id, idx, b,
-                                    b.trace_E, _rhs_quadratic(b), scale=scale)
-            div_res = _make_result("maxwell-inhomogeneous-divergence",
-                                   scenario.id, idx, b,
-                                   b.trace_E, _rhs_divergence(b), scale=scale)
-            td_res = _make_result("trace-decomposition", scenario.id, idx, b,
-                                  b.td.lhs, b.td.rhs, scale=scale)
+            rel = {r.check: r.rel_residual for r in _checks(
+                (_maxwell_inhomogeneous, _trace_split), b, scenario.id, idx)}
             rows.append({
                 "scenario": scenario.id, "point": idx, "alpha": float(alpha),
                 "x": [float(v) for v in p.x], "y": [float(v) for v in p.y],
@@ -523,9 +456,11 @@ def alpha_sweep(scenario, alphas, points=10, seed=0):
                 "contortion_quadratic": float(b.quad),
                 "divergence": float(b.div_closed),
                 "charge_density": float(b.rho_c),
-                "rel_residual_quadratic": float(quad_res.rel_residual),
-                "rel_residual_divergence": float(div_res.rel_residual),
-                "rel_residual_trace_decomposition": float(td_res.rel_residual),
+                "rel_residual_quadratic":
+                    rel["maxwell-inhomogeneous-quadratic"],
+                "rel_residual_divergence":
+                    rel["maxwell-inhomogeneous-divergence"],
+                "rel_residual_trace_decomposition": rel["trace-decomposition"],
             })
     return rows
 

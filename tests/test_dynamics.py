@@ -112,11 +112,15 @@ def test_truncation_at_chart_boundary():
     assert text.rstrip().endswith(f"# truncated: left chart near t={traj.exit_time!r}")
 
 
-def test_max_steps_guard_raises():
+@pytest.mark.parametrize("method", ["rk45-adaptive", "rk4-fixed"])
+def test_max_steps_guard_raises(method):
+    # one failure class for both drivers: not a chart exit, so exit code 2
     p, _ = _cyclotron_start()
-    cfg = IntegratorConfig(t_span=(0.0, 100.0), samples=11, max_steps=3)
-    with pytest.raises(TidalError):
+    cfg = IntegratorConfig(method=method, t_span=(0.0, 100.0), samples=11,
+                           max_steps=3)
+    with pytest.raises(TidalError) as exc:
         integrate_worldline(CART, UB, 0.7, p, cfg)
+    assert type(exc.value) is TidalError
 
 
 def test_solution_parametrization_scales():

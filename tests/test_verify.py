@@ -9,11 +9,12 @@ from tidalbundle import connection, curvature, verify
 from tidalbundle.connection import (d_covariant_derivative, phase_point,
                                     strong_torsion, unit_direction_low)
 from tidalbundle.curvature import tidal_packet, trace_decomposition
-from tidalbundle.scenario import builtin_scenario, builtin_scenarios
-from tidalbundle.verify import (DEFAULT_ALPHAS, TOLERANCES, _Bench, _einstein,
-                                _maxwell_homogeneous, _maxwell_inhomogeneous,
-                                _Point, _structural, alpha_sweep,
-                                full_trace_rhs, report_json,
+from tidalbundle.scenario import (DEFAULT_SUITE, builtin_scenario,
+                                 builtin_scenarios)
+from tidalbundle.verify import (DEFAULT_ALPHAS, TOLERANCES, _Bench, _checks,
+                                _einstein, _maxwell_homogeneous,
+                                _maxwell_inhomogeneous, _Point, _structural,
+                                alpha_sweep, full_trace_rhs, report_json,
                                 report_summary_table, run_suite,
                                 sample_phase_points)
 
@@ -84,7 +85,7 @@ def test_check_groups_pass_individually():
     bench = _Bench(_Point(sc.metric, sc.potential, p), 1.0)
     for fn in (_structural, _maxwell_homogeneous, _maxwell_inhomogeneous,
                _einstein):
-        results = fn(bench, sc.id, 0)
+        results = _checks((fn,), bench, sc.id, 0)
         assert results, fn.__name__
         for r in results:
             assert r.passed, (fn.__name__, r.check, r.rel_residual)
@@ -99,9 +100,9 @@ def test_alpha_zero_skips_full_trace():
     rng = np.random.default_rng(0)
     p = sample_phase_points(sc, 1, rng)[0]
     point = _Point(sc.metric, sc.potential, p)
-    names = {r.check for r in _einstein(_Bench(point, 0.0), sc.id, 0)}
+    names = {row[0] for row in _einstein(_Bench(point, 0.0))}
     assert names == {"einstein-trace"}
-    names = {r.check for r in _einstein(_Bench(point, 1.0), sc.id, 0)}
+    names = {row[0] for row in _einstein(_Bench(point, 1.0))}
     assert names == {"einstein-trace", "einstein-trace-full"}
 
 
@@ -138,6 +139,33 @@ def test_alpha_sweep_rows():
     minus = next(r for r in by_pt if r["alpha"] == -1.0)
     assert plus["contortion_quadratic"] == pytest.approx(
         minus["contortion_quadratic"], rel=1e-12)
+
+
+def test_sweep_residuals_are_the_suite_checks():
+    # the sweep judges the trace identities with the suite's own rows
+    alphas = (-1.0, 0.0, 0.5, 3.0)
+    columns = {"maxwell-inhomogeneous-quadratic": "rel_residual_quadratic",
+               "maxwell-inhomogeneous-divergence": "rel_residual_divergence",
+               "trace-decomposition": "rel_residual_trace_decomposition"}
+    for sid in ("flat_coulomb", "reissner_nordstrom"):
+        sc = builtin_scenario(sid)
+        rows = alpha_sweep(sc, alphas, points=3, seed=4)
+        report = run_suite([sc], points=3, seed=4, alphas=alphas)
+        suite = {(c["point"], c["alpha"], c["check"]): c
+                 for c in report["checks"] if c["check"] in columns}
+        assert len(suite) == len(rows) * len(columns)
+        for row in rows:
+            for check, column in columns.items():
+                c = suite[row["point"], row["alpha"], check]
+                assert row[column] == c["rel_residual"], (sid, check)
+                if sid == "flat_coulomb" and row["alpha"] == 0.0:
+                    assert c["rel_residual"] <= c["tol"], (check, row)
+
+
+def test_suite_yields_every_check_name():
+    report = run_suite([builtin_scenario(s) for s in DEFAULT_SUITE],
+                       points=1, seed=0)
+    assert {c["check"] for c in report["checks"]} == set(TOLERANCES)
 
 
 def test_zero_points_gives_empty_report():

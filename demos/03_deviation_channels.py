@@ -13,8 +13,8 @@ the condition to show the channels answering different questions.
 
 import numpy as np
 
-from tidalbundle import (IntegratorConfig, b_family, builtin_metric,
-                         builtin_potential, convert_deviation_frame,
+from tidalbundle import (IntegratorConfig, builtin_metric, builtin_potential,
+                         connection_data, convert_deviation_frame,
                          integrate_deviation_classical,
                          integrate_deviation_tidal, phase_point,
                          two_worldline_oracle)
@@ -40,10 +40,11 @@ for eps in (1e-4, 1e-5):
 print("the gap shrinks linearly with eps: the linearized flow is the limit.")
 
 # --- classical form ----------------------------------------------------
+B1 = connection_data(cart, ub, alpha, p).contortion.jacobian
 om0 = np.array([0.1, 0.02, -0.05, 0.04])
 om0 += (g @ u0 @ om0) * u0              # norm-preserving sector
 cl = integrate_deviation_classical(cart, ub, alpha, p, w0, om0, cfg)
-v0 = om0 + b_family(cart, ub, alpha, p).jacobian @ w0
+v0 = om0 + B1 @ w0
 ad = integrate_deviation_tidal(cart, ub, alpha, p, w0, v0, cfg)
 ad_lc = convert_deviation_frame(cart, ub, alpha, ad, "levi-civita")
 gap = np.max(np.abs(cl.w - ad_lc.w)) / np.max(np.abs(cl.w))
@@ -52,7 +53,7 @@ print(f"\nclassical vs adapted channel, orthogonal initial rate: "
 
 om_bad = np.array([0.1, 0.02, -0.05, 0.04])
 cl2 = integrate_deviation_classical(cart, ub, alpha, p, w0, om_bad, cfg)
-v_bad = om_bad + b_family(cart, ub, alpha, p).jacobian @ w0
+v_bad = om_bad + B1 @ w0
 ad2 = integrate_deviation_tidal(cart, ub, alpha, p, w0, v_bad, cfg)
 ad2_lc = convert_deviation_frame(cart, ub, alpha, ad2, "levi-civita")
 gap2 = np.max(np.abs(cl2.w - ad2_lc.w)) / np.max(np.abs(cl2.w))

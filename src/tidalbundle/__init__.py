@@ -10,18 +10,16 @@ rewrites that the construction is supposed to satisfy.
 
 __version__ = "0.1.0"
 
-from .connection import (ConnectionData, ContortionFamily, FieldFrame,
-                         adapted_derivative, b_family, connection_data,
+from .connection import (ConnectionData, ContortionFamily, FieldFrame, Sample,
+                         TraceDecomposition, connection_data,
                          contortion_vector, d_covariant_derivative,
                          field_frame, fiber_parts, phase_point,
                          strong_torsion)
-from .curvature import (TidalPacket, TraceDecomposition, nonlinear_curvature,
-                        tidal_packet, tidal_tensor, trace_decomposition)
+from .curvature import TidalPacket, tidal_packet, trace_decomposition
 from .dynamics import (IntegratorConfig, Trajectory, convert_deviation_frame,
                        integrate_deviation_classical,
                        integrate_deviation_tidal, integrate_geodesic_lc,
-                       integrate_worldline, natural_parameter,
-                       normalize_velocity, trajectory_csv,
+                       integrate_worldline, normalize_velocity, trajectory_csv,
                        two_worldline_oracle, worldline_rhs)
 from .errors import (ChartDomainError, FrameMismatchError, NullFiberError,
                      ScenarioError, TidalError)

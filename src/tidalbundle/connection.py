@@ -16,6 +16,10 @@ Each tensor is built on its first read and kept, so a point computes only
 what its caller reads: the field packs and the FieldFrame derive the base
 tensors, and FiberParts builds N and its inputs up front and everything
 else (B^i_jk, B^i_jkl, G^i_jk, the spray, the curvature of N) on demand.
+A Sample is one phase point at one coupling: it holds three FiberParts
+tiers (plain, fiber jet, phase jet), each built on first read, and the
+reads that several callers share.  Every per-point function here and in
+curvature, and the verification bench, is a read of one Sample.
 
 Index layout of derivative arrays is always derivative-axis leading:
 dN[k,i,j] = d(N^i_j)/dx^k.  Fiber quantities accept a Jet for y, so exact
@@ -55,6 +59,8 @@ class FieldFrame:
     dginv = property(lambda self: self.metric_pack.dginv)
     gamma = property(lambda self: self.metric_pack.gamma)
     dgamma = property(lambda self: self.metric_pack.dgamma)
+    riemann = property(lambda self: self.metric_pack.riemann)
+    ricci = property(lambda self: self.metric_pack.ricci)
     F = property(lambda self: self.potential_pack.F)
     dF = property(lambda self: self.potential_pack.dF)
 
@@ -206,7 +212,143 @@ def fiber_parts(frame: FieldFrame, alpha, y, check=True) -> FiberParts:
                       alpha, y, eps, nrm)
 
 
-# ---- public per-point operations --------------------------------------
+# ---- phase jets and fields on the tangent bundle ----------------------
+
+X_DIRS = slice(0, DIM)
+Y_DIRS = slice(DIM, 2 * DIM)
+
+
+def phase_context(frame: FieldFrame, alpha, y):
+    """Connection data as order-1 jets in all eight phase directions.
+
+    Directions 0..3 are base, 4..7 fiber.  The jets are order 1: the
+    adapted derivatives read first derivatives only, and those are exact.
+    """
+    m = 2 * DIM
+    g = Jet.from_pack(frame.g, frame.dg, m)
+    ginv = Jet.from_pack(frame.ginv, frame.dginv, m)
+    gamma = Jet.from_pack(frame.gamma, frame.dgamma, m)
+    F = Jet.from_pack(frame.F, frame.dF, m)
+    yj = Jet.from_pack(np.asarray(y, dtype=float), np.eye(DIM), m, start=DIM)
+    _, eps = norm_and_sign(frame.g, y)
+    q = jeinsum("i,i->", jeinsum("ij,j->i", g, yj), yj)
+    nrm = jsqrt(eps * q)
+    return FiberParts(frame, g, ginv, gamma, F, alpha, yj, eps, nrm)
+
+
+@dataclass(frozen=True)
+class PhaseFieldSpec:
+    """A tensor field on the tangent bundle given by its jet components.
+
+    variance: one character per slot, 'u' (contravariant) or 'd'
+    (covariant); '' for scalars.  build maps a phase_context to a Jet of
+    coordinate components.
+    """
+
+    variance: str
+    build: object
+
+
+unit_direction_low = PhaseFieldSpec("d", lambda ctx: ctx.l_low)
+contortion_vector = PhaseFieldSpec("u", lambda ctx: ctx.B)
+
+
+TraceDecomposition = namedtuple(
+    "TraceDecomposition", "lhs rhs gravity_trace divergence quadratic")
+
+
+# ---- one phase point at one coupling ------------------------------------
+
+class Sample:
+    """A phase point (x, y) of TM at one coupling, read on demand.
+
+    Three tiers, each built on first read and kept: plain (fiber_parts on
+    y), jet (fiber_parts on a fiber-seeded order-2 Jet, for exact fiber
+    derivatives) and phase (phase_context, for adapted derivatives).  The
+    reads below are shared by more than one caller; each builds only the
+    tiers it needs.  The frame may be shared by many samples.
+
+    perturbation adds a constant to every N^i_j in the torsion read only
+    (the negative control; see strong_torsion).
+    """
+
+    def __init__(self, frame: FieldFrame, alpha, y, perturbation=0.0):
+        self.frame, self.alpha = frame, alpha
+        self.y = np.asarray(y, dtype=float)
+        self.perturbation = perturbation
+
+    @cached_property
+    def plain(self) -> FiberParts:
+        return fiber_parts(self.frame, self.alpha, self.y)
+
+    @cached_property
+    def jet(self) -> FiberParts:
+        return fiber_parts(self.frame, self.alpha, Jet.seed(self.y, DIM))
+
+    @cached_property
+    def phase(self) -> FiberParts:
+        return phase_context(self.frame, self.alpha, self.y)
+
+    @cached_property
+    def torsion(self):
+        """Strong torsion y^k dN^i_k/dy^j - N^i_j, from the jet tier."""
+        N = self.jet.N
+        return np.einsum("jik,k->ij", N.d, self.y) - (N.v + self.perturbation)
+
+    @cached_property
+    def block(self):
+        """Curvature block [j,i,k,l]: half the fiber Hessian of E."""
+        return 0.5 * np.einsum("jlik->jikl", self.jet.E.h)
+
+    @cached_property
+    def ricci(self):
+        """Ricci tensor of the affine connection, from the Hessian of E."""
+        return -0.5 * np.einsum("ZYii->ZY", self.jet.E.h)
+
+    @cached_property
+    def td(self) -> TraceDecomposition:
+        """Both sides of the tidal-trace split, from the plain tier.
+
+        The divergence is the Levi-Civita horizontal divergence of B in
+        closed form, d_i B^i - n^l_i B^i_l + gamma^i_ai B^a.
+        """
+        frame, parts, y = self.frame, self.plain, self.y
+        e_trace = float(np.einsum("iaib,a,b->", frame.riemann, y, y))
+        div = float(np.einsum("ii->", parts.dB)
+                    - np.einsum("li,il->", parts.n1, parts.B1)
+                    + np.einsum("iai,a->", frame.gamma, parts.B))
+        quad = float(np.einsum("li,il->", parts.B1, parts.B1))
+        return TraceDecomposition(float(np.trace(parts.E)),
+                                  e_trace - 2.0 * div + quad,
+                                  e_trace, div, quad)
+
+    def covariant(self, field: PhaseFieldSpec, reference="full"):
+        """Covariant derivative of a phase field: d_covariant_derivative."""
+        ctx = self.phase
+        T = field.build(ctx)
+        if reference == "base":
+            N_value = value_of(ctx.n1)
+            coeff = self.frame.gamma
+        else:
+            N_value = value_of(ctx.N)
+            coeff = value_of(ctx.Gaff)
+        # delta_k T = d_k T - N^l_k dT/dy^l, derivative axis moved last
+        delta = T.d[X_DIRS] - np.einsum("lk,l...->k...", N_value, T.d[Y_DIRS])
+        out = np.moveaxis(delta, 0, -1)
+        V = T.v
+        for slot, ch in enumerate(field.variance):
+            if ch == "u":
+                term = np.tensordot(coeff, V, axes=([1], [slot]))
+            else:
+                term = -np.tensordot(coeff, V, axes=([0], [slot]))
+            # tensordot leaves (slot axis, k) leading; restore slot, push k last
+            term = np.moveaxis(term, 1, -1)
+            term = np.moveaxis(term, 0, slot)
+            out = out + term
+        return out
+
+
+# ---- public per-point operations: each reads one Sample -----------------
 
 ContortionFamily = namedtuple("ContortionFamily", "vector jacobian hessian third")
 
@@ -226,24 +368,14 @@ class ConnectionData:
     affine: np.ndarray            # G^i_jk
 
 
-def _point_parts(metric, potential, alpha, p: PhasePoint):
-    frame = field_frame(metric, potential, p.x)
-    return frame, fiber_parts(frame, alpha, p.y)
-
-
 def connection_data(metric, potential, alpha, p: PhasePoint) -> ConnectionData:
-    frame, parts = _point_parts(metric, potential, alpha, p)
+    parts = Sample(field_frame(metric, potential, p.x), alpha, p.y).plain
     fam = ContortionFamily(parts.B, parts.B1, parts.B2, parts.B3)
     return ConnectionData(point=p, alpha=float(alpha),
-                          christoffel=frame.gamma, faraday_mixed=parts.Fmix,
-                          faraday_fiber=parts.F_up, contortion=fam,
-                          spray=parts.G, nonlinear=parts.N, affine=parts.Gaff)
-
-
-def b_family(metric, potential, alpha, p: PhasePoint) -> ContortionFamily:
-    """Contortion vector B^i and its first three fiber derivatives."""
-    _, parts = _point_parts(metric, potential, alpha, p)
-    return ContortionFamily(parts.B, parts.B1, parts.B2, parts.B3)
+                          christoffel=parts.frame.gamma,
+                          faraday_mixed=parts.Fmix, faraday_fiber=parts.F_up,
+                          contortion=fam, spray=parts.G, nonlinear=parts.N,
+                          affine=parts.Gaff)
 
 
 def strong_torsion(metric, potential, alpha, p: PhasePoint, perturbation=0.0):
@@ -254,75 +386,7 @@ def strong_torsion(metric, potential, alpha, p: PhasePoint, perturbation=0.0):
     control used by the verification suite).
     """
     frame = field_frame(metric, potential, p.x)
-    yj = Jet.seed(np.asarray(p.y, dtype=float), DIM)
-    return _strong_torsion(fiber_parts(frame, alpha, yj).N, p.y, perturbation)
-
-
-def _strong_torsion(N, y, perturbation):
-    """strong_torsion from the fiber-jet N of fiber_parts at y."""
-    return np.einsum("jik,k->ij", N.d, y) - (N.v + perturbation)
-
-
-# ---- phase jets and derivatives in the adapted frame -------------------
-
-X_DIRS = slice(0, DIM)
-Y_DIRS = slice(DIM, 2 * DIM)
-
-
-def phase_context(frame: FieldFrame, alpha, y):
-    """Connection data as order-1 jets in all eight phase directions.
-
-    Directions 0..3 are base, 4..7 fiber.  The jets are order 1: the
-    adapted derivatives read first derivatives only, and those are exact.
-    """
-    m = 2 * DIM
-    eye = np.eye(DIM)
-    g = Jet.from_pack(frame.g, frame.dg, m)
-    ginv = Jet.from_pack(frame.ginv, frame.dginv, m)
-    gamma = Jet.from_pack(frame.gamma, frame.dgamma, m)
-    F = Jet.from_pack(frame.F, frame.dF, m)
-    yj = Jet.from_pack(np.asarray(y, dtype=float), eye, m, start=DIM)
-    nrm_v, eps = norm_and_sign(frame.g, y)
-    q = jeinsum("i,i->", jeinsum("ij,j->i", g, yj), yj)
-    nrm = jsqrt(eps * q)
-    parts = FiberParts(frame, g, ginv, gamma, F, alpha, yj, eps, nrm)
-    parts.x = Jet.from_pack(frame.x, eye, m)
-    parts.q = q
-    return parts
-
-
-@dataclass(frozen=True)
-class PhaseFieldSpec:
-    """A tensor field on the tangent bundle given by its jet components.
-
-    variance: one character per slot, 'u' (contravariant) or 'd'
-    (covariant); '' for scalars.  build maps a phase_context to a Jet of
-    coordinate components.
-    """
-
-    variance: str
-    build: object
-
-
-unit_direction_low = PhaseFieldSpec("d", lambda ctx: ctx.l_low)
-fiber_velocity = PhaseFieldSpec("u", lambda ctx: ctx.y)
-fiber_square = PhaseFieldSpec("", lambda ctx: ctx.q)
-contortion_vector = PhaseFieldSpec("u", lambda ctx: ctx.B)
-
-
-def _adapted_all(T: Jet, N_value):
-    """delta_k T for all k, derivative axis leading."""
-    dx = T.d[X_DIRS]
-    dy = T.d[Y_DIRS]
-    return dx - np.einsum("lk,l...->k...", N_value, dy)
-
-
-def adapted_derivative(metric, potential, alpha, p: PhasePoint, field, k):
-    """delta_k of a phase field: base partial corrected by -N^l_k d/dy^l."""
-    frame = field_frame(metric, potential, p.x)
-    ctx = phase_context(frame, alpha, p.y)
-    T = field.build(ctx)
-    return _adapted_all(T, value_of(ctx.N))[k]
+    return Sample(frame, alpha, p.y, perturbation).torsion
 
 
 def d_covariant_derivative(metric, potential, alpha, p: PhasePoint, field,
@@ -330,31 +394,9 @@ def d_covariant_derivative(metric, potential, alpha, p: PhasePoint, field,
     """Covariant derivative along the adapted basis, derivative axis last.
 
     For a field with components T^i..._j... the result adds, per slot,
-    +G^i_ak T^a or -G^a_jk T_a on top of delta_k.  reference="base" uses
-    the alpha = 0 coefficients (Levi-Civita transport) instead.
+    +G^i_ak T^a or -G^a_jk T_a on top of the adapted derivative
+    delta_k = d/dx^k - N^l_k d/dy^l.  reference="base" uses the alpha = 0
+    coefficients (Levi-Civita transport) instead.
     """
     frame = field_frame(metric, potential, p.x)
-    return _d_covariant(phase_context(frame, alpha, p.y), field, reference)
-
-
-def _d_covariant(ctx, field, reference="full"):
-    """d_covariant_derivative from a prebuilt phase_context."""
-    T = field.build(ctx)
-    if reference == "base":
-        N_value = value_of(ctx.n1)
-        coeff = ctx.frame.gamma
-    else:
-        N_value = value_of(ctx.N)
-        coeff = value_of(ctx.Gaff)
-    out = np.moveaxis(_adapted_all(T, N_value), 0, -1)
-    V = T.v
-    for slot, ch in enumerate(field.variance):
-        if ch == "u":
-            term = np.tensordot(coeff, V, axes=([1], [slot]))
-        else:
-            term = -np.tensordot(coeff, V, axes=([0], [slot]))
-        # tensordot leaves (slot axis, k) leading; restore slot, push k last
-        term = np.moveaxis(term, 1, -1)
-        term = np.moveaxis(term, 0, slot)
-        out = out + term
-    return out
+    return Sample(frame, alpha, p.y).covariant(field, reference)

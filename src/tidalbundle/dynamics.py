@@ -309,12 +309,6 @@ def convert_deviation_frame(metric, potential, alpha, traj: Trajectory,
     return replace(traj, v=out, rate_channel=to)
 
 
-def natural_parameter(traj: Trajectory, metric):
-    """Proper parameter s = t * ||y(0)||; exact because g(y,y) is conserved."""
-    nrm0, _ = norm_and_sign(metric.pack(traj.x[0]).g, traj.y[0])
-    return traj.t * nrm0
-
-
 def trajectory_csv(traj: Trajectory) -> str:
     """CSV serialization with shortest round-trip float formatting."""
     cols = ["t"] + [f"x{i}" for i in range(4)] + [f"y{i}" for i in range(4)]

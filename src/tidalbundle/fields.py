@@ -9,9 +9,10 @@ order, packed with the derivative axes leading:
     d2A[l, k, i]     = d^2 A_i / dx^l dx^k
 
 The packs derive the rest on first read and keep it: MetricPack the
-inverse metric, its derivative and the Christoffel symbols with theirs,
-PotentialPack the field strength and its derivative.  So each is computed
-at most once per pack, and only if something reads it.
+inverse metric, its derivative, the Christoffel symbols with theirs and
+the Riemann and Ricci tensors, PotentialPack the field strength and its
+derivative.  So each is computed at most once per pack, and only if
+something reads it.
 
 Units: geometrized Gaussian, c = G = k_Coulomb = 1.  Charges and field
 strengths carry the same mass units as M.  Spherical charts use
@@ -65,6 +66,19 @@ class MetricPack:
               - np.einsum("mljk->mljk", d2g))
         return (0.5 * np.einsum("mil,ljk->mijk", self.dginv, self._lowered_gamma)
                 + 0.5 * np.einsum("il,mljk->mijk", self.ginv, dS))
+
+    @cached_property
+    def riemann(self):
+        """Levi-Civita curvature riem[i,j,k,l]; see base_riemann."""
+        gamma, dgamma = self.gamma, self.dgamma
+        return (np.einsum("lijk->ijkl", dgamma) - np.einsum("kijl->ijkl", dgamma)
+                + np.einsum("hjk,ihl->ijkl", gamma, gamma)
+                - np.einsum("hjl,ihk->ijkl", gamma, gamma))
+
+    @cached_property
+    def ricci(self):
+        """Its trace ricci[j,k] = riem[i,j,k,i]; see base_riemann."""
+        return np.einsum("ijki->jk", self.riemann)
 
 
 @dataclass(frozen=True)
@@ -452,16 +466,8 @@ def base_riemann(metric, x=None):
     the last lower slot, ricci[j,k] = riem[i,j,k,i], which is the sign
     that makes a charged exterior satisfy ricci = 8 pi T_em.
     """
-    return _riemann(*christoffel(_metric_pack(metric, x)))
-
-
-def _riemann(gamma, dgamma):
-    """base_riemann from prebuilt Christoffel symbols and their derivatives."""
-    riem = (np.einsum("lijk->ijkl", dgamma) - np.einsum("kijl->ijkl", dgamma)
-            + np.einsum("hjk,ihl->ijkl", gamma, gamma)
-            - np.einsum("hjl,ihk->ijkl", gamma, gamma))
-    ricci = np.einsum("ijki->jk", riem)
-    return riem, ricci
+    pack = _metric_pack(metric, x)
+    return pack.riemann, pack.ricci
 
 
 def gravity_tidal(metric, y, x=None):
@@ -487,19 +493,13 @@ def current(potential, metric, x=None):
     return divF / (4.0 * np.pi)
 
 
-def stress_energy_em(F, g) -> np.ndarray:
+def stress_energy_em(F, g, ginv) -> np.ndarray:
     """Electromagnetic stress-energy T_ij = (1/4pi)(F_ia F_j^a - g_ij F^2/4).
 
     Sign fixed so the energy density T(u,u) of a magnetic field is positive
     in the (-,+,+,+) signature; the charged exterior solution then satisfies
-    ricci_ij = 8 pi T_ij exactly.
+    ricci_ij = 8 pi T_ij exactly.  ginv is the inverse of g.
     """
-    g = np.asarray(g, dtype=float)
-    return _stress_energy_em(F, g, np.linalg.inv(g))
-
-
-def _stress_energy_em(F, g, ginv):
-    """stress_energy_em with a prebuilt inverse metric."""
     F = np.asarray(F, dtype=float)
     term = np.einsum("ia,ab,jb->ij", F, ginv, F)
     scalar = np.einsum("ab,ab->", F, ginv @ F @ ginv)

@@ -9,11 +9,13 @@ numerical confirmation, not a tautology.
 
 The raw field evaluation is the FieldFrame: metric, potential and their
 derivatives at the base point.  It is built once per sampled point, with
-the rest of the coupling-independent data (base curvature, charge
-density, stress-energy), and reused for every coupling; each check's two
-sides still run on disjoint paths from it (fiber jet against plain
-fiber, phase jet against closed form).  The frame and the fiber parts
-build each tensor on first read, so the bench only reads attributes.
+the rest of the coupling-independent data (charge density, stress-energy,
+residual scales), and reused for every coupling; each check's two sides
+still run on disjoint paths from it (fiber jet against plain fiber, phase
+jet against closed form).  The bench at one coupling is a
+connection.Sample on that shared frame: the check groups read its tiers
+(b.jet, b.plain, b.phase) and the point's data (b.pt) directly, and each
+tensor is built on its first read, once.
 
 Residual policy: every check is one row (check, lhs, rhs, scale), and one
 rule judges every row.  It reports the absolute residual max|lhs - rhs|
@@ -32,16 +34,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import __version__
-from .connection import (_d_covariant, _strong_torsion, contortion_vector,
-                         field_frame, fiber_parts, phase_context,
+from .connection import (Sample, contortion_vector, field_frame,
                          unit_direction_low)
-from .curvature import _hessian_blocks, _trace_decomposition
-from .fields import _riemann, _stress_energy_em, current
-from .jets import Jet, value_of
+from .fields import current, stress_energy_em
 from .tensors import DIM, PhasePoint
 
 DEFAULT_ALPHAS = (-1.0, 0.0, 0.5, 1.0, 3.0)
@@ -112,16 +112,14 @@ class _Point:
         self.p = p
         self.y = y = np.asarray(p.y, dtype=float)
         self.frame = fr = field_frame(metric, potential, p.x)
-        riem, self.base_ricci = _riemann(fr.gamma, fr.dgamma)
-        self.e_trace = float(np.einsum("iaib,a,b->", riem, y, y))
-        self.e_scale = float(np.einsum("iaib,a,b->", np.abs(riem),
+        self.e_scale = float(np.einsum("iaib,a,b->", np.abs(fr.riemann),
                                        np.abs(y), np.abs(y)))
         J = current(fr.potential_pack, fr.metric_pack)
         self.rho_c = -float(J @ (fr.g @ (p.y / p.norm)))   # -J^i l_i
         self.nrm2 = p.norm ** 2
         self.eps = p.causal_sign
         self.q = self.eps * self.nrm2
-        self.T_em = _stress_energy_em(fr.F, fr.g, fr.ginv)
+        self.T_em = stress_energy_em(fr.F, fr.g, fr.ginv)
         # field invariant for the d'Alembertian assembly
         self.F_sq = float(np.einsum("ab,ac,bd,cd->", fr.F, fr.ginv, fr.ginv,
                                     fr.F))
@@ -139,41 +137,39 @@ class _Point:
                              + np.einsum("iak,ak->", ag, np.abs(fr.Fmix)))
 
 
-class _Bench:
-    """One coupling at a _Point: fiber-jet and plain parts, one phase context."""
+class _Bench(Sample):
+    """One coupling at a _Point: a Sample on the point's shared frame.
+
+    The check groups read the Sample's tiers directly (b.jet.E.v) and the
+    point's coupling-independent data through b.pt; the scalars that more
+    than one group reads are cached here.
+    """
 
     def __init__(self, point: _Point, alpha, nonspray_perturbation=0.0):
-        vars(self).update(vars(point))   # the same arrays for every alpha
-        self.alpha = float(alpha)
-        fr, y = self.frame, self.y
-        self.assembly_scale = float(self.grav_scale + abs(self.alpha)
-                                    * self.charge_scale * self.p.norm)
-        self.jparts = jp = fiber_parts(fr, alpha, Jet.seed(y, DIM))
-        self.E = value_of(jp.E)
-        self.N = value_of(jp.N)
-        self.G = value_of(jp.G)
-        self.B = value_of(jp.B)
-        self.B1 = value_of(jp.B1)
-        self.B2 = value_of(jp.B2)
-        self.B3 = value_of(jp.B3)
-        self.Gaff = value_of(jp.Gaff)
-        self.R3 = value_of(jp.R3)
-        self.h_low = value_of(jp.h_low)
-        self.l_up = value_of(jp.l_up)
-        self.l_low = value_of(jp.l_low)
-        self.block, self.ricci = _hessian_blocks(jp)
-        self.trace_E = float(np.trace(self.E))
-        self.torsion = _strong_torsion(jp.N, y, nonspray_perturbation)
-        self.quad = float(np.einsum("li,il->", self.B1, self.B1))
-        F_up = value_of(jp.F_up)
-        self.F_vec_sq = float(F_up @ (fr.g @ F_up))
-        self.td = _trace_decomposition(fr, fiber_parts(fr, alpha, y),
-                                       self.e_trace)
-        self.div_closed = self.td.divergence
-        ctx = phase_context(fr, alpha, y)
-        self.transport = _d_covariant(ctx, unit_direction_low)
-        self.div_phase = float(np.einsum(
-            "ii->", _d_covariant(ctx, contortion_vector, reference="base")))
+        super().__init__(point.frame, alpha, point.y, nonspray_perturbation)
+        self.pt = point
+
+    @cached_property
+    def trace_E(self):
+        return float(np.trace(self.jet.E.v))
+
+    @cached_property
+    def quad(self):
+        """The contortion quadratic B^l_i B^i_l from the fiber-jet tier."""
+        B1 = self.jet.B1.v
+        return float(np.einsum("li,il->", B1, B1))
+
+    @cached_property
+    def div_phase(self):
+        """Levi-Civita divergence of B through the phase jets."""
+        return float(np.einsum(
+            "ii->", self.covariant(contortion_vector, reference="base")))
+
+    @cached_property
+    def assembly_scale(self):
+        pt = self.pt
+        return float(pt.grav_scale
+                     + abs(self.alpha) * pt.charge_scale * pt.p.norm)
 
 
 def _residual_parts(lhs, rhs, scale):
@@ -199,8 +195,8 @@ def _judge(check, scenario_id, point, bench, lhs, rhs, scale):
     passed = bool(rel <= tol or abs_res <= _ABS_FLOOR)
     return CheckResult(
         check=check, scenario=scenario_id, point=point, alpha=bench.alpha,
-        x=tuple(float(v) for v in bench.p.x),
-        y=tuple(float(v) for v in bench.p.y),
+        x=tuple(float(v) for v in bench.pt.p.x),
+        y=tuple(float(v) for v in bench.pt.p.y),
         lhs_magnitude=lhs_mag, rhs_magnitude=rhs_mag, abs_residual=abs_res,
         rel_residual=float(rel), tol=tol, passed=passed)
 
@@ -210,59 +206,64 @@ def _judge(check, scenario_id, point, bench, lhs, rhs, scale):
 
 
 def _structural(b):
-    y = b.y
-    yield ("reconstruction", np.einsum("jikl,j,l->ik", b.block, y, y), b.E,
-           np.max(np.abs(b.E)))
+    jp, pt, y = b.jet, b.pt, b.y
+    E, N = jp.E.v, jp.N.v
+    yield ("reconstruction", np.einsum("jikl,j,l->ik", b.block, y, y), E,
+           np.max(np.abs(E)))
 
     yield ("ricci-hessian", b.ricci, -np.einsum("jiil->jl", b.block),
            max(np.max(np.abs(b.ricci)), np.max(np.abs(b.block))))
 
     if b.alpha == 0.0:
-        yield ("ricci-base-reduction", b.ricci, b.base_ricci,
-               max(float(np.max(np.abs(b.base_ricci))),
-                   float(np.max(np.abs(b.ricci))), b.e_scale / b.nrm2))
+        yield ("ricci-base-reduction", b.ricci, b.frame.ricci,
+               max(float(np.max(np.abs(b.frame.ricci))),
+                   float(np.max(np.abs(b.ricci))), pt.e_scale / pt.nrm2))
 
     # scale includes the connection magnitude: the derivative is assembled
     # from terms of that size even when the result cancels to zero
-    yield ("unit-direction-transport", b.transport, 0.5 * b.alpha * b.frame.F,
+    transport = b.covariant(unit_direction_low)
+    yield ("unit-direction-transport", transport, 0.5 * b.alpha * b.frame.F,
            max(float(np.max(np.abs(b.frame.F))),
-               float(np.max(np.abs(b.transport))),
-               float(np.max(np.abs(b.N))) / b.p.norm,
+               float(np.max(np.abs(transport))),
+               float(np.max(np.abs(N))) / pt.p.norm,
                float(np.max(np.abs(b.frame.gamma)))))
 
-    Et = b.h_low @ b.E
-    E_low = b.frame.g @ b.E
+    l_low = jp.l_low.v
+    Et = jp.h_low.v @ E
+    E_low = b.frame.g @ E
     yield ("angular-projection", Et,
-           E_low - b.eps * np.outer(b.l_low, b.l_low @ b.E),
+           E_low - pt.eps * np.outer(l_low, l_low @ E),
            np.max(np.abs(E_low)))
 
     yield ("angular-trace", float(np.einsum("ik,ki->", b.frame.ginv, Et)),
            b.trace_E, max(abs(b.trace_E), np.max(np.abs(Et))))
 
     yield ("tidal-orthogonality",
-           float(np.einsum("k,i,ik->", b.l_up, b.l_low, b.E)), 0.0,
-           np.max(np.abs(b.E)))
+           float(np.einsum("k,i,ik->", jp.l_up.v, l_low, E)), 0.0,
+           np.max(np.abs(E)))
 
     # homogeneity ladder: each fiber derivative drops the degree by one;
     # the check is its worst rung (the last one, on a tie)
+    B, B1, B2, G = jp.B.v, jp.B1.v, jp.B2.v, jp.G.v
     rungs = [("homogeneity-ladder", lhs, rhs,
               max(float(np.max(scl)), float(np.max(np.abs(lhs)))))
              for lhs, rhs, scl in (
-                 (b.B1 @ y, 2.0 * b.B, np.abs(b.B)),
-                 (np.einsum("ijk,k->ij", b.B2, y), b.B1, np.abs(b.B1)),
-                 (np.einsum("ijkl,l->ijk", b.B3, y), np.zeros((DIM,) * 3),
-                  np.abs(b.B2)),
-                 (np.einsum("ijk,k->ij", b.Gaff, y), b.N, np.abs(b.N)),
-                 (b.N @ y, 2.0 * b.G, np.abs(b.G)))]
+                 (B1 @ y, 2.0 * B, np.abs(B)),
+                 (np.einsum("ijk,k->ij", B2, y), B1, np.abs(B1)),
+                 (np.einsum("ijkl,l->ijk", jp.B3.v, y), np.zeros((DIM,) * 3),
+                  np.abs(B2)),
+                 (np.einsum("ijk,k->ij", jp.Gaff.v, y), N, np.abs(N)),
+                 (N @ y, 2.0 * G, np.abs(G)))]
     yield max(reversed(rungs), key=lambda row: _residual_parts(*row[1:])[3])
 
-    yield ("spray-coherence", b.jparts.G.d.T, b.N, np.max(np.abs(b.N)))
+    yield ("spray-coherence", jp.G.d.T, N, np.max(np.abs(N)))
 
     yield ("strong-torsion", b.torsion, np.zeros((DIM, DIM)),
-           max(np.max(np.abs(b.N)), np.max(np.abs(b.torsion))))
+           max(np.max(np.abs(N)), np.max(np.abs(b.torsion))))
 
-    yield ("curvature-antisymmetry", b.R3, -np.swapaxes(b.R3, 1, 2),
-           np.max(np.abs(b.R3)))
+    R3 = jp.R3.v
+    yield ("curvature-antisymmetry", R3, -np.swapaxes(R3, 1, 2),
+           np.max(np.abs(R3)))
 
 
 def _cyclic_side(bench):
@@ -275,27 +276,29 @@ def _cyclic_side(bench):
     cyc = (np.einsum("kij,k->ij", dF, y)
            + np.einsum("jki,k->ij", dF, y)
            + np.einsum("ijk,k->ij", dF, y))
-    return -0.5 * bench.alpha * bench.p.norm * cyc
+    return -0.5 * bench.alpha * bench.pt.p.norm * cyc
 
 
 def _maxwell_homogeneous(b):
-    Et = b.h_low @ b.E
+    E = b.jet.E.v
+    Et = b.jet.h_low.v @ E
     antisym = 0.5 * (Et - Et.T)
-    scale = max(float(np.max(np.abs(Et))), float(np.max(np.abs(b.E))))
+    scale = max(float(np.max(np.abs(Et))), float(np.max(np.abs(E))))
     yield ("maxwell-homogeneous", antisym, np.zeros((DIM, DIM)), scale)
-    cyc_scale = (abs(b.alpha) * b.p.norm
+    cyc_scale = (abs(b.alpha) * b.pt.p.norm
                  * float(np.max(np.abs(b.frame.dF))) * float(np.max(np.abs(b.y))))
     yield ("maxwell-homogeneous-cyclic", antisym, _cyclic_side(b),
            max(scale, cyc_scale))
 
 
 def _maxwell_inhomogeneous(b):
-    scale = max(abs(b.trace_E), b.e_scale, abs(b.quad),
-                4.0 * np.pi * abs(b.alpha) * abs(b.rho_c) * b.nrm2,
+    pt, e_trace = b.pt, b.td.gravity_trace
+    scale = max(abs(b.trace_E), pt.e_scale, abs(b.quad),
+                4.0 * np.pi * abs(b.alpha) * abs(pt.rho_c) * pt.nrm2,
                 abs(b.div_phase), b.assembly_scale)
-    quadratic = (b.e_trace - 4.0 * np.pi * b.alpha * b.rho_c * b.nrm2
+    quadratic = (e_trace - 4.0 * np.pi * b.alpha * pt.rho_c * pt.nrm2
                  + b.quad)
-    divergence = (b.e_trace - 2.0 * np.pi * b.alpha * b.rho_c * b.nrm2
+    divergence = (e_trace - 2.0 * np.pi * b.alpha * pt.rho_c * pt.nrm2
                   - b.div_phase + b.quad)
     yield ("maxwell-inhomogeneous-quadratic", b.trace_E, quadratic, scale)
     yield ("maxwell-inhomogeneous-divergence", b.trace_E, divergence, scale)
@@ -305,7 +308,7 @@ def _maxwell_inhomogeneous(b):
 def _trace_split(b):
     td = b.td
     yield ("trace-decomposition", td.lhs, td.rhs,
-           max(abs(td.lhs), b.e_scale, 2.0 * abs(td.divergence),
+           max(abs(td.lhs), b.pt.e_scale, 2.0 * abs(td.divergence),
                abs(td.quadratic), b.assembly_scale))
 
 
@@ -317,31 +320,34 @@ def full_trace_rhs(bench, rho_m=0.0, matter_trace=0.0):
     divergence and quadratic terms from the closed-form path, so the two
     pipelines cross-check each other inside one equation.
     """
-    b = bench
+    b, pt = bench, bench.pt
     a2 = b.alpha * b.alpha
-    lbox = (b.div_phase + a2 * (0.25 * b.F_sq * b.nrm2
-                                - b.eps * b.F_vec_sq)) / b.nrm2
-    rhs = (2.0 * b.eps / a2 * lbox
-           - (2.0 / b.nrm2) * ((b.eps / a2 + 1.0) * b.div_closed
-                               - 0.5 * b.quad)
-           - 8.0 * np.pi * (rho_m - 0.5 * b.eps * matter_trace))
+    F_up = b.jet.F_up.v
+    F_vec_sq = float(F_up @ (b.frame.g @ F_up))
+    lbox = (b.div_phase + a2 * (0.25 * pt.F_sq * pt.nrm2
+                                - pt.eps * F_vec_sq)) / pt.nrm2
+    rhs = (2.0 * pt.eps / a2 * lbox
+           - (2.0 / pt.nrm2) * ((pt.eps / a2 + 1.0) * b.td.divergence
+                                - 0.5 * b.quad)
+           - 8.0 * np.pi * (rho_m - 0.5 * pt.eps * matter_trace))
     return rhs
 
 
 def _einstein(b):
-    T = b.T_em
+    pt = b.pt
+    T = pt.T_em
     T_yy = float(b.y @ T @ b.y)
     T_tr = float(np.einsum("ij,ij->", b.frame.ginv, T))
-    yield ("einstein-trace", b.e_trace,
-           -8.0 * np.pi * (T_yy - 0.5 * T_tr * b.q),
-           max(b.e_scale,
-               8.0 * np.pi * (abs(T_yy) + 0.5 * abs(T_tr) * b.nrm2)))
+    yield ("einstein-trace", b.td.gravity_trace,
+           -8.0 * np.pi * (T_yy - 0.5 * T_tr * pt.q),
+           max(pt.e_scale,
+               8.0 * np.pi * (abs(T_yy) + 0.5 * abs(T_tr) * pt.nrm2)))
     if b.alpha != 0.0:
-        lhs = b.trace_E / b.nrm2
+        lhs = b.trace_E / pt.nrm2
         rhs = full_trace_rhs(b)
         yield ("einstein-trace-full", lhs, rhs,
-               max(abs(lhs), abs(rhs), b.e_scale / b.nrm2,
-                   abs(b.div_closed) / b.nrm2, abs(b.quad) / b.nrm2))
+               max(abs(lhs), abs(rhs), pt.e_scale / pt.nrm2,
+                   abs(b.td.divergence) / pt.nrm2, abs(b.quad) / pt.nrm2))
 
 
 _GROUPS = (_structural, _maxwell_homogeneous, _maxwell_inhomogeneous,
@@ -452,10 +458,10 @@ def alpha_sweep(scenario, alphas, points=10, seed=0):
                 "scenario": scenario.id, "point": idx, "alpha": float(alpha),
                 "x": [float(v) for v in p.x], "y": [float(v) for v in p.y],
                 "tidal_trace": float(b.trace_E),
-                "gravity_trace": float(b.e_trace),
+                "gravity_trace": float(b.td.gravity_trace),
                 "contortion_quadratic": float(b.quad),
-                "divergence": float(b.div_closed),
-                "charge_density": float(b.rho_c),
+                "divergence": float(b.td.divergence),
+                "charge_density": float(b.pt.rho_c),
                 "rel_residual_quadratic":
                     rel["maxwell-inhomogeneous-quadratic"],
                 "rel_residual_divergence":

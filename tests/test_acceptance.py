@@ -5,6 +5,7 @@ verbose run reads as a checklist.  The identity-suite report is built
 once at 50 points per scenario and shared by the tests that slice it.
 """
 
+import hashlib
 import json
 import time
 
@@ -21,12 +22,22 @@ from tidalbundle.dynamics import (IntegratorConfig, convert_deviation_frame,
                                   normalize_velocity, trajectory_csv,
                                   two_worldline_oracle)
 from tidalbundle.fields import builtin_metric, builtin_potential
-from tidalbundle.scenario import builtin_scenario, builtin_scenarios
+from tidalbundle.scenario import (BUILTIN_IDS, builtin_scenario,
+                                 builtin_scenarios)
 from tidalbundle.verify import (_Bench, _checks, _einstein, _Point,
                                 report_json, run_suite)
 
 SUITE_POINTS = 50
 SUITE_SEED = 0
+
+# Pinned output bytes, measured with numpy 2.4.6 on scipy-openblas: the
+# default suite report (without "_elapsed") and the `tidal compute`
+# stdout of every built-in scenario, concatenated in BUILTIN_IDS order.
+# A change that moves these bytes on purpose updates the pins and says why.
+REPORT_SHA256 = \
+    "c69b61d1775cb523d5d753a63616f2e9434a0b8a9e364569bc6f5d5b2f96217c"
+COMPUTE_SHA256 = \
+    "3567d039d843cf9a5799d1e4235fefcdfe103f6fa4fe84ba8a69c3123f6b72e4"
 
 STRUCTURAL = {
     "reconstruction", "ricci-hessian", "ricci-base-reduction",
@@ -213,8 +224,8 @@ def test_criterion_08_classical_deviation_equivalence():
     cfg = IntegratorConfig(t_span=(0.0, 5.0), samples=101,
                            rtol=1e-12, atol=1e-12)
     cl = integrate_deviation_classical(cart, ub, alpha, p, w0, om0, cfg)
-    from tidalbundle.connection import b_family
-    v0 = om0 + b_family(cart, ub, alpha, p).jacobian @ w0
+    from tidalbundle.connection import connection_data
+    v0 = om0 + connection_data(cart, ub, alpha, p).contortion.jacobian @ w0
     ad = integrate_deviation_tidal(cart, ub, alpha, p, w0, v0, cfg)
     ad_lc = convert_deviation_frame(cart, ub, alpha, ad, "levi-civita")
     scale = np.max(np.abs(cl.w))
@@ -224,12 +235,23 @@ def test_criterion_08_classical_deviation_equivalence():
     _ok(f"classical equivalence: channel gap {gap:.2e} over t = 5")
 
 
-def test_criterion_09_determinism_and_exit_codes(tmp_path, suite_report):
+def test_criterion_09_determinism_and_exit_codes(tmp_path, suite_report,
+                                                  capsys):
     # reports: same seed, byte-identical
     again = run_suite(builtin_scenarios(), points=SUITE_POINTS,
                       seed=SUITE_SEED)
     again["_elapsed"] = suite_report["_elapsed"]
     assert report_json(again) == report_json(suite_report)
+    # and the pinned bytes
+    report = {k: v for k, v in suite_report.items() if k != "_elapsed"}
+    assert (hashlib.sha256(report_json(report).encode()).hexdigest()
+            == REPORT_SHA256)
+    compute = hashlib.sha256()
+    capsys.readouterr()
+    for sid in BUILTIN_IDS:
+        assert main(["compute", "--scenario", sid]) == 0
+        compute.update(capsys.readouterr().out.encode())
+    assert compute.hexdigest() == COMPUTE_SHA256
     # trajectories: byte-identical CSV
     sc = builtin_scenario("cyclotron")
     t1 = trajectory_csv(integrate_worldline(sc.metric, sc.potential, sc.alpha,

@@ -3,15 +3,14 @@ import pytest
 from conftest import fd_gradient
 
 from tidalbundle import dynamics
-from tidalbundle.connection import (adapted_derivative, b_family,
-                                    connection_data, d_covariant_derivative,
-                                    field_frame, fiber_parts, fiber_square,
-                                    fiber_velocity, phase_context, phase_point,
+from tidalbundle.connection import (PhaseFieldSpec, Sample, connection_data,
+                                    d_covariant_derivative, field_frame,
+                                    fiber_parts, phase_context, phase_point,
                                     strong_torsion, unit_direction_low)
 from tidalbundle.dynamics import worldline_rhs
 from tidalbundle.errors import NullFiberError
 from tidalbundle.fields import builtin_metric, builtin_potential
-from tidalbundle.jets import Jet, value_of
+from tidalbundle.jets import Jet, jeinsum, value_of
 
 RN = builtin_metric("reissner_nordstrom", {"M": 1.0, "Q": 0.5})
 COULOMB = builtin_potential("coulomb", {"Q": 0.5})
@@ -23,14 +22,26 @@ Y = np.array([1.3, 0.1, 0.02, 0.01])
 ALPHA = 0.8
 
 
+# Scalar phase fields: a scalar's covariant derivative is its adapted
+# derivative delta_k = d/dx^k - N^l_k d/dy^l, with no connection terms.
+FIBER_SQUARE = PhaseFieldSpec(
+    "", lambda ctx: jeinsum("i,i->", jeinsum("ij,j->i", ctx.g, ctx.y), ctx.y))
+FIBER_COMPONENTS = [PhaseFieldSpec("", lambda ctx, i=i: ctx.y[i])
+                    for i in range(4)]
+
+
 def _rn_point(y=Y):
     return phase_point(RN, X, y)
+
+
+def _contortion(alpha=ALPHA):
+    return connection_data(RN, COULOMB, alpha, _rn_point()).contortion
 
 
 def test_contortion_orthogonal_to_fiber():
     # y_i B^i = 0: the charge term never feeds the fiber direction
     p = _rn_point()
-    fam = b_family(RN, COULOMB, ALPHA, p)
+    fam = _contortion()
     g = RN.pack(X).g
     assert abs(g @ p.y @ fam.vector) < 1e-15 * np.max(np.abs(fam.vector) + 1)
 
@@ -50,7 +61,7 @@ def test_euler_degree_ladder():
 
 
 def test_third_derivative_annihilates_fiber():
-    B3 = b_family(RN, COULOMB, ALPHA, _rn_point()).third
+    B3 = _contortion().third
     out = np.einsum("ijkl,l->ijk", B3, Y)
     scale = np.max(np.abs(B3)) * np.max(np.abs(Y))
     assert np.max(np.abs(out)) < 1e-13 * scale
@@ -112,9 +123,8 @@ def test_adapted_derivative_of_fiber_square():
     # g(y, B) = 0 keeps q conserved
     p = _rn_point()
     g = RN.pack(X).g
-    fam = b_family(RN, COULOMB, ALPHA, p)
-    got = np.array([adapted_derivative(RN, COULOMB, ALPHA, p, fiber_square, k)
-                    for k in range(4)])
+    fam = _contortion()
+    got = d_covariant_derivative(RN, COULOMB, ALPHA, p, FIBER_SQUARE)
     np.testing.assert_allclose(got, 2.0 * g @ fam.vector,
                                rtol=1e-11, atol=1e-14)
     assert abs(got @ p.y) < 1e-13
@@ -125,9 +135,8 @@ def test_adapted_derivative_of_fiber_velocity():
     # nonlinear connection
     p = _rn_point()
     N = connection_data(RN, COULOMB, ALPHA, p).nonlinear
-    got = np.stack([adapted_derivative(RN, COULOMB, ALPHA, p,
-                                       fiber_velocity, k) for k in range(4)],
-                   axis=-1)
+    sample = Sample(field_frame(RN, COULOMB, X), ALPHA, p.y)
+    got = np.stack([sample.covariant(f) for f in FIBER_COMPONENTS])
     np.testing.assert_allclose(got, -N, rtol=1e-13, atol=1e-16)
 
 
@@ -143,8 +152,8 @@ def test_unit_direction_transport_closed_form():
 
 def test_phase_context_jets_are_order_one():
     ctx = phase_context(field_frame(RN, COULOMB, X), ALPHA, Y)
-    names = ("x", "y", "g", "q", "l_up", "l_low", "B", "B1", "N", "n1",
-             "Gaff", "h_low", "G")
+    names = ("y", "g", "l_up", "l_low", "B", "B1", "N", "n1", "Gaff",
+             "h_low", "G")
     jets = [getattr(ctx, k) for k in names]
     assert all(isinstance(j, Jet) and j.h is None and j.m == 8 for j in jets)
 
@@ -154,8 +163,7 @@ def test_third_contortion_built_only_on_demand():
     parts = fiber_parts(frame, ALPHA, Y)
     parts.E   # the curvature channel does not read B^i_jkl
     assert "B3" not in vars(parts)
-    np.testing.assert_array_equal(
-        parts.B3, b_family(RN, COULOMB, ALPHA, _rn_point()).third)
+    np.testing.assert_array_equal(parts.B3, _contortion().third)
     assert "B3" in vars(parts)
 
 
@@ -180,11 +188,11 @@ def test_base_reference_recovers_metric_compatibility():
     # fiber square exactly; the full connection shifts it by the
     # contortion, base - full = 2 y_i B1^i_k
     p = _rn_point()
-    full = d_covariant_derivative(RN, COULOMB, ALPHA, p, fiber_square)
-    base = d_covariant_derivative(RN, COULOMB, ALPHA, p, fiber_square,
+    full = d_covariant_derivative(RN, COULOMB, ALPHA, p, FIBER_SQUARE)
+    base = d_covariant_derivative(RN, COULOMB, ALPHA, p, FIBER_SQUARE,
                                   reference="base")
     np.testing.assert_allclose(base, np.zeros(4), atol=1e-13)
-    fam = b_family(RN, COULOMB, ALPHA, p)
+    fam = _contortion()
     g = RN.pack(X).g
     np.testing.assert_allclose(base - full, 2.0 * (g @ p.y) @ fam.jacobian,
                                rtol=1e-11, atol=1e-13)

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from tidalbundle.connection import phase_point
-from tidalbundle.curvature import (nonlinear_curvature, tidal_packet,
-                                   tidal_tensor, trace_decomposition)
+from tidalbundle.curvature import tidal_packet, trace_decomposition
 from tidalbundle.fields import builtin_metric, builtin_potential
 
 RN = builtin_metric("reissner_nordstrom", {"M": 1.0, "Q": 0.5})
@@ -28,15 +27,14 @@ def test_flat_vacuum_everything_vanishes():
 
 
 def test_curvature_antisymmetry():
-    p = phase_point(RN, X, Y)
-    R3 = nonlinear_curvature(RN, COULOMB, 1.0, p)
+    R3 = _packet().nonlinear_curvature
     np.testing.assert_allclose(R3, -np.swapaxes(R3, 1, 2), atol=1e-18)
 
 
 def test_tidal_contracts_curvature():
-    p = phase_point(RN, X, Y)
-    R3 = nonlinear_curvature(RN, COULOMB, 1.0, p)
-    E, Et, tr = tidal_tensor(RN, COULOMB, 1.0, p)
+    tp = _packet()
+    R3, E, Et, tr = (tp.nonlinear_curvature, tp.tidal, tp.tidal_angular,
+                     tp.tidal_trace)
     np.testing.assert_allclose(E, np.einsum("ijk,k->ij", R3, Y), rtol=1e-14)
     assert tr == pytest.approx(np.trace(E))
     # angular projection annihilates the fiber direction on the j slot

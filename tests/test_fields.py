@@ -150,7 +150,7 @@ def test_reissner_nordstrom_sources_coulomb():
     pk = m.pack(X_SPH)
     _, ricci = base_riemann(pk)
     F, _ = faraday(pot.pack(X_SPH))
-    T = stress_energy_em(F, pk.g)
+    T = stress_energy_em(F, pk.g, pk.ginv)
     np.testing.assert_allclose(ricci, 8.0 * np.pi * T,
                                rtol=1e-8, atol=1e-14)
     assert np.einsum("ij,ij->", pk.ginv, T) == pytest.approx(0.0, abs=1e-15)

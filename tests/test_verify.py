@@ -1,14 +1,18 @@
 import json
+import sys
+from collections import Counter
 from importlib import resources
 
 import jsonschema
 import numpy as np
 import pytest
 
-from tidalbundle import connection, curvature, verify
-from tidalbundle.connection import (d_covariant_derivative, phase_point,
-                                    strong_torsion, unit_direction_low)
+from tidalbundle import connection
+from tidalbundle.connection import (connection_data, d_covariant_derivative,
+                                    phase_point, strong_torsion,
+                                    unit_direction_low)
 from tidalbundle.curvature import tidal_packet, trace_decomposition
+from tidalbundle.jets import Jet
 from tidalbundle.scenario import (DEFAULT_SUITE, builtin_scenario,
                                  builtin_scenarios)
 from tidalbundle.verify import (DEFAULT_ALPHAS, TOLERANCES, _Bench, _checks,
@@ -114,7 +118,7 @@ def test_full_trace_rhs_matter_linearity():
     b = _Bench(_Point(sc.metric, sc.potential, p), 1.0)
     base = full_trace_rhs(b)
     shifted = full_trace_rhs(b, rho_m=0.2, matter_trace=0.3)
-    want = -8.0 * np.pi * (0.2 - 0.5 * b.eps * 0.3)
+    want = -8.0 * np.pi * (0.2 - 0.5 * b.pt.eps * 0.3)
     assert shifted - base == pytest.approx(want, rel=1e-12)
 
 
@@ -192,20 +196,68 @@ def test_shared_cores_match_public_functions():
                 td = trace_decomposition(*args)
                 assert (b.td.lhs, b.td.rhs) == (td.lhs, td.rhs)
                 assert np.array_equal(
-                    b.transport,
+                    b.covariant(unit_direction_low),
                     d_covariant_derivative(*args, unit_direction_low))
 
 
+def _count_builds(monkeypatch):
+    """Record every frame and tier built, wherever a module binds a builder.
+
+    Returns (frames, tiers): the base point of each field_frame call, and
+    a Counter of plain and jet fiber_parts and phase_context calls.
+    """
+    frames, tiers = [], Counter()
+    field_frame, fiber_parts, phase_context = (
+        connection.field_frame, connection.fiber_parts,
+        connection.phase_context)
+
+    def counted_frame(*args, **kwargs):
+        frames.append(np.asarray(args[2]).tobytes())
+        return field_frame(*args, **kwargs)
+
+    def counted_parts(frame, alpha, y, **kwargs):
+        tiers["jet" if isinstance(y, Jet) else "plain"] += 1
+        return fiber_parts(frame, alpha, y, **kwargs)
+
+    def counted_phase(*args):
+        tiers["phase"] += 1
+        return phase_context(*args)
+
+    wrappers = {"field_frame": (field_frame, counted_frame),
+                "fiber_parts": (fiber_parts, counted_parts),
+                "phase_context": (phase_context, counted_phase)}
+    for name, module in list(sys.modules.items()):
+        if not name.startswith("tidalbundle."):
+            continue
+        for attr, (original, wrapper) in wrappers.items():
+            if getattr(module, attr, None) is original:
+                monkeypatch.setattr(module, attr, wrapper)
+    return frames, tiers
+
+
 def test_suite_builds_one_frame_per_point(monkeypatch):
-    calls = []
-    original = connection.field_frame
-
-    def counted(*args, **kwargs):
-        calls.append(args[2])
-        return original(*args, **kwargs)
-
-    for module in (connection, curvature, verify):
-        monkeypatch.setattr(module, "field_frame", counted)
+    frames, tiers = _count_builds(monkeypatch)
+    # each per-point reader builds one frame and only the tiers it reads
+    sc = builtin_scenario("reissner_nordstrom")
+    p = sample_phase_points(sc, 1, np.random.default_rng(2))[0]
+    args = (sc.metric, sc.potential, 1.0, p)
+    for read, want in (
+            (lambda: connection_data(*args), {"plain": 1}),
+            (lambda: tidal_packet(*args), {"jet": 1}),
+            (lambda: trace_decomposition(*args), {"plain": 1}),
+            (lambda: d_covariant_derivative(*args, unit_direction_low),
+             {"phase": 1})):
+        frames.clear()
+        tiers.clear()
+        read()
+        assert len(frames) == 1
+        assert tiers == Counter(want)
+    # the suite: one frame per sampled point, shared by every coupling,
+    # and one tier of each kind per (point, alpha)
+    frames.clear()
+    tiers.clear()
     report = _suite(points=2)
-    assert len(calls) == 2 * len(report["scenarios"])
-    assert len({np.asarray(x).tobytes() for x in calls}) == len(calls)
+    assert len(frames) == 2 * len(report["scenarios"])
+    assert len(set(frames)) == len(frames)
+    n = len(frames) * len(DEFAULT_ALPHAS)
+    assert tiers == Counter(plain=n, jet=n, phase=n)

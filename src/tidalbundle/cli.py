@@ -25,8 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .connection import connection_data
-from .curvature import tidal_packet
+from .connection import ConnectionData, Sample, field_frame
+from .curvature import TidalPacket
 from .dynamics import (integrate_deviation_tidal, integrate_worldline,
                        trajectory_csv)
 from .errors import TidalError
@@ -99,9 +99,10 @@ def cmd_compute(args) -> int:
         p = PhasePoint.create(sc.metric.pack(x).g, x, y)
     else:
         p = sc.initial_point
-    cd = connection_data(sc.metric, sc.potential, sc.alpha, p)
-    tp = tidal_packet(sc.metric, sc.potential, sc.alpha, p,
-                      nonspray_perturbation=sc.nonspray_perturbation)
+    # one sample serves both reads: one frame, one plain and one jet tier
+    s = Sample(field_frame(sc.metric, sc.potential, p.x), sc.alpha, p.y,
+               sc.nonspray_perturbation)
+    cd, tp = ConnectionData.read(s, p), TidalPacket.read(s, p)
     payload = {
         "scenario": sc.id,
         "metric": {"name": sc.metric.name, "params": sc.metric.params},

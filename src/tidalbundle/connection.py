@@ -14,8 +14,14 @@ fibers under the positive-norm convention.
 
 Each tensor is built on its first read and kept, so a point computes only
 what its caller reads: the field packs and the FieldFrame derive the base
-tensors, and FiberParts builds N and its inputs up front and everything
-else (B^i_jk, B^i_jkl, G^i_jk, the spray, the curvature of N) on demand.
+tensors, and FiberParts derives the connection at one fiber.  Since alpha
+enters only as the scalar factor above, FiberParts is two objects: a
+coupling-free FiberCore (||y||, l, h, F^i_j, F^i, gamma y, their base
+derivatives and the alpha-free brackets of the contortion family), and a
+thin per-coupling part that scales those brackets, builds N up front and
+assembles G^i_jk, the spray and the curvature of N on read.
+parts.at(alpha) rebinds a core to another coupling, so a point evaluated
+at many couplings builds its coupling-free data once.
 A Sample is one phase point at one coupling: it holds three FiberParts
 tiers (plain, fiber jet, phase jet), each built on first read, and the
 reads that several callers share.  Every per-point function here and in
@@ -89,64 +95,58 @@ def phase_point(metric: MetricField, x, y) -> PhasePoint:
     return PhasePoint.create(metric.pack(np.asarray(x, dtype=float)).g, x, y)
 
 
-class FiberParts:
-    """Connection data at one fiber; g, ginv, gamma, F and y may be Jets.
+class FiberCore:
+    """The coupling-free part of the connection at one fiber.
 
-    N and its inputs are built here; the rest on first read.  The curvature
-    channel (dB, dB1, R3, E) differentiates the base dependence in closed
-    form, so it reads the plain frame arrays whether y is plain or a
-    fiber-seeded Jet.
+    The coupling enters the charged spray only as a scalar factor on the
+    contortion family, so ||y||, l, h, F^i_j, F^i, gamma^i_jk y^k, the base
+    derivatives of ||y||, F^i and gamma y, and the alpha-free brackets
+    b, b1, b2, b3, db, db1 of B, B^i_j, B^i_jk, B^i_jkl, dB and dB^i_j are
+    the same at every alpha.  One core serves every coupling at its fiber;
+    g, ginv, gamma, F and y may be Jets.  The eager attributes are the ones
+    N reads; the rest is built on first read.
     """
 
-    def __init__(self, frame: FieldFrame, g, ginv, gamma, F, alpha, y, eps, nrm):
+    def __init__(self, frame: FieldFrame, g, ginv, gamma, F, y, eps, nrm):
         self.frame, self.g, self.gamma = frame, g, gamma
-        self.alpha, self.y, self.eps, self.nrm = alpha, y, eps, nrm
+        self.y, self.eps, self.nrm = y, eps, nrm
         self.l_up = y / nrm
         self.l_low = jeinsum("ij,j->i", g, self.l_up)
         self.Fmix = jeinsum("ia,aj->ij", ginv, F)
         self.F_up = jeinsum("ij,j->i", self.Fmix, y)
-        half = -0.5 * alpha
-        self.B = half * (nrm * self.F_up)
-        self.B1 = half * (eps * jeinsum("j,i->ij", self.l_low, self.F_up)
-                          + nrm * self.Fmix)
         self.n1 = jeinsum("ijk,k->ij", gamma, y)
-        self.N = self.n1 + self.B1
+        self.b1 = (eps * jeinsum("j,i->ij", self.l_low, self.F_up)
+                   + nrm * self.Fmix)
 
     @cached_property
     def h_low(self):
         return self.g - self.eps * jeinsum("i,j->ij", self.l_low, self.l_low)
 
+    # ---- alpha-free brackets of the contortion family ----
+
     @cached_property
-    def B2(self):
+    def b(self):
+        return self.nrm * self.F_up
+
+    @cached_property
+    def b2(self):
         l_low, Fmix = self.l_low, self.Fmix
-        return (-0.5 * self.alpha * self.eps) * (
-            jeinsum("jk,i->ijk", self.h_low, self.F_up) / self.nrm
-            + jeinsum("j,ik->ijk", l_low, Fmix)
-            + jeinsum("k,ij->ijk", l_low, Fmix))
+        return (jeinsum("jk,i->ijk", self.h_low, self.F_up) / self.nrm
+                + jeinsum("j,ik->ijk", l_low, Fmix)
+                + jeinsum("k,ij->ijk", l_low, Fmix))
 
     @cached_property
-    def Gaff(self):
-        return self.gamma + self.B2
+    def b3(self):
+        """The two brackets of B^i_jkl, over ||y|| and over ||y||^2."""
+        return _b3_brackets(self.h_low, self.l_low, self.Fmix, self.F_up)
 
     @cached_property
-    def G(self):
-        return 0.5 * jeinsum("ij,j->i", self.N, self.y)
+    def b3_value(self):
+        """b3 from the values alone: no fiber derivatives on a jet core."""
+        return _b3_brackets(value_of(self.h_low), value_of(self.l_low),
+                            value_of(self.Fmix), value_of(self.F_up))
 
-    @cached_property
-    def B3(self):
-        """B^i_jkl, the third fiber derivative of B."""
-        eps, nrm, h_low, l_low = self.eps, self.nrm, self.h_low, self.l_low
-        Fmix, F_up = self.Fmix, self.F_up
-        half = -0.5 * self.alpha
-        hl = (jeinsum("jl,k->jkl", h_low, l_low)
-              + jeinsum("j,kl->jkl", l_low, h_low)
-              + jeinsum("l,jk->jkl", l_low, h_low))
-        return (half * eps) * (jeinsum("jk,il->ijkl", h_low, Fmix)
-                               + jeinsum("jl,ik->ijkl", h_low, Fmix)
-                               + jeinsum("kl,ij->ijkl", h_low, Fmix)) / nrm \
-            - (half * eps * eps) * jeinsum("jkl,i->ijkl", hl, F_up) / (nrm * nrm)
-
-    # ---- curvature channel: base derivatives and the curvature of N ----
+    # ---- base derivatives, in closed form from the plain frame arrays ----
 
     @cached_property
     def dnrm(self):
@@ -159,26 +159,129 @@ class FiberParts:
         return jeinsum("kij,j->ki", self.frame.dFmix, self.y)
 
     @cached_property
-    def dB(self):
-        return (-0.5 * self.alpha) * (jeinsum("k,i->ki", self.dnrm, self.F_up)
-                                      + self.nrm * self.dF_up)
+    def dn1(self):
+        return jeinsum("kijm,m->kij", self.frame.dgamma, self.y)
 
     @cached_property
-    def dB1(self):
+    def db(self):
+        return jeinsum("k,i->ki", self.dnrm, self.F_up) + self.nrm * self.dF_up
+
+    @cached_property
+    def db1(self):
         frame, y, eps, nrm = self.frame, self.y, self.eps, self.nrm
         dnrm = self.dnrm
         ylow = jeinsum("ja,a->j", frame.g, y)
         dylow = jeinsum("kja,a->kj", frame.dg, y)
         dl_low = dylow / nrm - jeinsum("k,j->kj", dnrm, ylow) / (nrm * nrm)
-        return (-0.5 * self.alpha) * (
-            eps * (jeinsum("kj,i->kij", dl_low, self.F_up)
-                   + jeinsum("j,ki->kij", self.l_low, self.dF_up))
-            + jeinsum("k,ij->kij", dnrm, self.Fmix)
-            + nrm * frame.dFmix)
+        return (eps * (jeinsum("kj,i->kij", dl_low, self.F_up)
+                       + jeinsum("j,ki->kij", self.l_low, self.dF_up))
+                + jeinsum("k,ij->kij", dnrm, self.Fmix)
+                + nrm * frame.dFmix)
+
+    @cached_property
+    def gravity_trace(self):
+        """r^i_aib y^a y^b, the alpha = 0 tidal trace (plain y only)."""
+        return float(np.einsum("iaib,a,b->", self.frame.riemann, self.y,
+                               self.y))
+
+
+def _b3_brackets(h_low, l_low, Fmix, F_up):
+    hl = (jeinsum("jl,k->jkl", h_low, l_low)
+          + jeinsum("j,kl->jkl", l_low, h_low)
+          + jeinsum("l,jk->jkl", l_low, h_low))
+    return (jeinsum("jk,il->ijkl", h_low, Fmix)
+            + jeinsum("jl,ik->ijkl", h_low, Fmix)
+            + jeinsum("kl,ij->ijkl", h_low, Fmix),
+            jeinsum("jkl,i->ijkl", hl, F_up))
+
+
+class FiberParts:
+    """Connection data at one fiber and one coupling.
+
+    Each coupling-dependent tensor is its coupling factor (-alpha/2, or
+    -alpha eps/2) times a bracket of the shared FiberCore, and N, G^i_jk,
+    the spray, the curvature of N and E are assembled from them.  N and
+    B^i_j are built here, since every reader (the worldline right-hand
+    side first) reads N; the rest on first read.  at(alpha) rebinds the
+    same core to another coupling.  The curvature channel (dB, dB1, R3,
+    E) differentiates the base dependence in closed form, so it reads the
+    plain frame arrays whether y is plain or a fiber-seeded Jet.
+    """
+
+    frame = property(lambda self: self.core.frame)
+    g = property(lambda self: self.core.g)
+    y = property(lambda self: self.core.y)
+    l_up = property(lambda self: self.core.l_up)
+    l_low = property(lambda self: self.core.l_low)
+    h_low = property(lambda self: self.core.h_low)
+    Fmix = property(lambda self: self.core.Fmix)
+    F_up = property(lambda self: self.core.F_up)
+    n1 = property(lambda self: self.core.n1)
+
+    def __init__(self, core: FiberCore, alpha):
+        self.core, self.alpha = core, alpha
+        self.B1 = (-0.5 * alpha) * core.b1
+        self.N = core.n1 + self.B1
+
+    def at(self, alpha) -> FiberParts:
+        """The same fiber at another coupling, sharing the core."""
+        return FiberParts(self.core, alpha)
+
+    @cached_property
+    def B(self):
+        return (-0.5 * self.alpha) * self.core.b
+
+    @cached_property
+    def B2(self):
+        return (-0.5 * self.alpha * self.core.eps) * self.core.b2
+
+    @cached_property
+    def Gaff(self):
+        return self.core.gamma + self.B2
+
+    @cached_property
+    def G(self):
+        return 0.5 * jeinsum("ij,j->i", self.N, self.core.y)
+
+    @cached_property
+    def B3(self):
+        """B^i_jkl, the third fiber derivative of B."""
+        core = self.core
+        half_eps = -0.5 * self.alpha * core.eps
+        over_nrm, over_nrm2 = core.b3
+        return half_eps * over_nrm / core.nrm \
+            - (half_eps * core.eps) * over_nrm2 / (core.nrm * core.nrm)
+
+    @cached_property
+    def B3_value(self):
+        """The value of B3 alone, bit for bit equal to B3.v.
+
+        On a jet tier it skips the fiber derivatives by replaying the Jet
+        arithmetic on values: x / n is x * (1.0 / n), and a - b is a + (-b).
+        """
+        core = self.core
+        if not isinstance(core.nrm, Jet):
+            return self.B3
+        half_eps = -0.5 * self.alpha * core.eps
+        over_nrm, over_nrm2 = core.b3_value
+        nrm = core.nrm.v
+        first = (half_eps * over_nrm) * (1.0 / nrm)
+        second = ((half_eps * core.eps) * over_nrm2) * (1.0 / (nrm * nrm))
+        return first + (-second)
+
+    # ---- curvature channel: base derivatives and the curvature of N ----
+
+    @cached_property
+    def dB(self):
+        return (-0.5 * self.alpha) * self.core.db
+
+    @cached_property
+    def dB1(self):
+        return (-0.5 * self.alpha) * self.core.db1
 
     @cached_property
     def R3(self):
-        dN = jeinsum("kijm,m->kij", self.frame.dgamma, self.y) + self.dB1
+        dN = self.core.dn1 + self.dB1
         N, Gaff = self.N, self.Gaff
         return (jeinsum("kij->ijk", dN) - jeinsum("jik->ijk", dN)
                 - jeinsum("lk,ijl->ijk", N, Gaff)
@@ -186,7 +289,7 @@ class FiberParts:
 
     @cached_property
     def E(self):
-        return jeinsum("ijk,k->ij", self.R3, self.y)
+        return jeinsum("ijk,k->ij", self.R3, self.core.y)
 
 
 def fiber_parts(frame: FieldFrame, alpha, y, check=True) -> FiberParts:
@@ -208,8 +311,8 @@ def fiber_parts(frame: FieldFrame, alpha, y, check=True) -> FiberParts:
     else:
         y = np.asarray(y, dtype=float)
         nrm = nrm_v
-    return FiberParts(frame, frame.g, frame.ginv, frame.gamma, frame.F,
-                      alpha, y, eps, nrm)
+    return FiberParts(FiberCore(frame, frame.g, frame.ginv, frame.gamma,
+                                frame.F, y, eps, nrm), alpha)
 
 
 # ---- phase jets and fields on the tangent bundle ----------------------
@@ -233,7 +336,8 @@ def phase_context(frame: FieldFrame, alpha, y):
     _, eps = norm_and_sign(frame.g, y)
     q = jeinsum("i,i->", jeinsum("ij,j->i", g, yj), yj)
     nrm = jsqrt(eps * q)
-    return FiberParts(frame, g, ginv, gamma, F, alpha, yj, eps, nrm)
+    return FiberParts(FiberCore(frame, g, ginv, gamma, F, yj, eps, nrm),
+                      alpha)
 
 
 @dataclass(frozen=True)
@@ -266,7 +370,9 @@ class Sample:
     y), jet (fiber_parts on a fiber-seeded order-2 Jet, for exact fiber
     derivatives) and phase (phase_context, for adapted derivatives).  The
     reads below are shared by more than one caller; each builds only the
-    tiers it needs.  The frame may be shared by many samples.
+    tiers it needs.  The frame may be shared by many samples, and so may a
+    tier's coupling-free core: a subclass may take its tiers from another
+    sample's with parts.at(alpha) (the verification bench does).
 
     perturbation adds a constant to every N^i_j in the torsion read only
     (the negative control; see strong_torsion).
@@ -312,8 +418,8 @@ class Sample:
         The divergence is the Levi-Civita horizontal divergence of B in
         closed form, d_i B^i - n^l_i B^i_l + gamma^i_ai B^a.
         """
-        frame, parts, y = self.frame, self.plain, self.y
-        e_trace = float(np.einsum("iaib,a,b->", frame.riemann, y, y))
+        frame, parts = self.frame, self.plain
+        e_trace = parts.core.gravity_trace
         div = float(np.einsum("ii->", parts.dB)
                     - np.einsum("li,il->", parts.n1, parts.B1)
                     + np.einsum("iai,a->", frame.gamma, parts.B))
@@ -367,15 +473,20 @@ class ConnectionData:
     nonlinear: np.ndarray         # N^i_j
     affine: np.ndarray            # G^i_jk
 
+    @classmethod
+    def read(cls, s: Sample, p: PhasePoint) -> ConnectionData:
+        """The connection of Sample s (at p) from its plain tier."""
+        parts = s.plain
+        fam = ContortionFamily(parts.B, parts.B1, parts.B2, parts.B3)
+        return cls(point=p, alpha=float(s.alpha), christoffel=s.frame.gamma,
+                   faraday_mixed=parts.Fmix, faraday_fiber=parts.F_up,
+                   contortion=fam, spray=parts.G, nonlinear=parts.N,
+                   affine=parts.Gaff)
+
 
 def connection_data(metric, potential, alpha, p: PhasePoint) -> ConnectionData:
-    parts = Sample(field_frame(metric, potential, p.x), alpha, p.y).plain
-    fam = ContortionFamily(parts.B, parts.B1, parts.B2, parts.B3)
-    return ConnectionData(point=p, alpha=float(alpha),
-                          christoffel=parts.frame.gamma,
-                          faraday_mixed=parts.Fmix, faraday_fiber=parts.F_up,
-                          contortion=fam, spray=parts.G, nonlinear=parts.N,
-                          affine=parts.Gaff)
+    return ConnectionData.read(
+        Sample(field_frame(metric, potential, p.x), alpha, p.y), p)
 
 
 def strong_torsion(metric, potential, alpha, p: PhasePoint, perturbation=0.0):

@@ -9,7 +9,9 @@ read off, with no finite differencing anywhere.
 
 Both operations are reads of one connection.Sample: tidal_packet reads
 its fiber-jet tier (and the base curvature on the frame), and
-trace_decomposition its plain tier.
+trace_decomposition its plain tier.  TidalPacket.read takes the packet
+from a Sample the caller already holds, so one sample can serve it and
+ConnectionData.read together (as in `tidal compute`).
 """
 
 from __future__ import annotations
@@ -45,6 +47,20 @@ class TidalPacket:
     d_ricci: np.ndarray               # Ricci of the affine connection
     torsion: np.ndarray               # strong torsion, zero for sprays
 
+    @classmethod
+    def read(cls, s: Sample, p: PhasePoint) -> TidalPacket:
+        """The curvature of Sample s (at p) from its fiber-jet tier."""
+        jp, riem, y = s.jet, s.frame.riemann, s.y
+        E = jp.E.v
+        return cls(point=p, alpha=float(s.alpha), nonlinear_curvature=jp.R3.v,
+                   tidal=E, tidal_angular=jp.h_low.v @ E,
+                   tidal_trace=float(np.trace(E)),
+                   gravity_tidal=np.einsum("iajb,a,b->ij", riem, y, y),
+                   base_riemann=riem, base_ricci=s.frame.ricci,
+                   curvature_block=s.block,
+                   contortion_block=np.einsum("ijkl->jikl", jp.B3_value),
+                   d_ricci=s.ricci, torsion=s.torsion)
+
 
 def trace_decomposition(metric, potential, alpha, p: PhasePoint):
     """Both sides of the tidal-trace split, computed by disjoint paths.
@@ -59,16 +75,5 @@ def trace_decomposition(metric, potential, alpha, p: PhasePoint):
 def tidal_packet(metric, potential, alpha, p: PhasePoint,
                  nonspray_perturbation=0.0) -> TidalPacket:
     """Assemble the full curvature picture at one phase point."""
-    s = Sample(field_frame(metric, potential, p.x), alpha, p.y,
-               nonspray_perturbation)
-    jp, riem, y = s.jet, s.frame.riemann, s.y
-    E = jp.E.v
-    return TidalPacket(point=p, alpha=float(alpha),
-                       nonlinear_curvature=jp.R3.v, tidal=E,
-                       tidal_angular=jp.h_low.v @ E,
-                       tidal_trace=float(np.trace(E)),
-                       gravity_tidal=np.einsum("iajb,a,b->ij", riem, y, y),
-                       base_riemann=riem, base_ricci=s.frame.ricci,
-                       curvature_block=s.block,
-                       contortion_block=np.einsum("ijkl->jikl", jp.B3.v),
-                       d_ricci=s.ricci, torsion=s.torsion)
+    return TidalPacket.read(Sample(field_frame(metric, potential, p.x), alpha,
+                                   p.y, nonspray_perturbation), p)

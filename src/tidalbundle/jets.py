@@ -12,6 +12,8 @@ rules), never finite differences.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 _JET_AXES = "ZY"  # reserved subscript letters for derivative axes
@@ -175,10 +177,13 @@ def value_of(x):
     return x.v if isinstance(x, Jet) else np.asarray(x, dtype=float)
 
 
+@lru_cache(maxsize=None)
 def _split(spec):
+    # cached: the specs are a few dozen literals, and parsing one costs a
+    # quarter of a plain jeinsum call
     lhs, out = spec.split("->")
-    subs = lhs.split(",")
-    for s in subs + [out]:
+    subs = tuple(lhs.split(","))
+    for s in subs + (out,):
         for letter in _JET_AXES:
             if letter in s:
                 raise ValueError(f"subscript letter {letter!r} is reserved")

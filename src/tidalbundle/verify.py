@@ -12,10 +12,16 @@ derivatives at the base point.  It is built once per sampled point, with
 the rest of the coupling-independent data (charge density, stress-energy,
 residual scales), and reused for every coupling; each check's two sides
 still run on disjoint paths from it (fiber jet against plain fiber, phase
-jet against closed form).  The bench at one coupling is a
-connection.Sample on that shared frame: the check groups read its tiers
-(b.jet, b.plain, b.phase) and the point's data (b.pt) directly, and each
-tensor is built on its first read, once.
+jet against closed form).  The fiber tiers are shared the same way: each
+sampled point builds its plain, fiber-jet and phase-jet tier once, and
+their coupling-free cores (||y||, l, h, F^i_j, gamma y, the base
+derivatives and the alpha-free brackets of the contortion family) serve
+every coupling.  The bench at one coupling is a connection.Sample on the
+shared frame whose tiers rebind those cores to its alpha
+(parts.at(alpha)), so only the alpha-scaled contortion, N, G^i_jk and
+the curvature of N are built per coupling.  The check groups read its
+tiers (b.jet, b.plain, b.phase) and the point's data (b.pt) directly,
+and each tensor is built on its first read, once.
 
 Residual policy: every check is one row (check, lhs, rhs, scale), and one
 rule judges every row.  It reports the absolute residual max|lhs - rhs|
@@ -39,7 +45,7 @@ from functools import cached_property
 import numpy as np
 
 from . import __version__
-from .connection import (Sample, contortion_vector, field_frame,
+from .connection import (FiberParts, Sample, contortion_vector, field_frame,
                          unit_direction_low)
 from .fields import current, stress_energy_em
 from .tensors import DIM, PhasePoint
@@ -111,7 +117,11 @@ class _Point:
     def __init__(self, metric, potential, p: PhasePoint):
         self.p = p
         self.y = y = np.asarray(p.y, dtype=float)
+        self.xy = (tuple(float(v) for v in p.x), tuple(float(v) for v in y))
         self.frame = fr = field_frame(metric, potential, p.x)
+        # the three tiers, each built on first read at alpha = 0; every
+        # bench rebinds their coupling-free cores to its own coupling
+        self.tiers = Sample(fr, 0.0, y)
         self.e_scale = float(np.einsum("iaib,a,b->", np.abs(fr.riemann),
                                        np.abs(y), np.abs(y)))
         J = current(fr.potential_pack, fr.metric_pack)
@@ -140,14 +150,27 @@ class _Point:
 class _Bench(Sample):
     """One coupling at a _Point: a Sample on the point's shared frame.
 
-    The check groups read the Sample's tiers directly (b.jet.E.v) and the
-    point's coupling-independent data through b.pt; the scalars that more
-    than one group reads are cached here.
+    Its tiers are the point's tiers rebound to this coupling.  The check
+    groups read them directly (b.jet.E.v) and the point's
+    coupling-independent data through b.pt; the scalars that more than
+    one group reads are cached here.
     """
 
     def __init__(self, point: _Point, alpha, nonspray_perturbation=0.0):
         super().__init__(point.frame, alpha, point.y, nonspray_perturbation)
         self.pt = point
+
+    @cached_property
+    def plain(self) -> FiberParts:
+        return self.pt.tiers.plain.at(self.alpha)
+
+    @cached_property
+    def jet(self) -> FiberParts:
+        return self.pt.tiers.jet.at(self.alpha)
+
+    @cached_property
+    def phase(self) -> FiberParts:
+        return self.pt.tiers.phase.at(self.alpha)
 
     @cached_property
     def trace_E(self):
@@ -175,9 +198,9 @@ class _Bench(Sample):
 def _residual_parts(lhs, rhs, scale):
     lhs = np.asarray(lhs, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
-    lhs_mag = float(np.max(np.abs(lhs))) if lhs.size else 0.0
-    rhs_mag = float(np.max(np.abs(rhs))) if rhs.size else 0.0
-    abs_res = float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0
+    lhs_mag = float(np.abs(lhs).max()) if lhs.size else 0.0
+    rhs_mag = float(np.abs(rhs).max()) if rhs.size else 0.0
+    abs_res = float(np.abs(lhs - rhs).max()) if lhs.size else 0.0
     denom = float(scale) or max(lhs_mag, rhs_mag)
     if abs_res == 0.0:
         rel = 0.0
@@ -193,12 +216,11 @@ def _judge(check, scenario_id, point, bench, lhs, rhs, scale):
     tol = TOLERANCES[check]
     lhs_mag, rhs_mag, abs_res, rel = _residual_parts(lhs, rhs, scale)
     passed = bool(rel <= tol or abs_res <= _ABS_FLOOR)
+    x, y = bench.pt.xy
     return CheckResult(
         check=check, scenario=scenario_id, point=point, alpha=bench.alpha,
-        x=tuple(float(v) for v in bench.pt.p.x),
-        y=tuple(float(v) for v in bench.pt.p.y),
-        lhs_magnitude=lhs_mag, rhs_magnitude=rhs_mag, abs_residual=abs_res,
-        rel_residual=float(rel), tol=tol, passed=passed)
+        x=x, y=y, lhs_magnitude=lhs_mag, rhs_magnitude=rhs_mag,
+        abs_residual=abs_res, rel_residual=float(rel), tol=tol, passed=passed)
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +272,8 @@ def _structural(b):
              for lhs, rhs, scl in (
                  (B1 @ y, 2.0 * B, np.abs(B)),
                  (np.einsum("ijk,k->ij", B2, y), B1, np.abs(B1)),
-                 (np.einsum("ijkl,l->ijk", jp.B3.v, y), np.zeros((DIM,) * 3),
-                  np.abs(B2)),
+                 (np.einsum("ijkl,l->ijk", jp.B3_value, y),
+                  np.zeros((DIM,) * 3), np.abs(B2)),
                  (np.einsum("ijk,k->ij", jp.Gaff.v, y), N, np.abs(N)),
                  (N @ y, 2.0 * G, np.abs(G)))]
     yield max(reversed(rungs), key=lambda row: _residual_parts(*row[1:])[3])

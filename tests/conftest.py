@@ -1,4 +1,4 @@
-"""Shared finite-difference oracles.
+"""Shared finite-difference oracles, and a counter of what a call builds.
 
 Expected values in the test suite come from one of three places: hand
 calculation (noted where it happens), an independent central-difference
@@ -6,7 +6,13 @@ oracle built here, or an identity that must hold to machine precision.
 Nothing is copied from the implementation under test.
 """
 
+import sys
+from collections import Counter
+
 import numpy as np
+
+from tidalbundle import connection
+from tidalbundle.jets import Jet
 
 
 def fd_gradient(fn, x, h=1e-6):
@@ -24,3 +30,38 @@ def fd_gradient(fn, x, h=1e-6):
 def fd_hessian(fn, x, h=1e-4):
     """Nested central differences; accurate to about h**2."""
     return fd_gradient(lambda z: fd_gradient(fn, z, h), x, h)
+
+
+def count_builds(monkeypatch):
+    """Record every frame and tier built, wherever a module binds a builder.
+
+    Returns (frames, tiers): the base point of each field_frame call, and
+    a Counter of plain and jet fiber_parts and phase_context calls.
+    """
+    frames, tiers = [], Counter()
+    field_frame, fiber_parts, phase_context = (
+        connection.field_frame, connection.fiber_parts,
+        connection.phase_context)
+
+    def counted_frame(*args, **kwargs):
+        frames.append(np.asarray(args[2]).tobytes())
+        return field_frame(*args, **kwargs)
+
+    def counted_parts(frame, alpha, y, **kwargs):
+        tiers["jet" if isinstance(y, Jet) else "plain"] += 1
+        return fiber_parts(frame, alpha, y, **kwargs)
+
+    def counted_phase(*args):
+        tiers["phase"] += 1
+        return phase_context(*args)
+
+    wrappers = {"field_frame": (field_frame, counted_frame),
+                "fiber_parts": (fiber_parts, counted_parts),
+                "phase_context": (phase_context, counted_phase)}
+    for name, module in list(sys.modules.items()):
+        if not name.startswith("tidalbundle."):
+            continue
+        for attr, (original, wrapper) in wrappers.items():
+            if getattr(module, attr, None) is original:
+                monkeypatch.setattr(module, attr, wrapper)
+    return frames, tiers

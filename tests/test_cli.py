@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import count_builds
 
 import tidalbundle
 from tidalbundle.cli import main
@@ -42,6 +43,16 @@ def test_compute_json_payload(tmp_path):
     y = np.array(data["point"]["y"])
     np.testing.assert_allclose(np.einsum("jikl,j,l->ik", block, y, y), E,
                                rtol=1e-10, atol=1e-15)
+
+
+def test_compute_builds_one_frame(monkeypatch, capsys):
+    # the connection and curvature payloads are reads of one sample
+    frames, tiers = count_builds(monkeypatch)
+    assert main(["compute", "--scenario", "reissner_nordstrom"]) == 0
+    assert json.loads(capsys.readouterr().out)["scenario"] == \
+        "reissner_nordstrom"
+    assert len(frames) == 1
+    assert tiers == {"plain": 1, "jet": 1}
 
 
 def test_compute_at_override(capsys):

@@ -11,6 +11,8 @@ from tidalbundle.dynamics import worldline_rhs
 from tidalbundle.errors import NullFiberError
 from tidalbundle.fields import builtin_metric, builtin_potential
 from tidalbundle.jets import Jet, jeinsum, value_of
+from tidalbundle.scenario import builtin_scenario
+from tidalbundle.verify import DEFAULT_ALPHAS, sample_phase_points
 
 RN = builtin_metric("reissner_nordstrom", {"M": 1.0, "Q": 0.5})
 COULOMB = builtin_potential("coulomb", {"Q": 0.5})
@@ -177,10 +179,51 @@ def test_worldline_rhs_builds_only_what_it_reads(monkeypatch):
     monkeypatch.setattr(dynamics, "fiber_parts", spy)
     worldline_rhs(RN, COULOMB, ALPHA, X, Y)
     (parts,) = seen
-    built = (set(vars(parts)) | set(vars(parts.frame))
+    built = (set(vars(parts)) | set(vars(parts.core)) | set(vars(parts.frame))
              | set(vars(parts.frame.metric_pack)))
     assert "N" in built
-    assert not built & {"dgamma", "dginv", "dFmix", "B2", "B3", "h_low", "E"}
+    assert not built & {"dgamma", "dginv", "dFmix", "B2", "B3", "h_low", "E",
+                        "b", "b2", "b3", "dn1", "db1"}
+
+
+def _bits(x):
+    """Every array of a value or Jet as bytes, so -0.0 differs from 0.0."""
+    if isinstance(x, Jet):
+        return tuple(_bits(a) for a in (x.v, x.d, x.h) if a is not None)
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def test_rebound_tier_matches_a_fresh_build():
+    # a tier built once and rebound to each coupling reproduces a fresh
+    # build at that coupling bit for bit
+    frame = field_frame(RN, COULOMB, X)
+    tiers = {"plain": lambda a: fiber_parts(frame, a, Y),
+             "jet": lambda a: fiber_parts(frame, a, Jet.seed(Y, 4)),
+             "phase": lambda a: phase_context(frame, a, Y)}
+    for build in tiers.values():
+        shared = build(0.0)
+        for alpha in DEFAULT_ALPHAS:
+            rebound, fresh = shared.at(alpha), build(alpha)
+            assert rebound.core is shared.core
+            # on the jet tier _bits covers E.d and the fiber Hessian E.h
+            for name in ("N", "B2", "Gaff", "E"):
+                assert _bits(getattr(rebound, name)) == \
+                    _bits(getattr(fresh, name)), name
+
+
+def test_value_only_third_contortion_on_jet_tier():
+    # the jet tier's B3_value replays the jet arithmetic on values alone
+    for sid in ("reissner_nordstrom", "flat_coulomb", "flat_uniform_b",
+                "schwarzschild_vacuum"):
+        sc = builtin_scenario(sid)
+        for p in sample_phase_points(sc, 3, np.random.default_rng(4)):
+            frame = field_frame(sc.metric, sc.potential, p.x)
+            jet = fiber_parts(frame, 0.0, Jet.seed(p.y, 4))
+            for alpha in (-1.0, 0.0, 0.5, 3.0):
+                parts = jet.at(alpha)
+                value = parts.B3_value
+                assert "B3" not in vars(parts)
+                assert _bits(value) == _bits(parts.B3.v)
 
 
 def test_base_reference_recovers_metric_compatibility():

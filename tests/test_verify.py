@@ -1,18 +1,16 @@
 import json
-import sys
 from collections import Counter
 from importlib import resources
 
 import jsonschema
 import numpy as np
 import pytest
+from conftest import count_builds
 
-from tidalbundle import connection
 from tidalbundle.connection import (connection_data, d_covariant_derivative,
                                     phase_point, strong_torsion,
                                     unit_direction_low)
 from tidalbundle.curvature import tidal_packet, trace_decomposition
-from tidalbundle.jets import Jet
 from tidalbundle.scenario import (DEFAULT_SUITE, builtin_scenario,
                                  builtin_scenarios)
 from tidalbundle.verify import (DEFAULT_ALPHAS, TOLERANCES, _Bench, _checks,
@@ -200,43 +198,8 @@ def test_shared_cores_match_public_functions():
                     d_covariant_derivative(*args, unit_direction_low))
 
 
-def _count_builds(monkeypatch):
-    """Record every frame and tier built, wherever a module binds a builder.
-
-    Returns (frames, tiers): the base point of each field_frame call, and
-    a Counter of plain and jet fiber_parts and phase_context calls.
-    """
-    frames, tiers = [], Counter()
-    field_frame, fiber_parts, phase_context = (
-        connection.field_frame, connection.fiber_parts,
-        connection.phase_context)
-
-    def counted_frame(*args, **kwargs):
-        frames.append(np.asarray(args[2]).tobytes())
-        return field_frame(*args, **kwargs)
-
-    def counted_parts(frame, alpha, y, **kwargs):
-        tiers["jet" if isinstance(y, Jet) else "plain"] += 1
-        return fiber_parts(frame, alpha, y, **kwargs)
-
-    def counted_phase(*args):
-        tiers["phase"] += 1
-        return phase_context(*args)
-
-    wrappers = {"field_frame": (field_frame, counted_frame),
-                "fiber_parts": (fiber_parts, counted_parts),
-                "phase_context": (phase_context, counted_phase)}
-    for name, module in list(sys.modules.items()):
-        if not name.startswith("tidalbundle."):
-            continue
-        for attr, (original, wrapper) in wrappers.items():
-            if getattr(module, attr, None) is original:
-                monkeypatch.setattr(module, attr, wrapper)
-    return frames, tiers
-
-
 def test_suite_builds_one_frame_per_point(monkeypatch):
-    frames, tiers = _count_builds(monkeypatch)
+    frames, tiers = count_builds(monkeypatch)
     # each per-point reader builds one frame and only the tiers it reads
     sc = builtin_scenario("reissner_nordstrom")
     p = sample_phase_points(sc, 1, np.random.default_rng(2))[0]
@@ -252,12 +215,12 @@ def test_suite_builds_one_frame_per_point(monkeypatch):
         read()
         assert len(frames) == 1
         assert tiers == Counter(want)
-    # the suite: one frame per sampled point, shared by every coupling,
-    # and one tier of each kind per (point, alpha)
+    # the suite: one frame and one tier of each kind per sampled point,
+    # each shared by every coupling
     frames.clear()
     tiers.clear()
     report = _suite(points=2)
     assert len(frames) == 2 * len(report["scenarios"])
     assert len(set(frames)) == len(frames)
-    n = len(frames) * len(DEFAULT_ALPHAS)
+    n = len(frames)
     assert tiers == Counter(plain=n, jet=n, phase=n)

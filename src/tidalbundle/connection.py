@@ -21,11 +21,18 @@ derivatives and the alpha-free brackets of the contortion family), and a
 thin per-coupling part that scales those brackets, builds N up front and
 assembles G^i_jk, the spray and the curvature of N on read.
 parts.at(alpha) rebinds a core to another coupling, so a point evaluated
-at many couplings builds its coupling-free data once.
-A Sample is one phase point at one coupling: it holds three FiberParts
-tiers (plain, fiber jet, phase jet), each built on first read, and the
-reads that several callers share.  Every per-point function here and in
-curvature, and the verification bench, is a read of one Sample.
+at many couplings builds its coupling-free data once.  alpha may also be
+a 1-D array: then the per-coupling part evaluates every coupling in one
+pass.  Each coupling factor gets a coupling axis that follows the jet
+axes and leads the tensor slots (B1.v has shape (A, 4, 4), B1.d
+(m, A, 4, 4)), the coupling-dependent contractions (G, R3, E) go through
+jets.bjeinsum, and each coupling's slice equals the scalar build bit for
+bit.  The per-point public functions take a scalar coupling.
+A Sample is one phase point at one coupling (or one batch of them): it
+holds three FiberParts tiers (plain, fiber jet, phase jet), each built on
+first read, and the reads that several callers share.  Every per-point
+function here and in curvature, and the verification bench, is a read of
+one Sample.
 
 Index layout of derivative arrays is always derivative-axis leading:
 dN[k,i,j] = d(N^i_j)/dx^k.  Fiber quantities accept a Jet for y, so exact
@@ -44,7 +51,7 @@ import numpy as np
 from .errors import FrameMismatchError
 from .fields import (MetricField, MetricPack, PotentialField, PotentialPack,
                      coords_compatible)
-from .jets import Jet, jeinsum, jsqrt, value_of
+from .jets import Jet, bjeinsum, jeinsum, jsqrt, value_of
 from .tensors import DIM, PhasePoint, norm_and_sign
 
 
@@ -196,7 +203,7 @@ def _b3_brackets(h_low, l_low, Fmix, F_up):
 
 
 class FiberParts:
-    """Connection data at one fiber and one coupling.
+    """Connection data at one fiber and one coupling, or a batch of them.
 
     Each coupling-dependent tensor is its coupling factor (-alpha/2, or
     -alpha eps/2) times a bracket of the shared FiberCore, and N, G^i_jk,
@@ -206,6 +213,11 @@ class FiberParts:
     same core to another coupling.  The curvature channel (dB, dB1, R3,
     E) differentiates the base dependence in closed form, so it reads the
     plain frame arrays whether y is plain or a fiber-seeded Jet.
+
+    alpha may be a 1-D array of couplings.  Then every coupling-dependent
+    tensor carries a coupling axis that leads its tensor slots (and
+    follows the jet axes), and its contractions go through bjeinsum; each
+    coupling's slice equals the scalar build bit for bit.
     """
 
     frame = property(lambda self: self.core.frame)
@@ -220,20 +232,30 @@ class FiberParts:
 
     def __init__(self, core: FiberCore, alpha):
         self.core, self.alpha = core, alpha
-        self.B1 = (-0.5 * alpha) * core.b1
+        self.batched = isinstance(alpha, np.ndarray) and alpha.ndim > 0
+        # jeinsum at one coupling, bjeinsum over a batch; bound here so the
+        # scalar path pays no extra call per contraction
+        self._ein = bjeinsum if self.batched else jeinsum
+        self.B1 = self._lead(-0.5 * alpha, 2) * core.b1
         self.N = core.n1 + self.B1
 
     def at(self, alpha) -> FiberParts:
-        """The same fiber at another coupling, sharing the core."""
+        """The same fiber at other couplings, sharing the core."""
         return FiberParts(self.core, alpha)
+
+    def _lead(self, factor, rank):
+        """A coupling factor shaped to lead rank tensor slots."""
+        if not self.batched:
+            return factor
+        return factor.reshape(factor.shape + (1,) * rank)
 
     @cached_property
     def B(self):
-        return (-0.5 * self.alpha) * self.core.b
+        return self._lead(-0.5 * self.alpha, 1) * self.core.b
 
     @cached_property
     def B2(self):
-        return (-0.5 * self.alpha * self.core.eps) * self.core.b2
+        return self._lead(-0.5 * self.alpha * self.core.eps, 3) * self.core.b2
 
     @cached_property
     def Gaff(self):
@@ -241,13 +263,13 @@ class FiberParts:
 
     @cached_property
     def G(self):
-        return 0.5 * jeinsum("ij,j->i", self.N, self.core.y)
+        return 0.5 * self._ein("ij,j->i", self.N, self.core.y)
 
     @cached_property
     def B3(self):
         """B^i_jkl, the third fiber derivative of B."""
         core = self.core
-        half_eps = -0.5 * self.alpha * core.eps
+        half_eps = self._lead(-0.5 * self.alpha * core.eps, 4)
         over_nrm, over_nrm2 = core.b3
         return half_eps * over_nrm / core.nrm \
             - (half_eps * core.eps) * over_nrm2 / (core.nrm * core.nrm)
@@ -262,7 +284,7 @@ class FiberParts:
         core = self.core
         if not isinstance(core.nrm, Jet):
             return self.B3
-        half_eps = -0.5 * self.alpha * core.eps
+        half_eps = self._lead(-0.5 * self.alpha * core.eps, 4)
         over_nrm, over_nrm2 = core.b3_value
         nrm = core.nrm.v
         first = (half_eps * over_nrm) * (1.0 / nrm)
@@ -273,23 +295,24 @@ class FiberParts:
 
     @cached_property
     def dB(self):
-        return (-0.5 * self.alpha) * self.core.db
+        return self._lead(-0.5 * self.alpha, 2) * self.core.db
 
     @cached_property
     def dB1(self):
-        return (-0.5 * self.alpha) * self.core.db1
+        return self._lead(-0.5 * self.alpha, 3) * self.core.db1
 
     @cached_property
     def R3(self):
+        ein = self._ein
         dN = self.core.dn1 + self.dB1
-        N, Gaff = self.N, self.Gaff
-        return (jeinsum("kij->ijk", dN) - jeinsum("jik->ijk", dN)
-                - jeinsum("lk,ijl->ijk", N, Gaff)
-                + jeinsum("lj,ikl->ijk", N, Gaff))
+        # N^l_k G^i_jl; its (j, k) transpose is the N^l_j G^i_kl term
+        P = ein("lk,ijl->ijk", self.N, self.Gaff)
+        return (ein("kij->ijk", dN) - ein("jik->ijk", dN) - P
+                + ein("ikj->ijk", P))
 
     @cached_property
     def E(self):
-        return jeinsum("ijk,k->ij", self.R3, self.core.y)
+        return self._ein("ijk,k->ij", self.R3, self.core.y)
 
 
 def fiber_parts(frame: FieldFrame, alpha, y, check=True) -> FiberParts:
@@ -374,6 +397,9 @@ class Sample:
     tier's coupling-free core: a subclass may take its tiers from another
     sample's with parts.at(alpha) (the verification bench does).
 
+    alpha may be a 1-D array of couplings: then the tiers are batched
+    (see FiberParts) and every read carries the coupling axis first.
+
     perturbation adds a constant to every N^i_j in the torsion read only
     (the negative control; see strong_torsion).
     """
@@ -399,59 +425,84 @@ class Sample:
     def torsion(self):
         """Strong torsion y^k dN^i_k/dy^j - N^i_j, from the jet tier."""
         N = self.jet.N
-        return np.einsum("jik,k->ij", N.d, self.y) - (N.v + self.perturbation)
+        return (np.einsum("j...ik,k->...ij", N.d, self.y)
+                - (N.v + self.perturbation))
 
     @cached_property
     def block(self):
         """Curvature block [j,i,k,l]: half the fiber Hessian of E."""
-        return 0.5 * np.einsum("jlik->jikl", self.jet.E.h)
+        return 0.5 * np.einsum("jl...ik->...jikl", self.jet.E.h)
 
     @cached_property
     def ricci(self):
         """Ricci tensor of the affine connection, from the Hessian of E."""
-        return -0.5 * np.einsum("ZYii->ZY", self.jet.E.h)
+        return -0.5 * np.einsum("ZY...ii->...ZY", self.jet.E.h)
 
     @cached_property
     def td(self) -> TraceDecomposition:
         """Both sides of the tidal-trace split, from the plain tier.
 
         The divergence is the Levi-Civita horizontal divergence of B in
-        closed form, d_i B^i - n^l_i B^i_l + gamma^i_ai B^a.
+        closed form, d_i B^i - n^l_i B^i_l + gamma^i_ai B^a.  Floats at
+        one coupling, arrays over a batch.
         """
         frame, parts = self.frame, self.plain
         e_trace = parts.core.gravity_trace
-        div = float(np.einsum("ii->", parts.dB)
-                    - np.einsum("li,il->", parts.n1, parts.B1)
-                    + np.einsum("iai,a->", frame.gamma, parts.B))
-        quad = float(np.einsum("li,il->", parts.B1, parts.B1))
-        return TraceDecomposition(float(np.trace(parts.E)),
-                                  e_trace - 2.0 * div + quad,
-                                  e_trace, div, quad)
+        div = (np.einsum("...ii->...", parts.dB)
+               - np.einsum("li,...il->...", parts.n1, parts.B1)
+               + np.einsum("iai,...a->...", frame.gamma, parts.B))
+        quad = np.einsum("...li,...il->...", parts.B1, parts.B1)
+        values = (np.trace(parts.E, axis1=-2, axis2=-1),
+                  e_trace - 2.0 * div + quad, e_trace, div, quad)
+        if not parts.batched:
+            values = map(float, values)
+        return TraceDecomposition(*values)
 
     def covariant(self, field: PhaseFieldSpec, reference="full"):
         """Covariant derivative of a phase field: d_covariant_derivative."""
-        ctx = self.phase
-        T = field.build(ctx)
-        if reference == "base":
-            N_value = value_of(ctx.n1)
-            coeff = self.frame.gamma
-        else:
-            N_value = value_of(ctx.N)
-            coeff = value_of(ctx.Gaff)
-        # delta_k T = d_k T - N^l_k dT/dy^l, derivative axis moved last
-        delta = T.d[X_DIRS] - np.einsum("lk,l...->k...", N_value, T.d[Y_DIRS])
-        out = np.moveaxis(delta, 0, -1)
-        V = T.v
-        for slot, ch in enumerate(field.variance):
-            if ch == "u":
-                term = np.tensordot(coeff, V, axes=([1], [slot]))
-            else:
-                term = -np.tensordot(coeff, V, axes=([0], [slot]))
-            # tensordot leaves (slot axis, k) leading; restore slot, push k last
-            term = np.moveaxis(term, 1, -1)
-            term = np.moveaxis(term, 0, slot)
-            out = out + term
-        return out
+        out = _covariant(self.frame, self.phase, field, reference)
+        if not self.phase.batched:
+            return out[0]
+        return np.broadcast_to(out, np.shape(self.alpha) + out.shape[1:])
+
+
+def _covariant(frame, ctx, field, reference):
+    """The covariant derivative on the phase tier ctx, coupling axis first.
+
+    Every operand gets a coupling axis (length 1 where it is
+    coupling-free) and broadcasts over it.  The connection terms are one
+    stacked matmul per slot: the product np.tensordot takes at one
+    coupling, so a batch equals its couplings bit for bit.
+    """
+    T = field.build(ctx)
+    if reference == "base":
+        N_value = value_of(ctx.n1)
+        coeff = frame.gamma
+    else:
+        N_value = value_of(ctx.N)
+        coeff = value_of(ctx.Gaff)
+    rank = len(field.variance)
+    N_value = N_value if N_value.ndim == 3 else N_value[None]
+    coeff = coeff if coeff.ndim == 4 else coeff[None]
+    V, dT = (T.v, T.d) if T.v.ndim > rank else (T.v[None], T.d[:, None])
+    # delta_k T = d_k T - N^l_k dT/dy^l, derivative axis moved last
+    delta = (np.moveaxis(dT[X_DIRS], 0, 1)
+             - np.einsum("alk,la...->ak...", N_value, dT[Y_DIRS]))
+    out = np.moveaxis(delta, 1, -1)
+    for slot, ch in enumerate(field.variance):
+        # +G^i_mk T^..m.. or -G^m_jk T_..m.., summed over m as (ik, m) @ m
+        C = coeff.transpose(0, 1, 3, 2) if ch == "u" \
+            else coeff.transpose(0, 2, 3, 1)
+        Vs = np.moveaxis(V, slot + 1, -1)
+        term = (C.reshape(len(C), DIM * DIM, DIM)
+                @ Vs.reshape(len(Vs), -1, DIM).transpose(0, 2, 1))
+        term = term.reshape((-1, DIM, DIM) + Vs.shape[1:-1])
+        if ch == "d":
+            term = -term
+        # (coupling, slot axis, k, other slots): restore slot, push k last
+        term = np.moveaxis(np.moveaxis(term, 2, -1), 1, slot + 1)
+        out = out + term
+    return out
 
 
 # ---- public per-point operations: each reads one Sample -----------------

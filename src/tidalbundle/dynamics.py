@@ -145,12 +145,14 @@ def _integrate(rhs, state0, cfg, metric, potential):
             k3 = rhs(t + h / 2, s + h / 2 * k2)
             k4 = rhs(t + h, s + h * k3)
             s = s + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-            t += h
             taken += 1
             if taken > cfg.max_steps:
                 raise TidalError(_MAX_STEPS_EXCEEDED)
-        if _combined_margin(metric, potential, s[:DIM]) <= 0.0:
-            return (t_eval[:k], np.array(states), True, float(t_eval[k - 1]))
+            # guard every substep: between samples a worldline can leave
+            # the chart and run off to infinity before the next sample
+            if not _combined_margin(metric, potential, s[:DIM]) > 0.0:
+                return (t_eval[:k], np.array(states), True, float(t))
+            t += h
         states.append(s)
     return t_eval, np.array(states), False, t1
 

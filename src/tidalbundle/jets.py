@@ -8,6 +8,12 @@ is an error.  Components are numpy arrays whose *leading* axes index the
 seed directions; trailing axes are ordinary tensor slots, so einsum-style
 contractions stay readable.  Derivatives are exact (product/quotient/chain
 rules), never finite differences.
+
+A batch axis (the couplings of one phase point) sits between the two: it
+follows the seed axes and leads the tensor slots, so v has shape
+(A,)+tensor, d (m, A)+tensor and h (m, m, A)+tensor.  The arithmetic
+broadcasts over it as it stands; bjeinsum contracts batched operands with
+the unbatched subscripts, leaving jeinsum's own path untouched.
 """
 
 from __future__ import annotations
@@ -231,3 +237,18 @@ def jeinsum(spec, *ops):
         cross = np.einsum(f"{Z}{sa},{Y}{sb}->{Z}{Y}{out}", a.d, b.d)
         h += cross + np.swapaxes(cross, 0, 1)
     return Jet(v, d, h)
+
+
+@lru_cache(maxsize=None)
+def _batched(spec):
+    lhs, out = spec.split("->")
+    return ",".join("..." + s for s in lhs.split(",")) + "->..." + out
+
+
+def bjeinsum(spec, *ops):
+    """jeinsum over operands that may carry a leading batch axis.
+
+    spec is written for the unbatched tensor slots; a batch axis leading
+    those slots (after any jet axes) broadcasts across the operands.
+    """
+    return jeinsum(_batched(spec), *ops)

@@ -117,7 +117,7 @@ def test_criterion_05_einstein_trace_profiles():
             g = sc.metric.pack(x).g
             y = normalize_velocity(g, [1.0, 0.02, 0.001, 0.3 / r], -1.0)
             p = phase_point(sc.metric, x, y)
-            bench = _Bench(_Point(sc.metric, sc.potential, p), alpha)
+            bench = _Bench(_Point(sc.metric, sc.potential, p), [alpha])
             for res in _checks((_einstein,), bench, sc.id, 0):
                 if res.check != "einstein-trace":
                     continue

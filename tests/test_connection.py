@@ -211,6 +211,57 @@ def test_rebound_tier_matches_a_fresh_build():
                     _bits(getattr(fresh, name)), name
 
 
+BATCH_NAMES = ("N", "B", "B1", "B2", "B3_value", "Gaff", "G", "dB", "dB1",
+               "R3", "E")
+
+
+def _coupling(x, k):
+    """Coupling k of a batched value or Jet (the axis after the jet axes)."""
+    if isinstance(x, Jet):
+        return Jet(x.v[k], x.d[:, k], None if x.h is None else x.h[:, :, k])
+    return x[k]
+
+
+def test_batched_tier_matches_each_coupling():
+    # one pass over every coupling equals the per-coupling builds bit for
+    # bit, value and fiber or phase derivatives alike
+    alphas = np.array(DEFAULT_ALPHAS)
+    for sid in ("reissner_nordstrom", "flat_coulomb", "flat_uniform_b"):
+        sc = builtin_scenario(sid)
+        for p in sample_phase_points(sc, 2, np.random.default_rng(7)):
+            frame = field_frame(sc.metric, sc.potential, p.x)
+            for tier in (fiber_parts(frame, 0.0, p.y),
+                         fiber_parts(frame, 0.0, Jet.seed(p.y, 4)),
+                         phase_context(frame, 0.0, p.y)):
+                batch = tier.at(alphas)
+                assert batch.core is tier.core
+                for k, alpha in enumerate(DEFAULT_ALPHAS):
+                    one = tier.at(alpha)
+                    for name in BATCH_NAMES:
+                        assert _bits(_coupling(getattr(batch, name), k)) == \
+                            _bits(getattr(one, name)), (sid, name, alpha)
+
+
+def test_curvature_of_n_takes_one_product():
+    # R3 forms N^l_k G^i_jl once and transposes it for N^l_j G^i_kl; that
+    # equals the two-product form bit for bit
+    for sid in ("reissner_nordstrom", "flat_coulomb", "flat_uniform_b",
+                "schwarzschild_vacuum"):
+        sc = builtin_scenario(sid)
+        for p in sample_phase_points(sc, 2, np.random.default_rng(5)):
+            frame = field_frame(sc.metric, sc.potential, p.x)
+            for tier in (fiber_parts(frame, 0.0, p.y),
+                         fiber_parts(frame, 0.0, Jet.seed(p.y, 4))):
+                for alpha in DEFAULT_ALPHAS:
+                    parts = tier.at(alpha)
+                    dN = parts.core.dn1 + parts.dB1
+                    N, Gaff = parts.N, parts.Gaff
+                    two = (jeinsum("kij->ijk", dN) - jeinsum("jik->ijk", dN)
+                           - jeinsum("lk,ijl->ijk", N, Gaff)
+                           + jeinsum("lj,ikl->ijk", N, Gaff))
+                    assert _bits(parts.R3) == _bits(two), (sid, alpha)
+
+
 def test_value_only_third_contortion_on_jet_tier():
     # the jet tier's B3_value replays the jet arithmetic on values alone
     for sid in ("reissner_nordstrom", "flat_coulomb", "flat_uniform_b",

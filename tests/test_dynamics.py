@@ -112,6 +112,25 @@ def test_truncation_at_chart_boundary():
     assert text.rstrip().endswith(f"# truncated: left chart near t={traj.exit_time!r}")
 
 
+def test_fixed_step_guards_every_substep():
+    # a short infall from r = 3 crosses r = 2M between the samples at
+    # t = 0 and t = 20; the fixed-step run must stop there too, not run on
+    # inside the horizon to the next sample
+    x0 = np.array([0.0, 3.0, np.pi / 2, 0.0])
+    y0 = normalize_velocity(SW.pack(x0).g, [1.0, -0.1, 0.0, 0.0], -1.0)
+    p = phase_point(SW, x0, y0)
+    fixed = integrate_worldline(SW, ZERO, 0.0, p, IntegratorConfig(
+        method="rk4-fixed", t_span=(0.0, 40.0), samples=3))
+    adaptive = integrate_worldline(SW, ZERO, 0.0, p, IntegratorConfig(
+        t_span=(0.0, 40.0), samples=3))
+    for traj in (fixed, adaptive):
+        assert traj.truncated
+        np.testing.assert_array_equal(traj.t, [0.0])
+        np.testing.assert_array_equal(traj.x, [x0])
+    # the last in-chart substep lies within one step of the adaptive exit
+    assert 0.0 < fixed.exit_time <= adaptive.exit_time < fixed.exit_time + 0.02
+
+
 @pytest.mark.parametrize("method", ["rk45-adaptive", "rk4-fixed"])
 def test_max_steps_guard_raises(method):
     # one failure class for both drivers: not a chart exit, so exit code 2

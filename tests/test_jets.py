@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from conftest import fd_gradient, fd_hessian
 
-from tidalbundle.jets import Jet, jeinsum, jsqrt, value_of
+from tidalbundle.jets import Jet, bjeinsum, jeinsum, jsqrt, value_of
 
 G = np.array([[-1.0, 0.1, 0.0, 0.0],
               [0.1, 1.3, 0.2, 0.0],
@@ -128,3 +128,52 @@ def test_mixed_jet_and_constant_operand():
     np.testing.assert_allclose(out.v, G @ Y)
     np.testing.assert_allclose(out.d, np.einsum("ab->ba", G))
     assert not out.h.any()
+
+
+def _stack(jets):
+    """Stack per-item jets on a batch axis after the jet axes."""
+    h = None if jets[0].h is None else np.stack([j.h for j in jets], axis=2)
+    return Jet(np.stack([j.v for j in jets]),
+               np.stack([j.d for j in jets], axis=1), h)
+
+
+def _item(x, k):
+    if not isinstance(x, Jet):
+        return x[k]
+    return Jet(x.v[k], x.d[:, k], None if x.h is None else x.h[:, :, k])
+
+
+def test_bjeinsum_matches_jeinsum_per_item():
+    # a batch axis leading the tensor slots: each item equals jeinsum on
+    # that item bit for bit, whether the other operand is batched or not
+    rng = np.random.default_rng(3)
+    scales = rng.uniform(-2.0, 2.0, 3)
+    for seed in (Jet.seed(Y, 4), Jet.from_pack(Y, np.eye(4), 4)):
+        outer = jeinsum("i,j->ij", seed, seed)
+        mats = [s * outer + G for s in scales]
+        vecs = [s * seed for s in scales]
+        batch_m, batch_v = _stack(mats), _stack(vecs)
+        cases = (("ij,j->i", (batch_m, seed), lambda k: (mats[k], seed)),
+                 ("ij,j->i", (batch_m, batch_v), lambda k: (mats[k], vecs[k])),
+                 ("ij,j->i", (G, batch_v), lambda k: (G, vecs[k])),
+                 ("ij,jk->ik", (batch_m, G), lambda k: (mats[k], G)),
+                 ("ij->ji", (batch_m,), lambda k: (mats[k],)),
+                 ("ij->ji", (np.stack([m.v for m in mats]),),
+                  lambda k: (mats[k].v,)))
+        for spec, ops, item in cases:
+            got = bjeinsum(spec, *ops)
+            for k in range(len(scales)):
+                want = jeinsum(spec, *item(k))
+                part = _item(got, k)
+                for a, b in ((value_of(part), value_of(want)),
+                             *(((part.d, want.d), (part.h, want.h))
+                               if isinstance(want, Jet) else ())):
+                    assert (a is None) == (b is None)
+                    if a is not None:
+                        assert np.asarray(a).tobytes() == \
+                            np.asarray(b).tobytes(), spec
+    # unbatched operands give jeinsum's result
+    seed = Jet.seed(Y, 4)
+    got, want = bjeinsum("ij,j->i", G, seed), jeinsum("ij,j->i", G, seed)
+    for a, b in ((got.v, want.v), (got.d, want.d), (got.h, want.h)):
+        assert np.array_equal(a, b)

@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from types import SimpleNamespace
 from importlib import resources
 
 import jsonschema
@@ -11,6 +12,7 @@ from tidalbundle.connection import (connection_data, d_covariant_derivative,
                                     phase_point, strong_torsion,
                                     unit_direction_low)
 from tidalbundle.curvature import tidal_packet, trace_decomposition
+from tidalbundle import verify
 from tidalbundle.scenario import (DEFAULT_SUITE, builtin_scenario,
                                  builtin_scenarios)
 from tidalbundle.verify import (DEFAULT_ALPHAS, TOLERANCES, _Bench, _checks,
@@ -84,11 +86,12 @@ def test_check_groups_pass_individually():
     sc = builtin_scenario("reissner_nordstrom")
     rng = np.random.default_rng(0)
     p = sample_phase_points(sc, 1, rng)[0]
-    bench = _Bench(_Point(sc.metric, sc.potential, p), 1.0)
+    bench = _Bench(_Point(sc.metric, sc.potential, p), DEFAULT_ALPHAS)
     for fn in (_structural, _maxwell_homogeneous, _maxwell_inhomogeneous,
                _einstein):
         results = _checks((fn,), bench, sc.id, 0)
         assert results, fn.__name__
+        assert {r.alpha for r in results} == set(DEFAULT_ALPHAS)
         for r in results:
             assert r.passed, (fn.__name__, r.check, r.rel_residual)
             assert r.tol == TOLERANCES[r.check]
@@ -97,15 +100,50 @@ def test_check_groups_pass_individually():
             assert isinstance(d["passed"], bool)
 
 
+def test_several_rows_judged_by_worst_per_coupling():
+    # the homogeneity ladder yields one row per rung; at each coupling the
+    # judge keeps the rung with the largest rel, the last one on a tie
+    bench = SimpleNamespace(alpha=np.array([-1.0, 0.0, 2.0]),
+                            pt=SimpleNamespace(xy=((0.0,) * 4, (1.0,) * 4)))
+    lhs = np.ones((3, 2))
+
+    def rungs(b):
+        # rel per coupling: (.25, .25, .25), (.125, .25, 0), (.25, .125, 2)
+        yield "homogeneity-ladder", lhs, 0.75, 1.0, None
+        yield "homogeneity-ladder", lhs, [[0.75], [0.5], [1.0]], 2.0, None
+        yield "homogeneity-ladder", lhs, 0.5, [2.0, 4.0, 0.25], None
+
+    got = [(r.alpha, r.rhs_magnitude, r.abs_residual, r.rel_residual)
+           for r in _checks((rungs,), bench, "s", 0)]
+    assert got == [(-1.0, 0.5, 0.5, 0.25), (0.0, 0.5, 0.5, 0.25),
+                   (2.0, 0.5, 0.5, 2.0)]
+
+    # NaN as Python's max(reversed(rungs), key=rel) treats it: kept when
+    # it is the last rung, passed over elsewhere
+    def nan_rungs(b):
+        yield "homogeneity-ladder", lhs, [[0.5], [np.nan], [0.5]], 1.0, None
+        yield "homogeneity-ladder", lhs, [[np.nan], [0.75], [0.75]], 1.0, None
+
+    got = [r.rel_residual for r in _checks((nan_rungs,), bench, "s", 0)]
+    assert np.isnan(got[0]) and got[1:] == [0.25, 0.5]
+
+
 def test_alpha_zero_skips_full_trace():
     sc = builtin_scenario("reissner_nordstrom")
     rng = np.random.default_rng(0)
     p = sample_phase_points(sc, 1, rng)[0]
     point = _Point(sc.metric, sc.potential, p)
-    names = {row[0] for row in _einstein(_Bench(point, 0.0))}
+    names = {row.check for row in _einstein(_Bench(point, [0.0]))}
     assert names == {"einstein-trace"}
-    names = {row[0] for row in _einstein(_Bench(point, 1.0))}
+    names = {row.check for row in _einstein(_Bench(point, [1.0]))}
     assert names == {"einstein-trace", "einstein-trace-full"}
+    # over a batch the full trace carries only its nonzero couplings
+    bench = _Bench(point, DEFAULT_ALPHAS)
+    judged = {(r.check, r.alpha)
+              for r in _checks((_einstein,), bench, sc.id, 0)}
+    assert judged == ({("einstein-trace", a) for a in DEFAULT_ALPHAS}
+                      | {("einstein-trace-full", a) for a in DEFAULT_ALPHAS
+                         if a != 0.0})
 
 
 def test_full_trace_rhs_matter_linearity():
@@ -113,7 +151,7 @@ def test_full_trace_rhs_matter_linearity():
     sc = builtin_scenario("reissner_nordstrom")
     rng = np.random.default_rng(3)
     p = sample_phase_points(sc, 1, rng)[0]
-    b = _Bench(_Point(sc.metric, sc.potential, p), 1.0)
+    b = _Bench(_Point(sc.metric, sc.potential, p), [1.0])
     base = full_trace_rhs(b)
     shifted = full_trace_rhs(b, rho_m=0.2, matter_trace=0.3)
     want = -8.0 * np.pi * (0.2 - 0.5 * b.pt.eps * 0.3)
@@ -183,23 +221,33 @@ def test_shared_cores_match_public_functions():
         sc = builtin_scenario(sid)
         pert = sc.nonspray_perturbation
         for p in sample_phase_points(sc, 2, np.random.default_rng(11)):
-            point = _Point(sc.metric, sc.potential, p)
-            for alpha in (0.0, 1.0):
-                b = _Bench(point, alpha, pert)
+            b = _Bench(_Point(sc.metric, sc.potential, p), (0.0, 1.0), pert)
+            transport = b.covariant(unit_direction_low)
+            for k, alpha in enumerate((0.0, 1.0)):
                 args = (sc.metric, sc.potential, alpha, p)
                 torsion = strong_torsion(*args, perturbation=pert)
-                assert np.array_equal(b.torsion, torsion)
+                assert np.array_equal(b.torsion[k], torsion)
                 packet = tidal_packet(*args, nonspray_perturbation=pert)
                 assert np.array_equal(packet.torsion, torsion)
                 td = trace_decomposition(*args)
-                assert (b.td.lhs, b.td.rhs) == (td.lhs, td.rhs)
+                assert (b.td.lhs[k], b.td.rhs[k]) == (td.lhs, td.rhs)
                 assert np.array_equal(
-                    b.covariant(unit_direction_low),
+                    transport[k],
                     d_covariant_derivative(*args, unit_direction_low))
 
 
 def test_suite_builds_one_frame_per_point(monkeypatch):
     frames, tiers = count_builds(monkeypatch)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(verify, "_Bench", counted("bench", verify._Bench))
+    monkeypatch.setattr(verify, "_checks", counted("judge", verify._checks))
     # each per-point reader builds one frame and only the tiers it reads
     sc = builtin_scenario("reissner_nordstrom")
     p = sample_phase_points(sc, 1, np.random.default_rng(2))[0]
@@ -215,8 +263,8 @@ def test_suite_builds_one_frame_per_point(monkeypatch):
         read()
         assert len(frames) == 1
         assert tiers == Counter(want)
-    # the suite: one frame and one tier of each kind per sampled point,
-    # each shared by every coupling
+    # the suite: one frame, one tier of each kind, one bench and one
+    # judging pass per sampled point, each shared by every coupling
     frames.clear()
     tiers.clear()
     report = _suite(points=2)
@@ -224,3 +272,4 @@ def test_suite_builds_one_frame_per_point(monkeypatch):
     assert len(set(frames)) == len(frames)
     n = len(frames)
     assert tiers == Counter(plain=n, jet=n, phase=n)
+    assert calls == Counter(bench=n, judge=n)

@@ -33,7 +33,7 @@ from .scenario import (BUILTIN_IDS, DEFAULT_SUITE, Scenario, builtin_scenario,
                        builtin_scenarios, load_scenario, resolve_scenario,
                        scenario_defaults, scenario_from_dict)
 from .tensors import PhasePoint, norm_and_sign
-from .verify import (CheckResult, alpha_sweep, report_json,
-                     report_summary_table, run_suite, sample_phase_points)
+from .verify import (alpha_sweep, report_json, report_summary_table,
+                     run_suite, sample_phase_points)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -370,6 +370,12 @@ class PhaseFieldSpec:
     variance: one character per slot, 'u' (contravariant) or 'd'
     (covariant); '' for scalars.  build maps a phase_context to a Jet of
     coordinate components.
+
+    Over a batch of couplings the context's coupling-dependent reads
+    (B, N, Gaff, ...) carry the coupling axis ahead of their tensor
+    slots, so build indexes a slot from the end: ctx.B[..., 0], not
+    ctx.B[0], which would pick a coupling.  Its value may lead with that
+    coupling axis or lack it; any other leading axis is refused.
     """
 
     variance: str
@@ -475,6 +481,11 @@ def _covariant(frame, ctx, field, reference):
     coupling, so a batch equals its couplings bit for bit.
     """
     T = field.build(ctx)
+    lead = T.v.shape[:T.v.ndim - len(field.variance)]
+    if lead not in ((), np.shape(ctx.alpha)):
+        raise ValueError(
+            f"phase field {field!r} built values with leading axes {lead}; "
+            f"expected none or the coupling axis {np.shape(ctx.alpha)}")
     if reference == "base":
         N_value = value_of(ctx.n1)
         coeff = frame.gamma

@@ -40,13 +40,22 @@ larger side.  Residuals under 1e-14 absolute pass outright; exact zeros
 stay exact.  A check with several rows (the homogeneity ladder's rungs)
 is judged at each coupling by its worst row.  Every reduction is a max,
 so the judged numbers are the ones a bench per coupling would give.
+
+The report: the judge emits each verdict as the report's own row dict
+(plain Python values; every row owns its x and y lists), and run_suite
+sorts and counts those rows in one pass.  report_json's contract is the
+exact bytes of json.dumps(report, indent=2, sort_keys=True) plus a
+newline.  It formats each distinct list of floats, and each distinct
+float held in a dict, once per call, since x, y, alpha and tol repeat
+on every row of a point.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+import math
 from functools import cached_property, reduce
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -84,34 +93,6 @@ TOLERANCES = {
 }
 
 _ABS_FLOOR = 1e-14
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    check: str
-    scenario: str
-    point: int
-    alpha: float
-    x: tuple
-    y: tuple
-    lhs_magnitude: float
-    rhs_magnitude: float
-    abs_residual: float
-    rel_residual: float
-    tol: float
-    passed: bool
-
-    def to_dict(self):
-        return {
-            "check": self.check, "scenario": self.scenario,
-            "point": int(self.point), "alpha": float(self.alpha),
-            "x": [float(v) for v in self.x], "y": [float(v) for v in self.y],
-            "lhs_magnitude": float(self.lhs_magnitude),
-            "rhs_magnitude": float(self.rhs_magnitude),
-            "abs_residual": float(self.abs_residual),
-            "rel_residual": float(self.rel_residual),
-            "tol": float(self.tol), "passed": bool(self.passed),
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +238,9 @@ def _checks(groups, bench, scenario_id, point):
 
     The pass rule: rel <= tol, or under the absolute floor.  A check with
     several rows (the homogeneity ladder's rungs) is judged at each
-    coupling by its worst row, the last one with the largest rel.
+    coupling by its worst row, the last one with the largest rel.  Each
+    verdict is returned as the report's own row dict (plain Python
+    values; x and y are fresh lists in every row).
     """
     judged = {}
     for group in groups:
@@ -273,11 +256,12 @@ def _checks(groups, bench, scenario_id, point):
         alphas = bench.alpha if at is None else bench.alpha[at]
         for alpha, (lhs_mag, rhs_mag, abs_res, rel) in zip(
                 alphas.tolist(), parts.T.tolist()):
-            results.append(CheckResult(
-                check=check, scenario=scenario_id, point=point, alpha=alpha,
-                x=x, y=y, lhs_magnitude=lhs_mag, rhs_magnitude=rhs_mag,
-                abs_residual=abs_res, rel_residual=rel, tol=tol,
-                passed=rel <= tol or abs_res <= _ABS_FLOOR))
+            results.append({
+                "check": check, "scenario": scenario_id, "point": point,
+                "alpha": alpha, "x": list(x), "y": list(y),
+                "lhs_magnitude": lhs_mag, "rhs_magnitude": rhs_mag,
+                "abs_residual": abs_res, "rel_residual": rel, "tol": tol,
+                "passed": rel <= tol or abs_res <= _ABS_FLOOR})
     return results
 
 
@@ -488,7 +472,7 @@ def run_suite(scenarios, points=50, seed=0, alphas=None, progress=None):
     alphas = tuple(float(a) for a in (alphas or DEFAULT_ALPHAS))
     ordered = sorted(scenarios, key=lambda s: s.id)
     rng = np.random.default_rng(seed)
-    rows = []
+    checks = []
     for scenario in ordered:
         groups = _GROUPS + ((_einstein,) if scenario.einstein_consistent
                             else ())
@@ -496,15 +480,14 @@ def run_suite(scenarios, points=50, seed=0, alphas=None, progress=None):
         for idx, p in enumerate(pts):
             bench = _Bench(_Point(scenario.metric, scenario.potential, p),
                            alphas, scenario.nonspray_perturbation)
-            rows += _checks(groups, bench, scenario.id, idx)
+            checks += _checks(groups, bench, scenario.id, idx)
             if progress is not None:
                 progress(scenario.id, idx)
-    rows.sort(key=lambda r: (r.scenario, r.point, r.alpha, r.check))
-    checks = [r.to_dict() for r in rows]
-    n_pass = sum(1 for c in checks if c["passed"])
-    max_rel = 0.0
+    checks.sort(key=itemgetter("scenario", "point", "alpha", "check"))
+    n_pass, max_rel = 0, 0.0
     for c in checks:
-        if np.isfinite(c["rel_residual"]):
+        n_pass += c["passed"]
+        if math.isfinite(c["rel_residual"]):
             max_rel = max(max_rel, c["rel_residual"])
     return {
         "version": __version__,
@@ -536,7 +519,7 @@ def alpha_sweep(scenario, alphas, points=10, seed=0):
         rel = {}
         for r in _checks((_maxwell_inhomogeneous, _trace_split), b,
                          scenario.id, idx):
-            rel.setdefault(r.check, []).append(r.rel_residual)
+            rel.setdefault(r["check"], []).append(r["rel_residual"])
         td = b.td
         for k, alpha in enumerate(b.alpha.tolist()):
             rows.append({
@@ -557,25 +540,170 @@ def alpha_sweep(scenario, alphas, points=10, seed=0):
     return rows
 
 
+# json.dumps spells the non-finite floats its own way
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_FLOATS = {float}
+
+
+def _float_text(o):
+    text = float.__repr__(o)
+    return _NONFINITE.get(text, text)
+
+
+def _key_text(k):
+    """A dict key as json.dumps writes it, quoted."""
+    if isinstance(k, str):
+        pass
+    elif isinstance(k, float):
+        k = _float_text(k)
+    elif k is True:
+        k = "true"
+    elif k is False:
+        k = "false"
+    elif k is None:
+        k = "null"
+    elif isinstance(k, int):
+        k = int.__repr__(k)
+    else:
+        raise TypeError("keys must be str, int, float, bool or None, "
+                        f"not {k.__class__.__name__}")
+    return encode_basestring_ascii(k)
+
+
+def _plain(o):
+    """A value of a subclass of a JSON type, as the built-in type."""
+    if isinstance(o, str):
+        return str.__str__(o)
+    if isinstance(o, int):
+        return int.__index__(o)
+    if isinstance(o, float):
+        return float.__float__(o)
+    if isinstance(o, (list, tuple)):
+        return list(o)
+    if isinstance(o, dict):
+        return dict(o.items())
+    raise TypeError(f"Object of type {o.__class__.__name__} "
+                    "is not JSON serializable")
+
+
 def report_json(report) -> str:
-    """Canonical serialization: sorted keys, shortest round-trip floats."""
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """Canonical serialization: sorted keys, shortest round-trip floats.
+
+    The text is exactly json.dumps(report, indent=2, sort_keys=True) plus
+    a newline, for any payload json.dumps takes, and a value or key it
+    rejects raises the same TypeError.
+
+    A report repeats most of its floats: x and y on every row of a point,
+    alpha and tol on every row, and many residual magnitudes.  So each
+    distinct list of floats, and each distinct float that is a dict value,
+    is formatted once per call and its text reused.  Any other float (in
+    a list that also holds other types, or standing alone) is formatted
+    where it stands, as json.dumps does: a memo only pays where floats
+    repeat, and a memo miss costs about half of what a hit saves.  Zeros
+    are formatted every time: a dict keyed by float (or by a tuple of
+    floats) holds 0.0 and -0.0 as one key.
+    """
+    memo, out = {}, []
+    push = out.append
+
+    def floats(o, inner):
+        """The items of a list of floats, joined at one indent level."""
+        key = (inner, tuple(o))
+        text = memo.get(key)
+        if text is None:
+            sep = "," + inner
+            text = sep.join(map(float.__repr__, o))
+            if "n" in text:     # nan or inf: no finite float spells an n
+                text = sep.join(map(_float_text, o))
+            if 0.0 not in o:
+                memo[key] = text
+        return text
+
+    # floats and strings are written in the loops, not by a call each
+    def write(o, nl):
+        t = type(o)
+        if t is float:
+            push(_float_text(o))
+        elif t is str:
+            push(encode_basestring_ascii(o))
+        elif t is dict:
+            if not o:
+                push("{}")
+                return
+            inner = nl + "  "
+            sep, comma = "{" + inner, "," + inner
+            # the order of sorted(o.items()), as distinct keys never tie
+            for k in sorted(o):
+                v = o[k]
+                k = (encode_basestring_ascii(k) if type(k) is str
+                     else _key_text(k))
+                t = type(v)
+                if t is float:
+                    text = memo.get(v)
+                    if text is None:
+                        text = float.__repr__(v)
+                        if v:       # a zero is never kept
+                            if v - v:       # nan or inf
+                                text = _NONFINITE[text]
+                            memo[v] = text
+                    push(f"{sep}{k}: {text}")
+                elif t is str:
+                    push(f"{sep}{k}: {encode_basestring_ascii(v)}")
+                else:
+                    push(f"{sep}{k}: ")
+                    write(v, inner)
+                sep = comma
+            push(nl + "}")
+        elif t is list or t is tuple:
+            if not o:
+                push("[]")
+                return
+            inner = nl + "  "
+            if set(map(type, o)) == _FLOATS:
+                push("[" + inner + floats(o, inner) + nl + "]")
+                return
+            sep, comma = "[" + inner, "," + inner
+            for v in o:
+                t = type(v)
+                if t is float:
+                    push(sep + _float_text(v))
+                elif t is str:
+                    push(sep + encode_basestring_ascii(v))
+                else:
+                    push(sep)
+                    write(v, inner)
+                sep = comma
+            push(nl + "]")
+        elif o is None:
+            push("null")
+        elif o is True:
+            push("true")
+        elif o is False:
+            push("false")
+        elif t is int:
+            push(int.__repr__(o))
+        else:
+            write(_plain(o), nl)
+
+    write(report, "\n")
+    push("\n")
+    return "".join(out)
 
 
 def report_summary_table(report) -> str:
     """Human-oriented per-check worst-residual table."""
-    worst = {}
+    worst, n_fail = {}, {}
     for c in report["checks"]:
         key = c["check"]
         cur = worst.get(key)
         if cur is None or c["rel_residual"] > cur["rel_residual"]:
             worst[key] = c
+        if not c["passed"]:
+            n_fail[key] = n_fail.get(key, 0) + 1
     lines = [f"{'check':34s} {'worst rel':>12s} {'tol':>9s} {'status':>7s}"]
     for key in sorted(worst):
         c = worst[key]
-        n_fail = sum(1 for r in report["checks"]
-                     if r["check"] == key and not r["passed"])
-        status = "ok" if n_fail == 0 else f"{n_fail} FAIL"
+        status = f"{n_fail[key]} FAIL" if key in n_fail else "ok"
         lines.append(f"{key:34s} {c['rel_residual']:12.3e} "
                      f"{c['tol']:9.0e} {status:>7s}")
     s = report["summary"]

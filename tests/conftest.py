@@ -1,4 +1,5 @@
-"""Shared finite-difference oracles, and a counter of what a call builds.
+"""Shared finite-difference oracles, a counter of what a call builds, and
+the hypothesis profile every property test runs under.
 
 Expected values in the test suite come from one of three places: hand
 calculation (noted where it happens), an independent central-difference
@@ -10,9 +11,17 @@ import sys
 from collections import Counter
 
 import numpy as np
+from hypothesis import settings
 
 from tidalbundle import connection
 from tidalbundle.jets import Jet
+
+# Property tests draw their examples from a fixed seed and keep no
+# example database, so every run of the suite gives the same verdict;
+# they stay small enough to run in it.
+settings.register_profile("tier1", derandomize=True, database=None,
+                          deadline=None, max_examples=100)
+settings.load_profile("tier1")
 
 
 def fd_gradient(fn, x, h=1e-6):

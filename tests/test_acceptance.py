@@ -119,14 +119,15 @@ def test_criterion_05_einstein_trace_profiles():
             p = phase_point(sc.metric, x, y)
             bench = _Bench(_Point(sc.metric, sc.potential, p), [alpha])
             for res in _checks((_einstein,), bench, sc.id, 0):
-                if res.check != "einstein-trace":
+                if res["check"] != "einstein-trace":
                     continue
+                rel, res_abs = res["rel_residual"], res["abs_residual"]
                 if sc is rn:
-                    assert res.rel_residual < 1e-7, (r, res.rel_residual)
-                    worst_rel = max(worst_rel, res.rel_residual)
+                    assert rel < 1e-7, (r, rel)
+                    worst_rel = max(worst_rel, rel)
                 else:
-                    assert res.abs_residual < 1e-10, (r, res.abs_residual)
-                    worst_abs = max(worst_abs, res.abs_residual)
+                    assert res_abs < 1e-10, (r, res_abs)
+                    worst_abs = max(worst_abs, res_abs)
     _ok(f"einstein trace: charged exterior rel {worst_rel:.2e} at 20 radii, "
         f"vacuum abs {worst_abs:.2e}")
 

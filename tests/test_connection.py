@@ -4,9 +4,10 @@ from conftest import fd_gradient
 
 from tidalbundle import dynamics
 from tidalbundle.connection import (PhaseFieldSpec, Sample, connection_data,
-                                    d_covariant_derivative, field_frame,
-                                    fiber_parts, phase_context, phase_point,
-                                    strong_torsion, unit_direction_low)
+                                    contortion_vector, d_covariant_derivative,
+                                    field_frame, fiber_parts, phase_context,
+                                    phase_point, strong_torsion,
+                                    unit_direction_low)
 from tidalbundle.dynamics import worldline_rhs
 from tidalbundle.errors import NullFiberError
 from tidalbundle.fields import builtin_metric, builtin_potential
@@ -240,6 +241,39 @@ def test_batched_tier_matches_each_coupling():
                     for name in BATCH_NAMES:
                         assert _bits(_coupling(getattr(batch, name), k)) == \
                             _bits(getattr(one, name)), (sid, name, alpha)
+
+
+def test_batched_phase_fields_match_each_coupling():
+    # a phase field's covariant derivative over every coupling at once
+    # equals the one-coupling samples bit for bit: the built-in fields,
+    # and a scalar that indexes a slot the batch-safe way
+    b_time = PhaseFieldSpec("", lambda ctx: ctx.B[..., 0])
+    for sid in ("reissner_nordstrom", "flat_coulomb", "flat_uniform_b"):
+        sc = builtin_scenario(sid)
+        for p in sample_phase_points(sc, 2, np.random.default_rng(3)):
+            frame = field_frame(sc.metric, sc.potential, p.x)
+            batch = Sample(frame, np.array(DEFAULT_ALPHAS), p.y)
+            for field in (unit_direction_low, contortion_vector, b_time):
+                for reference in ("full", "base"):
+                    got = batch.covariant(field, reference)
+                    for k, alpha in enumerate(DEFAULT_ALPHAS):
+                        one = Sample(frame, alpha, p.y).covariant(field,
+                                                                  reference)
+                        assert _bits(got[k]) == _bits(one), (sid, alpha)
+
+
+def test_phase_field_leading_axes_checked():
+    # a build whose value leads with anything but the coupling axis is
+    # refused by name, instead of a broadcast error or a silent broadcast
+    frame = field_frame(RN, COULOMB, X)
+    batch = Sample(frame, np.array(DEFAULT_ALPHAS), Y)
+    one = Sample(frame, ALPHA, Y)
+    picks_a_coupling = PhaseFieldSpec("", lambda ctx: ctx.B[0])
+    extra_axis = PhaseFieldSpec("d", lambda ctx: ctx.l_low[None])
+    for sample, field in ((batch, picks_a_coupling), (batch, extra_axis),
+                          (one, extra_axis)):
+        with pytest.raises(ValueError, match="phase field PhaseFieldSpec"):
+            sample.covariant(field)
 
 
 def test_curvature_of_n_takes_one_product():

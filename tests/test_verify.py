@@ -1,4 +1,5 @@
 import json
+import math
 from collections import Counter
 from types import SimpleNamespace
 from importlib import resources
@@ -7,6 +8,8 @@ import jsonschema
 import numpy as np
 import pytest
 from conftest import count_builds
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from tidalbundle.connection import (connection_data, d_covariant_derivative,
                                     phase_point, strong_torsion,
@@ -52,12 +55,66 @@ def test_report_matches_schema():
     assert json.loads(report_json(report)) == report
 
 
+_FLOAT_POOL = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1.0,
+               0.1, -2.5e-300)
+_floats = st.one_of(st.floats(), st.sampled_from(_FLOAT_POOL),
+                    st.floats().map(np.float64))
+_scalars = st.one_of(st.none(), st.booleans(), st.integers(), _floats,
+                     st.text())
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children), st.lists(children).map(tuple),
+        # lists of floats alone, repeats and zeros included
+        st.lists(st.sampled_from(_FLOAT_POOL) | st.floats(), max_size=4),
+        st.dictionaries(st.text(), children),
+        st.dictionaries(st.sampled_from(_FLOAT_POOL) | st.integers()
+                        | st.booleans() | st.none(), children),
+        st.dictionaries(st.one_of(st.text(), st.integers()), children,
+                        max_size=2))
+
+
+@given(st.recursive(_scalars, _containers, max_leaves=20))
+@example([0.0, -0.0])
+@example([-0.0, 0.0])
+@example({"a": [0.0, 1.5], "b": [-0.0, 1.5], "c": -0.0, "d": 0.0})
+@example([[1.5, math.nan], [1.5, math.nan], (0.1, -0.0), [0.1, 0.0]])
+@example({"\u00e9\n\x00": ["\u2603", "\ud83d\ude00\x7f"], "": {}})
+@example({2: 1, 2.5: [], False: 0.5, math.inf: ()})
+def test_report_json_is_json_dumps(obj):
+    # the canonical writer gives json.dumps's bytes, or its TypeError
+    try:
+        want = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    except TypeError:
+        with pytest.raises(TypeError):
+            report_json(obj)
+    else:
+        assert report_json(obj) == want
+
+
+@pytest.mark.parametrize("bad", [np.int64(1), {1, 2}, object(),
+                                 [1.0, np.int64(2)], {(1, 2): 1.0},
+                                 {"a": 1, 2: 3}])
+def test_report_json_rejects_what_json_dumps_rejects(bad):
+    with pytest.raises(TypeError) as want:
+        json.dumps(bad, indent=2, sort_keys=True)
+    with pytest.raises(TypeError) as got:
+        report_json(bad)
+    assert str(got.value) == str(want.value)
+
+
 def test_negative_control_fails_only_torsion():
     report = run_suite([builtin_scenario("negative_control")],
                        points=4, seed=1)
     failed = {c["check"] for c in report["checks"] if not c["passed"]}
     assert failed == {"strong-torsion"}
     assert report["summary"]["fail"] > 0
+    # the table counts the check's failed rows
+    n_failed = sum(not c["passed"] for c in report["checks"])
+    row = next(line for line in report_summary_table(report).splitlines()
+               if line.startswith("strong-torsion "))
+    assert row.endswith(f" {n_failed} FAIL")
 
 
 def test_summary_table_readable():
@@ -91,13 +148,15 @@ def test_check_groups_pass_individually():
                _einstein):
         results = _checks((fn,), bench, sc.id, 0)
         assert results, fn.__name__
-        assert {r.alpha for r in results} == set(DEFAULT_ALPHAS)
+        assert {r["alpha"] for r in results} == set(DEFAULT_ALPHAS)
         for r in results:
-            assert r.passed, (fn.__name__, r.check, r.rel_residual)
-            assert r.tol == TOLERANCES[r.check]
-            d = r.to_dict()
-            assert isinstance(d["x"], list)
-            assert isinstance(d["passed"], bool)
+            assert r["passed"], (fn.__name__, r["check"], r["rel_residual"])
+            assert r["tol"] == TOLERANCES[r["check"]]
+            assert isinstance(r["x"], list)
+            assert isinstance(r["passed"], bool)
+        # each row owns its x and y lists
+        lists = [id(r[k]) for r in results for k in ("x", "y")]
+        assert len(set(lists)) == len(lists)
 
 
 def test_several_rows_judged_by_worst_per_coupling():
@@ -113,8 +172,8 @@ def test_several_rows_judged_by_worst_per_coupling():
         yield "homogeneity-ladder", lhs, [[0.75], [0.5], [1.0]], 2.0, None
         yield "homogeneity-ladder", lhs, 0.5, [2.0, 4.0, 0.25], None
 
-    got = [(r.alpha, r.rhs_magnitude, r.abs_residual, r.rel_residual)
-           for r in _checks((rungs,), bench, "s", 0)]
+    got = [(r["alpha"], r["rhs_magnitude"], r["abs_residual"],
+            r["rel_residual"]) for r in _checks((rungs,), bench, "s", 0)]
     assert got == [(-1.0, 0.5, 0.5, 0.25), (0.0, 0.5, 0.5, 0.25),
                    (2.0, 0.5, 0.5, 2.0)]
 
@@ -124,7 +183,7 @@ def test_several_rows_judged_by_worst_per_coupling():
         yield "homogeneity-ladder", lhs, [[0.5], [np.nan], [0.5]], 1.0, None
         yield "homogeneity-ladder", lhs, [[np.nan], [0.75], [0.75]], 1.0, None
 
-    got = [r.rel_residual for r in _checks((nan_rungs,), bench, "s", 0)]
+    got = [r["rel_residual"] for r in _checks((nan_rungs,), bench, "s", 0)]
     assert np.isnan(got[0]) and got[1:] == [0.25, 0.5]
 
 
@@ -139,7 +198,7 @@ def test_alpha_zero_skips_full_trace():
     assert names == {"einstein-trace", "einstein-trace-full"}
     # over a batch the full trace carries only its nonzero couplings
     bench = _Bench(point, DEFAULT_ALPHAS)
-    judged = {(r.check, r.alpha)
+    judged = {(r["check"], r["alpha"])
               for r in _checks((_einstein,), bench, sc.id, 0)}
     assert judged == ({("einstein-trace", a) for a in DEFAULT_ALPHAS}
                       | {("einstein-trace-full", a) for a in DEFAULT_ALPHAS

@@ -139,6 +139,7 @@ def cmd_compute(args) -> int:
 
 
 def _finish_trajectory(traj, args, plot_series, plot_title, ylabel) -> int:
+    log.info("%s: %d right-hand-side evaluations", traj.method, traj.nfev)
     _emit(trajectory_csv(traj), args.out)
     if args.plot:
         svg = line_plot(plot_series, title=plot_title, xlabel="t", ylabel=ylabel)

@@ -44,13 +44,12 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import FrameMismatchError
 from .fields import (MetricField, MetricPack, PotentialField, PotentialPack,
-                     coords_compatible)
+                     cached_property, coords_compatible)
 from .jets import Jet, bjeinsum, jeinsum, jsqrt, value_of
 from .tensors import DIM, PhasePoint, norm_and_sign
 
@@ -375,7 +374,9 @@ class PhaseFieldSpec:
     (B, N, Gaff, ...) carry the coupling axis ahead of their tensor
     slots, so build indexes a slot from the end: ctx.B[..., 0], not
     ctx.B[0], which would pick a coupling.  Its value may lead with that
-    coupling axis or lack it; any other leading axis is refused.
+    coupling axis or lack it; any other leading axis is refused.  A batch
+    of exactly DIM couplings also runs build on its first coupling alone,
+    since there a picked slot and the coupling axis have the same length.
     """
 
     variance: str
@@ -481,11 +482,17 @@ def _covariant(frame, ctx, field, reference):
     coupling, so a batch equals its couplings bit for bit.
     """
     T = field.build(ctx)
-    lead = T.v.shape[:T.v.ndim - len(field.variance)]
-    if lead not in ((), np.shape(ctx.alpha)):
-        raise ValueError(
-            f"phase field {field!r} built values with leading axes {lead}; "
-            f"expected none or the coupling axis {np.shape(ctx.alpha)}")
+    builds = [(T, np.shape(ctx.alpha))]
+    if ctx.batched and len(ctx.alpha) == DIM:
+        # a slot indexed as a coupling (ctx.B[0]) leaves a leading axis as
+        # long as this coupling axis; on one coupling it cannot pass
+        builds.append((field.build(ctx.at(ctx.alpha[:1])), (1,)))
+    for built, couplings in builds:
+        lead = built.v.shape[:built.v.ndim - len(field.variance)]
+        if lead not in ((), couplings):
+            raise ValueError(
+                f"phase field {field!r} built values with leading axes "
+                f"{lead}; expected none or the coupling axis {couplings}")
     if reference == "base":
         N_value = value_of(ctx.n1)
         coeff = frame.gamma

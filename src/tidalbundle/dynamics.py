@@ -62,6 +62,7 @@ class Trajectory:
     exit_time: float              # last in-chart parameter when truncated
     norm_drift: float             # max |g(y,y) - g(y0,y0)| over samples
     method: str
+    nfev: int                     # right-hand-side evaluations
     w: np.ndarray = None          # deviation components, when integrated
     v: np.ndarray = None          # deviation rate, channel per rate_channel
     rate_channel: str = None      # "adapted" or "levi-civita"
@@ -101,8 +102,9 @@ _MAX_STEPS_EXCEEDED = ("integrator exceeded max_steps; the step size is too "
 def _integrate(rhs, state0, cfg, metric, potential):
     """Shared driver: adaptive or fixed-step, with chart-guard truncation.
 
-    Returns (t, states, truncated, exit_time).  Samples lie on the uniform
-    grid over cfg.t_span; on truncation only in-chart samples are kept.
+    Returns (t, states, truncated, exit_time, nfev), nfev the number of
+    right-hand-side evaluations.  Samples lie on the uniform grid over
+    cfg.t_span; on truncation only in-chart samples are kept.
     """
     cfg.validate()
     t0, t1 = map(float, cfg.t_span)
@@ -128,7 +130,7 @@ def _integrate(rhs, state0, cfg, metric, potential):
             raise ChartDomainError(f"integration failed: {sol.message}")
         truncated = sol.status == 1
         exit_time = float(sol.t_events[0][0]) if truncated else t1
-        return sol.t, sol.y.T, truncated, exit_time
+        return sol.t, sol.y.T, truncated, exit_time, nfev[0]
 
     dt = cfg.step if cfg.step is not None else (t1 - t0) / 2000.0
     states = [np.asarray(state0, dtype=float)]
@@ -151,10 +153,11 @@ def _integrate(rhs, state0, cfg, metric, potential):
             # guard every substep: between samples a worldline can leave
             # the chart and run off to infinity before the next sample
             if not _combined_margin(metric, potential, s[:DIM]) > 0.0:
-                return (t_eval[:k], np.array(states), True, float(t))
+                return (t_eval[:k], np.array(states), True, float(t),
+                        4 * taken)
             t += h
         states.append(s)
-    return t_eval, np.array(states), False, t1
+    return t_eval, np.array(states), False, t1, 4 * taken
 
 
 def _drift(metric, t, xs, ys):
@@ -169,12 +172,13 @@ def _trajectory(rhs, cfg, metric, potential, init: PhasePoint,
     """Integrate from init, plus a deviation (w0, v0) in rate_channel."""
     state0 = np.concatenate([init.x, init.y,
                              *(np.asarray(d, float) for d in deviation)])
-    t, states, truncated, exit_time = _integrate(rhs, state0, cfg, metric, potential)
+    t, states, truncated, exit_time, nfev = _integrate(rhs, state0, cfg,
+                                                       metric, potential)
     xs, ys = states[:, :DIM], states[:, DIM:2 * DIM]
     w, v = (states[:, 8:12], states[:, 12:16]) if deviation else (None, None)
     return Trajectory(t=t, x=xs, y=ys, truncated=truncated, exit_time=exit_time,
                       norm_drift=_drift(metric, t, xs, ys), method=cfg.method,
-                      w=w, v=v, rate_channel=rate_channel)
+                      nfev=nfev, w=w, v=v, rate_channel=rate_channel)
 
 
 def integrate_worldline(metric, potential, alpha, init: PhasePoint,

@@ -14,6 +14,13 @@ the Riemann and Ricci tensors, PotentialPack the field strength and its
 derivative.  So each is computed at most once per pack, and only if
 something reads it.
 
+A catalog field whose pack does not depend on the point (Minkowski in
+its Cartesian chart, the zero potential) builds that pack once, with
+the field, and every pack(x) returns the same object.  Its derived
+tensors are read at build, so they too are computed once per field, and
+every array it holds is read-only: an in-place write raises instead of
+reaching every later point.  pack(x, check=True) still guards the point.
+
 Units: geometrized Gaussian, c = G = k_Coulomb = 1.  Charges and field
 strengths carry the same mass units as M.  Spherical charts use
 (t, r, theta, phi); flat charts use (t, x, y, z).
@@ -22,7 +29,6 @@ strengths carry the same mass units as M.  Spherical charts use
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -31,6 +37,45 @@ from .jets import Jet
 
 DIM = 4
 SIN_THETA_FLOOR = 1e-8
+
+
+class cached_property:
+    """A read-once attribute: the first read stores the value in the
+    instance __dict__, which then answers every later read.
+
+    functools.cached_property does the same, but on Python 3.10 and 3.11
+    every first read takes a lock that all instances of the class share,
+    a cost each pack, frame and fiber tier pays per attribute it derives.
+    This one takes no lock: two threads racing on a first read may both
+    compute the value, and either store is the same value.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
+
+
+def _constant(pack):
+    """The pack function of a field whose pack does not depend on x.
+
+    Every derived tensor of pack is read here, once, and every array it
+    holds is made read-only, since all points share them.
+    """
+    for name, attr in vars(type(pack)).items():
+        if isinstance(attr, cached_property):
+            getattr(pack, name)
+    for array in vars(pack).values():
+        array.flags.writeable = False
+    return lambda x: pack
 
 
 @dataclass(frozen=True)
@@ -223,12 +268,12 @@ def builtin_metric(name, params=None) -> MetricField:
         if params:
             raise ValueError(f"unexpected minkowski params {sorted(params)}")
         if coords == "cartesian":
-            eta = np.diag([-1.0, 1.0, 1.0, 1.0])
-            zero3 = np.zeros((DIM, DIM, DIM))
-            zero4 = np.zeros((DIM, DIM, DIM, DIM))
+            flat = MetricPack(np.diag([-1.0, 1.0, 1.0, 1.0]),
+                              np.zeros((DIM, DIM, DIM)),
+                              np.zeros((DIM, DIM, DIM, DIM)))
             return MetricField(
                 name, {"coordinates": coords}, "cartesian", ("t", "x", "y", "z"),
-                lambda x: MetricPack(eta, zero3, zero4),
+                _constant(flat),
                 lambda x: np.array([1.0]),
                 is_flat=True,
             )
@@ -301,17 +346,14 @@ _B_COMPONENTS = {"z": (1, 2), "x": (2, 3), "y": (3, 1)}
 def builtin_potential(name, params=None) -> PotentialField:
     """Catalog lookup: zero, uniform_b(B, axis), uniform_e(E, axis), coulomb(Q), pure_gauge(c)."""
     params = dict(params or {})
-    zero1 = np.zeros(DIM)
-    zero2 = np.zeros((DIM, DIM))
     zero3 = np.zeros((DIM, DIM, DIM))
     always = lambda x: np.array([1.0])
 
     if name == "zero":
         if params:
             raise ValueError("zero potential takes no params")
-        return PotentialField(
-            name, {}, "any", lambda x: PotentialPack(zero1, zero2, zero3), always
-        )
+        none = PotentialPack(np.zeros(DIM), np.zeros((DIM, DIM)), zero3)
+        return PotentialField(name, {}, "any", _constant(none), always)
 
     if name == "uniform_b":
         B = float(params.pop("B"))

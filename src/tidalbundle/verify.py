@@ -53,7 +53,7 @@ on every row of a point.
 from __future__ import annotations
 
 import math
-from functools import cached_property, reduce
+from functools import reduce
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import NamedTuple
@@ -63,7 +63,7 @@ import numpy as np
 from . import __version__
 from .connection import (FiberParts, Sample, contortion_vector, field_frame,
                          unit_direction_low)
-from .fields import current, stress_energy_em
+from .fields import cached_property, current, stress_energy_em
 from .tensors import DIM, PhasePoint
 
 DEFAULT_ALPHAS = (-1.0, 0.0, 0.5, 1.0, 3.0)

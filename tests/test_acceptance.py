@@ -8,6 +8,7 @@ once at 50 points per scenario and shared by the tests that slice it.
 import hashlib
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,6 +39,13 @@ REPORT_SHA256 = \
     "c69b61d1775cb523d5d753a63616f2e9434a0b8a9e364569bc6f5d5b2f96217c"
 COMPUTE_SHA256 = \
     "3567d039d843cf9a5799d1e4235fefcdfe103f6fa4fe84ba8a69c3123f6b72e4"
+# trajectory_csv of two short runs on the scenarios' own integrators:
+# the cyclotron worldline over t in [0, 1] and the schwarzschild_circular
+# tidal deviation over t in [0, 20], 11 samples each.
+CYCLOTRON_CSV_SHA256 = \
+    "561b826c8add8bcf4a2479d402a9622be8edc6d9dde3ef776b043111ae3fd9d1"
+CIRCULAR_DEVIATION_CSV_SHA256 = \
+    "44bcd0f2c674270b5f47c9c9e8b599d26a9dbdad14f7548c8e8eebad46b600ae"
 
 STRUCTURAL = {
     "reconstruction", "ricci-hessian", "ricci-base-reduction",
@@ -277,6 +285,22 @@ def test_criterion_09_determinism_and_exit_codes(tmp_path, suite_report,
     assert main(["simulate", "--scenario", str(infall),
                  "--out", str(tmp_path / "i.csv")]) == 3
     _ok("determinism: byte-identical reports and CSV; exit codes 0/1/2/3")
+
+
+def test_trajectory_bytes_pinned():
+    sc = builtin_scenario("cyclotron")
+    cfg = replace(sc.integrator, t_span=(0.0, 1.0), samples=11)
+    text = trajectory_csv(integrate_worldline(sc.metric, sc.potential,
+                                              sc.alpha, sc.initial_point, cfg))
+    assert hashlib.sha256(text.encode()).hexdigest() == CYCLOTRON_CSV_SHA256
+    sc = builtin_scenario("schwarzschild_circular")
+    cfg = replace(sc.integrator, t_span=(0.0, 20.0), samples=11)
+    text = trajectory_csv(integrate_deviation_tidal(
+        sc.metric, sc.potential, sc.alpha, sc.initial_point, sc.w0, sc.v0,
+        cfg))
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == CIRCULAR_DEVIATION_CSV_SHA256)
+    _ok("dynamics: pinned worldline and deviation CSV bytes")
 
 
 def test_criterion_10_negative_control(suite_report, tmp_path):

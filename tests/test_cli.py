@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -85,6 +86,29 @@ def test_deviate_outputs_rate_columns(tmp_path, capsys):
     assert header.endswith("w0,w1,w2,w3,v0,v1,v2,v3")
     assert main(["deviate", "--scenario", "flat_vacuum"]) == 2
     assert "deviation" in capsys.readouterr().err
+
+
+def test_trajectory_commands_log_rhs_count(tmp_path, capsys, caplog):
+    # at info level simulate and deviate log the integrator's right-hand-
+    # side count; the CSV bytes on stdout are the same at every level
+    assert main(["simulate", "--echo-defaults", "--scenario",
+                 "cyclotron"]) == 0
+    raw = json.loads(capsys.readouterr().out)
+    raw["integrator"].update(method="rk4-fixed", t_span=[0.0, 1.0],
+                             samples=11, step=0.25)
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(raw))
+    for command in ("simulate", "deviate"):
+        outs = []
+        for level in (logging.WARNING, logging.INFO):
+            caplog.clear()
+            with caplog.at_level(level, logger="tidalbundle"):
+                assert main([command, "--scenario", str(path)]) == 0
+            outs.append(capsys.readouterr().out)
+        # 10 segments of 0.1, one rk4 substep each, four evaluations a step
+        assert caplog.messages == ["rk4-fixed: 40 right-hand-side evaluations"]
+        assert outs[0] == outs[1]
+        assert "right-hand-side" not in outs[1]
 
 
 def test_verify_exit_codes(tmp_path, capsys):

@@ -276,6 +276,24 @@ def test_phase_field_leading_axes_checked():
             sample.covariant(field)
 
 
+def test_phase_field_on_dim_couplings():
+    # on exactly DIM couplings a picked slot is as long as the coupling
+    # axis; the pick is still refused, and the batch-safe spelling still
+    # equals each coupling bit for bit
+    alphas = np.array([-1.0, 0.5, 1.0, 3.0])
+    assert len(alphas) == 4
+    frame = field_frame(RN, COULOMB, np.array([0.0, 8.0, 1.2, 0.4]))
+    batch = Sample(frame, alphas, Y)
+    with pytest.raises(ValueError, match="phase field PhaseFieldSpec"):
+        batch.covariant(PhaseFieldSpec("", lambda ctx: ctx.B[0]))
+    b_time = PhaseFieldSpec("", lambda ctx: ctx.B[..., 0])
+    for field in (b_time, unit_direction_low, contortion_vector):
+        got = batch.covariant(field)
+        for k, alpha in enumerate(alphas):
+            one = Sample(frame, alpha, Y).covariant(field)
+            assert _bits(got[k]) == _bits(one), (field, alpha)
+
+
 def test_curvature_of_n_takes_one_product():
     # R3 forms N^l_k G^i_jl once and transposes it for N^l_j G^i_kl; that
     # equals the two-product form bit for bit

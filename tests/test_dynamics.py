@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+from tidalbundle import dynamics
 from tidalbundle.connection import phase_point
 from tidalbundle.dynamics import (IntegratorConfig, convert_deviation_frame,
                                   integrate_deviation_classical,
@@ -129,6 +130,33 @@ def test_fixed_step_guards_every_substep():
         np.testing.assert_array_equal(traj.x, [x0])
     # the last in-chart substep lies within one step of the adaptive exit
     assert 0.0 < fixed.exit_time <= adaptive.exit_time < fixed.exit_time + 0.02
+
+
+def test_fixed_step_nfev_is_four_per_substep():
+    # two sample intervals of 0.5 at step 0.25: 4 substeps, 16 evaluations
+    p, _ = _cyclotron_start()
+    cfg = IntegratorConfig(method="rk4-fixed", t_span=(0.0, 1.0), samples=3,
+                           step=0.25)
+    assert integrate_worldline(CART, UB, 0.7, p, cfg).nfev == 16
+    w0, v0 = np.array([0.0, 0.5, -0.3, 0.7]), np.zeros(4)
+    assert integrate_deviation_tidal(CART, UB, 0.7, p, w0, v0, cfg).nfev == 16
+
+
+@pytest.mark.parametrize("method", ["rk45-adaptive", "rk4-fixed"])
+def test_nfev_counts_every_rhs_call(monkeypatch, method):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return worldline_rhs(*args)
+
+    worldline_rhs = dynamics.worldline_rhs
+    monkeypatch.setattr(dynamics, "worldline_rhs", counted)
+    p, _ = _cyclotron_start()
+    cfg = IntegratorConfig(method=method, t_span=(0.0, 2.0), samples=5,
+                           step=0.1)
+    traj = integrate_worldline(CART, UB, 0.7, p, cfg)
+    assert traj.nfev == len(calls) > 0
 
 
 @pytest.mark.parametrize("method", ["rk45-adaptive", "rk4-fixed"])

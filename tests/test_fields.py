@@ -1,11 +1,18 @@
+import ast
+import functools
+from dataclasses import dataclass
+from pathlib import Path
+
 import numpy as np
 import pytest
 from conftest import fd_gradient, fd_hessian
 
+import tidalbundle
 from tidalbundle.connection import field_frame
 from tidalbundle.errors import ChartDomainError
-from tidalbundle.fields import (base_riemann, builtin_metric,
-                                builtin_potential, christoffel,
+from tidalbundle.fields import (MetricPack, PotentialPack, base_riemann,
+                                builtin_metric, builtin_potential,
+                                cached_property, christoffel,
                                 coords_compatible, current, faraday,
                                 gravity_tidal, metric_from_callable,
                                 potential_from_callable, stress_energy_em)
@@ -204,6 +211,111 @@ def test_coords_compatibility():
     cart = builtin_metric("minkowski")
     assert not coords_compatible(cart, builtin_potential("coulomb", {"Q": 1.0}))
     assert coords_compatible(cart, builtin_potential("zero"))
+
+
+# ---------------------------------------------------------------------------
+# packs built once per field, and the read-once attribute
+
+
+def _derived(pack):
+    """Every read-once tensor of a pack, read."""
+    return {name: getattr(pack, name) for name, attr in vars(type(pack)).items()
+            if isinstance(attr, cached_property)}
+
+
+def test_constant_packs_are_built_once_per_field():
+    # fields whose pack does not depend on x hand every point one pack,
+    # with the same bits as a fresh build of it
+    cart, zero = builtin_metric("minkowski"), builtin_potential("zero")
+    assert cart.pack(X_CART) is cart.pack(-X_CART)
+    assert cart.pack(X_CART) is cart.pack(X_CART, check=False)
+    assert zero.pack(X_CART) is zero.pack(X_SPH)
+    fresh = (MetricPack(np.diag([-1.0, 1.0, 1.0, 1.0]), np.zeros((4, 4, 4)),
+                        np.zeros((4, 4, 4, 4))),
+             PotentialPack(np.zeros(4), np.zeros((4, 4)), np.zeros((4, 4, 4))))
+    for shared, ref in zip((cart.pack(X_CART), zero.pack(X_CART)), fresh):
+        want = {**vars(ref), **_derived(ref)}
+        assert set(vars(shared)) == set(want)
+        for name, value in want.items():
+            assert getattr(shared, name).tobytes() == value.tobytes(), name
+    # the shared pack still guards the point
+    with pytest.raises(ChartDomainError):
+        cart.pack(np.array([np.nan, 0.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("field, x", [
+    (builtin_metric("minkowski", {"coordinates": "spherical"}), X_SPH),
+    (builtin_metric("schwarzschild", {"M": 1.0}), X_SPH),
+    (builtin_metric("reissner_nordstrom", {"M": 1.0, "Q": 0.5}), X_SPH),
+    (builtin_potential("coulomb", {"Q": 0.5}), X_SPH),
+    (builtin_potential("uniform_b", {"B": 1.5}), X_CART),
+], ids=["minkowski-spherical", "schwarzschild", "reissner_nordstrom",
+        "coulomb", "uniform_b"])
+def test_point_dependent_packs_are_fresh(field, x):
+    assert field.pack(x) is not field.pack(x)
+    assert not vars(field.pack(x)).keys() - {"g", "dg", "d2g", "A", "dA", "d2A"}
+
+
+def test_shared_pack_is_read_only():
+    # a write into the one pack every point shares raises, inputs and
+    # derived tensors alike, and so does one through a frame
+    cart, zero = builtin_metric("minkowski"), builtin_potential("zero")
+    for pack in (cart.pack(X_CART), zero.pack(X_CART)):
+        for name, value in vars(pack).items():
+            assert not value.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                value[...] = 1.0
+    frame = field_frame(cart, zero, X_CART)
+    with pytest.raises(ValueError, match="read-only"):
+        frame.gamma[1, 0, 0] += 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        frame.dF[...] *= 2.0
+    np.testing.assert_array_equal(cart.pack(X_CART).gamma, 0.0)
+    np.testing.assert_array_equal(zero.pack(X_CART).dF, 0.0)
+
+
+def test_read_once_attribute_behaves_like_functools():
+    reads = []
+
+    @dataclass(frozen=True)
+    class Frozen:
+        a: float
+
+        @cached_property
+        def twice(self):
+            """2a."""
+            reads.append(self.a)
+            return 2.0 * self.a
+
+    assert isinstance(Frozen.twice, cached_property)
+    assert Frozen.twice.__doc__ == "2a."
+    f = Frozen(1.5)
+    assert "twice" not in vars(f)
+    assert f.twice == 3.0 and f.twice == 3.0
+    assert vars(f)["twice"] == 3.0
+    assert reads == [1.5]
+    # a pack's derived tensor lands in its own vars, like the stdlib's
+    pk = builtin_metric("schwarzschild", {"M": 1.0}).pack(X_SPH)
+    assert "gamma" not in vars(pk)
+    assert pk.gamma is pk.gamma is vars(pk)["gamma"]
+
+
+def test_no_module_uses_functools_cached_property():
+    # functools.cached_property takes a lock on every first read on Python
+    # 3.10 and 3.11; the package reads through fields.cached_property
+    offenders = []
+    for path in Path(tidalbundle.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.ImportFrom) and node.module == "functools"
+                    and any(a.name == "cached_property" for a in node.names)):
+                offenders.append(path.name)
+            if (isinstance(node, ast.Attribute)
+                    and node.attr == "cached_property"
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "functools"):
+                offenders.append(path.name)
+    assert offenders == []
+    assert cached_property is not functools.cached_property
 
 
 def _basis(i, j):

@@ -11,7 +11,8 @@ Subcommands
 Exit codes: 0 success, 1 verification failures, 2 bad input (scenario,
 chart, or argument errors), 3 integration left the chart early (partial
 output is still written).  Set TIDAL_LOG=info (or debug) for progress
-messages on stderr.
+messages on stderr, among them the right-hand-side count of simulate and
+deviate.
 """
 
 from __future__ import annotations

@@ -17,6 +17,12 @@ worst = max(report["checks"], key=lambda c: c["rel_residual"])
 print(f"worst single check: {worst['check']} on {worst['scenario']} "
       f"(alpha = {worst['alpha']}), rel residual {worst['rel_residual']:.2e}")
 
+# headroom is worst rel / tol: how much of its tolerance each check used
+name, entry = max(report["check_summary"].items(),
+                  key=lambda item: item[1]["headroom"])
+print(f"least headroom: {name} used {entry['headroom']:.1e} of its "
+      f"tolerance {entry['tol']:.0e}")
+
 print("\nnegative control: same pipeline, connection nudged off-spray\n")
 neg = run_suite([builtin_scenario("negative_control")], points=5, seed=0)
 failed = sorted({c["check"] for c in neg["checks"] if not c["passed"]})

@@ -276,9 +276,12 @@ def cmd_list(args) -> int:
 
 def _alpha_list(text: str):
     try:
-        return tuple(float(v) for v in text.split(",") if v.strip())
+        alphas = tuple(float(v) for v in text.split(",") if v.strip())
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad alpha list {text!r}")
+    if not alphas:
+        raise argparse.ArgumentTypeError(f"alpha list {text!r} has no values")
+    return alphas
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -41,20 +41,21 @@ stay exact.  A check with several rows (the homogeneity ladder's rungs)
 is judged at each coupling by its worst row.  Every reduction is a max,
 so the judged numbers are the ones a bench per coupling would give.
 
-The report: the judge emits each verdict as the report's own row dict
-(plain Python values; every row owns its x and y lists), and run_suite
-sorts and counts those rows in one pass.  report_json's contract is the
-exact bytes of json.dumps(report, indent=2, sort_keys=True) plus a
-newline.  It formats each distinct list of floats, and each distinct
-float held in a dict, once per call, since x, y, alpha and tol repeat
-on every row of a point.
+The report (schema 2): each sampled point is stored once in points, with
+its x, y, causal sign and conditioning number max|y|^2 / |g(y,y)|, and
+each check name once in check_summary, with its tol, worst rel (a NaN
+rel is the worst), headroom (worst rel / tol) and failure count.  The
+judge emits each verdict as a checks row naming its point by (scenario,
+point); run_suite sorts the rows and folds them into the summaries in one
+pass.  report_json is json.dumps(report, indent=2, sort_keys=True) plus a
+newline.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from functools import reduce
-from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -105,7 +106,6 @@ class _Point:
     def __init__(self, metric, potential, p: PhasePoint):
         self.p = p
         self.y = y = np.asarray(p.y, dtype=float)
-        self.xy = (tuple(float(v) for v in p.x), tuple(float(v) for v in y))
         self.frame = fr = field_frame(metric, potential, p.x)
         # the three tiers, each built on first read at alpha = 0; every
         # bench rebinds their coupling-free cores to its own coupling
@@ -240,14 +240,13 @@ def _checks(groups, bench, scenario_id, point):
     several rows (the homogeneity ladder's rungs) is judged at each
     coupling by its worst row, the last one with the largest rel.  Each
     verdict is returned as the report's own row dict (plain Python
-    values; x and y are fresh lists in every row).
+    values).
     """
     judged = {}
     for group in groups:
         for check, lhs, rhs, scale, at in group(bench):
             judged.setdefault(check, (at, []))[1].append(
                 _residuals(lhs, rhs, scale))
-    x, y = bench.pt.xy
     results = []
     for check, (at, rows) in judged.items():
         parts = reduce(lambda top, row: np.where(row[3] > top[3], row, top),
@@ -258,9 +257,9 @@ def _checks(groups, bench, scenario_id, point):
                 alphas.tolist(), parts.T.tolist()):
             results.append({
                 "check": check, "scenario": scenario_id, "point": point,
-                "alpha": alpha, "x": list(x), "y": list(y),
-                "lhs_magnitude": lhs_mag, "rhs_magnitude": rhs_mag,
-                "abs_residual": abs_res, "rel_residual": rel, "tol": tol,
+                "alpha": alpha, "lhs_magnitude": lhs_mag,
+                "rhs_magnitude": rhs_mag, "abs_residual": abs_res,
+                "rel_residual": rel,
                 "passed": rel <= tol or abs_res <= _ABS_FLOOR})
     return results
 
@@ -472,30 +471,49 @@ def run_suite(scenarios, points=50, seed=0, alphas=None, progress=None):
     alphas = tuple(float(a) for a in (alphas or DEFAULT_ALPHAS))
     ordered = sorted(scenarios, key=lambda s: s.id)
     rng = np.random.default_rng(seed)
-    checks = []
+    sampled, checks = [], []
     for scenario in ordered:
         groups = _GROUPS + ((_einstein,) if scenario.einstein_consistent
                             else ())
         pts = sample_phase_points(scenario, points, rng)
         for idx, p in enumerate(pts):
+            sampled.append({
+                "scenario": scenario.id, "point": idx,
+                "x": p.x.tolist(), "y": p.y.tolist(),
+                "causal_sign": p.causal_sign,
+                "conditioning": float(np.abs(p.y).max()) ** 2 / p.norm ** 2})
             bench = _Bench(_Point(scenario.metric, scenario.potential, p),
                            alphas, scenario.nonspray_perturbation)
             checks += _checks(groups, bench, scenario.id, idx)
             if progress is not None:
                 progress(scenario.id, idx)
     checks.sort(key=itemgetter("scenario", "point", "alpha", "check"))
-    n_pass, max_rel = 0, 0.0
+    by_check, max_rel = {}, 0.0
     for c in checks:
-        n_pass += c["passed"]
-        if math.isfinite(c["rel_residual"]):
-            max_rel = max(max_rel, c["rel_residual"])
+        entry = by_check.get(c["check"])
+        if entry is None:
+            entry = by_check[c["check"]] = {
+                "tol": TOLERANCES[c["check"]], "worst_rel": 0.0, "failures": 0}
+        rel = c["rel_residual"]
+        # a NaN rel is the worst, whatever the order of the rows
+        if rel > entry["worst_rel"] or math.isnan(rel):
+            entry["worst_rel"] = rel
+        entry["failures"] += not c["passed"]
+        if math.isfinite(rel):
+            max_rel = max(max_rel, rel)
+    for entry in by_check.values():
+        entry["headroom"] = entry["worst_rel"] / entry["tol"]
+    n_fail = sum(entry["failures"] for entry in by_check.values())
     return {
+        "schema": 2,
         "version": __version__,
         "seed": int(seed),
         "config": {"points": int(points), "alphas": list(alphas)},
         "scenarios": [s.id for s in ordered],
+        "points": sampled,
         "checks": checks,
-        "summary": {"pass": int(n_pass), "fail": int(len(checks) - n_pass),
+        "check_summary": by_check,
+        "summary": {"pass": len(checks) - n_fail, "fail": n_fail,
                     "max_rel_residual": float(max_rel)},
     }
 
@@ -540,172 +558,19 @@ def alpha_sweep(scenario, alphas, points=10, seed=0):
     return rows
 
 
-# json.dumps spells the non-finite floats its own way
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_FLOATS = {float}
-
-
-def _float_text(o):
-    text = float.__repr__(o)
-    return _NONFINITE.get(text, text)
-
-
-def _key_text(k):
-    """A dict key as json.dumps writes it, quoted."""
-    if isinstance(k, str):
-        pass
-    elif isinstance(k, float):
-        k = _float_text(k)
-    elif k is True:
-        k = "true"
-    elif k is False:
-        k = "false"
-    elif k is None:
-        k = "null"
-    elif isinstance(k, int):
-        k = int.__repr__(k)
-    else:
-        raise TypeError("keys must be str, int, float, bool or None, "
-                        f"not {k.__class__.__name__}")
-    return encode_basestring_ascii(k)
-
-
-def _plain(o):
-    """A value of a subclass of a JSON type, as the built-in type."""
-    if isinstance(o, str):
-        return str.__str__(o)
-    if isinstance(o, int):
-        return int.__index__(o)
-    if isinstance(o, float):
-        return float.__float__(o)
-    if isinstance(o, (list, tuple)):
-        return list(o)
-    if isinstance(o, dict):
-        return dict(o.items())
-    raise TypeError(f"Object of type {o.__class__.__name__} "
-                    "is not JSON serializable")
-
-
 def report_json(report) -> str:
-    """Canonical serialization: sorted keys, shortest round-trip floats.
-
-    The text is exactly json.dumps(report, indent=2, sort_keys=True) plus
-    a newline, for any payload json.dumps takes, and a value or key it
-    rejects raises the same TypeError.
-
-    A report repeats most of its floats: x and y on every row of a point,
-    alpha and tol on every row, and many residual magnitudes.  So each
-    distinct list of floats, and each distinct float that is a dict value,
-    is formatted once per call and its text reused.  Any other float (in
-    a list that also holds other types, or standing alone) is formatted
-    where it stands, as json.dumps does: a memo only pays where floats
-    repeat, and a memo miss costs about half of what a hit saves.  Zeros
-    are formatted every time: a dict keyed by float (or by a tuple of
-    floats) holds 0.0 and -0.0 as one key.
-    """
-    memo, out = {}, []
-    push = out.append
-
-    def floats(o, inner):
-        """The items of a list of floats, joined at one indent level."""
-        key = (inner, tuple(o))
-        text = memo.get(key)
-        if text is None:
-            sep = "," + inner
-            text = sep.join(map(float.__repr__, o))
-            if "n" in text:     # nan or inf: no finite float spells an n
-                text = sep.join(map(_float_text, o))
-            if 0.0 not in o:
-                memo[key] = text
-        return text
-
-    # floats and strings are written in the loops, not by a call each
-    def write(o, nl):
-        t = type(o)
-        if t is float:
-            push(_float_text(o))
-        elif t is str:
-            push(encode_basestring_ascii(o))
-        elif t is dict:
-            if not o:
-                push("{}")
-                return
-            inner = nl + "  "
-            sep, comma = "{" + inner, "," + inner
-            # the order of sorted(o.items()), as distinct keys never tie
-            for k in sorted(o):
-                v = o[k]
-                k = (encode_basestring_ascii(k) if type(k) is str
-                     else _key_text(k))
-                t = type(v)
-                if t is float:
-                    text = memo.get(v)
-                    if text is None:
-                        text = float.__repr__(v)
-                        if v:       # a zero is never kept
-                            if v - v:       # nan or inf
-                                text = _NONFINITE[text]
-                            memo[v] = text
-                    push(f"{sep}{k}: {text}")
-                elif t is str:
-                    push(f"{sep}{k}: {encode_basestring_ascii(v)}")
-                else:
-                    push(f"{sep}{k}: ")
-                    write(v, inner)
-                sep = comma
-            push(nl + "}")
-        elif t is list or t is tuple:
-            if not o:
-                push("[]")
-                return
-            inner = nl + "  "
-            if set(map(type, o)) == _FLOATS:
-                push("[" + inner + floats(o, inner) + nl + "]")
-                return
-            sep, comma = "[" + inner, "," + inner
-            for v in o:
-                t = type(v)
-                if t is float:
-                    push(sep + _float_text(v))
-                elif t is str:
-                    push(sep + encode_basestring_ascii(v))
-                else:
-                    push(sep)
-                    write(v, inner)
-                sep = comma
-            push(nl + "]")
-        elif o is None:
-            push("null")
-        elif o is True:
-            push("true")
-        elif o is False:
-            push("false")
-        elif t is int:
-            push(int.__repr__(o))
-        else:
-            write(_plain(o), nl)
-
-    write(report, "\n")
-    push("\n")
-    return "".join(out)
+    """Canonical serialization: sorted keys, shortest round-trip floats."""
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def report_summary_table(report) -> str:
-    """Human-oriented per-check worst-residual table."""
-    worst, n_fail = {}, {}
-    for c in report["checks"]:
-        key = c["check"]
-        cur = worst.get(key)
-        if cur is None or c["rel_residual"] > cur["rel_residual"]:
-            worst[key] = c
-        if not c["passed"]:
-            n_fail[key] = n_fail.get(key, 0) + 1
-    lines = [f"{'check':34s} {'worst rel':>12s} {'tol':>9s} {'status':>7s}"]
-    for key in sorted(worst):
-        c = worst[key]
-        status = f"{n_fail[key]} FAIL" if key in n_fail else "ok"
-        lines.append(f"{key:34s} {c['rel_residual']:12.3e} "
-                     f"{c['tol']:9.0e} {status:>7s}")
+    """Human-oriented per-check worst-residual table, with headroom."""
+    lines = [f"{'check':34s} {'worst rel':>12s} {'tol':>9s} "
+             f"{'headroom':>10s} {'status':>7s}"]
+    for key, c in sorted(report["check_summary"].items()):
+        status = f"{c['failures']} FAIL" if c["failures"] else "ok"
+        lines.append(f"{key:34s} {c['worst_rel']:12.3e} {c['tol']:9.0e} "
+                     f"{c['headroom']:10.2e} {status:>7s}")
     s = report["summary"]
     lines.append(f"{s['pass']} passed, {s['fail']} failed, "
                  f"max rel residual {s['max_rel_residual']:.3e}")

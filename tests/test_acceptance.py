@@ -36,6 +36,10 @@ SUITE_SEED = 0
 # stdout of every built-in scenario, concatenated in BUILTIN_IDS order.
 # A change that moves these bytes on purpose updates the pins and says why.
 REPORT_SHA256 = \
+    "c39a4a8e3be8ee58b7fa3e3eabb1ee759882ce3430298349291c4c87b146caf3"
+# the same report in the v1 layout, before points and check_summary took
+# the per-row x, y and tol copies: rebuilt from v2, it must still match
+REPORT_V1_SHA256 = \
     "c69b61d1775cb523d5d753a63616f2e9434a0b8a9e364569bc6f5d5b2f96217c"
 COMPUTE_SHA256 = \
     "3567d039d843cf9a5799d1e4235fefcdfe103f6fa4fe84ba8a69c3123f6b72e4"
@@ -285,6 +289,24 @@ def test_criterion_09_determinism_and_exit_codes(tmp_path, suite_report,
     assert main(["simulate", "--scenario", str(infall),
                  "--out", str(tmp_path / "i.csv")]) == 3
     _ok("determinism: byte-identical reports and CSV; exit codes 0/1/2/3")
+
+
+def test_report_v2_rows_rebuild_v1(suite_report):
+    # join x and y back from points and tol from check_summary: every
+    # verdict and residual is the one the v1 report held
+    report = {k: v for k, v in suite_report.items()
+              if k not in ("_elapsed", "schema", "points", "check_summary")}
+    points = {(p["scenario"], p["point"]): p for p in suite_report["points"]}
+    summary = suite_report["check_summary"]
+    report["checks"] = [
+        dict(c, x=points[c["scenario"], c["point"]]["x"],
+             y=points[c["scenario"], c["point"]]["y"],
+             tol=summary[c["check"]]["tol"])
+        for c in suite_report["checks"]]
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_V1_SHA256
+    _ok(f"report v2: {len(points)} points, {len(summary)} checks, "
+        "v1 rows unchanged")
 
 
 def test_trajectory_bytes_pinned():

@@ -178,6 +178,14 @@ def test_bad_inputs_exit_two(tmp_path, capsys):
     bad.write_text('{"id": "x"}')  # metric is required
     assert main(["compute", "--scenario", str(bad)]) == 2
     capsys.readouterr()
+    # an alpha list with no values is an argument error, not the defaults
+    for command in ("verify", "sweep"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--scenario", "flat_vacuum", "--alphas", ",",
+                  "--out", str(tmp_path / command)])
+        assert exc.value.code == 2
+        assert "has no values" in capsys.readouterr().err
+        assert not (tmp_path / command).exists()
 
 
 def test_console_script_entry_point(tmp_path):

@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .connection import field_frame, fiber_parts
 from .errors import ChartDomainError, NullFiberError, TidalError
@@ -111,6 +110,10 @@ def _integrate(rhs, state0, cfg, metric, potential):
     t_eval = np.linspace(t0, t1, cfg.samples)
 
     if cfg.method == "rk45-adaptive":
+        # loaded here: no other command needs scipy.integrate, and it is
+        # most of the package's import time
+        from scipy.integrate import solve_ivp
+
         def guard(t, s):
             return _combined_margin(metric, potential, s[:DIM])
         guard.terminal = True

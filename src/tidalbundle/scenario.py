@@ -9,6 +9,7 @@ non-null after optional normalization.
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 import json
 from dataclasses import dataclass
@@ -83,9 +84,14 @@ class Scenario:
         return self.w0 is not None
 
 
-def _schema():
+@functools.cache
+def _validator():
+    """The scenario schema's validator, checked against its metaschema once."""
     ref = importlib.resources.files("tidalbundle") / "schemas/scenario.schema.json"
-    return json.loads(ref.read_text())
+    schema = json.loads(ref.read_text())
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def scenario_defaults() -> dict:
@@ -108,9 +114,9 @@ def _fill_defaults(data: dict) -> dict:
 
 
 def scenario_from_dict(data: dict, source="<dict>") -> Scenario:
-    try:
-        jsonschema.validate(data, _schema())
-    except jsonschema.ValidationError as e:
+    # what jsonschema.validate does, without rebuilding the validator
+    e = jsonschema.exceptions.best_match(_validator().iter_errors(data))
+    if e is not None:
         path = "/".join(str(p) for p in e.absolute_path) or "<root>"
         raise ScenarioError(f"{source}: invalid scenario at {path}: {e.message}")
 

@@ -462,13 +462,24 @@ def sample_phase_points(scenario, n, rng):
     return pts
 
 
+def _worse(worst, rel):
+    """The worse of two relative residuals; a NaN is the worst, whatever
+    the order of the rows."""
+    return rel if rel > worst or math.isnan(rel) else worst
+
+
 def run_suite(scenarios, points=50, seed=0, alphas=None, progress=None):
     """Evaluate every check over sampled phase points; deterministic report.
+
+    alphas=None runs DEFAULT_ALPHAS; an empty sequence raises ValueError.
 
     The report is a plain-JSON dict: identical (scenario set, points,
     alphas, seed, version) give byte-identical serialization.
     """
-    alphas = tuple(float(a) for a in (alphas or DEFAULT_ALPHAS))
+    alphas = tuple(float(a) for a in
+                   (DEFAULT_ALPHAS if alphas is None else alphas))
+    if not alphas:
+        raise ValueError("run_suite needs at least one coupling")
     ordered = sorted(scenarios, key=lambda s: s.id)
     rng = np.random.default_rng(seed)
     sampled, checks = [], []
@@ -488,21 +499,18 @@ def run_suite(scenarios, points=50, seed=0, alphas=None, progress=None):
             if progress is not None:
                 progress(scenario.id, idx)
     checks.sort(key=itemgetter("scenario", "point", "alpha", "check"))
-    by_check, max_rel = {}, 0.0
+    by_check = {}
     for c in checks:
         entry = by_check.get(c["check"])
         if entry is None:
             entry = by_check[c["check"]] = {
                 "tol": TOLERANCES[c["check"]], "worst_rel": 0.0, "failures": 0}
-        rel = c["rel_residual"]
-        # a NaN rel is the worst, whatever the order of the rows
-        if rel > entry["worst_rel"] or math.isnan(rel):
-            entry["worst_rel"] = rel
+        entry["worst_rel"] = _worse(entry["worst_rel"], c["rel_residual"])
         entry["failures"] += not c["passed"]
-        if math.isfinite(rel):
-            max_rel = max(max_rel, rel)
+    max_rel = 0.0
     for entry in by_check.values():
         entry["headroom"] = entry["worst_rel"] / entry["tol"]
+        max_rel = _worse(max_rel, entry["worst_rel"])
     n_fail = sum(entry["failures"] for entry in by_check.values())
     return {
         "schema": 2,

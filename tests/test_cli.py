@@ -200,6 +200,21 @@ def test_console_script_entry_point(tmp_path):
     assert "passed" in proc.stdout
 
 
+def test_commands_leave_scipy_integrate_unloaded(tmp_path):
+    # only the rk45-adaptive integrator loads scipy.integrate; importing
+    # the package, or a command that does not integrate, must not pay for it
+    src = Path(tidalbundle.__file__).parents[1]
+    code = ("import sys, tidalbundle, tidalbundle.cli\n"
+            "print('scipy.integrate' in sys.modules)\n"
+            "tidalbundle.cli.main(['compute', '--scenario', 'cyclotron',\n"
+            f"                      '--out', {str(tmp_path / 'c.json')!r}])\n"
+            "print('scipy.integrate' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]
+
+
 def test_verify_progress_logging_keeps_report_bytes(tmp_path):
     # TIDAL_LOG=info adds one stderr line per sampled point and nothing else
     src = Path(tidalbundle.__file__).parents[1]

@@ -1,8 +1,11 @@
 import json
+from importlib import resources
 
+import jsonschema
 import numpy as np
 import pytest
 
+from tidalbundle import scenario
 from tidalbundle.errors import ScenarioError
 from tidalbundle.scenario import (BUILTIN_IDS, DEFAULT_SUITE, builtin_scenario,
                                   builtin_scenarios, load_scenario,
@@ -93,6 +96,46 @@ def test_bad_integrator_rejected():
     data = _minimal(integrator={"method": "rk4-fixed", "step": -0.5})
     with pytest.raises(ScenarioError):
         scenario_from_dict(data)
+
+
+@pytest.mark.parametrize("data", [
+    _minimal(extra_knob=1),                                  # extra key
+    _minimal(alpha="big"),                                   # wrong type
+    {"id": "t"},                                             # missing key
+    _minimal(initial={"normalize": "sometimes"}),            # bad enum
+    _minimal(integrator={"method": "euler"}),                # bad enum
+    _minimal(integrator={"samples": 1}),                     # nested bound
+    # two errors: the best match is the shallower one, not the first found
+    {"id": "t", "metric": {"name": 5}, "alpha": "big"},
+], ids=["extra-key", "wrong-type", "missing-key", "bad-enum",
+        "bad-method", "nested-bound", "best-of-two"])
+def test_schema_errors_match_jsonschema_validate(data):
+    # the reference: a fresh jsonschema.validate against the shipped
+    # schema, reported the way scenario_from_dict words it
+    ref = resources.files("tidalbundle") / "schemas/scenario.schema.json"
+    with pytest.raises(jsonschema.ValidationError) as expected:
+        jsonschema.validate(data, json.loads(ref.read_text()))
+    e = expected.value
+    path = "/".join(str(p) for p in e.absolute_path) or "<root>"
+    with pytest.raises(ScenarioError) as got:
+        scenario_from_dict(data, source="doc.json")
+    assert str(got.value) == f"doc.json: invalid scenario at {path}: {e.message}"
+
+
+def test_validator_is_built_and_checked_once(monkeypatch):
+    cls = jsonschema.Draft202012Validator
+    check = cls.check_schema
+    checked = []
+    monkeypatch.setattr(cls, "check_schema", classmethod(
+        lambda klass, schema: checked.append(schema) or check(schema)))
+    scenario._validator.cache_clear()
+    for _ in range(3):
+        for sid in BUILTIN_IDS:
+            builtin_scenario(sid)
+    info = scenario._validator.cache_info()
+    assert len(checked) == 1 and checked[0]["$schema"].endswith("2020-12/schema")
+    # one validation per scenario, built-ins included
+    assert (info.misses, info.hits) == (1, 3 * len(BUILTIN_IDS) - 1)
 
 
 def test_deviation_requires_both_vectors():

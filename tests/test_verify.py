@@ -127,10 +127,12 @@ def test_worst_row_does_not_depend_on_row_order(monkeypatch):
 
     first, second = table(0), table(1)
     assert first == second
-    row = next(line for line in first.splitlines()
-               if line.startswith("strong-torsion "))
+    lines = first.splitlines()
+    row = next(line for line in lines if line.startswith("strong-torsion "))
     assert row.split()[1:3] == ["nan", "1e-09"]
     assert row.endswith(" 2 FAIL")
+    # the last line reports the same worst residual as the table's rows
+    assert lines[-1].endswith("max rel residual nan")
 
 
 def test_summary_table_readable():
@@ -279,6 +281,15 @@ def test_suite_yields_every_check_name():
     report = run_suite([builtin_scenario(s) for s in DEFAULT_SUITE],
                        points=1, seed=0)
     assert {c["check"] for c in report["checks"]} == set(TOLERANCES)
+
+
+def test_empty_coupling_grid_is_refused():
+    # None is the default grid; an empty one is an error, not the default
+    sc = builtin_scenario("flat_vacuum")
+    with pytest.raises(ValueError, match="coupling"):
+        run_suite([sc], points=1, seed=0, alphas=())
+    report = run_suite([sc], points=1, seed=0, alphas=None)
+    assert report["config"]["alphas"] == list(DEFAULT_ALPHAS)
 
 
 def test_zero_points_gives_empty_report():

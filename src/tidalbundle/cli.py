@@ -92,6 +92,8 @@ class SystemExit2(Exception):
 def cmd_compute(args) -> int:
     sc = _single_scenario(args, "compute")
     if args.at is not None:
+        if not np.all(np.isfinite(args.at)):
+            raise SystemExit2(f"--at values must be finite, got {args.at}")
         x = np.array(args.at[:4], dtype=float)
         y = np.array(args.at[4:], dtype=float)
         sc.metric.check_chart(x)
@@ -281,6 +283,9 @@ def _alpha_list(text: str):
         raise argparse.ArgumentTypeError(f"bad alpha list {text!r}")
     if not alphas:
         raise argparse.ArgumentTypeError(f"alpha list {text!r} has no values")
+    if not np.all(np.isfinite(alphas)):
+        raise argparse.ArgumentTypeError(
+            f"alpha list {text!r} has a non-finite value")
     return alphas
 
 

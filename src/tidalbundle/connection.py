@@ -15,19 +15,17 @@ fibers under the positive-norm convention.
 Each tensor is built on its first read and kept, so a point computes only
 what its caller reads: the field packs and the FieldFrame derive the base
 tensors, and FiberParts derives the connection at one fiber.  Since alpha
-enters only as the scalar factor above, FiberParts is two objects: a
-coupling-free FiberCore (||y||, l, h, F^i_j, F^i, gamma y, their base
-derivatives and the alpha-free brackets of the contortion family), and a
-thin per-coupling part that scales those brackets, builds N up front and
-assembles G^i_jk, the spray and the curvature of N on read.
-parts.at(alpha) rebinds a core to another coupling, so a point evaluated
-at many couplings builds its coupling-free data once.  alpha may also be
-a 1-D array: then the per-coupling part evaluates every coupling in one
-pass.  Each coupling factor gets a coupling axis that follows the jet
-axes and leads the tensor slots (B1.v has shape (A, 4, 4), B1.d
-(m, A, 4, 4)), the coupling-dependent contractions (G, R3, E) go through
-jets.bjeinsum, and each coupling's slice equals the scalar build bit for
-bit.  The per-point public functions take a scalar coupling.
+enters only as the scalar factor above, FiberParts builds the alpha-free
+data (||y||, l, h, F^i_j, F^i, gamma y, their base derivatives and the
+brackets of the contortion family) once, and scales those brackets by
+the coupling to give N up front and G^i_jk, the spray and the curvature
+of N on read.  alpha may be a 1-D array: then one FiberParts evaluates
+every coupling in one pass, on alpha-free data built once.  Each
+coupling factor gets a coupling axis that follows the jet axes and leads
+the tensor slots (B1.v has shape (A, 4, 4), B1.d (m, A, 4, 4)), the
+coupling-dependent contractions (G, R3, E) go through jets.bjeinsum, and
+each coupling's slice equals the scalar build bit for bit.  The
+per-point public functions take a scalar coupling.
 A Sample is one phase point at one coupling (or one batch of them): it
 holds three FiberParts tiers (plain, fiber jet, phase jet), each built on
 first read, and the reads that several callers share.  Every per-point
@@ -101,21 +99,37 @@ def phase_point(metric: MetricField, x, y) -> PhasePoint:
     return PhasePoint.create(metric.pack(np.asarray(x, dtype=float)).g, x, y)
 
 
-class FiberCore:
-    """The coupling-free part of the connection at one fiber.
+class FiberParts:
+    """Connection data at one fiber and one coupling, or a batch of them.
 
     The coupling enters the charged spray only as a scalar factor on the
     contortion family, so ||y||, l, h, F^i_j, F^i, gamma^i_jk y^k, the base
     derivatives of ||y||, F^i and gamma y, and the alpha-free brackets
     b, b1, b2, b3, db, db1 of B, B^i_j, B^i_jk, B^i_jkl, dB and dB^i_j are
-    the same at every alpha.  One core serves every coupling at its fiber;
-    g, ginv, gamma, F and y may be Jets.  The eager attributes are the ones
-    N reads; the rest is built on first read.
+    built once, whatever alpha is.  Each coupling-dependent tensor is its
+    coupling factor (-alpha/2, or -alpha eps/2) times one of those
+    brackets, and N, G^i_jk, the spray, the curvature of N and E are
+    assembled from them.  g, ginv, gamma, F and y may be Jets.  The eager
+    attributes (N, B^i_j and what they read) are the ones every reader,
+    the worldline right-hand side first, reads; the rest is built on first
+    read.  The curvature channel (dB, dB1, R3, E) differentiates the base
+    dependence in closed form, so it reads the plain frame arrays whether
+    y is plain or a fiber-seeded Jet.
+
+    alpha may be a 1-D array of couplings.  Then every coupling-dependent
+    tensor carries a coupling axis that leads its tensor slots (and
+    follows the jet axes), and its contractions go through bjeinsum; each
+    coupling's slice equals the scalar build bit for bit.
     """
 
-    def __init__(self, frame: FieldFrame, g, ginv, gamma, F, y, eps, nrm):
-        self.frame, self.g, self.gamma = frame, g, gamma
+    def __init__(self, frame: FieldFrame, alpha, g, ginv, gamma, F, y, eps,
+                 nrm):
+        self.frame, self.alpha, self.g, self.gamma = frame, alpha, g, gamma
         self.y, self.eps, self.nrm = y, eps, nrm
+        self.batched = isinstance(alpha, np.ndarray) and alpha.ndim > 0
+        # jeinsum at one coupling, bjeinsum over a batch; bound here so the
+        # scalar path pays no extra call per contraction
+        self._ein = bjeinsum if self.batched else jeinsum
         self.l_up = y / nrm
         self.l_low = jeinsum("ij,j->i", g, self.l_up)
         self.Fmix = jeinsum("ia,aj->ij", ginv, F)
@@ -123,6 +137,14 @@ class FiberCore:
         self.n1 = jeinsum("ijk,k->ij", gamma, y)
         self.b1 = (eps * jeinsum("j,i->ij", self.l_low, self.F_up)
                    + nrm * self.Fmix)
+        self.B1 = self._lead(-0.5 * alpha, 2) * self.b1
+        self.N = self.n1 + self.B1
+
+    def _lead(self, factor, rank):
+        """A coupling factor shaped to lead rank tensor slots."""
+        if not self.batched:
+            return factor
+        return factor.reshape(factor.shape + (1,) * rank)
 
     @cached_property
     def h_low(self):
@@ -148,9 +170,51 @@ class FiberCore:
 
     @cached_property
     def b3_value(self):
-        """b3 from the values alone: no fiber derivatives on a jet core."""
+        """b3 from the values alone: no fiber derivatives on a jet tier."""
         return _b3_brackets(value_of(self.h_low), value_of(self.l_low),
                             value_of(self.Fmix), value_of(self.F_up))
+
+    # ---- the contortion family and the affine connection ----
+
+    @cached_property
+    def B(self):
+        return self._lead(-0.5 * self.alpha, 1) * self.b
+
+    @cached_property
+    def B2(self):
+        return self._lead(-0.5 * self.alpha * self.eps, 3) * self.b2
+
+    @cached_property
+    def Gaff(self):
+        return self.gamma + self.B2
+
+    @cached_property
+    def G(self):
+        return 0.5 * self._ein("ij,j->i", self.N, self.y)
+
+    @cached_property
+    def B3(self):
+        """B^i_jkl, the third fiber derivative of B."""
+        half_eps = self._lead(-0.5 * self.alpha * self.eps, 4)
+        over_nrm, over_nrm2 = self.b3
+        return half_eps * over_nrm / self.nrm \
+            - (half_eps * self.eps) * over_nrm2 / (self.nrm * self.nrm)
+
+    @cached_property
+    def B3_value(self):
+        """The value of B3 alone, bit for bit equal to B3.v.
+
+        On a jet tier it skips the fiber derivatives by replaying the Jet
+        arithmetic on values: x / n is x * (1.0 / n), and a - b is a + (-b).
+        """
+        if not isinstance(self.nrm, Jet):
+            return self.B3
+        half_eps = self._lead(-0.5 * self.alpha * self.eps, 4)
+        over_nrm, over_nrm2 = self.b3_value
+        nrm = self.nrm.v
+        first = (half_eps * over_nrm) * (1.0 / nrm)
+        second = ((half_eps * self.eps) * over_nrm2) * (1.0 / (nrm * nrm))
+        return first + (-second)
 
     # ---- base derivatives, in closed form from the plain frame arrays ----
 
@@ -190,6 +254,29 @@ class FiberCore:
         return float(np.einsum("iaib,a,b->", self.frame.riemann, self.y,
                                self.y))
 
+    # ---- curvature channel: the curvature of N ----
+
+    @cached_property
+    def dB(self):
+        return self._lead(-0.5 * self.alpha, 2) * self.db
+
+    @cached_property
+    def dB1(self):
+        return self._lead(-0.5 * self.alpha, 3) * self.db1
+
+    @cached_property
+    def R3(self):
+        ein = self._ein
+        dN = self.dn1 + self.dB1
+        # N^l_k G^i_jl; its (j, k) transpose is the N^l_j G^i_kl term
+        P = ein("lk,ijl->ijk", self.N, self.Gaff)
+        return (ein("kij->ijk", dN) - ein("jik->ijk", dN) - P
+                + ein("ikj->ijk", P))
+
+    @cached_property
+    def E(self):
+        return self._ein("ijk,k->ij", self.R3, self.y)
+
 
 def _b3_brackets(h_low, l_low, Fmix, F_up):
     hl = (jeinsum("jl,k->jkl", h_low, l_low)
@@ -199,119 +286,6 @@ def _b3_brackets(h_low, l_low, Fmix, F_up):
             + jeinsum("jl,ik->ijkl", h_low, Fmix)
             + jeinsum("kl,ij->ijkl", h_low, Fmix),
             jeinsum("jkl,i->ijkl", hl, F_up))
-
-
-class FiberParts:
-    """Connection data at one fiber and one coupling, or a batch of them.
-
-    Each coupling-dependent tensor is its coupling factor (-alpha/2, or
-    -alpha eps/2) times a bracket of the shared FiberCore, and N, G^i_jk,
-    the spray, the curvature of N and E are assembled from them.  N and
-    B^i_j are built here, since every reader (the worldline right-hand
-    side first) reads N; the rest on first read.  at(alpha) rebinds the
-    same core to another coupling.  The curvature channel (dB, dB1, R3,
-    E) differentiates the base dependence in closed form, so it reads the
-    plain frame arrays whether y is plain or a fiber-seeded Jet.
-
-    alpha may be a 1-D array of couplings.  Then every coupling-dependent
-    tensor carries a coupling axis that leads its tensor slots (and
-    follows the jet axes), and its contractions go through bjeinsum; each
-    coupling's slice equals the scalar build bit for bit.
-    """
-
-    frame = property(lambda self: self.core.frame)
-    g = property(lambda self: self.core.g)
-    y = property(lambda self: self.core.y)
-    l_up = property(lambda self: self.core.l_up)
-    l_low = property(lambda self: self.core.l_low)
-    h_low = property(lambda self: self.core.h_low)
-    Fmix = property(lambda self: self.core.Fmix)
-    F_up = property(lambda self: self.core.F_up)
-    n1 = property(lambda self: self.core.n1)
-
-    def __init__(self, core: FiberCore, alpha):
-        self.core, self.alpha = core, alpha
-        self.batched = isinstance(alpha, np.ndarray) and alpha.ndim > 0
-        # jeinsum at one coupling, bjeinsum over a batch; bound here so the
-        # scalar path pays no extra call per contraction
-        self._ein = bjeinsum if self.batched else jeinsum
-        self.B1 = self._lead(-0.5 * alpha, 2) * core.b1
-        self.N = core.n1 + self.B1
-
-    def at(self, alpha) -> FiberParts:
-        """The same fiber at other couplings, sharing the core."""
-        return FiberParts(self.core, alpha)
-
-    def _lead(self, factor, rank):
-        """A coupling factor shaped to lead rank tensor slots."""
-        if not self.batched:
-            return factor
-        return factor.reshape(factor.shape + (1,) * rank)
-
-    @cached_property
-    def B(self):
-        return self._lead(-0.5 * self.alpha, 1) * self.core.b
-
-    @cached_property
-    def B2(self):
-        return self._lead(-0.5 * self.alpha * self.core.eps, 3) * self.core.b2
-
-    @cached_property
-    def Gaff(self):
-        return self.core.gamma + self.B2
-
-    @cached_property
-    def G(self):
-        return 0.5 * self._ein("ij,j->i", self.N, self.core.y)
-
-    @cached_property
-    def B3(self):
-        """B^i_jkl, the third fiber derivative of B."""
-        core = self.core
-        half_eps = self._lead(-0.5 * self.alpha * core.eps, 4)
-        over_nrm, over_nrm2 = core.b3
-        return half_eps * over_nrm / core.nrm \
-            - (half_eps * core.eps) * over_nrm2 / (core.nrm * core.nrm)
-
-    @cached_property
-    def B3_value(self):
-        """The value of B3 alone, bit for bit equal to B3.v.
-
-        On a jet tier it skips the fiber derivatives by replaying the Jet
-        arithmetic on values: x / n is x * (1.0 / n), and a - b is a + (-b).
-        """
-        core = self.core
-        if not isinstance(core.nrm, Jet):
-            return self.B3
-        half_eps = self._lead(-0.5 * self.alpha * core.eps, 4)
-        over_nrm, over_nrm2 = core.b3_value
-        nrm = core.nrm.v
-        first = (half_eps * over_nrm) * (1.0 / nrm)
-        second = ((half_eps * core.eps) * over_nrm2) * (1.0 / (nrm * nrm))
-        return first + (-second)
-
-    # ---- curvature channel: base derivatives and the curvature of N ----
-
-    @cached_property
-    def dB(self):
-        return self._lead(-0.5 * self.alpha, 2) * self.core.db
-
-    @cached_property
-    def dB1(self):
-        return self._lead(-0.5 * self.alpha, 3) * self.core.db1
-
-    @cached_property
-    def R3(self):
-        ein = self._ein
-        dN = self.core.dn1 + self.dB1
-        # N^l_k G^i_jl; its (j, k) transpose is the N^l_j G^i_kl term
-        P = ein("lk,ijl->ijk", self.N, self.Gaff)
-        return (ein("kij->ijk", dN) - ein("jik->ijk", dN) - P
-                + ein("ikj->ijk", P))
-
-    @cached_property
-    def E(self):
-        return self._ein("ijk,k->ij", self.R3, self.core.y)
 
 
 def fiber_parts(frame: FieldFrame, alpha, y, check=True) -> FiberParts:
@@ -333,8 +307,8 @@ def fiber_parts(frame: FieldFrame, alpha, y, check=True) -> FiberParts:
     else:
         y = np.asarray(y, dtype=float)
         nrm = nrm_v
-    return FiberParts(FiberCore(frame, frame.g, frame.ginv, frame.gamma,
-                                frame.F, y, eps, nrm), alpha)
+    return FiberParts(frame, alpha, frame.g, frame.ginv, frame.gamma, frame.F,
+                      y, eps, nrm)
 
 
 # ---- phase jets and fields on the tangent bundle ----------------------
@@ -358,8 +332,7 @@ def phase_context(frame: FieldFrame, alpha, y):
     _, eps = norm_and_sign(frame.g, y)
     q = jeinsum("i,i->", jeinsum("ij,j->i", g, yj), yj)
     nrm = jsqrt(eps * q)
-    return FiberParts(FiberCore(frame, g, ginv, gamma, F, yj, eps, nrm),
-                      alpha)
+    return FiberParts(frame, alpha, g, ginv, gamma, F, yj, eps, nrm)
 
 
 @dataclass(frozen=True)
@@ -375,8 +348,9 @@ class PhaseFieldSpec:
     slots, so build indexes a slot from the end: ctx.B[..., 0], not
     ctx.B[0], which would pick a coupling.  Its value may lead with that
     coupling axis or lack it; any other leading axis is refused.  A batch
-    of exactly DIM couplings also runs build on its first coupling alone,
-    since there a picked slot and the coupling axis have the same length.
+    of exactly DIM couplings also runs build on a phase_context at its
+    first coupling alone, since there a picked slot and the coupling axis
+    have the same length.
     """
 
     variance: str
@@ -400,12 +374,11 @@ class Sample:
     y), jet (fiber_parts on a fiber-seeded order-2 Jet, for exact fiber
     derivatives) and phase (phase_context, for adapted derivatives).  The
     reads below are shared by more than one caller; each builds only the
-    tiers it needs.  The frame may be shared by many samples, and so may a
-    tier's coupling-free core: a subclass may take its tiers from another
-    sample's with parts.at(alpha) (the verification bench does).
+    tiers it needs.  The frame may be shared by many samples.
 
-    alpha may be a 1-D array of couplings: then the tiers are batched
-    (see FiberParts) and every read carries the coupling axis first.
+    alpha may be a 1-D array of couplings: then each tier is one batched
+    FiberParts, its alpha-free data built once for every coupling, and
+    every read carries the coupling axis first.
 
     perturbation adds a constant to every N^i_j in the torsion read only
     (the negative control; see strong_torsion).
@@ -454,7 +427,7 @@ class Sample:
         one coupling, arrays over a batch.
         """
         frame, parts = self.frame, self.plain
-        e_trace = parts.core.gravity_trace
+        e_trace = parts.gravity_trace
         div = (np.einsum("...ii->...", parts.dB)
                - np.einsum("li,...il->...", parts.n1, parts.B1)
                + np.einsum("iai,...a->...", frame.gamma, parts.B))
@@ -486,7 +459,8 @@ def _covariant(frame, ctx, field, reference):
     if ctx.batched and len(ctx.alpha) == DIM:
         # a slot indexed as a coupling (ctx.B[0]) leaves a leading axis as
         # long as this coupling axis; on one coupling it cannot pass
-        builds.append((field.build(ctx.at(ctx.alpha[:1])), (1,)))
+        builds.append((field.build(phase_context(
+            frame, ctx.alpha[:1], value_of(ctx.y))), (1,)))
     for built, couplings in builds:
         lead = built.v.shape[:built.v.ndim - len(field.variance)]
         if lead not in ((), couplings):

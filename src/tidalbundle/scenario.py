@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import importlib.resources
 import json
+import math
 from dataclasses import dataclass
 
 import jsonschema
@@ -94,6 +95,22 @@ def _validator():
     return cls(schema)
 
 
+def _non_finite(value, path=()):
+    """The path to the first NaN or infinity in JSON data, or None.
+
+    json parses NaN and Infinity, and the schema's "number" admits them.
+    """
+    if isinstance(value, float):
+        return None if math.isfinite(value) else path
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        found = _non_finite(item, path + (key,))
+        if found is not None:
+            return found
+    return None
+
+
 def scenario_defaults() -> dict:
     """The default-filled skeleton, for --echo-defaults."""
     d = {"id": "example", "metric": {"name": "minkowski", "params": {}}}
@@ -119,6 +136,11 @@ def scenario_from_dict(data: dict, source="<dict>") -> Scenario:
     if e is not None:
         path = "/".join(str(p) for p in e.absolute_path) or "<root>"
         raise ScenarioError(f"{source}: invalid scenario at {path}: {e.message}")
+    bad = _non_finite(data)
+    if bad is not None:
+        path = "/".join(str(p) for p in bad) or "<root>"
+        raise ScenarioError(
+            f"{source}: invalid scenario at {path}: numbers must be finite")
 
     data = _fill_defaults(data)
 

@@ -12,17 +12,16 @@ derivatives at the base point.  It is built once per sampled point, with
 the rest of the coupling-independent data (charge density, stress-energy,
 residual scales), and reused for every coupling; each check's two sides
 still run on disjoint paths from it (fiber jet against plain fiber, phase
-jet against closed form).  The fiber tiers are shared the same way: each
-sampled point builds its plain, fiber-jet and phase-jet tier once, and
-their coupling-free cores (||y||, l, h, F^i_j, gamma y, the base
-derivatives and the alpha-free brackets of the contortion family) serve
-every coupling.  The bench is one connection.Sample per sampled point
-over all its couplings: its tiers rebind those cores to the array of
-couplings (parts.at(alphas)), so the alpha-scaled contortion, N, G^i_jk
-and the curvature of N carry a coupling axis (after any jet axes, before
-the tensor slots) and are built in one pass for every coupling.  The
-check groups read its tiers (b.jet, b.plain, b.phase) and the point's
-data (b.pt) directly, and each tensor is built on its first read, once.
+jet against closed form).  The bench is one connection.Sample per sampled
+point over the array of all its couplings: each of its plain, fiber-jet
+and phase-jet tiers is one FiberParts built once, at that array, whose
+alpha-free data (||y||, l, h, F^i_j, gamma y, the base derivatives and the
+brackets of the contortion family) serve every coupling, and whose
+alpha-scaled contortion, N, G^i_jk and curvature of N carry a coupling
+axis (after any jet axes, before the tensor slots) and are built in one
+pass for every coupling.  The check groups read its tiers (b.jet, b.plain,
+b.phase) and the point's data (b.p, b.e_scale, ...) directly, and each
+tensor is built on its first read, once.
 
 Residual policy: every check is one row (check, lhs, rhs, scale, at)
 over the bench's couplings, and one rule judges every row at each
@@ -62,7 +61,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .connection import (FiberParts, Sample, contortion_vector, field_frame,
+from .connection import (Sample, contortion_vector, field_frame,
                          unit_direction_low)
 from .fields import cached_property, current, stress_energy_em
 from .tensors import DIM, PhasePoint
@@ -100,23 +99,29 @@ _ABS_FLOOR = 1e-14
 # per-point bench: everything the checks consume, built once
 
 
-class _Point:
-    """Coupling-independent data at one sampled point, shared by every alpha."""
+class _Bench(Sample):
+    """Every coupling at one sampled point: a Sample over a batch of them.
 
-    def __init__(self, metric, potential, p: PhasePoint):
-        self.p = p
-        self.y = y = np.asarray(p.y, dtype=float)
-        self.frame = fr = field_frame(metric, potential, p.x)
-        # the three tiers, each built on first read at alpha = 0; every
-        # bench rebinds their coupling-free cores to its own coupling
-        self.tiers = Sample(fr, 0.0, y)
+    alphas is a 1-D array of couplings: each tier is built once, at that
+    array, and its coupling-dependent tensors carry the coupling axis
+    first.  The check groups read the tiers directly (b.jet.E.v) and the
+    point's coupling-independent data (b.p, b.e_scale, ...), built here;
+    the per-coupling scalars that more than one group reads are cached
+    here too.
+    """
+
+    def __init__(self, metric, potential, p: PhasePoint, alphas,
+                 nonspray_perturbation=0.0):
+        fr = field_frame(metric, potential, p.x)
+        super().__init__(fr, np.asarray(alphas, dtype=float), p.y,
+                         nonspray_perturbation)
+        self.p, y = p, self.y
         self.e_scale = float(np.einsum("iaib,a,b->", np.abs(fr.riemann),
                                        np.abs(y), np.abs(y)))
         J = current(fr.potential_pack, fr.metric_pack)
         self.rho_c = -float(J @ (fr.g @ (p.y / p.norm)))   # -J^i l_i
         self.nrm2 = p.norm ** 2
         self.eps = p.causal_sign
-        self.q = self.eps * self.nrm2
         self.T_em = stress_energy_em(fr.F, fr.g, fr.ginv)
         # field invariant for the d'Alembertian assembly
         self.F_sq = float(np.einsum("ab,ac,bd,cd->", fr.F, fr.ginv, fr.ginv,
@@ -133,34 +138,6 @@ class _Point:
         self.grav_scale = np.einsum("iaib,a,b->", riem_abs, ay, ay)
         self.charge_scale = (np.einsum("kik,i->", np.abs(fr.dFmix), ay)
                              + np.einsum("iak,ak->", ag, np.abs(fr.Fmix)))
-
-
-class _Bench(Sample):
-    """Every coupling at a _Point: a Sample over a batch of couplings.
-
-    Its tiers are the point's tiers rebound to the couplings alphas (a
-    1-D array), so each coupling-dependent tensor carries the coupling
-    axis first.  The check groups read them directly (b.jet.E.v) and the
-    point's coupling-independent data through b.pt; the per-coupling
-    scalars that more than one group reads are cached here.
-    """
-
-    def __init__(self, point: _Point, alphas, nonspray_perturbation=0.0):
-        super().__init__(point.frame, np.asarray(alphas, dtype=float),
-                         point.y, nonspray_perturbation)
-        self.pt = point
-
-    @cached_property
-    def plain(self) -> FiberParts:
-        return self.pt.tiers.plain.at(self.alpha)
-
-    @cached_property
-    def jet(self) -> FiberParts:
-        return self.pt.tiers.jet.at(self.alpha)
-
-    @cached_property
-    def phase(self) -> FiberParts:
-        return self.pt.tiers.phase.at(self.alpha)
 
     @cached_property
     def trace_E(self):
@@ -180,8 +157,8 @@ class _Bench(Sample):
 
     @cached_property
     def assembly_scale(self):
-        pt = self.pt
-        return pt.grav_scale + np.abs(self.alpha) * pt.charge_scale * pt.p.norm
+        return (self.grav_scale
+                + np.abs(self.alpha) * self.charge_scale * self.p.norm)
 
     @cached_property
     def nonzero(self):
@@ -269,7 +246,7 @@ def _checks(groups, bench, scenario_id, point):
 
 
 def _structural(b):
-    jp, pt, y = b.jet, b.pt, b.y
+    jp, y = b.jet, b.y
     E, N = jp.E.v, jp.N.v
     yield _Row("reconstruction",
                np.einsum("...jikl,j,l->...ik", b.block, y, y), E, _mags(E))
@@ -282,7 +259,7 @@ def _structural(b):
         ricci = b.ricci[zero]
         yield _Row("ricci-base-reduction", ricci, b.frame.ricci,
                    _largest(float(np.max(np.abs(b.frame.ricci))),
-                            _mags(ricci), pt.e_scale / pt.nrm2), zero)
+                            _mags(ricci), b.e_scale / b.nrm2), zero)
 
     # scale includes the connection magnitude: the derivative is assembled
     # from terms of that size even when the result cancels to zero
@@ -290,14 +267,14 @@ def _structural(b):
     yield _Row("unit-direction-transport", transport,
                (0.5 * b.alpha)[:, None, None] * b.frame.F,
                _largest(float(np.max(np.abs(b.frame.F))), _mags(transport),
-                        _mags(N) / pt.p.norm,
+                        _mags(N) / b.p.norm,
                         float(np.max(np.abs(b.frame.gamma)))))
 
     l_low = jp.l_low.v
     Et = jp.h_low.v @ E
     E_low = b.frame.g @ E
     yield _Row("angular-projection", Et,
-               E_low - pt.eps * (l_low[:, None] * (l_low @ E)[:, None, :]),
+               E_low - b.eps * (l_low[:, None] * (l_low @ E)[:, None, :]),
                _mags(E_low))
 
     yield _Row("angular-trace", np.einsum("ik,...ki->...", b.frame.ginv, Et),
@@ -340,7 +317,7 @@ def _cyclic_side(bench):
     cyc = (np.einsum("kij,k->ij", dF, y)
            + np.einsum("jki,k->ij", dF, y)
            + np.einsum("ijk,k->ij", dF, y))
-    return (-0.5 * bench.alpha * bench.pt.p.norm)[:, None, None] * cyc
+    return (-0.5 * bench.alpha * bench.p.norm)[:, None, None] * cyc
 
 
 def _maxwell_homogeneous(b):
@@ -349,20 +326,20 @@ def _maxwell_homogeneous(b):
     antisym = 0.5 * (Et - np.swapaxes(Et, -1, -2))
     scale = _largest(_mags(Et), _mags(E))
     yield _Row("maxwell-homogeneous", antisym, np.zeros((DIM, DIM)), scale)
-    cyc_scale = (np.abs(b.alpha) * b.pt.p.norm
+    cyc_scale = (np.abs(b.alpha) * b.p.norm
                  * float(np.max(np.abs(b.frame.dF))) * float(np.max(np.abs(b.y))))
     yield _Row("maxwell-homogeneous-cyclic", antisym, _cyclic_side(b),
                _largest(scale, cyc_scale))
 
 
 def _maxwell_inhomogeneous(b):
-    pt, e_trace = b.pt, b.td.gravity_trace
-    scale = _largest(np.abs(b.trace_E), pt.e_scale, np.abs(b.quad),
-                     4.0 * np.pi * np.abs(b.alpha) * abs(pt.rho_c) * pt.nrm2,
+    e_trace = b.td.gravity_trace
+    scale = _largest(np.abs(b.trace_E), b.e_scale, np.abs(b.quad),
+                     4.0 * np.pi * np.abs(b.alpha) * abs(b.rho_c) * b.nrm2,
                      np.abs(b.div_phase), b.assembly_scale)
-    quadratic = (e_trace - 4.0 * np.pi * b.alpha * pt.rho_c * pt.nrm2
+    quadratic = (e_trace - 4.0 * np.pi * b.alpha * b.rho_c * b.nrm2
                  + b.quad)
-    divergence = (e_trace - 2.0 * np.pi * b.alpha * pt.rho_c * pt.nrm2
+    divergence = (e_trace - 2.0 * np.pi * b.alpha * b.rho_c * b.nrm2
                   - b.div_phase + b.quad)
     yield _Row("maxwell-inhomogeneous-quadratic", b.trace_E, quadratic, scale)
     yield _Row("maxwell-inhomogeneous-divergence", b.trace_E, divergence,
@@ -373,7 +350,7 @@ def _maxwell_inhomogeneous(b):
 def _trace_split(b):
     td = b.td
     yield _Row("trace-decomposition", td.lhs, td.rhs,
-               _largest(np.abs(td.lhs), b.pt.e_scale,
+               _largest(np.abs(td.lhs), b.e_scale,
                         2.0 * np.abs(td.divergence), np.abs(td.quadratic),
                         b.assembly_scale))
 
@@ -387,37 +364,36 @@ def full_trace_rhs(bench, rho_m=0.0, matter_trace=0.0):
     and quadratic terms from the closed-form path, so the two pipelines
     cross-check each other inside one equation.
     """
-    b, pt, at = bench, bench.pt, bench.nonzero
+    b, at = bench, bench.nonzero
     alpha = b.alpha[at]
     a2 = alpha * alpha
     F_up = b.jet.F_up.v
     F_vec_sq = float(F_up @ (b.frame.g @ F_up))
-    lbox = (b.div_phase[at] + a2 * (0.25 * pt.F_sq * pt.nrm2
-                                    - pt.eps * F_vec_sq)) / pt.nrm2
-    rhs = (2.0 * pt.eps / a2 * lbox
-           - (2.0 / pt.nrm2) * ((pt.eps / a2 + 1.0) * b.td.divergence[at]
-                                - 0.5 * b.quad[at])
-           - 8.0 * np.pi * (rho_m - 0.5 * pt.eps * matter_trace))
+    lbox = (b.div_phase[at] + a2 * (0.25 * b.F_sq * b.nrm2
+                                    - b.eps * F_vec_sq)) / b.nrm2
+    rhs = (2.0 * b.eps / a2 * lbox
+           - (2.0 / b.nrm2) * ((b.eps / a2 + 1.0) * b.td.divergence[at]
+                               - 0.5 * b.quad[at])
+           - 8.0 * np.pi * (rho_m - 0.5 * b.eps * matter_trace))
     return rhs
 
 
 def _einstein(b):
-    pt = b.pt
-    T = pt.T_em
+    T = b.T_em
     T_yy = float(b.y @ T @ b.y)
     T_tr = float(np.einsum("ij,ij->", b.frame.ginv, T))
     yield _Row("einstein-trace", np.full(len(b.alpha), b.td.gravity_trace),
-               -8.0 * np.pi * (T_yy - 0.5 * T_tr * pt.q),
-               max(pt.e_scale,
-                   8.0 * np.pi * (abs(T_yy) + 0.5 * abs(T_tr) * pt.nrm2)))
+               -8.0 * np.pi * (T_yy - 0.5 * T_tr * (b.eps * b.nrm2)),
+               max(b.e_scale,
+                   8.0 * np.pi * (abs(T_yy) + 0.5 * abs(T_tr) * b.nrm2)))
     at = b.nonzero
     if at.size:
-        lhs = b.trace_E[at] / pt.nrm2
+        lhs = b.trace_E[at] / b.nrm2
         rhs = full_trace_rhs(b)
         yield _Row("einstein-trace-full", lhs, rhs,
-                   _largest(np.abs(lhs), np.abs(rhs), pt.e_scale / pt.nrm2,
-                            np.abs(b.td.divergence[at]) / pt.nrm2,
-                            np.abs(b.quad[at]) / pt.nrm2), at)
+                   _largest(np.abs(lhs), np.abs(rhs), b.e_scale / b.nrm2,
+                            np.abs(b.td.divergence[at]) / b.nrm2,
+                            np.abs(b.quad[at]) / b.nrm2), at)
 
 
 _GROUPS = (_structural, _maxwell_homogeneous, _maxwell_inhomogeneous,
@@ -493,8 +469,8 @@ def run_suite(scenarios, points=50, seed=0, alphas=None, progress=None):
                 "x": p.x.tolist(), "y": p.y.tolist(),
                 "causal_sign": p.causal_sign,
                 "conditioning": float(np.abs(p.y).max()) ** 2 / p.norm ** 2})
-            bench = _Bench(_Point(scenario.metric, scenario.potential, p),
-                           alphas, scenario.nonspray_perturbation)
+            bench = _Bench(scenario.metric, scenario.potential, p, alphas,
+                           scenario.nonspray_perturbation)
             checks += _checks(groups, bench, scenario.id, idx)
             if progress is not None:
                 progress(scenario.id, idx)
@@ -540,7 +516,7 @@ def alpha_sweep(scenario, alphas, points=10, seed=0):
     if len(alphas) == 0:
         return rows
     for idx, p in enumerate(pts):
-        b = _Bench(_Point(scenario.metric, scenario.potential, p), alphas,
+        b = _Bench(scenario.metric, scenario.potential, p, alphas,
                    scenario.nonspray_perturbation)
         rel = {}
         for r in _checks((_maxwell_inhomogeneous, _trace_split), b,
@@ -555,7 +531,7 @@ def alpha_sweep(scenario, alphas, points=10, seed=0):
                 "gravity_trace": float(td.gravity_trace),
                 "contortion_quadratic": float(b.quad[k]),
                 "divergence": float(td.divergence[k]),
-                "charge_density": float(b.pt.rho_c),
+                "charge_density": float(b.rho_c),
                 "rel_residual_quadratic":
                     rel["maxwell-inhomogeneous-quadratic"][k],
                 "rel_residual_divergence":

@@ -44,10 +44,11 @@ def fd_hessian(fn, x, h=1e-4):
 def count_builds(monkeypatch):
     """Record every frame and tier built, wherever a module binds a builder.
 
-    Returns (frames, tiers): the base point of each field_frame call, and
-    a Counter of plain and jet fiber_parts and phase_context calls.
+    Returns (frames, tiers, couplings): the base point of each field_frame
+    call, a Counter of plain and jet fiber_parts and phase_context calls,
+    and the (tier, coupling argument) of each of those calls in order.
     """
-    frames, tiers = [], Counter()
+    frames, tiers, couplings = [], Counter(), []
     field_frame, fiber_parts, phase_context = (
         connection.field_frame, connection.fiber_parts,
         connection.phase_context)
@@ -57,12 +58,15 @@ def count_builds(monkeypatch):
         return field_frame(*args, **kwargs)
 
     def counted_parts(frame, alpha, y, **kwargs):
-        tiers["jet" if isinstance(y, Jet) else "plain"] += 1
+        kind = "jet" if isinstance(y, Jet) else "plain"
+        tiers[kind] += 1
+        couplings.append((kind, alpha))
         return fiber_parts(frame, alpha, y, **kwargs)
 
-    def counted_phase(*args):
+    def counted_phase(frame, alpha, y):
         tiers["phase"] += 1
-        return phase_context(*args)
+        couplings.append(("phase", alpha))
+        return phase_context(frame, alpha, y)
 
     wrappers = {"field_frame": (field_frame, counted_frame),
                 "fiber_parts": (fiber_parts, counted_parts),
@@ -73,4 +77,4 @@ def count_builds(monkeypatch):
         for attr, (original, wrapper) in wrappers.items():
             if getattr(module, attr, None) is original:
                 monkeypatch.setattr(module, attr, wrapper)
-    return frames, tiers
+    return frames, tiers, couplings

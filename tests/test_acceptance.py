@@ -25,8 +25,7 @@ from tidalbundle.dynamics import (IntegratorConfig, convert_deviation_frame,
 from tidalbundle.fields import builtin_metric, builtin_potential
 from tidalbundle.scenario import (BUILTIN_IDS, builtin_scenario,
                                  builtin_scenarios)
-from tidalbundle.verify import (_Bench, _checks, _einstein, _Point,
-                                report_json, run_suite)
+from tidalbundle.verify import _Bench, _checks, _einstein, report_json, run_suite
 
 SUITE_POINTS = 50
 SUITE_SEED = 0
@@ -129,7 +128,7 @@ def test_criterion_05_einstein_trace_profiles():
             g = sc.metric.pack(x).g
             y = normalize_velocity(g, [1.0, 0.02, 0.001, 0.3 / r], -1.0)
             p = phase_point(sc.metric, x, y)
-            bench = _Bench(_Point(sc.metric, sc.potential, p), [alpha])
+            bench = _Bench(sc.metric, sc.potential, p, [alpha])
             for res in _checks((_einstein,), bench, sc.id, 0):
                 if res["check"] != "einstein-trace":
                     continue

@@ -48,7 +48,7 @@ def test_compute_json_payload(tmp_path):
 
 def test_compute_builds_one_frame(monkeypatch, capsys):
     # the connection and curvature payloads are reads of one sample
-    frames, tiers = count_builds(monkeypatch)
+    frames, tiers, _ = count_builds(monkeypatch)
     assert main(["compute", "--scenario", "reissner_nordstrom"]) == 0
     assert json.loads(capsys.readouterr().out)["scenario"] == \
         "reissner_nordstrom"
@@ -56,7 +56,7 @@ def test_compute_builds_one_frame(monkeypatch, capsys):
     assert tiers == {"plain": 1, "jet": 1}
 
 
-def test_compute_at_override(capsys):
+def test_compute_at_override(tmp_path, capsys):
     assert main(["compute", "--scenario", "flat_vacuum", "--at",
                  "0", "0", "0", "0", "1", "0.5", "0", "0"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -66,6 +66,15 @@ def test_compute_at_override(capsys):
     assert main(["compute", "--scenario", "schwarzschild_vacuum", "--at",
                  "0", "1.5", "1.2", "0", "1", "0", "0", "0"]) == 2
     assert "chart" in capsys.readouterr().err
+    # so is a NaN or infinite component, refused before any geometry runs
+    for at in (["0", "0", "0", "0", "nan", "0", "0", "0"],
+               ["0", "0", "0", "0", "1", "0", "0", "inf"],
+               ["inf", "0", "0", "0", "1", "0", "0", "0"]):
+        out = tmp_path / "c.json"
+        assert main(["compute", "--scenario", "flat_vacuum", "--at", *at,
+                     "--out", str(out)]) == 2
+        assert "error: --at values must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_simulate_deterministic_csv_and_svg(tmp_path):
@@ -185,6 +194,15 @@ def test_bad_inputs_exit_two(tmp_path, capsys):
                   "--out", str(tmp_path / command)])
         assert exc.value.code == 2
         assert "has no values" in capsys.readouterr().err
+        assert not (tmp_path / command).exists()
+    # so is a coupling that is not a finite number
+    for command, alphas in (("verify", "nan,1"), ("sweep", "inf"),
+                            ("sweep", "0.5,-inf")):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--scenario", "flat_vacuum", "--points", "1",
+                  "--alphas", alphas, "--out", str(tmp_path / command)])
+        assert exc.value.code == 2
+        assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / command).exists()
 
 

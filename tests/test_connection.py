@@ -180,7 +180,7 @@ def test_worldline_rhs_builds_only_what_it_reads(monkeypatch):
     monkeypatch.setattr(dynamics, "fiber_parts", spy)
     worldline_rhs(RN, COULOMB, ALPHA, X, Y)
     (parts,) = seen
-    built = (set(vars(parts)) | set(vars(parts.core)) | set(vars(parts.frame))
+    built = (set(vars(parts)) | set(vars(parts.frame))
              | set(vars(parts.frame.metric_pack)))
     assert "N" in built
     assert not built & {"dgamma", "dginv", "dFmix", "B2", "B3", "h_low", "E",
@@ -194,26 +194,15 @@ def _bits(x):
     return np.asarray(x, dtype=float).tobytes()
 
 
-def test_rebound_tier_matches_a_fresh_build():
-    # a tier built once and rebound to each coupling reproduces a fresh
-    # build at that coupling bit for bit
-    frame = field_frame(RN, COULOMB, X)
-    tiers = {"plain": lambda a: fiber_parts(frame, a, Y),
-             "jet": lambda a: fiber_parts(frame, a, Jet.seed(Y, 4)),
-             "phase": lambda a: phase_context(frame, a, Y)}
-    for build in tiers.values():
-        shared = build(0.0)
-        for alpha in DEFAULT_ALPHAS:
-            rebound, fresh = shared.at(alpha), build(alpha)
-            assert rebound.core is shared.core
-            # on the jet tier _bits covers E.d and the fiber Hessian E.h
-            for name in ("N", "B2", "Gaff", "E"):
-                assert _bits(getattr(rebound, name)) == \
-                    _bits(getattr(fresh, name)), name
-
-
 BATCH_NAMES = ("N", "B", "B1", "B2", "B3_value", "Gaff", "G", "dB", "dB1",
                "R3", "E")
+
+
+def _tiers(frame, y):
+    """Builders of the plain, fiber-jet and phase tier at a coupling."""
+    return (lambda a: fiber_parts(frame, a, y),
+            lambda a: fiber_parts(frame, a, Jet.seed(y, 4)),
+            lambda a: phase_context(frame, a, y))
 
 
 def _coupling(x, k):
@@ -231,13 +220,10 @@ def test_batched_tier_matches_each_coupling():
         sc = builtin_scenario(sid)
         for p in sample_phase_points(sc, 2, np.random.default_rng(7)):
             frame = field_frame(sc.metric, sc.potential, p.x)
-            for tier in (fiber_parts(frame, 0.0, p.y),
-                         fiber_parts(frame, 0.0, Jet.seed(p.y, 4)),
-                         phase_context(frame, 0.0, p.y)):
-                batch = tier.at(alphas)
-                assert batch.core is tier.core
+            for build in _tiers(frame, p.y):
+                batch = build(alphas)
                 for k, alpha in enumerate(DEFAULT_ALPHAS):
-                    one = tier.at(alpha)
+                    one = build(alpha)
                     for name in BATCH_NAMES:
                         assert _bits(_coupling(getattr(batch, name), k)) == \
                             _bits(getattr(one, name)), (sid, name, alpha)
@@ -302,11 +288,10 @@ def test_curvature_of_n_takes_one_product():
         sc = builtin_scenario(sid)
         for p in sample_phase_points(sc, 2, np.random.default_rng(5)):
             frame = field_frame(sc.metric, sc.potential, p.x)
-            for tier in (fiber_parts(frame, 0.0, p.y),
-                         fiber_parts(frame, 0.0, Jet.seed(p.y, 4))):
+            for build in _tiers(frame, p.y)[:2]:
                 for alpha in DEFAULT_ALPHAS:
-                    parts = tier.at(alpha)
-                    dN = parts.core.dn1 + parts.dB1
+                    parts = build(alpha)
+                    dN = parts.dn1 + parts.dB1
                     N, Gaff = parts.N, parts.Gaff
                     two = (jeinsum("kij->ijk", dN) - jeinsum("jik->ijk", dN)
                            - jeinsum("lk,ijl->ijk", N, Gaff)
@@ -321,9 +306,8 @@ def test_value_only_third_contortion_on_jet_tier():
         sc = builtin_scenario(sid)
         for p in sample_phase_points(sc, 3, np.random.default_rng(4)):
             frame = field_frame(sc.metric, sc.potential, p.x)
-            jet = fiber_parts(frame, 0.0, Jet.seed(p.y, 4))
             for alpha in (-1.0, 0.0, 0.5, 3.0):
-                parts = jet.at(alpha)
+                parts = fiber_parts(frame, alpha, Jet.seed(p.y, 4))
                 value = parts.B3_value
                 assert "B3" not in vars(parts)
                 assert _bits(value) == _bits(parts.B3.v)

@@ -162,6 +162,35 @@ def test_load_from_file_and_resolve(tmp_path):
         load_scenario(bad)
 
 
+def test_non_finite_numbers_rejected(tmp_path):
+    # json reads NaN and Infinity and the schema's "number" admits them;
+    # the scenario refuses them, named by path, from a dict or a file
+    nan, inf = float("nan"), float("inf")
+    for data, path in ((_minimal(alpha=nan), "alpha"),
+                       (_minimal(nonspray_perturbation=-inf),
+                        "nonspray_perturbation"),
+                       (_minimal(initial={"y0": [nan, 0, 0, 0]}),
+                        "initial/y0/0"),
+                       (_minimal(integrator={"t_span": [0.0, inf]}),
+                        "integrator/t_span/1"),
+                       (_minimal(metric={"name": "schwarzschild",
+                                         "params": {"M": nan}}),
+                        "metric/params/M")):
+        with pytest.raises(ScenarioError,
+                           match=f"at {path}: numbers must be finite"):
+            scenario_from_dict(data)
+    for text in ('{"id": "bad", "metric": {"name": "minkowski"}, '
+                 '"alpha": NaN}',
+                 '{"id": "bad", "metric": {"name": "minkowski"}, '
+                 '"initial": {"y0": [NaN, 0, 0, 0]}}',
+                 '{"id": "bad", "metric": {"name": "minkowski"}, '
+                 '"alpha": -Infinity}'):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(ScenarioError, match="numbers must be finite"):
+            load_scenario(path)
+
+
 def test_raw_preserves_filled_document():
     sc = scenario_from_dict(_minimal())
     assert sc.raw["potential"]["name"] == "zero"

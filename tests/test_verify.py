@@ -18,7 +18,7 @@ from tidalbundle.scenario import (DEFAULT_SUITE, builtin_scenario,
                                  builtin_scenarios)
 from tidalbundle.verify import (DEFAULT_ALPHAS, TOLERANCES, _Bench, _checks,
                                 _einstein, _maxwell_homogeneous,
-                                _maxwell_inhomogeneous, _Point, _structural,
+                                _maxwell_inhomogeneous, _structural,
                                 alpha_sweep, full_trace_rhs, report_json,
                                 report_summary_table, run_suite,
                                 sample_phase_points)
@@ -163,7 +163,7 @@ def test_check_groups_pass_individually():
     sc = builtin_scenario("reissner_nordstrom")
     rng = np.random.default_rng(0)
     p = sample_phase_points(sc, 1, rng)[0]
-    bench = _Bench(_Point(sc.metric, sc.potential, p), DEFAULT_ALPHAS)
+    bench = _Bench(sc.metric, sc.potential, p, DEFAULT_ALPHAS)
     for fn in (_structural, _maxwell_homogeneous, _maxwell_inhomogeneous,
                _einstein):
         results = _checks((fn,), bench, sc.id, 0)
@@ -206,13 +206,13 @@ def test_alpha_zero_skips_full_trace():
     sc = builtin_scenario("reissner_nordstrom")
     rng = np.random.default_rng(0)
     p = sample_phase_points(sc, 1, rng)[0]
-    point = _Point(sc.metric, sc.potential, p)
-    names = {row.check for row in _einstein(_Bench(point, [0.0]))}
+    fields = (sc.metric, sc.potential, p)
+    names = {row.check for row in _einstein(_Bench(*fields, [0.0]))}
     assert names == {"einstein-trace"}
-    names = {row.check for row in _einstein(_Bench(point, [1.0]))}
+    names = {row.check for row in _einstein(_Bench(*fields, [1.0]))}
     assert names == {"einstein-trace", "einstein-trace-full"}
     # over a batch the full trace carries only its nonzero couplings
-    bench = _Bench(point, DEFAULT_ALPHAS)
+    bench = _Bench(*fields, DEFAULT_ALPHAS)
     judged = {(r["check"], r["alpha"])
               for r in _checks((_einstein,), bench, sc.id, 0)}
     assert judged == ({("einstein-trace", a) for a in DEFAULT_ALPHAS}
@@ -225,10 +225,10 @@ def test_full_trace_rhs_matter_linearity():
     sc = builtin_scenario("reissner_nordstrom")
     rng = np.random.default_rng(3)
     p = sample_phase_points(sc, 1, rng)[0]
-    b = _Bench(_Point(sc.metric, sc.potential, p), [1.0])
+    b = _Bench(sc.metric, sc.potential, p, [1.0])
     base = full_trace_rhs(b)
     shifted = full_trace_rhs(b, rho_m=0.2, matter_trace=0.3)
-    want = -8.0 * np.pi * (0.2 - 0.5 * b.pt.eps * 0.3)
+    want = -8.0 * np.pi * (0.2 - 0.5 * b.eps * 0.3)
     assert shifted - base == pytest.approx(want, rel=1e-12)
 
 
@@ -306,7 +306,7 @@ def test_shared_cores_match_public_functions():
         sc = builtin_scenario(sid)
         pert = sc.nonspray_perturbation
         for p in sample_phase_points(sc, 2, np.random.default_rng(11)):
-            b = _Bench(_Point(sc.metric, sc.potential, p), (0.0, 1.0), pert)
+            b = _Bench(sc.metric, sc.potential, p, (0.0, 1.0), pert)
             transport = b.covariant(unit_direction_low)
             for k, alpha in enumerate((0.0, 1.0)):
                 args = (sc.metric, sc.potential, alpha, p)
@@ -322,7 +322,7 @@ def test_shared_cores_match_public_functions():
 
 
 def test_suite_builds_one_frame_per_point(monkeypatch):
-    frames, tiers = count_builds(monkeypatch)
+    frames, tiers, couplings = count_builds(monkeypatch)
     calls = Counter()
 
     def counted(name, fn):
@@ -345,16 +345,24 @@ def test_suite_builds_one_frame_per_point(monkeypatch):
              {"phase": 1})):
         frames.clear()
         tiers.clear()
+        couplings.clear()
         read()
         assert len(frames) == 1
         assert tiers == Counter(want)
+        assert couplings == [(kind, 1.0) for kind in want]
     # the suite: one frame, one tier of each kind, one bench and one
     # judging pass per sampled point, each shared by every coupling
     frames.clear()
     tiers.clear()
+    couplings.clear()
     report = _suite(points=2)
     assert len(frames) == 2 * len(report["scenarios"])
     assert len(set(frames)) == len(frames)
     n = len(frames)
     assert tiers == Counter(plain=n, jet=n, phase=n)
     assert calls == Counter(bench=n, judge=n)
+    # each tier is built once, directly at the bench's array of couplings
+    assert len(couplings) == 3 * n
+    for kind, alpha in couplings:
+        assert isinstance(alpha, np.ndarray), kind
+        assert alpha.tolist() == list(DEFAULT_ALPHAS), kind

@@ -36,8 +36,8 @@ from .scenario import (BUILTIN_IDS, DEFAULT_SUITE, builtin_scenario,
                        resolve_scenario, scenario_defaults)
 from .svg import line_plot
 from .tensors import PhasePoint
-from .verify import (alpha_sweep, report_json, report_summary_table,
-                     run_suite)
+from .verify import (DEFAULT_ALPHAS, alpha_sweep, report_json,
+                     report_summary_table, run_suite)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -340,8 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="tabulate trace quantities across couplings")
     pw.add_argument("--points", type=int, default=10,
                     help="phase points per coupling (default 10)")
-    pw.add_argument("--alphas", type=_alpha_list,
-                    default=(-1.0, 0.0, 0.5, 1.0, 3.0),
+    pw.add_argument("--alphas", type=_alpha_list, default=DEFAULT_ALPHAS,
                     metavar="A,B,...", help="coupling values to sweep")
     pw.add_argument("--format", choices=("csv", "json"), default="csv")
     pw.add_argument("--plot", action="store_true",
@@ -361,6 +360,12 @@ def main(argv=None) -> int:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # bind each --alphas to its value, so that a list led by a negative
+    # coupling (--alphas -1,0.5) is not read as an option
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--alphas":
+            argv[i:i + 2] = ["--alphas=" + argv[i + 1]]
     args = parser.parse_args(argv)
     try:
         if args.echo_defaults:

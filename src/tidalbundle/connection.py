@@ -16,15 +16,9 @@ Each tensor is built on its first read and kept, so a point computes only
 what its caller reads: the field packs and the FieldFrame derive the base
 tensors, and FiberParts derives the connection at one fiber.  Since alpha
 enters only as the scalar factor above, FiberParts builds the alpha-free
-data (||y||, l, h, F^i_j, F^i, gamma y, their base derivatives and the
-brackets of the contortion family) once, and scales those brackets by
-the coupling to give N up front and G^i_jk, the spray and the curvature
-of N on read.  alpha may be a 1-D array: then one FiberParts evaluates
-every coupling in one pass, on alpha-free data built once.  Each
-coupling factor gets a coupling axis that follows the jet axes and leads
-the tensor slots (B1.v has shape (A, 4, 4), B1.d (m, A, 4, 4)), the
-coupling-dependent contractions (G, R3, E) go through jets.bjeinsum, and
-each coupling's slice equals the scalar build bit for bit.  The
+data once and scales it by the coupling.  alpha may be a 1-D array, a
+batch of couplings evaluated in one pass; a scalar coupling is a batch
+with no axis, and both run the same code (see FiberParts).  The
 per-point public functions take a scalar coupling.
 A Sample is one phase point at one coupling (or one batch of them): it
 holds three FiberParts tiers (plain, fiber jet, phase jet), each built on
@@ -48,7 +42,7 @@ import numpy as np
 from .errors import FrameMismatchError
 from .fields import (MetricField, MetricPack, PotentialField, PotentialPack,
                      cached_property, coords_compatible)
-from .jets import Jet, bjeinsum, jeinsum, jsqrt, value_of
+from .jets import Jet, jeinsum, jsqrt, value_of
 from .tensors import DIM, PhasePoint, norm_and_sign
 
 
@@ -117,19 +111,16 @@ class FiberParts:
     y is plain or a fiber-seeded Jet.
 
     alpha may be a 1-D array of couplings.  Then every coupling-dependent
-    tensor carries a coupling axis that leads its tensor slots (and
-    follows the jet axes), and its contractions go through bjeinsum; each
-    coupling's slice equals the scalar build bit for bit.
+    tensor carries a coupling axis that follows the jet axes and leads
+    its tensor slots (B1.v has shape (A, 4, 4), B1.d (m, A, 4, 4)), and
+    jeinsum broadcasts each contraction over it; each coupling's slice
+    equals the scalar build bit for bit.
     """
 
     def __init__(self, frame: FieldFrame, alpha, g, ginv, gamma, F, y, eps,
                  nrm):
         self.frame, self.alpha, self.g, self.gamma = frame, alpha, g, gamma
         self.y, self.eps, self.nrm = y, eps, nrm
-        self.batched = isinstance(alpha, np.ndarray) and alpha.ndim > 0
-        # jeinsum at one coupling, bjeinsum over a batch; bound here so the
-        # scalar path pays no extra call per contraction
-        self._ein = bjeinsum if self.batched else jeinsum
         self.l_up = y / nrm
         self.l_low = jeinsum("ij,j->i", g, self.l_up)
         self.Fmix = jeinsum("ia,aj->ij", ginv, F)
@@ -137,14 +128,8 @@ class FiberParts:
         self.n1 = jeinsum("ijk,k->ij", gamma, y)
         self.b1 = (eps * jeinsum("j,i->ij", self.l_low, self.F_up)
                    + nrm * self.Fmix)
-        self.B1 = self._lead(-0.5 * alpha, 2) * self.b1
+        self.B1 = _lead(-0.5 * alpha, 2) * self.b1
         self.N = self.n1 + self.B1
-
-    def _lead(self, factor, rank):
-        """A coupling factor shaped to lead rank tensor slots."""
-        if not self.batched:
-            return factor
-        return factor.reshape(factor.shape + (1,) * rank)
 
     @cached_property
     def h_low(self):
@@ -178,11 +163,11 @@ class FiberParts:
 
     @cached_property
     def B(self):
-        return self._lead(-0.5 * self.alpha, 1) * self.b
+        return _lead(-0.5 * self.alpha, 1) * self.b
 
     @cached_property
     def B2(self):
-        return self._lead(-0.5 * self.alpha * self.eps, 3) * self.b2
+        return _lead(-0.5 * self.alpha * self.eps, 3) * self.b2
 
     @cached_property
     def Gaff(self):
@@ -190,12 +175,12 @@ class FiberParts:
 
     @cached_property
     def G(self):
-        return 0.5 * self._ein("ij,j->i", self.N, self.y)
+        return 0.5 * jeinsum("ij,j->i", self.N, self.y)
 
     @cached_property
     def B3(self):
         """B^i_jkl, the third fiber derivative of B."""
-        half_eps = self._lead(-0.5 * self.alpha * self.eps, 4)
+        half_eps = _lead(-0.5 * self.alpha * self.eps, 4)
         over_nrm, over_nrm2 = self.b3
         return half_eps * over_nrm / self.nrm \
             - (half_eps * self.eps) * over_nrm2 / (self.nrm * self.nrm)
@@ -209,7 +194,7 @@ class FiberParts:
         """
         if not isinstance(self.nrm, Jet):
             return self.B3
-        half_eps = self._lead(-0.5 * self.alpha * self.eps, 4)
+        half_eps = _lead(-0.5 * self.alpha * self.eps, 4)
         over_nrm, over_nrm2 = self.b3_value
         nrm = self.nrm.v
         first = (half_eps * over_nrm) * (1.0 / nrm)
@@ -258,24 +243,31 @@ class FiberParts:
 
     @cached_property
     def dB(self):
-        return self._lead(-0.5 * self.alpha, 2) * self.db
+        return _lead(-0.5 * self.alpha, 2) * self.db
 
     @cached_property
     def dB1(self):
-        return self._lead(-0.5 * self.alpha, 3) * self.db1
+        return _lead(-0.5 * self.alpha, 3) * self.db1
 
     @cached_property
     def R3(self):
-        ein = self._ein
         dN = self.dn1 + self.dB1
         # N^l_k G^i_jl; its (j, k) transpose is the N^l_j G^i_kl term
-        P = ein("lk,ijl->ijk", self.N, self.Gaff)
-        return (ein("kij->ijk", dN) - ein("jik->ijk", dN) - P
-                + ein("ikj->ijk", P))
+        P = jeinsum("lk,ijl->ijk", self.N, self.Gaff)
+        return (jeinsum("kij->ijk", dN) - jeinsum("jik->ijk", dN) - P
+                + jeinsum("ikj->ijk", P))
 
     @cached_property
     def E(self):
-        return self._ein("ijk,k->ij", self.R3, self.y)
+        return jeinsum("ijk,k->ij", self.R3, self.y)
+
+
+def _lead(factor, rank):
+    """A 1-D coupling factor shaped to lead rank tensor slots; a scalar
+    passes as is, so one-coupling callers pay no reshape."""
+    if not isinstance(factor, np.ndarray):  # np.ndim costs 1-2 us a call
+        return factor
+    return factor.reshape(factor.shape + (1,) * rank)
 
 
 def _b3_brackets(h_low, l_low, Fmix, F_up):
@@ -378,7 +370,8 @@ class Sample:
 
     alpha may be a 1-D array of couplings: then each tier is one batched
     FiberParts, its alpha-free data built once for every coupling, and
-    every read carries the coupling axis first.
+    every read carries the coupling axis first.  The shape of alpha picks
+    only the return shape of td and covariant, never a second path.
 
     perturbation adds a constant to every N^i_j in the torsion read only
     (the negative control; see strong_torsion).
@@ -434,14 +427,14 @@ class Sample:
         quad = np.einsum("...li,...il->...", parts.B1, parts.B1)
         values = (np.trace(parts.E, axis1=-2, axis2=-1),
                   e_trace - 2.0 * div + quad, e_trace, div, quad)
-        if not parts.batched:
+        if np.ndim(self.alpha) == 0:
             values = map(float, values)
         return TraceDecomposition(*values)
 
     def covariant(self, field: PhaseFieldSpec, reference="full"):
         """Covariant derivative of a phase field: d_covariant_derivative."""
         out = _covariant(self.frame, self.phase, field, reference)
-        if not self.phase.batched:
+        if np.ndim(self.alpha) == 0:
             return out[0]
         return np.broadcast_to(out, np.shape(self.alpha) + out.shape[1:])
 
@@ -456,7 +449,7 @@ def _covariant(frame, ctx, field, reference):
     """
     T = field.build(ctx)
     builds = [(T, np.shape(ctx.alpha))]
-    if ctx.batched and len(ctx.alpha) == DIM:
+    if np.shape(ctx.alpha) == (DIM,):
         # a slot indexed as a coupling (ctx.B[0]) leaves a leading axis as
         # long as this coupling axis; on one coupling it cannot pass
         builds.append((field.build(phase_context(

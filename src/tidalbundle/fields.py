@@ -78,6 +78,15 @@ def _constant(pack):
     return lambda x: pack
 
 
+def _linear(dA):
+    """The pack function of A_i = dA[k, i] x^k: dA and the zero d2A are
+    built once per field and read-only, since all points share them."""
+    dA = np.asarray(dA, dtype=float)
+    d2A = np.zeros((DIM, DIM, DIM))
+    dA.flags.writeable = d2A.flags.writeable = False
+    return lambda x: PotentialPack(x @ dA, dA, d2A)
+
+
 @dataclass(frozen=True)
 class MetricPack:
     g: np.ndarray
@@ -346,13 +355,13 @@ _B_COMPONENTS = {"z": (1, 2), "x": (2, 3), "y": (3, 1)}
 def builtin_potential(name, params=None) -> PotentialField:
     """Catalog lookup: zero, uniform_b(B, axis), uniform_e(E, axis), coulomb(Q), pure_gauge(c)."""
     params = dict(params or {})
-    zero3 = np.zeros((DIM, DIM, DIM))
     always = lambda x: np.array([1.0])
 
     if name == "zero":
         if params:
             raise ValueError("zero potential takes no params")
-        none = PotentialPack(np.zeros(DIM), np.zeros((DIM, DIM)), zero3)
+        none = PotentialPack(np.zeros(DIM), np.zeros((DIM, DIM)),
+                             np.zeros((DIM, DIM, DIM)))
         return PotentialField(name, {}, "any", _constant(none), always)
 
     if name == "uniform_b":
@@ -362,16 +371,10 @@ def builtin_potential(name, params=None) -> PotentialField:
             raise ValueError(f"unexpected uniform_b params {sorted(params)}")
         if axis not in _B_COMPONENTS:
             raise ValueError(f"uniform_b axis must be x, y, or z, got {axis!r}")
-        a, b = _B_COMPONENTS[axis]
-
-        def pack(x, B=B, a=a, b=b):
-            A = np.zeros(DIM)
-            A[b] = B * x[a]
-            dA = np.zeros((DIM, DIM))
-            dA[a, b] = B
-            return PotentialPack(A, dA, zero3)
-
-        return PotentialField(name, {"B": B, "axis": axis}, "cartesian", pack, always)
+        dA = np.zeros((DIM, DIM))
+        dA[_B_COMPONENTS[axis]] = B
+        return PotentialField(name, {"B": B, "axis": axis}, "cartesian",
+                              _linear(dA), always)
 
     if name == "uniform_e":
         E = float(params.pop("E"))
@@ -380,16 +383,10 @@ def builtin_potential(name, params=None) -> PotentialField:
             raise ValueError(f"unexpected uniform_e params {sorted(params)}")
         if axis not in _AXIS_INDEX:
             raise ValueError(f"uniform_e axis must be x, y, or z, got {axis!r}")
-        k = _AXIS_INDEX[axis]
-
-        def pack(x, E=E, k=k):
-            A = np.zeros(DIM)
-            A[0] = -E * x[k]
-            dA = np.zeros((DIM, DIM))
-            dA[k, 0] = -E
-            return PotentialPack(A, dA, zero3)
-
-        return PotentialField(name, {"E": E, "axis": axis}, "cartesian", pack, always)
+        dA = np.zeros((DIM, DIM))
+        dA[_AXIS_INDEX[axis], 0] = -E
+        return PotentialField(name, {"E": E, "axis": axis}, "cartesian",
+                              _linear(dA), always)
 
     if name == "coulomb":
         Q = float(params.pop("Q"))
@@ -416,17 +413,10 @@ def builtin_potential(name, params=None) -> PotentialField:
         c = float(params.pop("c"))
         if params:
             raise ValueError(f"unexpected pure_gauge params {sorted(params)}")
-
-        def pack(x, c=c):
-            A = np.zeros(DIM)
-            A[1] = c * x[2]
-            A[2] = c * x[1]
-            dA = np.zeros((DIM, DIM))
-            dA[2, 1] = c
-            dA[1, 2] = c
-            return PotentialPack(A, dA, zero3)
-
-        return PotentialField(name, {"c": c}, "cartesian", pack, always)
+        dA = np.zeros((DIM, DIM))
+        dA[2, 1] = dA[1, 2] = c
+        return PotentialField(name, {"c": c}, "cartesian", _linear(dA),
+                              always)
 
     raise ValueError(f"unknown potential {name!r}")
 

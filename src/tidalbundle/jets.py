@@ -9,11 +9,11 @@ seed directions; trailing axes are ordinary tensor slots, so einsum-style
 contractions stay readable.  Derivatives are exact (product/quotient/chain
 rules), never finite differences.
 
-A batch axis (the couplings of one phase point) sits between the two: it
-follows the seed axes and leads the tensor slots, so v has shape
+Batch axes (the couplings of one phase point) sit between the two: they
+follow the seed axes and lead the tensor slots, so v has shape
 (A,)+tensor, d (m, A)+tensor and h (m, m, A)+tensor.  The arithmetic
-broadcasts over it as it stands; bjeinsum contracts batched operands with
-the unbatched subscripts, leaving jeinsum's own path untouched.
+broadcasts over them, and so does jeinsum, which puts "..." before every
+subscript of its spec; without batch axes that moves no bits.
 """
 
 from __future__ import annotations
@@ -185,20 +185,22 @@ def value_of(x):
 
 @lru_cache(maxsize=None)
 def _split(spec):
-    # cached: the specs are a few dozen literals, and parsing one costs a
-    # quarter of a plain jeinsum call
+    # spec with "..." leading every operand and the output; cached, as the
+    # specs are a few dozen literals and parsing costs a quarter of a call
     lhs, out = spec.split("->")
-    subs = tuple(lhs.split(","))
+    subs = tuple("..." + s for s in lhs.split(","))
+    out = "..." + out
     for s in subs + (out,):
         for letter in _JET_AXES:
             if letter in s:
                 raise ValueError(f"subscript letter {letter!r} is reserved")
-    return subs, out
+    return ",".join(subs) + "->" + out, subs, out
 
 
 def jeinsum(spec, *ops):
-    """einsum over one or two operands, any of which may be a Jet."""
-    subs, out = _split(spec)
+    """einsum over one or two operands, any of which may be a Jet; spec
+    names the tensor slots, and leading batch axes broadcast."""
+    spec, subs, out = _split(spec)
     Z, Y = _JET_AXES
     if len(ops) == 1:
         (a,), (sa,) = ops, subs
@@ -238,17 +240,3 @@ def jeinsum(spec, *ops):
         h += cross + np.swapaxes(cross, 0, 1)
     return Jet(v, d, h)
 
-
-@lru_cache(maxsize=None)
-def _batched(spec):
-    lhs, out = spec.split("->")
-    return ",".join("..." + s for s in lhs.split(",")) + "->..." + out
-
-
-def bjeinsum(spec, *ops):
-    """jeinsum over operands that may carry a leading batch axis.
-
-    spec is written for the unbatched tensor slots; a batch axis leading
-    those slots (after any jet axes) broadcasts across the operands.
-    """
-    return jeinsum(_batched(spec), *ops)

@@ -62,5 +62,6 @@ class PhasePoint:
 
     @classmethod
     def create(cls, g, x, y):
+        y = _as_vector(y)  # before norm_and_sign, which cannot take a NaN
         nrm, eps = norm_and_sign(g, y)
         return cls(x, y, nrm, eps)

@@ -37,8 +37,9 @@ Maxwell forms and the trace decomposition) include the term-by-term
 magnitude of the curvature assembly.  A zero scale falls back to the
 larger side.  Residuals under 1e-14 absolute pass outright; exact zeros
 stay exact.  A check with several rows (the homogeneity ladder's rungs)
-is judged at each coupling by its worst row.  Every reduction is a max,
-so the judged numbers are the ones a bench per coupling would give.
+is judged at each coupling by its worst row, a NaN row worst of all.
+Every reduction is a max, so the judged numbers are the ones a bench per
+coupling would give.
 
 The report (schema 2): each sampled point is stored once in points, with
 its x, y, causal sign and conditioning number max|y|^2 / |g(y,y)|, and
@@ -215,7 +216,8 @@ def _checks(groups, bench, scenario_id, point):
 
     The pass rule: rel <= tol, or under the absolute floor.  A check with
     several rows (the homogeneity ladder's rungs) is judged at each
-    coupling by its worst row, the last one with the largest rel.  Each
+    coupling by its worst row, the last one with the largest rel; a NaN
+    rel is the worst, as in check_summary.  Each
     verdict is returned as the report's own row dict (plain Python
     values).
     """
@@ -226,8 +228,8 @@ def _checks(groups, bench, scenario_id, point):
                 _residuals(lhs, rhs, scale))
     results = []
     for check, (at, rows) in judged.items():
-        parts = reduce(lambda top, row: np.where(row[3] > top[3], row, top),
-                       reversed(rows))
+        parts = reduce(lambda top, row: np.where(
+            (row[3] >= top[3]) | np.isnan(row[3]), row, top), rows)
         tol = TOLERANCES[check]
         alphas = bench.alpha if at is None else bench.alpha[at]
         for alpha, (lhs_mag, rhs_mag, abs_res, rel) in zip(
@@ -444,16 +446,24 @@ def _worse(worst, rel):
     return rel if rel > worst or math.isnan(rel) else worst
 
 
+def _finite(alphas):
+    """The couplings as a tuple of floats; a non-finite one is refused."""
+    alphas = tuple(float(a) for a in alphas)
+    if not all(map(math.isfinite, alphas)):
+        raise ValueError(f"couplings must be finite, got {list(alphas)}")
+    return alphas
+
+
 def run_suite(scenarios, points=50, seed=0, alphas=None, progress=None):
     """Evaluate every check over sampled phase points; deterministic report.
 
-    alphas=None runs DEFAULT_ALPHAS; an empty sequence raises ValueError.
+    alphas=None runs DEFAULT_ALPHAS; an empty sequence or a non-finite
+    coupling raises ValueError.
 
     The report is a plain-JSON dict: identical (scenario set, points,
     alphas, seed, version) give byte-identical serialization.
     """
-    alphas = tuple(float(a) for a in
-                   (DEFAULT_ALPHAS if alphas is None else alphas))
+    alphas = _finite(DEFAULT_ALPHAS if alphas is None else alphas)
     if not alphas:
         raise ValueError("run_suite needs at least one coupling")
     ordered = sorted(scenarios, key=lambda s: s.id)
@@ -508,8 +518,9 @@ def alpha_sweep(scenario, alphas, points=10, seed=0):
     Returns one row dict per (sampled point, alpha), suitable for CSV
     emission: traces, the contortion quadratic, the divergence, and the
     relative residuals of the trace identities, judged by the suite's own
-    checks.
+    checks.  A non-finite coupling raises ValueError.
     """
+    alphas = _finite(alphas)
     rng = np.random.default_rng(seed)
     pts = sample_phase_points(scenario, points, rng)
     rows = []

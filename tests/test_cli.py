@@ -144,6 +144,19 @@ def test_verify_reports_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_alphas_may_start_negative(tmp_path):
+    # "--alphas -1,..." binds the list as "--alphas=-1,..." does
+    for command in ("verify", "sweep"):
+        outs = [tmp_path / f"{command}{k}" for k in range(2)]
+        args = [command, "--scenario", "flat_uniform_b", "--points", "1"]
+        assert main(args + ["--alphas", "-1,0.5,1,3",
+                            "--out", str(outs[0])]) == 0
+        assert main(args + ["--alphas=-1,0.5,1,3",
+                            "--out", str(outs[1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert outs[0].read_text().splitlines()[1].split(",")[2] == "-1.0"
+
+
 def test_sweep_formats(tmp_path):
     csv_path = tmp_path / "s.csv"
     assert main(["sweep", "--scenario", "flat_coulomb", "--points", "1",

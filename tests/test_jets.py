@@ -1,8 +1,12 @@
+import inspect
+import re
+
 import numpy as np
 import pytest
 from conftest import fd_gradient, fd_hessian
 
-from tidalbundle.jets import Jet, bjeinsum, jeinsum, jsqrt, value_of
+from tidalbundle import connection
+from tidalbundle.jets import Jet, jeinsum, jsqrt, value_of
 
 G = np.array([[-1.0, 0.1, 0.0, 0.0],
               [0.1, 1.3, 0.2, 0.0],
@@ -143,7 +147,7 @@ def _item(x, k):
     return Jet(x.v[k], x.d[:, k], None if x.h is None else x.h[:, :, k])
 
 
-def test_bjeinsum_matches_jeinsum_per_item():
+def test_jeinsum_broadcasts_per_item():
     # a batch axis leading the tensor slots: each item equals jeinsum on
     # that item bit for bit, whether the other operand is batched or not
     rng = np.random.default_rng(3)
@@ -161,7 +165,7 @@ def test_bjeinsum_matches_jeinsum_per_item():
                  ("ij->ji", (np.stack([m.v for m in mats]),),
                   lambda k: (mats[k].v,)))
         for spec, ops, item in cases:
-            got = bjeinsum(spec, *ops)
+            got = jeinsum(spec, *ops)
             for k in range(len(scales)):
                 want = jeinsum(spec, *item(k))
                 part = _item(got, k)
@@ -172,8 +176,67 @@ def test_bjeinsum_matches_jeinsum_per_item():
                     if a is not None:
                         assert np.asarray(a).tobytes() == \
                             np.asarray(b).tobytes(), spec
-    # unbatched operands give jeinsum's result
-    seed = Jet.seed(Y, 4)
-    got, want = bjeinsum("ij,j->i", G, seed), jeinsum("ij,j->i", G, seed)
-    for a, b in ((got.v, want.v), (got.d, want.d), (got.h, want.h)):
-        assert np.array_equal(a, b)
+
+
+def _as_written(spec, *ops):
+    """jeinsum's value and derivatives, from np.einsum on spec as written:
+    the product rule term by term, summed in jeinsum's order."""
+    lhs, out = spec.split("->")
+    subs = lhs.split(",")
+    vals = [value_of(x) for x in ops]
+    jets = [k for k, x in enumerate(ops) if isinstance(x, Jet)]
+
+    def term(lead):
+        # operand k read as lead[k] = (jet component, its jet subscripts)
+        specs = [lead[k][1] + s if k in lead else s for k, s in enumerate(subs)]
+        arrs = [lead[k][0] if k in lead else v for k, v in enumerate(vals)]
+        jet_out = "".join(sub for _, sub in lead.values())
+        return np.einsum(",".join(specs) + "->" + jet_out + out, *arrs)
+
+    v = np.einsum(spec, *vals)
+    if not jets:
+        return v, None, None
+    d = sum(term({k: (ops[k].d, "Z")}) for k in jets)
+    if ops[jets[0]].h is None:
+        return v, d, None
+    h = sum(term({k: (ops[k].h, "ZY")}) for k in jets)
+    if len(jets) == 2:
+        cross = term({0: (ops[0].d, "Z"), 1: (ops[1].d, "Y")})
+        h = h + (cross + np.swapaxes(cross, 0, 1))
+    return v, d, h
+
+
+def test_unbatched_jeinsum_is_einsum_as_written():
+    # the "..." that jeinsum puts before every subscript moves no bits on
+    # operands without batch axes: every spec the connection contracts
+    # with, on plain, order-1 and order-2 operands
+    specs = set(re.findall(r'jeinsum\("([^"]+)"',
+                           inspect.getsource(connection)))
+    assert {"ij,j->i", "lk,ijl->ijk", "kij->ijk", "i,i->"} <= specs
+    rng = np.random.default_rng(7)
+    m = 3
+
+    def operand(sub, kind):
+        shape = (4,) * len(sub)
+        v = rng.uniform(0.5, 2.0, shape) * rng.choice([-1.0, 1.0], shape)
+        if kind == "plain":
+            return v
+        d = rng.uniform(0.5, 2.0, (m,) + shape)
+        return Jet(v, d, None if kind == "order1"
+                   else rng.uniform(0.5, 2.0, (m, m) + shape))
+
+    for spec in sorted(specs):
+        subs = spec.split("->")[0].split(",")
+        for kinds in ([("plain",) * len(subs)]
+                      + [(k,) * len(subs) for k in ("order1", "order2")]
+                      + ([("order2", "plain"), ("plain", "order2"),
+                          ("order1", "plain")] if len(subs) == 2 else [])):
+            ops = [operand(sub, k) for sub, k in zip(subs, kinds)]
+            got = jeinsum(spec, *ops)
+            parts = (got.v, got.d, got.h) if isinstance(got, Jet) \
+                else (got, None, None)
+            for a, b in zip(parts, _as_written(spec, *ops)):
+                assert (a is None) == (b is None), (spec, kinds)
+                if a is not None:
+                    assert np.asarray(a).tobytes() == \
+                        np.asarray(b).tobytes(), (spec, kinds)

@@ -67,3 +67,10 @@ def test_phase_point_caches_norm():
         PhasePoint.create(ETA, np.zeros(3), [2.0, 1.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         PhasePoint.create(ETA, [0.0, np.nan, 0.0, 0.0], [2.0, 1.0, 0.0, 0.0])
+
+
+def test_phase_point_refuses_non_finite_fiber():
+    # the finite-components check comes before the norm, which a NaN breaks
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            PhasePoint.create(ETA, np.zeros(4), [bad, 0.0, 0.0, 0.0])

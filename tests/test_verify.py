@@ -192,14 +192,17 @@ def test_several_rows_judged_by_worst_per_coupling():
     assert got == [(-1.0, 0.5, 0.5, 0.25), (0.0, 0.5, 0.5, 0.25),
                    (2.0, 0.5, 0.5, 2.0)]
 
-    # NaN as Python's max(reversed(rungs), key=rel) treats it: kept when
-    # it is the last rung, passed over elsewhere
+    # a NaN rung is the worst, whichever rung it is, and fails its check
+    # (as check_summary ranks it); rel per coupling: (.5, NaN, .5), (NaN,
+    # 0, 0), so at coupling 1 the rung at rel 0 no longer passes it
     def nan_rungs(b):
         yield "homogeneity-ladder", lhs, [[0.5], [np.nan], [0.5]], 1.0, None
-        yield "homogeneity-ladder", lhs, [[np.nan], [0.75], [0.75]], 1.0, None
+        yield "homogeneity-ladder", lhs, [[np.nan], [1.0], [1.0]], 1.0, None
 
-    got = [r["rel_residual"] for r in _checks((nan_rungs,), bench, "s", 0)]
-    assert np.isnan(got[0]) and got[1:] == [0.25, 0.5]
+    rows = _checks((nan_rungs,), bench, "s", 0)
+    got = [r["rel_residual"] for r in rows]
+    assert np.isnan(got[0]) and np.isnan(got[1]) and got[2] == 0.5
+    assert [r["passed"] for r in rows] == [False, False, False]
 
 
 def test_alpha_zero_skips_full_trace():
@@ -290,6 +293,15 @@ def test_empty_coupling_grid_is_refused():
         run_suite([sc], points=1, seed=0, alphas=())
     report = run_suite([sc], points=1, seed=0, alphas=None)
     assert report["config"]["alphas"] == list(DEFAULT_ALPHAS)
+
+
+def test_non_finite_coupling_is_refused():
+    sc = builtin_scenario("flat_coulomb")
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            run_suite([sc], points=1, seed=0, alphas=(0.5, bad))
+        with pytest.raises(ValueError, match="finite"):
+            alpha_sweep(sc, [bad], points=1)
 
 
 def test_zero_points_gives_empty_report():

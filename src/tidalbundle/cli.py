@@ -376,13 +376,7 @@ def main(argv=None) -> int:
                 _emit(report_json(scenario_defaults()), args.out)
             return EXIT_OK
         return args.fn(args)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except TidalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except OSError as exc:
+    except (SystemExit2, TidalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -14,12 +14,15 @@ fibers under the positive-norm convention.
 
 Each tensor is built on its first read and kept, so a point computes only
 what its caller reads: the field packs and the FieldFrame derive the base
-tensors, and FiberParts derives the connection at one fiber.  Since alpha
-enters only as the scalar factor above, FiberParts builds the alpha-free
-data once and scales it by the coupling.  alpha may be a 1-D array, a
-batch of couplings evaluated in one pass; a scalar coupling is a batch
-with no axis, and both run the same code (see FiberParts).  The
-per-point public functions take a scalar coupling.
+tensors, and FiberParts derives the connection at one fiber.  The mixed
+field strength F^i_j = g^ia F_aj is the frame's, built once per point:
+every fiber tier reads that one array (the phase tier lifts it with its
+base derivatives).  Since alpha enters only as the scalar factor above,
+FiberParts builds the alpha-free data once and scales it by the
+coupling.  alpha may be a 1-D array, a batch of couplings evaluated in
+one pass; a scalar coupling is a batch with no axis, and both run the
+same code (see FiberParts).  The per-point public functions take a
+scalar coupling.
 A Sample is one phase point at one coupling (or one batch of them): it
 holds three FiberParts tiers (plain, fiber jet, phase jet), each built on
 first read, and the reads that several callers share.  Every per-point
@@ -70,7 +73,8 @@ class FieldFrame:
 
     @cached_property
     def Fmix(self):
-        return self.ginv @ self.F
+        """F^i_j = g^ia F_aj, the one copy every fiber tier reads."""
+        return np.einsum("ia,aj->ij", self.ginv, self.F)
 
     @cached_property
     def dFmix(self):
@@ -97,13 +101,15 @@ class FiberParts:
     """Connection data at one fiber and one coupling, or a batch of them.
 
     The coupling enters the charged spray only as a scalar factor on the
-    contortion family, so ||y||, l, h, F^i_j, F^i, gamma^i_jk y^k, the base
+    contortion family, so ||y||, l, h, F^i, gamma^i_jk y^k, the base
     derivatives of ||y||, F^i and gamma y, and the alpha-free brackets
-    b, b1, b2, b3, db, db1 of B, B^i_j, B^i_jk, B^i_jkl, dB and dB^i_j are
-    built once, whatever alpha is.  Each coupling-dependent tensor is its
-    coupling factor (-alpha/2, or -alpha eps/2) times one of those
-    brackets, and N, G^i_jk, the spray, the curvature of N and E are
-    assembled from them.  g, ginv, gamma, F and y may be Jets.  The eager
+    b, b1, b2, db, db1 of B, B^i_j, B^i_jk, dB and dB^i_j are built once,
+    whatever alpha is.  Each coupling-dependent tensor is its coupling
+    factor (-alpha/2, or -alpha eps/2) times one of those brackets, and N,
+    G^i_jk, the spray, the curvature of N and E are assembled from them.
+    B^i_jkl is built from values alone on every tier (see B3).  Fmix is
+    F^i_j, the frame's own array (a Jet lifted from it on the phase
+    tier); g, gamma, Fmix and y may be Jets.  The eager
     attributes (N, B^i_j and what they read) are the ones every reader,
     the worldline right-hand side first, reads; the rest is built on first
     read.  The curvature channel (dB, dB1, R3, E) differentiates the base
@@ -117,13 +123,11 @@ class FiberParts:
     equals the scalar build bit for bit.
     """
 
-    def __init__(self, frame: FieldFrame, alpha, g, ginv, gamma, F, y, eps,
-                 nrm):
+    def __init__(self, frame: FieldFrame, alpha, g, gamma, Fmix, y, eps, nrm):
         self.frame, self.alpha, self.g, self.gamma = frame, alpha, g, gamma
-        self.y, self.eps, self.nrm = y, eps, nrm
+        self.Fmix, self.y, self.eps, self.nrm = Fmix, y, eps, nrm
         self.l_up = y / nrm
         self.l_low = jeinsum("ij,j->i", g, self.l_up)
-        self.Fmix = jeinsum("ia,aj->ij", ginv, F)
         self.F_up = jeinsum("ij,j->i", self.Fmix, y)
         self.n1 = jeinsum("ijk,k->ij", gamma, y)
         self.b1 = (eps * jeinsum("j,i->ij", self.l_low, self.F_up)
@@ -148,17 +152,6 @@ class FiberParts:
                 + jeinsum("j,ik->ijk", l_low, Fmix)
                 + jeinsum("k,ij->ijk", l_low, Fmix))
 
-    @cached_property
-    def b3(self):
-        """The two brackets of B^i_jkl, over ||y|| and over ||y||^2."""
-        return _b3_brackets(self.h_low, self.l_low, self.Fmix, self.F_up)
-
-    @cached_property
-    def b3_value(self):
-        """b3 from the values alone: no fiber derivatives on a jet tier."""
-        return _b3_brackets(value_of(self.h_low), value_of(self.l_low),
-                            value_of(self.Fmix), value_of(self.F_up))
-
     # ---- the contortion family and the affine connection ----
 
     @cached_property
@@ -179,27 +172,22 @@ class FiberParts:
 
     @cached_property
     def B3(self):
-        """B^i_jkl, the third fiber derivative of B."""
-        half_eps = _lead(-0.5 * self.alpha * self.eps, 4)
-        over_nrm, over_nrm2 = self.b3
-        return half_eps * over_nrm / self.nrm \
-            - (half_eps * self.eps) * over_nrm2 / (self.nrm * self.nrm)
+        """B^i_jkl, the third fiber derivative of B, as values on any tier.
 
-    @cached_property
-    def B3_value(self):
-        """The value of B3 alone, bit for bit equal to B3.v.
-
-        On a jet tier it skips the fiber derivatives by replaying the Jet
-        arithmetic on values: x / n is x * (1.0 / n), and a - b is a + (-b).
+        No reader needs its fiber derivatives.  On a jet tier it replays
+        the Jet arithmetic on values, so it equals the value of a Jet
+        build bit for bit: x / n is x * (1.0 / n), and a - b is a + (-b).
         """
-        if not isinstance(self.nrm, Jet):
-            return self.B3
         half_eps = _lead(-0.5 * self.alpha * self.eps, 4)
-        over_nrm, over_nrm2 = self.b3_value
-        nrm = self.nrm.v
-        first = (half_eps * over_nrm) * (1.0 / nrm)
-        second = ((half_eps * self.eps) * over_nrm2) * (1.0 / (nrm * nrm))
-        return first + (-second)
+        over_nrm, over_nrm2 = _b3_brackets(*map(value_of, (
+            self.h_low, self.l_low, self.Fmix, self.F_up)))
+        first = half_eps * over_nrm
+        second = (half_eps * self.eps) * over_nrm2
+        nrm = self.nrm
+        if not isinstance(nrm, Jet):
+            return first / nrm - second / (nrm * nrm)
+        nrm = nrm.v
+        return first * (1.0 / nrm) + (-(second * (1.0 / (nrm * nrm))))
 
     # ---- base derivatives, in closed form from the plain frame arrays ----
 
@@ -284,7 +272,8 @@ def fiber_parts(frame: FieldFrame, alpha, y, check=True) -> FiberParts:
     """The connection at one fiber; each part is built when first read.
 
     y may be a plain 4-vector or a Jet seeded in fiber directions; in the
-    latter case every output carries exact fiber derivatives.
+    latter case every output carries exact fiber derivatives.  Either way
+    the tier reads the frame's F^i_j, so parts.Fmix is frame.Fmix.
 
     check=False disables the near-null rejection.  Adaptive integrators
     evaluate trial stages at states the solution never visits; those must
@@ -299,8 +288,8 @@ def fiber_parts(frame: FieldFrame, alpha, y, check=True) -> FiberParts:
     else:
         y = np.asarray(y, dtype=float)
         nrm = nrm_v
-    return FiberParts(frame, alpha, frame.g, frame.ginv, frame.gamma, frame.F,
-                      y, eps, nrm)
+    return FiberParts(frame, alpha, frame.g, frame.gamma, frame.Fmix, y, eps,
+                      nrm)
 
 
 # ---- phase jets and fields on the tangent bundle ----------------------
@@ -314,17 +303,18 @@ def phase_context(frame: FieldFrame, alpha, y):
 
     Directions 0..3 are base, 4..7 fiber.  The jets are order 1: the
     adapted derivatives read first derivatives only, and those are exact.
+    g, gamma and the frame's F^i_j are lifted with their base derivatives
+    and no fiber dependence; y is seeded in the fiber directions.
     """
     m = 2 * DIM
     g = Jet.from_pack(frame.g, frame.dg, m)
-    ginv = Jet.from_pack(frame.ginv, frame.dginv, m)
     gamma = Jet.from_pack(frame.gamma, frame.dgamma, m)
-    F = Jet.from_pack(frame.F, frame.dF, m)
+    Fmix = Jet.from_pack(frame.Fmix, frame.dFmix, m)
     yj = Jet.from_pack(np.asarray(y, dtype=float), np.eye(DIM), m, start=DIM)
     _, eps = norm_and_sign(frame.g, y)
     q = jeinsum("i,i->", jeinsum("ij,j->i", g, yj), yj)
     nrm = jsqrt(eps * q)
-    return FiberParts(frame, alpha, g, ginv, gamma, F, yj, eps, nrm)
+    return FiberParts(frame, alpha, g, gamma, Fmix, yj, eps, nrm)
 
 
 @dataclass(frozen=True)

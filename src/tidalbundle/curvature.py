@@ -58,7 +58,7 @@ class TidalPacket:
                    gravity_tidal=np.einsum("iajb,a,b->ij", riem, y, y),
                    base_riemann=riem, base_ricci=s.frame.ricci,
                    curvature_block=s.block,
-                   contortion_block=np.einsum("ijkl->jikl", jp.B3_value),
+                   contortion_block=np.einsum("ijkl->jikl", jp.B3),
                    d_ricci=s.ricci, torsion=s.torsion)
 
 

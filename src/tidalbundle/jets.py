@@ -63,17 +63,13 @@ class Jet:
     # ---- constructors -------------------------------------------------
 
     @classmethod
-    def seed(cls, vec, m, start=0):
-        """Seed a vector of independent variables into directions start..start+k.
+    def seed(cls, vec, m):
+        """Seed a vector of k independent variables into directions 0..k-1.
 
         The seed is an order-2 jet.
         """
         vec = np.asarray(vec, dtype=float)
-        k = vec.shape[0]
-        d = np.zeros((m,) + vec.shape)
-        for a in range(k):
-            d[start + a, a] = 1.0
-        return cls(vec, d, np.zeros((m, m) + vec.shape))
+        return cls(vec, np.eye(m, len(vec)), np.zeros((m, m) + vec.shape))
 
     @classmethod
     def from_pack(cls, value, d1, m, start=0):

@@ -8,20 +8,21 @@ against direct contractions.  A passing check is therefore a genuine
 numerical confirmation, not a tautology.
 
 The raw field evaluation is the FieldFrame: metric, potential and their
-derivatives at the base point.  It is built once per sampled point, with
+derivatives at the base point, and the mixed field strength F^i_j that
+every fiber tier reads.  It is built once per sampled point, with
 the rest of the coupling-independent data (charge density, stress-energy,
 residual scales), and reused for every coupling; each check's two sides
 still run on disjoint paths from it (fiber jet against plain fiber, phase
 jet against closed form).  The bench is one connection.Sample per sampled
 point over the array of all its couplings: each of its plain, fiber-jet
 and phase-jet tiers is one FiberParts built once, at that array, whose
-alpha-free data (||y||, l, h, F^i_j, gamma y, the base derivatives and the
-brackets of the contortion family) serve every coupling, and whose
-alpha-scaled contortion, N, G^i_jk and curvature of N carry a coupling
-axis (after any jet axes, before the tensor slots) and are built in one
-pass for every coupling.  The check groups read its tiers (b.jet, b.plain,
-b.phase) and the point's data (b.p, b.e_scale, ...) directly, and each
-tensor is built on its first read, once.
+alpha-free data (||y||, l, h, gamma y, the base derivatives and the
+brackets of the contortion family, on the frame's F^i_j) serve every
+coupling, and whose alpha-scaled contortion, N, G^i_jk and curvature of
+N carry a coupling axis (after any jet axes, before the tensor slots)
+and are built in one pass for every coupling.  The check groups read its
+tiers (b.jet, b.plain, b.phase) and the point's data (b.p, b.e_scale,
+...) directly, and each tensor is built on its first read, once.
 
 Residual policy: every check is one row (check, lhs, rhs, scale, at)
 over the bench's couplings, and one rule judges every row at each
@@ -291,7 +292,7 @@ def _structural(b):
     for lhs, rhs, scl in (
             (B1 @ y, 2.0 * B, B),
             (np.einsum("...ijk,k->...ij", B2, y), B1, B1),
-            (np.einsum("...ijkl,l->...ijk", jp.B3_value, y),
+            (np.einsum("...ijkl,l->...ijk", jp.B3, y),
              np.zeros((DIM,) * 3), B2),
             (np.einsum("...ijk,k->...ij", jp.Gaff.v, y), N, N),
             (N @ y, 2.0 * G, G)):
@@ -521,11 +522,10 @@ def alpha_sweep(scenario, alphas, points=10, seed=0):
     checks.  A non-finite coupling raises ValueError.
     """
     alphas = _finite(alphas)
-    rng = np.random.default_rng(seed)
-    pts = sample_phase_points(scenario, points, rng)
-    rows = []
     if len(alphas) == 0:
-        return rows
+        return []
+    rows = []
+    pts = sample_phase_points(scenario, points, np.random.default_rng(seed))
     for idx, p in enumerate(pts):
         b = _Bench(scenario.metric, scenario.potential, p, alphas,
                    scenario.nonspray_perturbation)

@@ -200,6 +200,11 @@ def test_bad_inputs_exit_two(tmp_path, capsys):
     bad.write_text('{"id": "x"}')  # metric is required
     assert main(["compute", "--scenario", str(bad)]) == 2
     capsys.readouterr()
+    # an output path that cannot be written is bad input too
+    unwritable = tmp_path / "missing" / "x.json"
+    assert main(["compute", "--scenario", "flat_vacuum", "--out",
+                 str(unwritable)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
     # an alpha list with no values is an argument error, not the defaults
     for command in ("verify", "sweep"):
         with pytest.raises(SystemExit) as exc:

@@ -3,11 +3,11 @@ import pytest
 from conftest import fd_gradient
 
 from tidalbundle import dynamics
-from tidalbundle.connection import (PhaseFieldSpec, Sample, connection_data,
-                                    contortion_vector, d_covariant_derivative,
-                                    field_frame, fiber_parts, phase_context,
-                                    phase_point, strong_torsion,
-                                    unit_direction_low)
+from tidalbundle.connection import (PhaseFieldSpec, Sample, _b3_brackets,
+                                    connection_data, contortion_vector,
+                                    d_covariant_derivative, field_frame,
+                                    fiber_parts, phase_context, phase_point,
+                                    strong_torsion, unit_direction_low)
 from tidalbundle.dynamics import worldline_rhs
 from tidalbundle.errors import NullFiberError
 from tidalbundle.fields import builtin_metric, builtin_potential
@@ -184,7 +184,7 @@ def test_worldline_rhs_builds_only_what_it_reads(monkeypatch):
              | set(vars(parts.frame.metric_pack)))
     assert "N" in built
     assert not built & {"dgamma", "dginv", "dFmix", "B2", "B3", "h_low", "E",
-                        "b", "b2", "b3", "dn1", "db1"}
+                        "b", "b2", "dn1", "db1"}
 
 
 def _bits(x):
@@ -194,7 +194,7 @@ def _bits(x):
     return np.asarray(x, dtype=float).tobytes()
 
 
-BATCH_NAMES = ("N", "B", "B1", "B2", "B3_value", "Gaff", "G", "dB", "dB1",
+BATCH_NAMES = ("N", "B", "B1", "B2", "B3", "Gaff", "G", "dB", "dB1",
                "R3", "E")
 
 
@@ -300,7 +300,8 @@ def test_curvature_of_n_takes_one_product():
 
 
 def test_value_only_third_contortion_on_jet_tier():
-    # the jet tier's B3_value replays the jet arithmetic on values alone
+    # the jet tier's B3 replays the jet arithmetic on values alone: it
+    # equals the value of an order-2 Jet build bit for bit
     for sid in ("reissner_nordstrom", "flat_coulomb", "flat_uniform_b",
                 "schwarzschild_vacuum"):
         sc = builtin_scenario(sid)
@@ -308,9 +309,32 @@ def test_value_only_third_contortion_on_jet_tier():
             frame = field_frame(sc.metric, sc.potential, p.x)
             for alpha in (-1.0, 0.0, 0.5, 3.0):
                 parts = fiber_parts(frame, alpha, Jet.seed(p.y, 4))
-                value = parts.B3_value
-                assert "B3" not in vars(parts)
-                assert _bits(value) == _bits(parts.B3.v)
+                over_nrm, over_nrm2 = _b3_brackets(parts.h_low, parts.l_low,
+                                                   parts.Fmix, parts.F_up)
+                half_eps = -0.5 * alpha * parts.eps
+                nrm = parts.nrm
+                jet = (half_eps * over_nrm / nrm
+                       - (half_eps * parts.eps) * over_nrm2 / (nrm * nrm))
+                assert isinstance(jet, Jet) and jet.h is not None
+                assert _bits(parts.B3) == _bits(jet.v), (sid, alpha)
+
+
+def test_tiers_read_the_frame_mixed_field_strength():
+    # F^i_j is built once per point, on the frame: the plain and jet tiers
+    # hold the frame's array, and the phase tier lifts it with the frame's
+    # base derivatives and no fiber dependence
+    for sid in ("reissner_nordstrom", "flat_coulomb", "flat_uniform_b"):
+        sc = builtin_scenario(sid)
+        for p in sample_phase_points(sc, 2, np.random.default_rng(6)):
+            frame = field_frame(sc.metric, sc.potential, p.x)
+            plain, jet, phase = (build(ALPHA) for build in _tiers(frame, p.y))
+            assert plain.Fmix is frame.Fmix
+            assert jet.Fmix is frame.Fmix
+            Fmix = phase.Fmix
+            assert isinstance(Fmix, Jet) and Fmix.m == 8
+            assert _bits(Fmix.v) == _bits(frame.Fmix)
+            assert _bits(Fmix.d[:4]) == _bits(frame.dFmix)
+            assert not Fmix.d[4:].any()
 
 
 def test_base_reference_recovers_metric_compatibility():

@@ -1,0 +1,44 @@
+"""Mutation matrix: each entry injects one named defect with monkeypatch
+and asserts the exact set of check names the suite then fails.
+
+A check that no known defect fails shows nothing; each entry here pins
+which checks a defect trips, so a change that blunts one of them, or
+that stops a tier from reading the defect, fails this file.
+"""
+
+import numpy as np
+import pytest
+
+from tidalbundle.connection import FieldFrame
+from tidalbundle.scenario import builtin_scenario
+from tidalbundle.verify import run_suite
+
+
+def _killed(scenario_id, points=3, seed=0):
+    """Names of the checks that fail on one built-in scenario."""
+    report = run_suite([builtin_scenario(scenario_id)], points=points,
+                       seed=seed)
+    return {name for name, s in report["check_summary"].items()
+            if s["failures"]}
+
+
+# F^i_j = g^ia F_aj transposed.  Every fiber tier reads the frame's copy,
+# so the defect reaches the plain, fiber-jet and phase tiers alike.  A
+# pure radial electric field in a diagonal chart (flat_coulomb) has a
+# symmetric F^i_j, so there the transpose changes nothing and is no mutant.
+TRANSPOSED_FMIX = {
+    "reissner_nordstrom": {
+        "einstein-trace-full", "maxwell-homogeneous",
+        "maxwell-homogeneous-cyclic", "maxwell-inhomogeneous-divergence",
+        "maxwell-inhomogeneous-quadratic", "maxwell-variants-agree",
+        "trace-decomposition", "unit-direction-transport"},
+    "flat_uniform_b": {"unit-direction-transport"},
+}
+
+
+@pytest.mark.parametrize("scenario_id", sorted(TRANSPOSED_FMIX))
+def test_transposed_mixed_field_strength(monkeypatch, scenario_id):
+    assert not _killed(scenario_id)
+    monkeypatch.setattr(FieldFrame, "Fmix", property(
+        lambda self: np.einsum("ia,aj->ji", self.ginv, self.F)))
+    assert _killed(scenario_id) == TRANSPOSED_FMIX[scenario_id]

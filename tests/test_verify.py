@@ -295,6 +295,15 @@ def test_empty_coupling_grid_is_refused():
     assert report["config"]["alphas"] == list(DEFAULT_ALPHAS)
 
 
+def test_alpha_sweep_without_couplings_samples_nothing(monkeypatch):
+    # no coupling gives no rows, before any phase point is drawn
+    def refuse(*args):
+        raise AssertionError("sampled phase points for no coupling")
+
+    monkeypatch.setattr(verify, "sample_phase_points", refuse)
+    assert alpha_sweep(builtin_scenario("flat_coulomb"), [], points=200) == []
+
+
 def test_non_finite_coupling_is_refused():
     sc = builtin_scenario("flat_coulomb")
     for bad in (np.nan, np.inf, -np.inf):

@@ -54,11 +54,21 @@ class FieldFrame:
     """Base-point snapshot of the metric and potential with derivatives.
 
     Fiber-independent; one frame serves every y and alpha at its point.
+    zeros holds what the fields declare identically zero (see fields),
+    read as three facts: flat (dg = 0, so gamma and dgamma vanish),
+    uniform (dF = 0) and field_free (F = 0).  Only field_frame sets it,
+    from the fields' own declarations; a frame built directly declares
+    nothing.
     """
 
     x: np.ndarray
     metric_pack: MetricPack
     potential_pack: PotentialPack
+    zeros = frozenset()
+
+    flat = property(lambda self: "dg" in self.zeros)
+    uniform = property(lambda self: "d2A" in self.zeros)
+    field_free = property(lambda self: "F" in self.zeros)
 
     g = property(lambda self: self.metric_pack.g)
     ginv = property(lambda self: self.metric_pack.ginv)
@@ -89,8 +99,10 @@ def field_frame(metric: MetricField, potential: PotentialField, x,
             f"{metric.name} uses {metric.coords} coordinates but "
             f"{potential.name} expects {potential.coords}")
     x = np.asarray(x, dtype=float)
-    return FieldFrame(x, metric.pack(x, check=check),
-                      potential.pack(x, check=check))
+    frame = FieldFrame(x, metric.pack(x, check=check),
+                       potential.pack(x, check=check))
+    object.__setattr__(frame, "zeros", metric.zeros | potential.zeros)
+    return frame
 
 
 def phase_point(metric: MetricField, x, y) -> PhasePoint:
@@ -114,7 +126,8 @@ class FiberParts:
     the worldline right-hand side first, reads; the rest is built on first
     read.  The curvature channel (dB, dB1, R3, E) differentiates the base
     dependence in closed form, so it reads the plain frame arrays whether
-    y is plain or a fiber-seeded Jet.
+    y is plain or a fiber-seeded Jet, and builds no term the frame
+    declares identically zero (flat, uniform, field_free; see R3).
 
     alpha may be a 1-D array of couplings.  Then every coupling-dependent
     tensor carries a coupling axis that follows the jet axes and leads
@@ -207,6 +220,8 @@ class FiberParts:
 
     @cached_property
     def db(self):
+        if self.frame.flat:
+            return self.nrm * self.dF_up
         return jeinsum("k,i->ki", self.dnrm, self.F_up) + self.nrm * self.dF_up
 
     @cached_property
@@ -239,9 +254,21 @@ class FiberParts:
 
     @cached_property
     def R3(self):
-        dN = self.dn1 + self.dB1
+        """The curvature of N, skipping what the frame declares zero.
+
+        dN = dn1 + dB1: dn1 vanishes on a flat frame, and dB1 on a
+        field-free one or a flat one with a uniform field.  A field-free
+        frame has no contortion, so there G^i_jk is gamma^i_jk.
+        """
+        frame = self.frame
+        dN = None if frame.flat else self.dn1
+        if not (frame.field_free or frame.flat and frame.uniform):
+            dN = self.dB1 if dN is None else dN + self.dB1
         # N^l_k G^i_jl; its (j, k) transpose is the N^l_j G^i_kl term
-        P = jeinsum("lk,ijl->ijk", self.N, self.Gaff)
+        P = jeinsum("lk,ijl->ijk", self.N,
+                    self.gamma if frame.field_free else self.Gaff)
+        if dN is None:
+            return jeinsum("ikj->ijk", P) - P
         return (jeinsum("kij->ijk", dN) - jeinsum("jik->ijk", dN) - P
                 + jeinsum("ikj->ijk", P))
 

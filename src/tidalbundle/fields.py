@@ -21,6 +21,20 @@ tensors are read at build, so they too are computed once per field, and
 every array it holds is read-only: an in-place write raises instead of
 reaching every later point.  pack(x, check=True) still guards the point.
 
+A catalog field also declares which derived data its construction makes
+identically zero, in zeros, a set of three possible names:
+
+    "dg"   flat connection: Minkowski in its Cartesian chart, so gamma
+           and every base derivative of g vanish;
+    "d2A"  uniform field: the potentials linear in x (uniform_b,
+           uniform_e, pure_gauge) and zero, so dF vanishes;
+    "F"    field-free: zero, and pure_gauge, whose dA is symmetric.
+
+Only the catalog declares, and never by testing values: a field built
+with metric_from_callable or potential_from_callable declares nothing.
+field_frame carries the declarations into the frame, and the fiber
+tiers skip the terms they make zero (see connection.FiberParts).
+
 Units: geometrized Gaussian, c = G = k_Coulomb = 1.  Charges and field
 strengths carry the same mass units as M.  Spherical charts use
 (t, r, theta, phi); flat charts use (t, x, y, z).
@@ -76,6 +90,12 @@ def _constant(pack):
     for array in vars(pack).values():
         array.flags.writeable = False
     return lambda x: pack
+
+
+def _declare(field, *zeros):
+    """field, declaring the derived data named in zeros identically zero."""
+    field.zeros = frozenset(zeros)
+    return field
 
 
 def _linear(dA):
@@ -152,7 +172,13 @@ class PotentialPack:
 
 
 class MetricField:
-    """Metric with guard and closed-form derivative evaluation."""
+    """Metric with guard and closed-form derivative evaluation.
+
+    zeros names the derived data the catalog declares identically zero:
+    {"dg"} for a flat connection, else empty (see the module docstring).
+    """
+
+    zeros = frozenset()
 
     def __init__(self, name, params, coords, coord_names, pack_fn, margins_fn, is_flat):
         self.name = name
@@ -194,7 +220,14 @@ class MetricField:
 
 
 class PotentialField:
-    """4-potential with guard and closed-form derivative evaluation."""
+    """4-potential with guard and closed-form derivative evaluation.
+
+    zeros names the derived data the catalog declares identically zero:
+    "d2A" for a uniform field, "F" for a field-free one (see the module
+    docstring).
+    """
+
+    zeros = frozenset()
 
     def __init__(self, name, params, coords, pack_fn, margins_fn):
         self.name = name
@@ -280,12 +313,12 @@ def builtin_metric(name, params=None) -> MetricField:
             flat = MetricPack(np.diag([-1.0, 1.0, 1.0, 1.0]),
                               np.zeros((DIM, DIM, DIM)),
                               np.zeros((DIM, DIM, DIM, DIM)))
-            return MetricField(
+            return _declare(MetricField(
                 name, {"coordinates": coords}, "cartesian", ("t", "x", "y", "z"),
                 _constant(flat),
                 lambda x: np.array([1.0]),
                 is_flat=True,
-            )
+            ), "dg")
         if coords == "spherical":
             return MetricField(
                 name, {"coordinates": coords}, "spherical",
@@ -362,7 +395,8 @@ def builtin_potential(name, params=None) -> PotentialField:
             raise ValueError("zero potential takes no params")
         none = PotentialPack(np.zeros(DIM), np.zeros((DIM, DIM)),
                              np.zeros((DIM, DIM, DIM)))
-        return PotentialField(name, {}, "any", _constant(none), always)
+        return _declare(PotentialField(name, {}, "any", _constant(none),
+                                       always), "d2A", "F")
 
     if name == "uniform_b":
         B = float(params.pop("B"))
@@ -373,8 +407,8 @@ def builtin_potential(name, params=None) -> PotentialField:
             raise ValueError(f"uniform_b axis must be x, y, or z, got {axis!r}")
         dA = np.zeros((DIM, DIM))
         dA[_B_COMPONENTS[axis]] = B
-        return PotentialField(name, {"B": B, "axis": axis}, "cartesian",
-                              _linear(dA), always)
+        return _declare(PotentialField(name, {"B": B, "axis": axis},
+                                       "cartesian", _linear(dA), always), "d2A")
 
     if name == "uniform_e":
         E = float(params.pop("E"))
@@ -385,8 +419,8 @@ def builtin_potential(name, params=None) -> PotentialField:
             raise ValueError(f"uniform_e axis must be x, y, or z, got {axis!r}")
         dA = np.zeros((DIM, DIM))
         dA[_AXIS_INDEX[axis], 0] = -E
-        return PotentialField(name, {"E": E, "axis": axis}, "cartesian",
-                              _linear(dA), always)
+        return _declare(PotentialField(name, {"E": E, "axis": axis},
+                                       "cartesian", _linear(dA), always), "d2A")
 
     if name == "coulomb":
         Q = float(params.pop("Q"))
@@ -415,8 +449,8 @@ def builtin_potential(name, params=None) -> PotentialField:
             raise ValueError(f"unexpected pure_gauge params {sorted(params)}")
         dA = np.zeros((DIM, DIM))
         dA[2, 1] = dA[1, 2] = c
-        return PotentialField(name, {"c": c}, "cartesian", _linear(dA),
-                              always)
+        return _declare(PotentialField(name, {"c": c}, "cartesian",
+                                       _linear(dA), always), "d2A", "F")
 
     raise ValueError(f"unknown potential {name!r}")
 
@@ -436,7 +470,7 @@ def metric_from_callable(fn, name="custom", coords="cartesian",
 
     The callable receives the base point with infinitesimal components
     seeded in all 4 directions and must use jet-safe arithmetic, so the
-    derivative packs come out exact.
+    derivative packs come out exact.  It declares no zeros.
     """
     def pack(x):
         G = fn(Jet.seed(x, DIM))
@@ -448,7 +482,10 @@ def metric_from_callable(fn, name="custom", coords="cartesian",
 
 def potential_from_callable(fn, name="custom", coords="cartesian",
                             margins_fn=None) -> PotentialField:
-    """Build a PotentialField from a jet-evaluable callable x -> A_i."""
+    """Build a PotentialField from a jet-evaluable callable x -> A_i.
+
+    It declares no zeros.
+    """
     def pack(x):
         A = fn(Jet.seed(x, DIM))
         return PotentialPack(A.v, A.d, A.h)

@@ -42,13 +42,17 @@ REPORT_V1_SHA256 = \
     "c69b61d1775cb523d5d753a63616f2e9434a0b8a9e364569bc6f5d5b2f96217c"
 COMPUTE_SHA256 = \
     "3567d039d843cf9a5799d1e4235fefcdfe103f6fa4fe84ba8a69c3123f6b72e4"
-# trajectory_csv of two short runs on the scenarios' own integrators:
-# the cyclotron worldline over t in [0, 1] and the schwarzschild_circular
-# tidal deviation over t in [0, 20], 11 samples each.
+# trajectory_csv of three short runs on the scenarios' own integrators:
+# the cyclotron worldline over t in [0, 1], the schwarzschild_circular
+# tidal deviation over t in [0, 20] and the cyclotron tidal deviation (the
+# path that skips the most declared zeros) over t in [0, 0.2], 11 samples
+# each.
 CYCLOTRON_CSV_SHA256 = \
     "561b826c8add8bcf4a2479d402a9622be8edc6d9dde3ef776b043111ae3fd9d1"
 CIRCULAR_DEVIATION_CSV_SHA256 = \
     "44bcd0f2c674270b5f47c9c9e8b599d26a9dbdad14f7548c8e8eebad46b600ae"
+CYCLOTRON_DEVIATION_CSV_SHA256 = \
+    "0b76141f81d50e5ef40995a85a8708ed324fc01486e4a67b7b86c04e6ee29958"
 
 STRUCTURAL = {
     "reconstruction", "ricci-hessian", "ricci-base-reduction",
@@ -321,6 +325,13 @@ def test_trajectory_bytes_pinned():
         cfg))
     assert (hashlib.sha256(text.encode()).hexdigest()
             == CIRCULAR_DEVIATION_CSV_SHA256)
+    sc = builtin_scenario("cyclotron")
+    cfg = replace(sc.integrator, t_span=(0.0, 0.2), samples=11)
+    text = trajectory_csv(integrate_deviation_tidal(
+        sc.metric, sc.potential, sc.alpha, sc.initial_point, sc.w0, sc.v0,
+        cfg))
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == CYCLOTRON_DEVIATION_CSV_SHA256)
     _ok("dynamics: pinned worldline and deviation CSV bytes")
 
 

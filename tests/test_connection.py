@@ -3,16 +3,19 @@ import pytest
 from conftest import fd_gradient
 
 from tidalbundle import dynamics
-from tidalbundle.connection import (PhaseFieldSpec, Sample, _b3_brackets,
-                                    connection_data, contortion_vector,
-                                    d_covariant_derivative, field_frame,
-                                    fiber_parts, phase_context, phase_point,
-                                    strong_torsion, unit_direction_low)
-from tidalbundle.dynamics import worldline_rhs
+from tidalbundle.connection import (FieldFrame, PhaseFieldSpec, Sample,
+                                    _b3_brackets, connection_data,
+                                    contortion_vector, d_covariant_derivative,
+                                    field_frame, fiber_parts, phase_context,
+                                    phase_point, strong_torsion,
+                                    unit_direction_low)
+from tidalbundle.dynamics import (IntegratorConfig, integrate_deviation_tidal,
+                                  worldline_rhs)
 from tidalbundle.errors import NullFiberError
-from tidalbundle.fields import builtin_metric, builtin_potential
+from tidalbundle.fields import (builtin_metric, builtin_potential,
+                                metric_from_callable, potential_from_callable)
 from tidalbundle.jets import Jet, jeinsum, value_of
-from tidalbundle.scenario import builtin_scenario
+from tidalbundle.scenario import BUILTIN_IDS, builtin_scenario
 from tidalbundle.verify import DEFAULT_ALPHAS, sample_phase_points
 
 RN = builtin_metric("reissner_nordstrom", {"M": 1.0, "Q": 0.5})
@@ -185,6 +188,133 @@ def test_worldline_rhs_builds_only_what_it_reads(monkeypatch):
     assert "N" in built
     assert not built & {"dgamma", "dginv", "dFmix", "B2", "B3", "h_low", "E",
                         "b", "b2", "dn1", "db1"}
+
+
+CURVATURE_TERMS = {"dn1", "db1", "dnrm", "dF_up", "b2", "h_low"}
+
+
+@pytest.mark.parametrize("sid, skipped", [
+    ("cyclotron", {"dn1", "db1", "dnrm", "dF_up"}),
+    ("schwarzschild_circular", {"b2", "h_low", "db1", "dnrm", "dF_up"}),
+    ("reissner_nordstrom", set()),
+])
+def test_deviation_rhs_builds_only_what_is_nonzero(monkeypatch, sid,
+                                                   skipped):
+    # the curvature of N skips the terms the frame declares zero: the flat
+    # uniform cyclotron has no dN, the field-free circular orbit no
+    # contortion in G^i_jk; reissner_nordstrom declares nothing and builds
+    # every term (the bypass control)
+    seen = []
+
+    def spy(frame, alpha, y, **kw):
+        seen.append(fiber_parts(frame, alpha, y, **kw))
+        return seen[-1]
+
+    monkeypatch.setattr(dynamics, "fiber_parts", spy)
+    sc = builtin_scenario(sid)
+    if sc.w0 is None:
+        init, w0, v0 = _rn_point(), [0.0, 0.1, 0.0, 0.02], [0, 0, 0.01, 0]
+    else:
+        init, w0, v0 = sc.initial_point, sc.w0, sc.v0
+    cfg = IntegratorConfig(method="rk4-fixed", t_span=(0.0, 1e-3), samples=2,
+                           step=1e-3)
+    integrate_deviation_tidal(sc.metric, sc.potential, sc.alpha, init, w0, v0,
+                              cfg)
+    assert len(seen) == 4
+    for parts in seen:
+        built = set(vars(parts)) | set(vars(parts.frame))
+        assert "E" in built
+        assert not built & skipped, sid
+        assert CURVATURE_TERMS - skipped <= built, sid
+
+
+FACTS = ("flat", "uniform", "field_free")
+DECLARING = ("flat_vacuum", "flat_uniform_b", "schwarzschild_vacuum",
+             "flat_gauge", "cyclotron", "schwarzschild_circular",
+             "negative_control")
+SKIP_NAMES = ("N", "Gaff", "dB", "dB1", "R3", "E")
+
+
+def test_declared_zeros_skip_bit_for_bit(monkeypatch):
+    # every tensor the skips touch equals the full path's bit for bit, on
+    # every tier, at one coupling and over a batch
+    for sid in BUILTIN_IDS:
+        sc = builtin_scenario(sid)
+        for p in sample_phase_points(sc, 2, np.random.default_rng(8)):
+            frame = field_frame(sc.metric, sc.potential, p.x)
+            assert bool(frame.zeros) is (sid in DECLARING), sid
+            if not frame.zeros:
+                continue
+            for alpha in (ALPHA, np.array(DEFAULT_ALPHAS)):
+                builds = _tiers(frame, p.y)
+                skip = [{n: getattr(build(alpha), n) for n in SKIP_NAMES}
+                        for build in builds]
+                with monkeypatch.context() as m:
+                    for fact in FACTS:
+                        m.setattr(FieldFrame, fact, property(lambda _: False))
+                    full = [{n: getattr(build(alpha), n) for n in SKIP_NAMES}
+                            for build in builds]
+                for tier, (got, want) in enumerate(zip(skip, full)):
+                    for name in SKIP_NAMES:
+                        assert _bits(got[name]) == _bits(want[name]), \
+                            (sid, tier, name, np.shape(alpha))
+
+
+def test_callable_fields_declare_nothing():
+    # a callable Minkowski and a callable uniform field are the catalog
+    # pair of flat_uniform_b, but declare no zeros.  Paired with each other
+    # or with the catalog fields, the curvature of N skips only what the
+    # catalog side declares, and E equals that of the pair it mirrors.  A
+    # non-uniform callable field on the catalog Minkowski skips dn1 but
+    # still reads db1
+    eta = np.diag([-1.0, 1.0, 1.0, 1.0])
+    metric = metric_from_callable(
+        lambda x: jeinsum("ij,->ij", eta, 1.0 + 0.0 * x[0]))
+    b_z = np.array([0.0, 0.0, 1.5, 0.0])
+    potential = potential_from_callable(lambda x: jeinsum("i,->i", b_z, x[1]))
+    c = np.array([0.3, 0.05, 0.0, 0.02])
+    quadratic = potential_from_callable(lambda x: jeinsum(
+        "i,->i", c, x[1] * x[1] + x[2] * x[2] + x[3] * x[3]))
+    assert metric.zeros == potential.zeros == quadratic.zeros == frozenset()
+    sc = builtin_scenario("flat_uniform_b")
+    catalog = (sc.metric, sc.potential)
+    pairs = (((metric, potential), catalog), ((sc.metric, potential), catalog),
+             ((metric, sc.potential), catalog),
+             ((sc.metric, quadratic), (metric, quadratic)))
+    for p in sample_phase_points(sc, 3, np.random.default_rng(9)):
+        for (m, a), mirror in pairs:
+            frame = field_frame(m, a, p.x)
+            assert frame.zeros == m.zeros | a.zeros
+            ref_frame = field_frame(*mirror, p.x)
+            for alpha in (ALPHA, np.array(DEFAULT_ALPHAS)):
+                for build, ref in zip(_tiers(frame, p.y),
+                                      _tiers(ref_frame, p.y)):
+                    parts, want = build(alpha), ref(alpha)
+                    E = parts.E
+                    built = set(vars(parts))
+                    assert ("dn1" in built) is not frame.flat
+                    assert ("db1" in built) is not (frame.flat
+                                                    and frame.uniform)
+                    # measured: every pairing agrees exactly, -0.0 == 0.0
+                    for got, exp in zip(_channels(E), _channels(want.E)):
+                        np.testing.assert_array_equal(got, exp)
+
+
+def test_only_field_frame_declares():
+    # the declarations come from the catalog fields alone: the frame's
+    # constructor takes none, and a frame built directly declares nothing
+    sc = builtin_scenario("cyclotron")
+    x = sc.initial_point.x
+    packs = (sc.metric.pack(x), sc.potential.pack(x))
+    with pytest.raises(TypeError):
+        FieldFrame(x, *packs, frozenset({"dg"}))
+    assert FieldFrame(x, *packs).zeros == frozenset()
+    assert field_frame(sc.metric, sc.potential, x).zeros == {"dg", "d2A"}
+
+
+def _channels(x):
+    return [a for a in (x.v, x.d, x.h) if a is not None] \
+        if isinstance(x, Jet) else [x]
 
 
 def _bits(x):

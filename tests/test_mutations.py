@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from tidalbundle.connection import FieldFrame
+from tidalbundle.fields import MetricField
 from tidalbundle.scenario import builtin_scenario
 from tidalbundle.verify import run_suite
 
@@ -42,3 +43,20 @@ def test_transposed_mixed_field_strength(monkeypatch, scenario_id):
     monkeypatch.setattr(FieldFrame, "Fmix", property(
         lambda self: np.einsum("ia,aj->ji", self.ginv, self.F)))
     assert _killed(scenario_id) == TRANSPOSED_FMIX[scenario_id]
+
+
+# A false structural-zero declaration: every metric that declares nothing
+# of its own (reissner_nordstrom's among them) declares a flat connection.
+# The curvature of N then drops dn1, and dB its dnrm term, though dg is
+# not zero there.
+FALSE_FLAT = {
+    "einstein-trace-full", "maxwell-homogeneous",
+    "maxwell-homogeneous-cyclic", "maxwell-inhomogeneous-divergence",
+    "maxwell-inhomogeneous-quadratic", "ricci-base-reduction",
+    "trace-decomposition"}
+
+
+def test_false_flat_declaration(monkeypatch):
+    assert not _killed("reissner_nordstrom")
+    monkeypatch.setattr(MetricField, "zeros", frozenset({"dg"}))
+    assert _killed("reissner_nordstrom") == FALSE_FLAT

@@ -11,8 +11,8 @@ Subcommands
 Exit codes: 0 success, 1 verification failures, 2 bad input (scenario,
 chart, or argument errors), 3 integration left the chart early (partial
 output is still written).  Set TIDAL_LOG=info (or debug) for progress
-messages on stderr, among them the right-hand-side count of simulate and
-deviate.
+messages on stderr, among them the right-hand-side count and the accepted
+and rejected step counts of simulate and deviate.
 """
 
 from __future__ import annotations
@@ -142,7 +142,9 @@ def cmd_compute(args) -> int:
 
 
 def _finish_trajectory(traj, args, plot_series, plot_title, ylabel) -> int:
-    log.info("%s: %d right-hand-side evaluations", traj.method, traj.nfev)
+    log.info("%s: %d right-hand-side evaluations, %d steps accepted, "
+             "%d rejected", traj.method, traj.nfev, traj.accepted,
+             traj.rejected)
     _emit(trajectory_csv(traj), args.out)
     if args.plot:
         svg = line_plot(plot_series, title=plot_title, xlabel="t", ylabel=ylabel)

@@ -14,10 +14,19 @@ integrated here so they can cross-validate each other on flat scenarios.
 
 Parameters t are arbitrary; along any trajectory g(y,y) is conserved, so
 the natural parameter is s = t * ||y(0)|| when one is wanted.
+
+Two drivers integrate them, both in this module and both stopped by the
+chart guard.  ``rk45-adaptive`` is the Dormand-Prince 5(4) pair with
+local extrapolation, RMS error control and the quartic dense output that
+fills the sample grid (Dormand & Prince 1980; Hairer, Norsett & Wanner,
+Solving ODEs I, II.4-II.6); it replays the arithmetic of scipy's RK45 and
+solve_ivp, so it gives their trajectories bit for bit without importing
+scipy.  ``rk4-fixed`` is classical RK4 on a fixed substep.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
@@ -62,6 +71,8 @@ class Trajectory:
     norm_drift: float             # max |g(y,y) - g(y0,y0)| over samples
     method: str
     nfev: int                     # right-hand-side evaluations
+    accepted: int                 # steps kept (rk4-fixed: substeps)
+    rejected: int                 # steps retried smaller (rk4-fixed: 0)
     w: np.ndarray = None          # deviation components, when integrated
     v: np.ndarray = None          # deviation rate, channel per rate_channel
     rate_channel: str = None      # "adapted" or "levi-civita"
@@ -96,28 +107,212 @@ def _combined_margin(metric, potential, x):
 _MAX_STEPS_EXCEEDED = ("integrator exceeded max_steps; the step size is too "
                        "small for t_span or, when adaptive, has collapsed "
                        "(stiff or noise-limited right-hand side)")
+_TOO_SMALL_STEP = ("integration failed: Required step size is less than "
+                   "spacing between numbers.")
+
+# Dormand-Prince 5(4) (Dormand & Prince 1980): nodes C, stages A, the
+# fifth-order weights B, the error weights E (fifth minus fourth order,
+# FSAL stage last) and the quartic dense-output matrix P of Shampine (1986).
+# Each literal is written as scipy's RK45 writes it, so every coefficient
+# is the same double and the trajectories match scipy's bit for bit.
+_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]
+])
+_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525,
+               1/40])
+_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608,
+     -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933,
+     87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304,
+     -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+_EPS = np.finfo(float).eps
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
+_ERROR_EXPONENT = -1 / 5          # -1 / (error estimator order + 1)
+
+
+def _rms(v):
+    return np.linalg.norm(v) / v.size ** 0.5
+
+
+def _initial_step(fun, t0, y0, t1, f0, rtol, atol):
+    """First step from the local error of a trial Euler step (HNW II.4)."""
+    interval = abs(t1 - t0)
+    scale = atol + np.abs(y0) * rtol
+    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    d2 = _rms((fun(t0 + h0, y0 + h0 * f0) - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
+    return min(100 * h0, h1, interval)
+
+
+def _brentq(f, a, b, xtol=4 * _EPS, rtol=4 * _EPS, maxiter=100):
+    """Root of f in [a, b] by Brent's method, as scipy's C brentq takes it."""
+    xpre, xcur, xblk = a, b, 0.0
+    fpre, fcur, fblk = f(xpre), f(xcur), 0.0
+    spre = scur = 0.0
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if np.signbit(fpre) == np.signbit(fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and np.signbit(fpre) != np.signbit(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:        # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:                   # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
+def _dopri45(fun, t0, t1, y0, t_eval, rtol, atol, margin):
+    """Dormand-Prince 5(4) from t0 to t1 > t0, sampled at t_eval.
+
+    Error per component is scaled by atol + rtol*|y| and measured in the
+    RMS norm; the step grows or shrinks by 0.9*err^(-1/5), within
+    [0.2, 10] (no growth right after a rejection).  Samples come from the
+    step's quartic dense output, one vectorized call per step.  The run
+    stops where margin(state) falls through zero, located by Brent's
+    method on the dense output.  Returns (t, states, exit_time, accepted,
+    rejected), exit_time None when the run reached t1.
+    """
+    y = np.asarray(y0, dtype=float)
+    if not np.isfinite(y).all():
+        raise ValueError("All components of the initial state `y0` must "
+                         "be finite.")
+    if rtol < 100 * _EPS:
+        warnings.warn("At least one element of `rtol` is too small. "
+                      f"Setting `rtol = np.maximum(rtol, {100 * _EPS})`.")
+        rtol = np.maximum(rtol, 100 * _EPS)
+    if atol < 0:
+        raise ValueError("`atol` must be positive.")
+
+    f = fun(t0, y)
+    h_abs = _initial_step(fun, t0, y, t1, f, rtol, atol)
+    K = np.empty((len(_C) + 1, y.size))
+    t, g = t0, margin(y)
+    ts, ys, i = [], [], 0
+    accepted = rejected = 0
+    exit_time = None
+    while exit_time is None and t < t1:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        if h_abs < min_step:
+            h_abs = min_step
+        rejected_here = False
+        while True:
+            if h_abs < min_step:
+                raise ChartDomainError(_TOO_SMALL_STEP)
+            t_new = t + h_abs
+            if t_new - t1 > 0:
+                t_new = t1
+            h = t_new - t
+            h_abs = np.abs(h)
+            K[0] = f
+            for s, (a, c) in enumerate(zip(_A[1:], _C[1:]), start=1):
+                K[s] = fun(t + c * h, y + np.dot(K[:s].T, a[:s]) * h)
+            y_new = y + h * np.dot(K[:-1].T, _B)
+            K[-1] = f_new = fun(t + h, y_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err = _rms(np.dot(K.T, _E) * h / scale)
+            if err < 1:
+                factor = (_MAX_FACTOR if err == 0 else
+                          min(_MAX_FACTOR, _SAFETY * err ** _ERROR_EXPONENT))
+                h_abs *= min(1, factor) if rejected_here else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
+            rejected_here = True
+            rejected += 1
+        accepted += 1
+        t_old, y_old, t, y, f = t, y, t_new, y_new, f_new
+
+        Q = K.T.dot(_P)
+
+        def dense(tt):
+            x = (tt - t_old) / h
+            if np.ndim(tt) == 0:
+                p = np.cumprod(np.tile(x, 4))
+                return h * np.dot(Q, p) + y_old
+            p = np.cumprod(np.tile(x, (4, 1)), axis=0)
+            return h * np.dot(Q, p) + y_old[:, None]
+
+        g_new = margin(y)
+        if g >= 0 and g_new <= 0:      # the chart guard fell through zero
+            exit_time = _brentq(lambda tt: margin(dense(tt)), t_old, t)
+            t = exit_time
+        g = g_new
+        i_new = np.searchsorted(t_eval, t, side="right")
+        if i_new > i:
+            ts.append(t_eval[i:i_new])
+            ys.append(dense(t_eval[i:i_new]))
+            i = i_new
+    return (np.hstack(ts), np.hstack(ys).T,
+            None if exit_time is None else float(exit_time),
+            accepted, rejected)
 
 
 def _integrate(rhs, state0, cfg, metric, potential):
     """Shared driver: adaptive or fixed-step, with chart-guard truncation.
 
-    Returns (t, states, truncated, exit_time, nfev), nfev the number of
-    right-hand-side evaluations.  Samples lie on the uniform grid over
-    cfg.t_span; on truncation only in-chart samples are kept.
+    ``rk45-adaptive`` is the in-repo Dormand-Prince 5(4) pair (``_dopri45``)
+    with its quartic dense output on the sample grid and the chart guard
+    located on that output; ``rk4-fixed`` is classical RK4 with the guard
+    checked after every substep.  Returns (states, run), run holding the
+    Trajectory fields t, truncated, exit_time, nfev (right-hand-side
+    evaluations), accepted and rejected (steps).  Samples lie on the
+    uniform grid over cfg.t_span; on truncation only in-chart samples are
+    kept.
     """
     cfg.validate()
     t0, t1 = map(float, cfg.t_span)
     t_eval = np.linspace(t0, t1, cfg.samples)
 
-    if cfg.method == "rk45-adaptive":
-        # loaded here: no other command needs scipy.integrate, and it is
-        # most of the package's import time
-        from scipy.integrate import solve_ivp
+    def margin(s):
+        return _combined_margin(metric, potential, s[:DIM])
 
-        def guard(t, s):
-            return _combined_margin(metric, potential, s[:DIM])
-        guard.terminal = True
-        guard.direction = -1
+    if cfg.method == "rk45-adaptive":
         nfev = [0]
 
         def counted(t, s):
@@ -126,14 +321,12 @@ def _integrate(rhs, state0, cfg, metric, potential):
                 raise TidalError(_MAX_STEPS_EXCEEDED)
             return rhs(t, s)
 
-        sol = solve_ivp(counted, (t0, t1), state0, method="RK45",
-                        t_eval=t_eval, rtol=cfg.rtol, atol=cfg.atol,
-                        events=guard, dense_output=False)
-        if sol.status == -1:
-            raise ChartDomainError(f"integration failed: {sol.message}")
-        truncated = sol.status == 1
-        exit_time = float(sol.t_events[0][0]) if truncated else t1
-        return sol.t, sol.y.T, truncated, exit_time, nfev[0]
+        t, states, exit_time, accepted, rejected = _dopri45(
+            counted, t0, t1, state0, t_eval, cfg.rtol, cfg.atol, margin)
+        return states, dict(t=t, truncated=exit_time is not None,
+                            exit_time=t1 if exit_time is None else exit_time,
+                            nfev=nfev[0], accepted=accepted,
+                            rejected=rejected)
 
     dt = cfg.step if cfg.step is not None else (t1 - t0) / 2000.0
     states = [np.asarray(state0, dtype=float)]
@@ -155,12 +348,14 @@ def _integrate(rhs, state0, cfg, metric, potential):
                 raise TidalError(_MAX_STEPS_EXCEEDED)
             # guard every substep: between samples a worldline can leave
             # the chart and run off to infinity before the next sample
-            if not _combined_margin(metric, potential, s[:DIM]) > 0.0:
-                return (t_eval[:k], np.array(states), True, float(t),
-                        4 * taken)
+            if not margin(s) > 0.0:
+                return np.array(states), dict(
+                    t=t_eval[:k], truncated=True, exit_time=float(t),
+                    nfev=4 * taken, accepted=taken, rejected=0)
             t += h
         states.append(s)
-    return t_eval, np.array(states), False, t1, 4 * taken
+    return np.array(states), dict(t=t_eval, truncated=False, exit_time=t1,
+                                  nfev=4 * taken, accepted=taken, rejected=0)
 
 
 def _drift(metric, t, xs, ys):
@@ -175,13 +370,12 @@ def _trajectory(rhs, cfg, metric, potential, init: PhasePoint,
     """Integrate from init, plus a deviation (w0, v0) in rate_channel."""
     state0 = np.concatenate([init.x, init.y,
                              *(np.asarray(d, float) for d in deviation)])
-    t, states, truncated, exit_time, nfev = _integrate(rhs, state0, cfg,
-                                                       metric, potential)
+    states, run = _integrate(rhs, state0, cfg, metric, potential)
     xs, ys = states[:, :DIM], states[:, DIM:2 * DIM]
     w, v = (states[:, 8:12], states[:, 12:16]) if deviation else (None, None)
-    return Trajectory(t=t, x=xs, y=ys, truncated=truncated, exit_time=exit_time,
-                      norm_drift=_drift(metric, t, xs, ys), method=cfg.method,
-                      nfev=nfev, w=w, v=v, rate_channel=rate_channel)
+    return Trajectory(**run, x=xs, y=ys,
+                      norm_drift=_drift(metric, run["t"], xs, ys),
+                      method=cfg.method, w=w, v=v, rate_channel=rate_channel)
 
 
 def integrate_worldline(metric, potential, alpha, init: PhasePoint,

@@ -99,7 +99,8 @@ def test_deviate_outputs_rate_columns(tmp_path, capsys):
 
 def test_trajectory_commands_log_rhs_count(tmp_path, capsys, caplog):
     # at info level simulate and deviate log the integrator's right-hand-
-    # side count; the CSV bytes on stdout are the same at every level
+    # side and step counts; the CSV bytes on stdout and the exit code are
+    # the same at every level
     assert main(["simulate", "--echo-defaults", "--scenario",
                  "cyclotron"]) == 0
     raw = json.loads(capsys.readouterr().out)
@@ -107,15 +108,30 @@ def test_trajectory_commands_log_rhs_count(tmp_path, capsys, caplog):
                              samples=11, step=0.25)
     path = tmp_path / "short.json"
     path.write_text(json.dumps(raw))
-    for command in ("simulate", "deviate"):
-        outs = []
+    # 10 segments of 0.1, one rk4 substep each, four evaluations a step
+    short = ("rk4-fixed: 40 right-hand-side evaluations, 10 steps accepted, "
+             "0 rejected")
+    cases = [
+        ("simulate", str(path), 0, [short]),
+        ("deviate", str(path), 0, [short]),
+        # rk45-adaptive: rejected steps, and a run that leaves the chart
+        ("simulate", "reissner_nordstrom", 3,
+         ["rk45-adaptive: 2912 right-hand-side evaluations, 475 steps "
+          "accepted, 10 rejected",
+          "integration left the chart near t = 23.79714087231002"]),
+        ("deviate", "cyclotron", 0,
+         ["rk45-adaptive: 1574 right-hand-side evaluations, 262 steps "
+          "accepted, 0 rejected"]),
+    ]
+    for command, scenario, code, messages in cases:
+        outs, logs = [], []
         for level in (logging.WARNING, logging.INFO):
             caplog.clear()
             with caplog.at_level(level, logger="tidalbundle"):
-                assert main([command, "--scenario", str(path)]) == 0
+                assert main([command, "--scenario", scenario]) == code
             outs.append(capsys.readouterr().out)
-        # 10 segments of 0.1, one rk4 substep each, four evaluations a step
-        assert caplog.messages == ["rk4-fixed: 40 right-hand-side evaluations"]
+            logs.append(caplog.messages)
+        assert logs == [messages[1:], messages]
         assert outs[0] == outs[1]
         assert "right-hand-side" not in outs[1]
 
@@ -237,18 +253,25 @@ def test_console_script_entry_point(tmp_path):
 
 
 def test_commands_leave_scipy_integrate_unloaded(tmp_path):
-    # only the rk45-adaptive integrator loads scipy.integrate; importing
-    # the package, or a command that does not integrate, must not pay for it
+    # no command loads scipy: importing the package, a command that does
+    # not integrate, and both integrating commands on rk45-adaptive
     src = Path(tidalbundle.__file__).parents[1]
     code = ("import sys, tidalbundle, tidalbundle.cli\n"
-            "print('scipy.integrate' in sys.modules)\n"
+            "def loaded():\n"
+            "    print(any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
+            "loaded()\n"
             "tidalbundle.cli.main(['compute', '--scenario', 'cyclotron',\n"
             f"                      '--out', {str(tmp_path / 'c.json')!r}])\n"
-            "print('scipy.integrate' in sys.modules)\n")
+            "loaded()\n"
+            "for cmd in ('simulate', 'deviate'):\n"
+            "    out = " + repr(str(tmp_path)) + " + '/' + cmd + '.csv'\n"
+            "    assert tidalbundle.cli.main(\n"
+            "        [cmd, '--scenario', 'cyclotron', '--out', out]) == 0\n"
+            "    loaded()\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "False"]
+    assert proc.stdout.split() == ["False"] * 4
 
 
 def test_verify_progress_logging_keeps_report_bytes(tmp_path):

@@ -291,6 +291,16 @@ def _alpha_list(text: str):
     return alphas
 
 
+def _seed(text: str):
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad seed {text!r}")
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed {text!r} is negative")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tidal",
@@ -307,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="PATH",
                         help="output file (default: stdout, or report.json "
                              "for verify)")
-    common.add_argument("--seed", type=int, default=0,
+    common.add_argument("--seed", type=_seed, default=0,
                         help="random seed for phase-point sampling")
     common.add_argument("--echo-defaults", action="store_true",
                         help="print the fully defaulted scenario JSON and exit")

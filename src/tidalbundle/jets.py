@@ -4,10 +4,18 @@ A Jet carries a value together with exact derivatives along m seed
 directions: first derivatives d always, second derivatives h only for an
 order-2 jet.  An order-1 jet carries no h (h is None) and skips all
 second-order work; the order comes from the operands, and mixing orders
-is an error.  Components are numpy arrays whose *leading* axes index the
-seed directions; trailing axes are ordinary tensor slots, so einsum-style
-contractions stay readable.  Derivatives are exact (product/quotient/chain
-rules), never finite differences.
+is an error.  Derivatives are exact (product/quotient/chain rules), never
+finite differences.
+
+All components live in one array s, stacked on its leading axis in the
+order value, first derivatives, second derivatives: s has shape
+(1 + m,) + shape(v) at order 1 and (1 + m + m*m,) + shape(v) at order 2,
+with h[a, b] at s[1 + m*(1 + a) + b].  v = s[0], d = s[1:1+m] and
+h = s[1+m:] reshaped to (m, m) + shape(v) are views of it (a scalar
+jet's v is a numpy scalar), so d's leading axis and h's two leading axes
+index the seed directions and the trailing axes are ordinary tensor
+slots.  An operation that is linear in the jet (a sum, a product with an
+array, a contraction with an array) runs once over the whole stack.
 
 Batch axes (the couplings of one phase point) sit between the two: they
 follow the seed axes and lead the tensor slots, so v has shape
@@ -28,7 +36,7 @@ _JET_AXES = "ZY"  # reserved subscript letters for derivative axes
 def _pad(arr, jet_axes, tensor_rank):
     """Insert singleton tensor axes so jet axes stay leading under broadcasting."""
     have = arr.ndim - jet_axes
-    if have == tensor_rank:
+    if have >= tensor_rank:
         return arr
     shape = arr.shape[:jet_axes] + (1,) * (tensor_rank - have) + arr.shape[jet_axes:]
     return arr.reshape(shape)
@@ -37,12 +45,13 @@ def _pad(arr, jet_axes, tensor_rank):
 class Jet:
     """Multivariate Taylor value: v, d[a,...] and, at order 2, h[a,b,...].
 
-    The constructor normalizes shapes: d is held as (m,)+shape(v) and h as
-    (m,m)+shape(v), broadcasting read-only views where needed.  h=None
-    makes an order-1 jet.
+    The components are held in one array s (see the module docstring);
+    v, d and h are views of it.  The constructor copies v, d and h into a
+    new stack, broadcasting d to (m,)+shape(v) and h to (m,m)+shape(v).
+    h=None makes an order-1 jet.
     """
 
-    __slots__ = ("v", "d", "h", "m")
+    __slots__ = ("s", "m")
 
     # keep numpy from absorbing us into object arrays; binary ops must
     # fall through to the reflected methods below
@@ -52,13 +61,35 @@ class Jet:
         v = np.asarray(v, dtype=float)
         d = np.asarray(d, dtype=float)
         m = d.shape[0]
-        if d.shape != (m,) + v.shape:
-            d = np.broadcast_to(_pad(d, 1, v.ndim), (m,) + v.shape)
+        s = np.empty((1 + m + (0 if h is None else m * m),) + v.shape)
+        s[0] = v
+        s[1:1 + m] = _pad(d, 1, v.ndim)
         if h is not None:
-            h = np.asarray(h, dtype=float)
-            if h.shape != (m, m) + v.shape:
-                h = np.broadcast_to(_pad(h, 2, v.ndim), (m, m) + v.shape)
-        self.v, self.d, self.h, self.m = v, d, h, m
+            h = np.broadcast_to(_pad(np.asarray(h, dtype=float), 2, v.ndim),
+                                (m, m) + v.shape)
+            s[1 + m:] = h.reshape(s[1 + m:].shape)
+        self.s, self.m = s, m
+
+    @classmethod
+    def _of(cls, s, m):
+        jet = cls.__new__(cls)
+        jet.s, jet.m = s, m
+        return jet
+
+    @property
+    def v(self):
+        return self.s[0]
+
+    @property
+    def d(self):
+        return self.s[1:1 + self.m]
+
+    @property
+    def h(self):
+        s, m = self.s, self.m
+        if len(s) == 1 + m:
+            return None
+        return s[1 + m:].reshape((m, m) + s.shape[1:])
 
     # ---- constructors -------------------------------------------------
 
@@ -80,27 +111,29 @@ class Jet:
         """
         value = np.asarray(value, dtype=float)
         d1 = np.asarray(d1, dtype=float)
-        r = d1.shape[0]
-        d = np.zeros((m,) + value.shape)
-        d[start:start + r] = d1
-        return cls(value, d)
+        s = np.zeros((1 + m,) + value.shape)
+        s[0] = value
+        s[1 + start:1 + start + d1.shape[0]] = d1
+        return cls._of(s, m)
 
     # ---- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, Jet):
             _check_pair(self, other)
-            r = len(np.broadcast_shapes(self.v.shape, other.v.shape))
-            h = None if self.h is None else \
-                _pad(self.h, 2, r) + _pad(other.h, 2, r)
-            return Jet(self.v + other.v,
-                       _pad(self.d, 1, r) + _pad(other.d, 1, r), h)
-        return Jet(self.v + np.asarray(other, dtype=float), self.d, self.h)
+            r = max(self.s.ndim, other.s.ndim) - 1
+            return Jet._of(_pad(self.s, 1, r) + _pad(other.s, 1, r), self.m)
+        # an array moves the value only; the derivatives are copied as is
+        v = self.s[0] + np.asarray(other, dtype=float)
+        s = np.empty((len(self.s),) + v.shape)
+        s[0] = v
+        s[1:] = _pad(self.s[1:], 1, v.ndim)
+        return Jet._of(s, self.m)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(-self.v, -self.d, None if self.h is None else -self.h)
+        return Jet._of(-self.s, self.m)
 
     def __sub__(self, other):
         if isinstance(other, Jet):
@@ -111,32 +144,32 @@ class Jet:
         return (-self) + other
 
     def __mul__(self, other):
+        m = self.m
         if isinstance(other, Jet):
             _check_pair(self, other)
-            r = len(np.broadcast_shapes(self.v.shape, other.v.shape))
-            ad, bd = _pad(self.d, 1, r), _pad(other.d, 1, r)
-            d = ad * other.v + self.v * bd
-            h = None
-            if self.h is not None:
-                ah, bh = _pad(self.h, 2, r), _pad(other.h, 2, r)
-                h = (ah * other.v + self.v * bh
-                     + ad[:, None] * bd[None, :] + ad[None, :] * bd[:, None])
-            return Jet(self.v * other.v, d, h)
+            r = max(self.s.ndim, other.s.ndim) - 1
+            a, b = _pad(self.s, 1, r), _pad(other.s, 1, r)
+            s = a * b[0]
+            s[1:] += a[0] * b[1:]
+            if len(s) > 1 + m:
+                cross = a[1:1 + m, None] * b[None, 1:1 + m]
+                _add_cross(s, m, cross, np.swapaxes(cross, 0, 1))
+            return Jet._of(s, m)
         other = np.asarray(other, dtype=float)
-        r = len(np.broadcast_shapes(self.v.shape, other.shape))
-        return Jet(self.v * other,
-                   _pad(self.d, 1, r) * other,
-                   None if self.h is None else _pad(self.h, 2, r) * other)
+        return Jet._of(_pad(self.s, 1, other.ndim) * other, m)
 
     __rmul__ = __mul__
 
     def reciprocal(self):
-        r = 1.0 / self.v
-        d = -self.d * r * r
-        h = None
-        if self.h is not None:
-            h = -self.h * r * r + 2.0 * self.d[:, None] * self.d[None, :] * r ** 3
-        return Jet(r, d, h)
+        m, d = self.m, self.d
+        r = 1.0 / self.s[0]
+        s = -self.s
+        s *= r
+        s *= r
+        s[0] = r
+        if len(s) > 1 + m:
+            _add_cross(s, m, 2.0 * d[:, None] * d[None, :] * r ** 3)
+        return Jet._of(s, m)
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
@@ -147,27 +180,32 @@ class Jet:
         return self.reciprocal() * other
 
     def sqrt(self):
-        s = np.sqrt(self.v)
-        d = self.d / (2.0 * s)
-        h = None
-        if self.h is not None:
-            h = (self.h / (2.0 * s)
-                 - self.d[:, None] * self.d[None, :] / (4.0 * s ** 3))
-        return Jet(s, d, h)
+        m, d = self.m, self.d
+        root = np.sqrt(self.s[0])
+        s = self.s / (2.0 * root)
+        s[0] = root
+        if len(s) > 1 + m:
+            _add_cross(s, m, -(d[:, None] * d[None, :] / (4.0 * root ** 3)))
+        return Jet._of(s, m)
 
     def __getitem__(self, idx):
         if not isinstance(idx, tuple):
             idx = (idx,)
-        full = (slice(None),)
-        return Jet(self.v[idx], self.d[full + idx],
-                   None if self.h is None else self.h[full + full + idx])
+        return Jet._of(self.s[(slice(None),) + idx], self.m)
+
+
+def _add_cross(s, m, *terms):
+    """Add (m, m)+shape terms, in order, to the Hessian block of stack s."""
+    h = s[1 + m:]
+    for term in terms:
+        h += term.reshape(h.shape)
 
 
 def _check_pair(a, b):
     """Two jet operands must share direction count and order."""
     if a.m != b.m:
         raise ValueError("jet direction counts differ")
-    if (a.h is None) != (b.h is None):
+    if len(a.s) != len(b.s):
         raise ValueError("jet orders differ")
 
 
@@ -181,8 +219,10 @@ def value_of(x):
 
 @lru_cache(maxsize=None)
 def _split(spec):
-    # spec with "..." leading every operand and the output; cached, as the
-    # specs are a few dozen literals and parsing costs a quarter of a call
+    # spec with "..." leading every operand and the output, then the specs
+    # that carry the stack axis Z (and, for the cross term, Y) of a jet
+    # operand; cached, as the specs are a few dozen literals and parsing
+    # costs a quarter of a call
     lhs, out = spec.split("->")
     subs = tuple("..." + s for s in lhs.split(","))
     out = "..." + out
@@ -190,49 +230,48 @@ def _split(spec):
         for letter in _JET_AXES:
             if letter in s:
                 raise ValueError(f"subscript letter {letter!r} is reserved")
-    return ",".join(subs) + "->" + out, subs, out
+    Z, Y = _JET_AXES
+    if len(subs) == 1:
+        jet = (f"{Z}{subs[0]}->{Z}{out}",)
+    else:
+        sa, sb = subs[:2]
+        jet = (f"{Z}{sa},{sb}->{Z}{out}", f"{sa},{Z}{sb}->{Z}{out}",
+               f"{Z}{sa},{Y}{sb}->{Z}{Y}{out}")
+    return ",".join(subs) + "->" + out, jet
 
 
 def jeinsum(spec, *ops):
     """einsum over one or two operands, any of which may be a Jet; spec
-    names the tensor slots, and leading batch axes broadcast."""
-    spec, subs, out = _split(spec)
-    Z, Y = _JET_AXES
+    names the tensor slots, and leading batch axes broadcast.
+
+    A jet operand enters with its whole stack, so a contraction with an
+    array is one einsum; two jets add the value-times-derivative and the
+    cross terms.  np.einsum sums every two-operand contraction onto a
+    zeroed output, so no -0.0 comes out of one, as the product rule summed
+    onto zeros reads.
+    """
+    spec, jet_specs = _split(spec)
     if len(ops) == 1:
-        (a,), (sa,) = ops, subs
+        (a,) = ops
         if not isinstance(a, Jet):
             return np.einsum(spec, a)
-        return Jet(np.einsum(spec, a.v),
-                   np.einsum(f"{Z}{sa}->{Z}{out}", a.d),
-                   None if a.h is None
-                   else np.einsum(f"{Z}{Y}{sa}->{Z}{Y}{out}", a.h))
+        return Jet._of(np.einsum(jet_specs[0], a.s), a.m)
     if len(ops) != 2:
         raise ValueError("jeinsum supports one or two operands")
     a, b = ops
-    sa, sb = subs
     ja, jb = isinstance(a, Jet), isinstance(b, Jet)
     if not ja and not jb:
         return np.einsum(spec, a, b)
-    if ja and jb:
-        _check_pair(a, b)
-    av, bv = value_of(a), value_of(b)
-    v = np.einsum(spec, av, bv)
-    jet = a if ja else b
-    m = jet.m
-    d = np.zeros((m,) + v.shape)
-    if ja:
-        d += np.einsum(f"{Z}{sa},{sb}->{Z}{out}", a.d, bv)
-    if jb:
-        d += np.einsum(f"{sa},{Z}{sb}->{Z}{out}", av, b.d)
-    if jet.h is None:
-        return Jet(v, d)
-    h = np.zeros((m, m) + v.shape)
-    if ja:
-        h += np.einsum(f"{Z}{Y}{sa},{sb}->{Z}{Y}{out}", a.h, bv)
-    if jb:
-        h += np.einsum(f"{sa},{Z}{Y}{sb}->{Z}{Y}{out}", av, b.h)
-    if ja and jb:
-        cross = np.einsum(f"{Z}{sa},{Y}{sb}->{Z}{Y}{out}", a.d, b.d)
-        h += cross + np.swapaxes(cross, 0, 1)
-    return Jet(v, d, h)
-
+    left, right, cross = jet_specs
+    if not ja:
+        return Jet._of(np.einsum(right, a, b.s), b.m)
+    if not jb:
+        return Jet._of(np.einsum(left, a.s, b), a.m)
+    _check_pair(a, b)
+    m = a.m
+    s = np.einsum(left, a.s, b.s[0])
+    s[1:] += np.einsum(right, a.s[0], b.s[1:])
+    if len(s) > 1 + m:
+        c = np.einsum(cross, a.s[1:1 + m], b.s[1:1 + m])
+        _add_cross(s, m, c + np.swapaxes(c, 0, 1))
+    return Jet._of(s, m)

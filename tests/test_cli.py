@@ -238,6 +238,14 @@ def test_bad_inputs_exit_two(tmp_path, capsys):
         assert exc.value.code == 2
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / command).exists()
+    # and a negative seed, which no sampler takes
+    for command, seed in (("verify", "-1"), ("sweep", "-5")):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--scenario", "flat_vacuum", "--points", "1",
+                  "--seed", seed, "--out", str(tmp_path / command)])
+        assert exc.value.code == 2
+        assert "is negative" in capsys.readouterr().err
+        assert not (tmp_path / command).exists()
 
 
 def test_console_script_entry_point(tmp_path):

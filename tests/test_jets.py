@@ -193,13 +193,18 @@ def _as_written(spec, *ops):
         jet_out = "".join(sub for _, sub in lead.values())
         return np.einsum(",".join(specs) + "->" + jet_out + out, *arrs)
 
+    def total(terms):
+        # two operands sum their terms onto zeros, so an exact -0.0 in d or
+        # h comes out +0.0; one operand's derivatives are its einsum as is
+        return sum(terms) if len(ops) == 2 else terms[0]
+
     v = np.einsum(spec, *vals)
     if not jets:
         return v, None, None
-    d = sum(term({k: (ops[k].d, "Z")}) for k in jets)
+    d = total([term({k: (ops[k].d, "Z")}) for k in jets])
     if ops[jets[0]].h is None:
         return v, d, None
-    h = sum(term({k: (ops[k].h, "ZY")}) for k in jets)
+    h = total([term({k: (ops[k].h, "ZY")}) for k in jets])
     if len(jets) == 2:
         cross = term({0: (ops[0].d, "Z"), 1: (ops[1].d, "Y")})
         h = h + (cross + np.swapaxes(cross, 0, 1))
@@ -216,14 +221,20 @@ def test_unbatched_jeinsum_is_einsum_as_written():
     rng = np.random.default_rng(7)
     m = 3
 
+    def draw(shape):
+        # about a third of the entries exact +0.0 or -0.0, so that products
+        # and sums of signed zeros pin where a -0.0 survives
+        x = rng.uniform(0.5, 2.0, shape) * rng.choice([-1.0, 1.0], shape)
+        return np.where(rng.random(shape) < 0.35,
+                        rng.choice([0.0, -0.0], shape), x)
+
     def operand(sub, kind):
         shape = (4,) * len(sub)
-        v = rng.uniform(0.5, 2.0, shape) * rng.choice([-1.0, 1.0], shape)
+        v = draw(shape)
         if kind == "plain":
             return v
-        d = rng.uniform(0.5, 2.0, (m,) + shape)
-        return Jet(v, d, None if kind == "order1"
-                   else rng.uniform(0.5, 2.0, (m, m) + shape))
+        return Jet(v, draw((m,) + shape),
+                   None if kind == "order1" else draw((m, m) + shape))
 
     for spec in sorted(specs):
         subs = spec.split("->")[0].split(",")
@@ -240,3 +251,134 @@ def test_unbatched_jeinsum_is_einsum_as_written():
                 if a is not None:
                     assert np.asarray(a).tobytes() == \
                         np.asarray(b).tobytes(), (spec, kinds)
+
+
+def _lift(x, jet_axes, rank):
+    """A component with singleton tensor axes inserted after its jet axes."""
+    if x is None:
+        return None
+    pad = rank + jet_axes - x.ndim
+    return x.reshape(x.shape[:jet_axes] + (1,) * pad + x.shape[jet_axes:])
+
+
+def _comps(x):
+    """(v, d, h) of a Jet; a constant is (value, None, None)."""
+    if isinstance(x, Jet):
+        return x.v, x.d, x.h
+    return np.asarray(x, dtype=float), None, None
+
+
+def _pair(a, b):
+    rank = max(np.ndim(a[0]), np.ndim(b[0]))
+    return [(v, _lift(d, 1, rank), _lift(h, 2, rank)) for v, d, h in (a, b)]
+
+
+def _add_written(a, b, sign=1.0):
+    (av, ad, ah), (bv, bd, bh) = _pair(a, b)
+    if sign < 0:
+        bv, bd, bh = -bv, *(None if x is None else -x for x in (bd, bh))
+    if ad is None:
+        return av + bv, bd, bh
+    if bd is None:
+        return av + bv, ad, ah
+    return av + bv, ad + bd, None if ah is None else ah + bh
+
+
+def _mul_written(a, b):
+    (av, ad, ah), (bv, bd, bh) = _pair(a, b)
+    if ad is None:  # the jet first; a constant factor commutes
+        (av, ad, ah), (bv, bd, bh) = (bv, bd, bh), (av, ad, ah)
+    if bd is None:
+        return av * bv, ad * bv, None if ah is None else ah * bv
+    h = None if ah is None else (ah * bv + av * bh + ad[:, None] * bd[None, :]
+                                 + ad[None, :] * bd[:, None])
+    return av * bv, ad * bv + av * bd, h
+
+
+def _reciprocal_written(a):
+    av, ad, ah = a
+    r = 1.0 / av
+    h = None if ah is None else (-ah * r * r
+                                 + 2.0 * ad[:, None] * ad[None, :] * r ** 3)
+    return r, -ad * r * r, h
+
+
+def _sqrt_written(a):
+    av, ad, ah = a
+    s = np.sqrt(av)
+    h = None if ah is None else (ah / (2.0 * s)
+                                 - ad[:, None] * ad[None, :] / (4.0 * s ** 3))
+    return s, ad / (2.0 * s), h
+
+
+def _div_written(a, b):
+    if b[1] is None:
+        return _mul_written(a, (1.0 / b[0], None, None))
+    return _mul_written(a, _reciprocal_written(b))
+
+
+def _assert_components(got, want, label):
+    assert isinstance(got, Jet), label
+    v, d, h = want
+    m = got.m
+    assert got.v.shape == np.shape(v) and d.shape[0] == m, label
+    assert np.asarray(got.v).tobytes() == np.asarray(v).tobytes(), label
+    assert got.d.shape == (m,) + got.v.shape, label
+    assert got.d.tobytes() == np.broadcast_to(d, got.d.shape).tobytes(), label
+    assert (got.h is None) == (h is None), label
+    if h is not None:
+        assert got.h.shape == (m, m) + got.v.shape, label
+        assert got.h.tobytes() == \
+            np.broadcast_to(h, got.h.shape).tobytes(), label
+
+
+def test_jet_arithmetic_is_product_rule_as_written():
+    # every operation, component by component, byte for byte: jet, array
+    # and scalar operands; orders 1 and 2; a coupling batch axis (3) that
+    # leads a tensor slot (4); lower-rank operands that broadcast; and
+    # derivative entries that are exact +0.0 or -0.0
+    rng = np.random.default_rng(11)
+    m = 3
+
+    def draw(shape, zeros=False):
+        x = rng.uniform(0.5, 2.0, shape) * rng.choice([-1.0, 1.0], shape)
+        if zeros:
+            x = np.where(rng.random(shape) < 0.3,
+                         rng.choice([0.0, -0.0], shape), x)
+        return x
+
+    def jet(shape, order):
+        return Jet(draw(shape), draw((m,) + shape, True),
+                   draw((m, m) + shape, True) if order == 2 else None)
+
+    binary = {"+": (lambda a, b: a + b, _add_written),
+              "-": (lambda a, b: a - b,
+                    lambda a, b: _add_written(a, b, sign=-1.0)),
+              "*": (lambda a, b: a * b, _mul_written),
+              "/": (lambda a, b: a / b, _div_written)}
+    for order in (1, 2):
+        batch, slot = jet((3, 4), order), jet((4,), order)
+        consts = (draw((3, 4)), draw((4,)), draw((3, 1)), 0.7, -2.0)
+        pairs = [(batch, slot), (slot, batch), (batch, batch)]
+        pairs += [(j, c) for j in (batch, slot) for c in consts]
+        pairs += [(c, j) for j in (batch, slot) for c in consts]
+        for a, b in pairs:
+            for name, (op, written) in binary.items():
+                label = (order, name, np.shape(_comps(a)[0]),
+                         np.shape(_comps(b)[0]))
+                _assert_components(op(a, b), written(_comps(a), _comps(b)),
+                                   label)
+        for x in (batch, slot):
+            _assert_components(x.reciprocal(),
+                               _reciprocal_written(_comps(x)), order)
+            pos = x * x + 1.0
+            _assert_components(pos.sqrt(), _sqrt_written(_comps(pos)), order)
+            _assert_components(-x, (-x.v, -x.d,
+                                    None if x.h is None else -x.h), order)
+        for idx in (1, (Ellipsis, 2), (slice(0, 2),), (1, slice(1, 3))):
+            part = batch[idx]
+            full = (slice(None),) + (idx if isinstance(idx, tuple) else (idx,))
+            _assert_components(part, (batch.v[idx], batch.d[full],
+                                      None if order == 1
+                                      else batch.h[(slice(None),) + full]),
+                               idx)

@@ -9,8 +9,10 @@ that stops a tier from reading the defect, fails this file.
 import numpy as np
 import pytest
 
+from tidalbundle import connection
 from tidalbundle.connection import FieldFrame
 from tidalbundle.fields import MetricField
+from tidalbundle.jets import Jet, jeinsum
 from tidalbundle.scenario import builtin_scenario
 from tidalbundle.verify import run_suite
 
@@ -60,3 +62,51 @@ def test_false_flat_declaration(monkeypatch):
     assert not _killed("reissner_nordstrom")
     monkeypatch.setattr(MetricField, "zeros", frozenset({"dg"}))
     assert _killed("reissner_nordstrom") == FALSE_FLAT
+
+
+# Jet-kernel defects, each a wrapper around the connection's jeinsum that
+# reads only a Jet's v, d and h.  Dropping the second operand's first
+# derivative (from its linear and its cross term) breaks every fiber
+# derivative that reaches y through a right-hand operand; dropping the
+# two-jet cross term of the Hessian leaves the first derivatives exact
+# and breaks only the fiber Hessians (the curvature blocks and the Ricci
+# tensor read from E).
+def _second_first_derivative_dropped(spec, *ops):
+    if len(ops) == 2 and isinstance(ops[1], Jet):
+        b = ops[1]
+        ops = (ops[0], Jet(b.v, np.zeros_like(b.d), b.h))
+    return jeinsum(spec, *ops)
+
+
+def _hessian_cross_term_dropped(spec, *ops):
+    if len(ops) != 2 or not all(isinstance(x, Jet) for x in ops) \
+            or ops[0].h is None:
+        return jeinsum(spec, *ops)
+    a, b = ops
+    return (jeinsum(spec, a, b.v) + jeinsum(spec, a.v, b)
+            - jeinsum(spec, a.v, b.v))
+
+
+JET_KERNEL = {
+    "second-first-derivative-dropped": (_second_first_derivative_dropped, {
+        "reissner_nordstrom": {
+            "einstein-trace-full", "maxwell-inhomogeneous-divergence",
+            "maxwell-variants-agree", "reconstruction",
+            "ricci-base-reduction", "spray-coherence", "strong-torsion",
+            "unit-direction-transport"},
+        "flat_uniform_b": {"reconstruction", "spray-coherence",
+                           "strong-torsion", "unit-direction-transport"}}),
+    "hessian-cross-term-dropped": (_hessian_cross_term_dropped, {
+        "reissner_nordstrom": {"reconstruction", "ricci-base-reduction"},
+        "flat_uniform_b": {"reconstruction"}}),
+}
+
+
+@pytest.mark.parametrize("scenario_id", ["reissner_nordstrom",
+                                         "flat_uniform_b"])
+@pytest.mark.parametrize("mutant", sorted(JET_KERNEL))
+def test_jet_kernel_defects(monkeypatch, mutant, scenario_id):
+    wrapper, killed = JET_KERNEL[mutant]
+    assert not _killed(scenario_id)
+    monkeypatch.setattr(connection, "jeinsum", wrapper)
+    assert _killed(scenario_id) == killed[scenario_id]

@@ -291,14 +291,14 @@ def _alpha_list(text: str):
     return alphas
 
 
-def _seed(text: str):
+def _count(text: str):
     try:
-        seed = int(text)
+        value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad seed {text!r}")
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"seed {text!r} is negative")
-    return seed
+        raise argparse.ArgumentTypeError(f"bad count {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is negative")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -317,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="PATH",
                         help="output file (default: stdout, or report.json "
                              "for verify)")
-    common.add_argument("--seed", type=_seed, default=0,
+    common.add_argument("--seed", type=_count, default=0,
                         help="random seed for phase-point sampling")
     common.add_argument("--echo-defaults", action="store_true",
                         help="print the fully defaulted scenario JSON and exit")
@@ -342,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", parents=[common],
                         help="run the identity suite and write a report")
-    pv.add_argument("--points", type=int, default=50,
+    pv.add_argument("--points", type=_count, default=50,
                     help="phase points per scenario (default 50)")
     pv.add_argument("--alphas", type=_alpha_list, default=None,
                     metavar="A,B,...", help="coupling values to test")
@@ -350,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pw = sub.add_parser("sweep", parents=[common],
                         help="tabulate trace quantities across couplings")
-    pw.add_argument("--points", type=int, default=10,
+    pw.add_argument("--points", type=_count, default=10,
                     help="phase points per coupling (default 10)")
     pw.add_argument("--alphas", type=_alpha_list, default=DEFAULT_ALPHAS,
                     metavar="A,B,...", help="coupling values to sweep")

@@ -25,22 +25,22 @@ tiers (b.jet, b.plain, b.phase) and the point's data (b.p, b.e_scale,
 ...) directly, and each tensor is built on its first read, once.
 
 Residual policy: every check is one row (check, lhs, rhs, scale, at)
-over the bench's couplings, and one rule judges every row at each
-coupling.  A row holds every coupling, or the subset at where the check
-applies (ricci-base-reduction at alpha = 0, einstein-trace-full at
-alpha != 0).  It reports the absolute residual max|lhs - rhs| over the
-tensor slots and the relative one, that residual over the row's scale:
-the magnitude of the data feeding the comparison (for identities whose
-both sides vanish, the pre-cancellation scale), so "rel < tol" measures
-conditioning, not luck.  Each check name has one scale, shared by the
-suite and by alpha_sweep; the trace-level checks (the inhomogeneous
-Maxwell forms and the trace decomposition) include the term-by-term
-magnitude of the curvature assembly.  A zero scale falls back to the
-larger side.  Residuals under 1e-14 absolute pass outright; exact zeros
-stay exact.  A check with several rows (the homogeneity ladder's rungs)
-is judged at each coupling by its worst row, a NaN row worst of all.
-Every reduction is a max, so the judged numbers are the ones a bench per
-coupling would give.
+over the bench's couplings, all judged in one pass.  A row holds every
+coupling, or the subset at where the check applies (ricci-base-reduction
+at alpha = 0, einstein-trace-full at alpha != 0).  Per coupling it gives
+max|lhs|, max|rhs|, the absolute residual max|lhs - rhs| over the tensor
+slots, and rel, that residual over the row's scale: the magnitude of the
+data feeding the comparison (for identities whose both sides vanish, the
+pre-cancellation scale), so "rel < tol" measures conditioning, not luck.
+Each check name has one scale, shared by the suite and by alpha_sweep;
+the trace-level checks (the inhomogeneous Maxwell forms and the trace
+decomposition) include the term-by-term magnitude of the curvature
+assembly.  A zero scale falls back to the larger side (max|lhs| if NaN);
+a denominator that is not positive gives rel = inf, exact zeros stay
+exact, and residuals under 1e-14 absolute pass outright.  A check with
+several rows (the homogeneity ladder's rungs) is judged at each coupling
+by its worst row, the last with the largest rel, a NaN rel worst of all.
+Every reduction is a max, exact in any order.
 
 The report (schema 2): each sampled point is stored once in points, with
 its x, y, causal sign and conditioning number max|y|^2 / |g(y,y)|, and
@@ -194,54 +194,52 @@ def _largest(*values):
     return reduce(lambda top, x: np.where(x > top, x, top), values)
 
 
-def _residuals(lhs, rhs, scale):
-    """(max|lhs|, max|rhs|, max|lhs - rhs|, rel) per coupling, as rows."""
-    lhs = np.asarray(lhs, dtype=float)
-    n = len(lhs)
-    sides = np.empty((3,) + lhs.shape)
-    sides[0] = lhs
-    sides[1] = rhs
-    np.subtract(lhs, rhs, out=sides[2])
-    out = np.empty((4, n))
-    np.abs(sides, out=sides).reshape(3, n, -1).max(axis=2, out=out[:3])
-    lhs_mag, rhs_mag, abs_res, rel = out
-    denom = np.where(scale != 0.0, scale, _largest(lhs_mag, rhs_mag))
-    rel[:] = np.inf
-    np.divide(abs_res, denom, out=rel, where=denom > 0.0)
-    rel[abs_res == 0.0] = 0.0
-    return out
-
-
 def _checks(groups, bench, scenario_id, point):
-    """Judge every row the groups yield at one bench, per coupling.
+    """Judge every row the groups yield at one bench, in one pass.
 
-    The pass rule: rel <= tol, or under the absolute floor.  A check with
-    several rows (the homogeneity ladder's rungs) is judged at each
-    coupling by its worst row, the last one with the largest rel; a NaN
-    rel is the worst, as in check_summary.  Each
-    verdict is returned as the report's own row dict (plain Python
-    values).
+    Each row's lhs, rhs and lhs - rhs fill one block of a flat buffer, one
+    reduceat takes every per-coupling max, and one stable sort finds each
+    worst row.  The pass rule: rel <= tol, or under the absolute floor.
+    Each verdict is the report's own row dict (plain Python values).
     """
-    judged = {}
+    verdicts, rows, named = {}, [], []      # check -> its first verdict
     for group in groups:
         for check, lhs, rhs, scale, at in group(bench):
-            judged.setdefault(check, (at, []))[1].append(
-                _residuals(lhs, rhs, scale))
-    results = []
-    for check, (at, rows) in judged.items():
-        parts = reduce(lambda top, row: np.where(
-            (row[3] >= top[3]) | np.isnan(row[3]), row, top), rows)
-        tol = TOLERANCES[check]
-        alphas = bench.alpha if at is None else bench.alpha[at]
-        for alpha, (lhs_mag, rhs_mag, abs_res, rel) in zip(
-                alphas.tolist(), parts.T.tolist()):
-            results.append({
-                "check": check, "scenario": scenario_id, "point": point,
-                "alpha": alpha, "lhs_magnitude": lhs_mag,
-                "rhs_magnitude": rhs_mag, "abs_residual": abs_res,
-                "rel_residual": rel,
-                "passed": rel <= tol or abs_res <= _ABS_FLOOR})
-    return results
+            lhs = np.asarray(lhs, dtype=float)
+            if check not in verdicts:
+                verdicts[check] = len(named)
+                named += [(check, alpha) for alpha in (
+                    bench.alpha if at is None else bench.alpha[at]).tolist()]
+            rows.append((lhs, rhs, scale, verdicts[check], len(lhs), lhs.size))
+    lhs, rhs, scale, *counts = zip(*rows)
+    first, n, size = map(np.array, counts)
+    stops, ends = np.cumsum(size), np.cumsum(n)
+    sides, scales = np.empty((3, stops[-1])), np.empty(ends[-1])
+    np.concatenate(lhs, axis=None, out=sides[0])
+    for a, b, s, stop, end in zip(lhs, rhs, scale, stops.tolist(),
+                                  ends.tolist()):
+        sides[1, stop - a.size:stop].reshape(a.shape)[...] = b
+        scales[end - len(a):end] = s
+    np.subtract(sides[0], sides[1], out=sides[2])
+    seg = np.repeat(size // n, n)          # one segment per (row, coupling)
+    lhs_mag, rhs_mag, abs_res, rel = out = np.full((4, ends[-1]), np.inf)
+    np.maximum.reduceat(np.abs(sides, out=sides), np.cumsum(seg) - seg,
+                        axis=1, out=out[:3])
+    denom = np.where(scales != 0.0, scales,
+                     np.where(rhs_mag > lhs_mag, rhs_mag, lhs_mag))
+    np.divide(abs_res, denom, out=rel, where=denom > 0.0)
+    rel[abs_res == 0.0] = 0.0
+    # an entry's verdict is its check's first plus its coupling; sorted
+    # stably by (verdict, rel), NaN last, each verdict ends at its worst
+    verdict = np.arange(len(rel)) - np.repeat(ends - n - first, n)
+    worst = np.lexsort((rel, verdict))[np.cumsum(np.bincount(verdict)) - 1]
+    return [{"check": check, "scenario": scenario_id, "point": point,
+             "alpha": alpha, "lhs_magnitude": lhs_mag,
+             "rhs_magnitude": rhs_mag, "abs_residual": abs_res,
+             "rel_residual": rel,
+             "passed": rel <= TOLERANCES[check] or abs_res <= _ABS_FLOOR}
+            for (check, alpha), (lhs_mag, rhs_mag, abs_res, rel) in zip(
+                named, out[:, worst].T.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -447,24 +445,26 @@ def _worse(worst, rel):
     return rel if rel > worst or math.isnan(rel) else worst
 
 
-def _finite(alphas):
-    """The couplings as a tuple of floats; a non-finite one is refused."""
+def _grid(alphas, points):
+    """The couplings as floats; non-finite ones, or points < 0, are refused."""
     alphas = tuple(float(a) for a in alphas)
     if not all(map(math.isfinite, alphas)):
         raise ValueError(f"couplings must be finite, got {list(alphas)}")
+    if points < 0:
+        raise ValueError(f"points must be non-negative, got {points}")
     return alphas
 
 
 def run_suite(scenarios, points=50, seed=0, alphas=None, progress=None):
     """Evaluate every check over sampled phase points; deterministic report.
 
-    alphas=None runs DEFAULT_ALPHAS; an empty sequence or a non-finite
-    coupling raises ValueError.
+    alphas=None runs DEFAULT_ALPHAS; an empty sequence, a non-finite
+    coupling or a negative point count raises ValueError.
 
     The report is a plain-JSON dict: identical (scenario set, points,
     alphas, seed, version) give byte-identical serialization.
     """
-    alphas = _finite(DEFAULT_ALPHAS if alphas is None else alphas)
+    alphas = _grid(DEFAULT_ALPHAS if alphas is None else alphas, points)
     if not alphas:
         raise ValueError("run_suite needs at least one coupling")
     ordered = sorted(scenarios, key=lambda s: s.id)
@@ -519,9 +519,9 @@ def alpha_sweep(scenario, alphas, points=10, seed=0):
     Returns one row dict per (sampled point, alpha), suitable for CSV
     emission: traces, the contortion quadratic, the divergence, and the
     relative residuals of the trace identities, judged by the suite's own
-    checks.  A non-finite coupling raises ValueError.
+    checks.  A non-finite coupling or negative points raise ValueError.
     """
-    alphas = _finite(alphas)
+    alphas = _grid(alphas, points)
     if len(alphas) == 0:
         return []
     rows = []

@@ -238,11 +238,15 @@ def test_bad_inputs_exit_two(tmp_path, capsys):
         assert exc.value.code == 2
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / command).exists()
-    # and a negative seed, which no sampler takes
-    for command, seed in (("verify", "-1"), ("sweep", "-5")):
+    # and a negative seed, which no sampler takes, or point count, which
+    # would judge nothing and pass
+    for command, flag, value in (("verify", "--seed", "-1"),
+                                 ("sweep", "--seed", "-5"),
+                                 ("verify", "--points", "-1"),
+                                 ("sweep", "--points", "-3")):
         with pytest.raises(SystemExit) as exc:
-            main([command, "--scenario", "flat_vacuum", "--points", "1",
-                  "--seed", seed, "--out", str(tmp_path / command)])
+            main([command, "--scenario", "flat_vacuum", flag, value,
+                  "--out", str(tmp_path / command)])
         assert exc.value.code == 2
         assert "is negative" in capsys.readouterr().err
         assert not (tmp_path / command).exists()

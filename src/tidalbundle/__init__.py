@@ -23,16 +23,16 @@ from .dynamics import (IntegratorConfig, Trajectory, convert_deviation_frame,
                        two_worldline_oracle, worldline_rhs)
 from .errors import (ChartDomainError, FrameMismatchError, NullFiberError,
                      ScenarioError, TidalError)
-from .fields import (DIM, METRIC_CATALOG, POTENTIAL_CATALOG, MetricField,
+from .fields import (METRIC_CATALOG, POTENTIAL_CATALOG, MetricField,
                      PotentialField, base_riemann, builtin_metric,
                      builtin_potential, christoffel, coords_compatible,
-                     current, faraday, gravity_tidal, metric_from_callable,
+                     current, faraday, metric_from_callable,
                      potential_from_callable, stress_energy_em)
 from .jets import Jet, jeinsum, jsqrt, value_of
 from .scenario import (BUILTIN_IDS, DEFAULT_SUITE, Scenario, builtin_scenario,
                        builtin_scenarios, load_scenario, resolve_scenario,
                        scenario_defaults, scenario_from_dict)
-from .tensors import PhasePoint, norm_and_sign
+from .tensors import DIM, PhasePoint, norm_and_sign
 from .verify import (alpha_sweep, report_json, report_summary_table,
                      run_suite, sample_phase_points)
 

@@ -36,8 +36,8 @@ field_frame carries the declarations into the frame, and the fiber
 tiers skip the terms they make zero (see connection.FiberParts).
 
 Units: geometrized Gaussian, c = G = k_Coulomb = 1.  Charges and field
-strengths carry the same mass units as M.  Spherical charts use
-(t, r, theta, phi); flat charts use (t, x, y, z).
+strengths carry the same mass units as M.  A metric's coord_names follow
+its chart: (t, r, theta, phi), (t, x, y, z), else x0 to x3.
 """
 
 from __future__ import annotations
@@ -48,9 +48,11 @@ import numpy as np
 
 from .errors import ChartDomainError
 from .jets import Jet
+from .tensors import DIM
 
-DIM = 4
 SIN_THETA_FLOOR = 1e-8
+_COORD_NAMES = {"cartesian": ("t", "x", "y", "z"),
+               "spherical": ("t", "r", "theta", "phi")}
 
 
 class cached_property:
@@ -180,14 +182,17 @@ class MetricField:
 
     zeros = frozenset()
 
-    def __init__(self, name, params, coords, coord_names, pack_fn, margins_fn, is_flat):
+    def __init__(self, name, params, coords, pack_fn, margins_fn, is_flat):
         self.name = name
         self.params = dict(params)
         self.coords = coords
-        self.coord_names = coord_names
         self._pack_fn = pack_fn
         self._margins_fn = margins_fn
         self.is_flat = is_flat
+
+    @property
+    def coord_names(self):
+        return _COORD_NAMES.get(self.coords, ("x0", "x1", "x2", "x3"))
 
     def guard_margins(self, x):
         """Scalars that are positive strictly inside the chart."""
@@ -286,7 +291,8 @@ def _spherical_margins(x, r_min):
     return np.array([x[1] - r_min, np.sin(x[2]) - SIN_THETA_FLOOR])
 
 
-# name -> (parameter names, one-line description), consumed by the CLI listing
+# name -> (parameter names, one-line description): the one list of each
+# field's parameters, read by builtin_metric, builtin_potential and the CLI
 METRIC_CATALOG = {
     "minkowski": (("coordinates",), "flat spacetime, cartesian or spherical chart"),
     "schwarzschild": (("M",), "vacuum black hole of mass M"),
@@ -302,37 +308,50 @@ POTENTIAL_CATALOG = {
 }
 
 
+def _read(catalog, name, params, **defaults):
+    """The values of catalog[name]'s parameters, in catalog order.
+
+    A parameter named in defaults may be left out, and takes only a
+    boolean if its default is one.  Every other one is required, and is a
+    number read through float: a boolean is refused.  A missing or an
+    unexpected parameter raises ValueError.
+    """
+    names, params = catalog[name][0], {**defaults, **(params or {})}
+    extra = sorted(params.keys() - set(names))
+    if extra:
+        raise ValueError(f"unexpected {name} params {extra}")
+    missing = [p for p in names if p not in params]
+    if missing:
+        raise ValueError(f"{name} requires params {missing}")
+    for p in names:
+        flag = isinstance(defaults.get(p), bool)
+        if (p not in defaults or flag) and isinstance(params[p], bool) != flag:
+            raise ValueError(f"{name} param {p} must be "
+                             f"{'true or false' if flag else 'a number'}, "
+                             f"got {params[p]!r}")
+    return [params[p] if p in defaults else float(params[p]) for p in names]
+
+
 def builtin_metric(name, params=None) -> MetricField:
     """Catalog lookup: minkowski, schwarzschild(M), reissner_nordstrom(M, Q)."""
-    params = dict(params or {})
     if name == "minkowski":
-        coords = params.pop("coordinates", "cartesian")
-        if params:
-            raise ValueError(f"unexpected minkowski params {sorted(params)}")
+        coords, = _read(METRIC_CATALOG, name, params, coordinates="cartesian")
         if coords == "cartesian":
             flat = MetricPack(np.diag([-1.0, 1.0, 1.0, 1.0]),
                               np.zeros((DIM, DIM, DIM)),
                               np.zeros((DIM, DIM, DIM, DIM)))
             return _declare(MetricField(
-                name, {"coordinates": coords}, "cartesian", ("t", "x", "y", "z"),
-                _constant(flat),
-                lambda x: np.array([1.0]),
-                is_flat=True,
-            ), "dg")
+                name, {"coordinates": coords}, "cartesian", _constant(flat),
+                lambda x: np.array([1.0]), is_flat=True), "dg")
         if coords == "spherical":
             return MetricField(
                 name, {"coordinates": coords}, "spherical",
-                ("t", "r", "theta", "phi"),
                 lambda x: _spherical_pack(x, 1.0, 0.0, 0.0),
-                lambda x: _spherical_margins(x, 1e-8),
-                is_flat=True,
-            )
+                lambda x: _spherical_margins(x, 1e-8), is_flat=True)
         raise ValueError(f"unknown minkowski coordinates {coords!r}")
 
     if name == "schwarzschild":
-        M = float(params.pop("M"))
-        if params:
-            raise ValueError(f"unexpected schwarzschild params {sorted(params)}")
+        M, = _read(METRIC_CATALOG, name, params)
         if M <= 0:
             raise ValueError("schwarzschild requires M > 0")
         r_min = 2.0 * M * (1.0 + 1e-6)
@@ -342,17 +361,12 @@ def builtin_metric(name, params=None) -> MetricField:
             f = 1.0 - 2.0 * M / r
             return _spherical_pack(x, f, 2.0 * M / r ** 2, -4.0 * M / r ** 3)
 
-        return MetricField(
-            name, {"M": M}, "spherical", ("t", "r", "theta", "phi"),
-            pack, lambda x: _spherical_margins(x, r_min), is_flat=False,
-        )
+        return MetricField(name, {"M": M}, "spherical", pack,
+                           lambda x: _spherical_margins(x, r_min), is_flat=False)
 
     if name == "reissner_nordstrom":
-        M = float(params.pop("M"))
-        Q = float(params.pop("Q"))
-        allow_naked = bool(params.pop("allow_naked", False))
-        if params:
-            raise ValueError(f"unexpected reissner_nordstrom params {sorted(params)}")
+        M, Q, allow_naked = _read(METRIC_CATALOG, name, params,
+                                  allow_naked=False)
         if M <= 0:
             raise ValueError("reissner_nordstrom requires M > 0")
         if Q * Q > M * M and not allow_naked:
@@ -369,10 +383,8 @@ def builtin_metric(name, params=None) -> MetricField:
             d2f = -4.0 * M / r ** 3 + 6.0 * Q * Q / r ** 4
             return _spherical_pack(x, f, df, d2f)
 
-        return MetricField(
-            name, {"M": M, "Q": Q}, "spherical", ("t", "r", "theta", "phi"),
-            pack, lambda x: _spherical_margins(x, r_min), is_flat=False,
-        )
+        return MetricField(name, {"M": M, "Q": Q}, "spherical", pack,
+                           lambda x: _spherical_margins(x, r_min), is_flat=False)
 
     raise ValueError(f"unknown metric {name!r}")
 
@@ -387,22 +399,17 @@ _B_COMPONENTS = {"z": (1, 2), "x": (2, 3), "y": (3, 1)}
 
 def builtin_potential(name, params=None) -> PotentialField:
     """Catalog lookup: zero, uniform_b(B, axis), uniform_e(E, axis), coulomb(Q), pure_gauge(c)."""
-    params = dict(params or {})
     always = lambda x: np.array([1.0])
 
     if name == "zero":
-        if params:
-            raise ValueError("zero potential takes no params")
+        _read(POTENTIAL_CATALOG, name, params)
         none = PotentialPack(np.zeros(DIM), np.zeros((DIM, DIM)),
                              np.zeros((DIM, DIM, DIM)))
         return _declare(PotentialField(name, {}, "any", _constant(none),
                                        always), "d2A", "F")
 
     if name == "uniform_b":
-        B = float(params.pop("B"))
-        axis = params.pop("axis", "z")
-        if params:
-            raise ValueError(f"unexpected uniform_b params {sorted(params)}")
+        B, axis = _read(POTENTIAL_CATALOG, name, params, axis="z")
         if axis not in _B_COMPONENTS:
             raise ValueError(f"uniform_b axis must be x, y, or z, got {axis!r}")
         dA = np.zeros((DIM, DIM))
@@ -411,10 +418,7 @@ def builtin_potential(name, params=None) -> PotentialField:
                                        "cartesian", _linear(dA), always), "d2A")
 
     if name == "uniform_e":
-        E = float(params.pop("E"))
-        axis = params.pop("axis", "x")
-        if params:
-            raise ValueError(f"unexpected uniform_e params {sorted(params)}")
+        E, axis = _read(POTENTIAL_CATALOG, name, params, axis="x")
         if axis not in _AXIS_INDEX:
             raise ValueError(f"uniform_e axis must be x, y, or z, got {axis!r}")
         dA = np.zeros((DIM, DIM))
@@ -423,9 +427,7 @@ def builtin_potential(name, params=None) -> PotentialField:
                                        "cartesian", _linear(dA), always), "d2A")
 
     if name == "coulomb":
-        Q = float(params.pop("Q"))
-        if params:
-            raise ValueError(f"unexpected coulomb params {sorted(params)}")
+        Q, = _read(POTENTIAL_CATALOG, name, params)
         r_min = 1e-6 * max(abs(Q), 1.0)
 
         def pack(x, Q=Q):
@@ -444,9 +446,7 @@ def builtin_potential(name, params=None) -> PotentialField:
         )
 
     if name == "pure_gauge":
-        c = float(params.pop("c"))
-        if params:
-            raise ValueError(f"unexpected pure_gauge params {sorted(params)}")
+        c, = _read(POTENTIAL_CATALOG, name, params)
         dA = np.zeros((DIM, DIM))
         dA[2, 1] = dA[1, 2] = c
         return _declare(PotentialField(name, {"c": c}, "cartesian",
@@ -464,7 +464,6 @@ def coords_compatible(metric: MetricField, potential: PotentialField) -> bool:
 
 
 def metric_from_callable(fn, name="custom", coords="cartesian",
-                         coord_names=("x0", "x1", "x2", "x3"),
                          margins_fn=None, is_flat=False) -> MetricField:
     """Build a MetricField from a jet-evaluable callable x -> g_ij.
 
@@ -476,7 +475,7 @@ def metric_from_callable(fn, name="custom", coords="cartesian",
         G = fn(Jet.seed(x, DIM))
         return MetricPack(G.v, G.d, G.h)
 
-    return MetricField(name, {}, coords, coord_names, pack,
+    return MetricField(name, {}, coords, pack,
                        margins_fn or (lambda x: np.array([1.0])), is_flat)
 
 
@@ -539,18 +538,9 @@ def base_riemann(metric, x=None):
     return pack.riemann, pack.ricci
 
 
-def gravity_tidal(metric, y, x=None):
-    """Classical tidal tensor e^i_j = riem[i,a,j,b] y^a y^b of the base metric."""
-    riem, _ = base_riemann(_metric_pack(metric, x))
-    return np.einsum("iajb,a,b->ij", riem, y, y)
-
-
-def current(potential, metric, x=None):
-    """Source 4-current J^i = (1/4 pi) nabla_j F^{ji}.
-
-    Accepts fields with a point, or prebuilt packs.
-    """
-    mp, pp = _metric_pack(metric, x), _potential_pack(potential, x)
+def current(pp, mp):
+    """Source 4-current J^i = (1/4 pi) nabla_j F^{ji}, from a potential
+    pack pp and a metric pack mp."""
     ginv, dginv, gamma, F, dF = mp.ginv, mp.dginv, mp.gamma, pp.F, pp.dF
     Fup = ginv @ F @ ginv
     dFup = (np.einsum("mac,cd,bd->mab", dginv, F, ginv)

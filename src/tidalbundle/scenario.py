@@ -13,7 +13,7 @@ import functools
 import importlib.resources
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import jsonschema
 import numpy as np
@@ -34,9 +34,8 @@ _DEFAULTS = {
     "alpha": 0.0,
     "initial": {"x0": [0.0, 0.0, 0.0, 0.0], "y0": [1.0, 0.0, 0.0, 0.0],
                 "normalize": "none"},
-    "integrator": {"method": "rk45-adaptive", "t_span": [0.0, 10.0],
-                   "samples": 201, "step": None, "rtol": 1e-10,
-                   "atol": 1e-10, "max_steps": 1_000_000},
+    # IntegratorConfig's own defaults, as JSON values
+    "integrator": json.loads(json.dumps(asdict(IntegratorConfig()))),
     "einstein_consistent": False,
     "nonspray_perturbation": 0.0,
 }
@@ -66,7 +65,6 @@ class Scenario:
     alpha: float
     x0: np.ndarray
     y0: np.ndarray                 # after normalization, if requested
-    normalize: object              # -1, 1, or "none"
     w0: np.ndarray                 # None when no deviation block
     v0: np.ndarray
     integrator: IntegratorConfig
@@ -190,10 +188,7 @@ def scenario_from_dict(data: dict, source="<dict>") -> Scenario:
         v0 = np.asarray(data["deviation"]["v0"], dtype=float)
 
     icfg = data["integrator"]
-    integrator = IntegratorConfig(
-        method=icfg["method"], t_span=tuple(icfg["t_span"]),
-        samples=icfg["samples"], step=icfg["step"], rtol=icfg["rtol"],
-        atol=icfg["atol"], max_steps=icfg["max_steps"])
+    integrator = IntegratorConfig(**{**icfg, "t_span": tuple(icfg["t_span"])})
     try:
         integrator.validate()
     except ValueError as e:
@@ -210,7 +205,7 @@ def scenario_from_dict(data: dict, source="<dict>") -> Scenario:
 
     return Scenario(
         id=data["id"], metric=metric, potential=potential,
-        alpha=float(data["alpha"]), x0=x0, y0=y0, normalize=normalize,
+        alpha=float(data["alpha"]), x0=x0, y0=y0,
         w0=w0, v0=v0, integrator=integrator, sampling_box=box,
         einstein_consistent=bool(data["einstein_consistent"]),
         nonspray_perturbation=float(data["nonspray_perturbation"]),

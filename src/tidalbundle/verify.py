@@ -183,15 +183,17 @@ class _Row(NamedTuple):
     at: object = None
 
 
-def _mags(a):
-    """max|a| over the trailing axes, per coupling (exact in any order)."""
-    a = np.abs(a)
-    return a.reshape(len(a), -1).max(axis=1)
+def _scale(*terms):
+    """The largest of the terms' magnitudes at each coupling.
 
-
-def _largest(*values):
-    """Python's max(*values) at each coupling, NaN handling included."""
-    return reduce(lambda top, x: np.where(x > top, x, top), values)
+    A term is a float, one value per coupling, or a tensor whose leading
+    axis is the coupling: its magnitude is max|term| over the trailing
+    axes (exact in any order).  The terms are compared by Python's max
+    rule, so a NaN wins only when it comes first.
+    """
+    mags = (a.reshape(len(a), -1).max(axis=1) if a.ndim > 1 else a
+            for a in map(np.abs, terms))
+    return reduce(lambda top, x: np.where(x > top, x, top), mags)
 
 
 def _checks(groups, bench, scenario_id, point):
@@ -250,39 +252,39 @@ def _structural(b):
     jp, y = b.jet, b.y
     E, N = jp.E.v, jp.N.v
     yield _Row("reconstruction",
-               np.einsum("...jikl,j,l->...ik", b.block, y, y), E, _mags(E))
+               np.einsum("...jikl,j,l->...ik", b.block, y, y), E, _scale(E))
 
     yield _Row("ricci-hessian", b.ricci, -np.einsum("...jiil->...jl", b.block),
-               _largest(_mags(b.ricci), _mags(b.block)))
+               _scale(b.ricci, b.block))
 
     zero = np.flatnonzero(b.alpha == 0.0)
     if zero.size:
         ricci = b.ricci[zero]
         yield _Row("ricci-base-reduction", ricci, b.frame.ricci,
-                   _largest(float(np.max(np.abs(b.frame.ricci))),
-                            _mags(ricci), b.e_scale / b.nrm2), zero)
+                   _scale(float(np.max(np.abs(b.frame.ricci))), ricci,
+                          b.e_scale / b.nrm2), zero)
 
     # scale includes the connection magnitude: the derivative is assembled
     # from terms of that size even when the result cancels to zero
     transport = b.covariant(unit_direction_low)
     yield _Row("unit-direction-transport", transport,
                (0.5 * b.alpha)[:, None, None] * b.frame.F,
-               _largest(float(np.max(np.abs(b.frame.F))), _mags(transport),
-                        _mags(N) / b.p.norm,
-                        float(np.max(np.abs(b.frame.gamma)))))
+               _scale(float(np.max(np.abs(b.frame.F))), transport,
+                      N / b.p.norm,
+                      float(np.max(np.abs(b.frame.gamma)))))
 
     l_low = jp.l_low.v
     Et = jp.h_low.v @ E
     E_low = b.frame.g @ E
     yield _Row("angular-projection", Et,
                E_low - b.eps * (l_low[:, None] * (l_low @ E)[:, None, :]),
-               _mags(E_low))
+               _scale(E_low))
 
     yield _Row("angular-trace", np.einsum("ik,...ki->...", b.frame.ginv, Et),
-               b.trace_E, _largest(np.abs(b.trace_E), _mags(Et)))
+               b.trace_E, _scale(b.trace_E, Et))
 
     yield _Row("tidal-orthogonality",
-               np.einsum("k,i,...ik->...", jp.l_up.v, l_low, E), 0.0, _mags(E))
+               np.einsum("k,i,...ik->...", jp.l_up.v, l_low, E), 0.0, _scale(E))
 
     # homogeneity ladder: each fiber derivative drops the degree by one;
     # one row per rung, judged by its worst
@@ -294,18 +296,17 @@ def _structural(b):
              np.zeros((DIM,) * 3), B2),
             (np.einsum("...ijk,k->...ij", jp.Gaff.v, y), N, N),
             (N @ y, 2.0 * G, G)):
-        yield _Row("homogeneity-ladder", lhs, rhs,
-                   _largest(_mags(scl), _mags(lhs)))
+        yield _Row("homogeneity-ladder", lhs, rhs, _scale(scl, lhs))
 
     yield _Row("spray-coherence", np.einsum("j...i->...ij", jp.G.d), N,
-               _mags(N))
+               _scale(N))
 
     yield _Row("strong-torsion", b.torsion, np.zeros((DIM, DIM)),
-               _largest(_mags(N), _mags(b.torsion)))
+               _scale(N, b.torsion))
 
     R3 = jp.R3.v
     yield _Row("curvature-antisymmetry", R3, -np.swapaxes(R3, -1, -2),
-               _mags(R3))
+               _scale(R3))
 
 
 def _cyclic_side(bench):
@@ -325,21 +326,20 @@ def _maxwell_homogeneous(b):
     E = b.jet.E.v
     Et = b.jet.h_low.v @ E
     antisym = 0.5 * (Et - np.swapaxes(Et, -1, -2))
-    scale = _largest(_mags(Et), _mags(E))
+    scale = _scale(Et, E)
     yield _Row("maxwell-homogeneous", antisym, np.zeros((DIM, DIM)), scale)
     cyc_scale = (np.abs(b.alpha) * b.p.norm
                  * float(np.max(np.abs(b.frame.dF))) * float(np.max(np.abs(b.y))))
     yield _Row("maxwell-homogeneous-cyclic", antisym, _cyclic_side(b),
-               _largest(scale, cyc_scale))
+               _scale(scale, cyc_scale))
 
 
 def _maxwell_inhomogeneous(b):
     e_trace = b.td.gravity_trace
-    scale = _largest(np.abs(b.trace_E), b.e_scale, np.abs(b.quad),
-                     4.0 * np.pi * np.abs(b.alpha) * abs(b.rho_c) * b.nrm2,
-                     np.abs(b.div_phase), b.assembly_scale)
-    quadratic = (e_trace - 4.0 * np.pi * b.alpha * b.rho_c * b.nrm2
-                 + b.quad)
+    source = 4.0 * np.pi * b.alpha * b.rho_c * b.nrm2
+    scale = _scale(b.trace_E, b.e_scale, b.quad, source, b.div_phase,
+                   b.assembly_scale)
+    quadratic = e_trace - source + b.quad
     divergence = (e_trace - 2.0 * np.pi * b.alpha * b.rho_c * b.nrm2
                   - b.div_phase + b.quad)
     yield _Row("maxwell-inhomogeneous-quadratic", b.trace_E, quadratic, scale)
@@ -351,9 +351,8 @@ def _maxwell_inhomogeneous(b):
 def _trace_split(b):
     td = b.td
     yield _Row("trace-decomposition", td.lhs, td.rhs,
-               _largest(np.abs(td.lhs), b.e_scale,
-                        2.0 * np.abs(td.divergence), np.abs(td.quadratic),
-                        b.assembly_scale))
+               _scale(td.lhs, b.e_scale, 2.0 * td.divergence, td.quadratic,
+                      b.assembly_scale))
 
 
 def full_trace_rhs(bench, rho_m=0.0, matter_trace=0.0):
@@ -392,9 +391,9 @@ def _einstein(b):
         lhs = b.trace_E[at] / b.nrm2
         rhs = full_trace_rhs(b)
         yield _Row("einstein-trace-full", lhs, rhs,
-                   _largest(np.abs(lhs), np.abs(rhs), b.e_scale / b.nrm2,
-                            np.abs(b.td.divergence[at]) / b.nrm2,
-                            np.abs(b.quad[at]) / b.nrm2), at)
+                   _scale(lhs, rhs, b.e_scale / b.nrm2,
+                          b.td.divergence[at] / b.nrm2,
+                          b.quad[at] / b.nrm2), at)
 
 
 _GROUPS = (_structural, _maxwell_homogeneous, _maxwell_inhomogeneous,

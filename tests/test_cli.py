@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import os
@@ -12,6 +13,9 @@ from conftest import count_builds
 
 import tidalbundle
 from tidalbundle.cli import main
+from tidalbundle.dynamics import IntegratorConfig
+from tidalbundle.fields import builtin_metric, builtin_potential
+from tidalbundle.scenario import BUILTIN_IDS
 
 INFALL = {
     "id": "infall",
@@ -206,6 +210,87 @@ def test_echo_defaults(capsys):
     assert main(["verify", "--scenario", "cyclotron", "--echo-defaults"]) == 0
     full = json.loads(capsys.readouterr().out)
     assert full["integrator"]["rtol"] == 1e-12
+
+
+def test_echo_defaults_integrator_is_integrator_config(capsys):
+    assert main(["compute", "--echo-defaults"]) == 0
+    echoed = json.loads(capsys.readouterr().out)["integrator"]
+    cfg = IntegratorConfig()
+    assert echoed.keys() == {f.name for f in dataclasses.fields(cfg)}
+    for name, value in echoed.items():
+        want = getattr(cfg, name)
+        assert (tuple(value) if name == "t_span" else value) == want, name
+
+
+def test_echo_defaults_round_trips(tmp_path, capsys):
+    # a built-in's defaulted document, read back as a scenario file, is
+    # echoed with the same bytes
+    for sid in BUILTIN_IDS:
+        assert main(["compute", "--echo-defaults", "--scenario", sid]) == 0
+        echoed = capsys.readouterr().out
+        path = tmp_path / f"{sid}.json"
+        path.write_text(echoed)
+        assert main(["compute", "--echo-defaults", "--scenario",
+                     str(path)]) == 0
+        assert capsys.readouterr().out == echoed, sid
+
+
+# a value that each catalog parameter accepts
+PARAM_VALUES = {"coordinates": "spherical", "M": 1.0, "Q": 0.5,
+                "allow_naked": False, "B": 1.5, "E": 0.3, "axis": "y",
+                "c": 0.8}
+
+
+def test_listed_params_are_the_accepted_ones(capsys):
+    # every parameter the listing names is accepted by its field, and a
+    # parameter it does not name is refused
+    assert main(["list", "--format", "json"]) == 0
+    listing = json.loads(capsys.readouterr().out)
+    for kind, build in (("metrics", builtin_metric),
+                        ("potentials", builtin_potential)):
+        for name, entry in listing[kind].items():
+            params = {p: PARAM_VALUES[p] for p in entry["params"]}
+            assert build(name, params).name == name
+            with pytest.raises(ValueError,
+                               match=rf"unexpected {name} params \['nosuch'\]"):
+                build(name, {**params, "nosuch": 1.0})
+
+
+@pytest.mark.parametrize("metric, potential, message", [
+    ({"name": "schwarzschild"}, {"name": "zero"},
+     "metric: schwarzschild requires params ['M']"),
+    ({"name": "minkowski"}, {"name": "uniform_b", "params": {"axis": "x"}},
+     "potential: uniform_b requires params ['B']"),
+    ({"name": "reissner_nordstrom",
+      "params": {"M": 1.0, "Q": 2.0, "allow_naked": "false"}},
+     {"name": "zero"},
+     "metric: reissner_nordstrom param allow_naked must be true or false, "
+     "got 'false'"),
+    ({"name": "reissner_nordstrom", "params": {"M": 1.0, "Q": 0.5,
+                                               "allow_naked": 0}},
+     {"name": "zero"},
+     "metric: reissner_nordstrom param allow_naked must be true or false, "
+     "got 0"),
+    ({"name": "minkowski"}, {"name": "uniform_b", "params": {"B": True}},
+     "potential: uniform_b param B must be a number, got True"),
+    ({"name": "schwarzschild", "params": {"M": True}}, {"name": "zero"},
+     "metric: schwarzschild param M must be a number, got True"),
+    ({"name": "minkowski", "params": {"coordinates": "spherical"}},
+     {"name": "coulomb", "params": {"Q": False}},
+     "potential: coulomb param Q must be a number, got False"),
+    ({"name": "minkowski"}, {"name": "zero", "params": {"Q": 1.0}},
+     "potential: unexpected zero params ['Q']"),
+], ids=["missing-M", "missing-B", "naked-string", "naked-number",
+        "B-boolean", "M-boolean", "Q-boolean", "zero-extra"])
+def test_bad_catalog_params_exit_two(tmp_path, capsys, metric, potential,
+                                     message):
+    # refused with the parameter named, never a traceback and exit 1
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({
+        "id": "s", "metric": metric, "potential": potential,
+        "initial": {"x0": [0.0, 10.0, 1.5, 0.0], "y0": [1.0, 0, 0, 0]}}))
+    assert main(["compute", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
 def test_bad_inputs_exit_two(tmp_path, capsys):

@@ -14,8 +14,8 @@ from tidalbundle.fields import (MetricPack, PotentialPack, base_riemann,
                                 builtin_metric, builtin_potential,
                                 cached_property, christoffel,
                                 coords_compatible, current, faraday,
-                                gravity_tidal, metric_from_callable,
-                                potential_from_callable, stress_energy_em)
+                                metric_from_callable, potential_from_callable,
+                                stress_energy_em)
 from tidalbundle.jets import jeinsum, jsqrt
 
 X_SPH = np.array([0.0, 10.0, 1.1, 0.3])  # generic exterior point
@@ -116,15 +116,13 @@ def test_christoffel_matches_fd_of_metric():
 
 
 def test_derived_tensors_are_the_packs():
-    # christoffel, current and field_frame read the pack's cached tensors
+    # christoffel and field_frame read the pack's cached tensors
     m = builtin_metric("reissner_nordstrom", {"M": 1.0, "Q": 0.5})
     pot = builtin_potential("coulomb", {"Q": 0.5})
-    mp, pp = m.pack(X_SPH), pot.pack(X_SPH)
+    mp = m.pack(X_SPH)
     gamma, dgamma = christoffel(m, X_SPH)
     np.testing.assert_array_equal(gamma, mp.gamma)
     np.testing.assert_array_equal(dgamma, mp.dgamma)
-    np.testing.assert_array_equal(current(pot, m, X_SPH),
-                                  current(pp, mp))
     frame = field_frame(m, pot, X_SPH)
     for name in ("g", "ginv", "dg", "dginv", "gamma", "dgamma"):
         np.testing.assert_array_equal(getattr(frame, name),
@@ -171,16 +169,8 @@ def test_vacuum_maxwell_current_vanishes():
         (builtin_potential("uniform_b", {"B": 1.0, "axis": "y"}), cart, X_CART),
         (builtin_potential("pure_gauge", {"c": 0.8}), cart, X_CART),
     ]:
-        J = current(pot, m, x)
+        J = current(pot.pack(x), m.pack(x))
         assert np.max(np.abs(J)) < 1e-14
-
-
-def test_gravity_tidal_contracts_riemann():
-    m = builtin_metric("schwarzschild", {"M": 1.0})
-    y = np.array([1.2, 0.1, 0.01, 0.02])
-    riem, _ = base_riemann(m.pack(X_SPH))
-    want = np.einsum("iajb,a,b->ij", riem, y, y)
-    np.testing.assert_allclose(gravity_tidal(m, y, X_SPH), want, rtol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +195,15 @@ def test_catalog_rejects_bad_params():
         builtin_metric("nosuch")
     with pytest.raises(ValueError):
         builtin_potential("uniform_b", {"B": 1.0, "axis": "t"})
+
+
+def test_coord_names_follow_the_chart():
+    assert builtin_metric("minkowski").coord_names == ("t", "x", "y", "z")
+    for m in (builtin_metric("schwarzschild", {"M": 1.0}),
+              metric_from_callable(lambda x: x, coords="spherical")):
+        assert m.coord_names == ("t", "r", "theta", "phi")
+    assert metric_from_callable(lambda x: x, coords="null").coord_names == \
+        ("x0", "x1", "x2", "x3")
 
 
 def test_coords_compatibility():

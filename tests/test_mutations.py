@@ -6,21 +6,24 @@ which checks a defect trips, so a change that blunts one of them, or
 that stops a tier from reading the defect, fails this file.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
 from tidalbundle import connection
-from tidalbundle.connection import FieldFrame
+from tidalbundle.connection import FiberParts, FieldFrame, Sample
 from tidalbundle.fields import MetricField
 from tidalbundle.jets import Jet, jeinsum
-from tidalbundle.scenario import builtin_scenario
-from tidalbundle.verify import run_suite
+from tidalbundle.scenario import builtin_scenario, scenario_from_dict
+from tidalbundle.verify import TOLERANCES, run_suite
 
 
-def _killed(scenario_id, points=3, seed=0):
-    """Names of the checks that fail on one built-in scenario."""
-    report = run_suite([builtin_scenario(scenario_id)], points=points,
-                       seed=seed)
+def _killed(scenario, points=3, seed=0):
+    """Names of the checks that fail on one scenario (or built-in id)."""
+    if isinstance(scenario, str):
+        scenario = builtin_scenario(scenario)
+    report = run_suite([scenario], points=points, seed=seed)
     return {name for name, s in report["check_summary"].items()
             if s["failures"]}
 
@@ -110,3 +113,91 @@ def test_jet_kernel_defects(monkeypatch, mutant, scenario_id):
     assert not _killed(scenario_id)
     monkeypatch.setattr(connection, "jeinsum", wrapper)
     assert _killed(scenario_id) == killed[scenario_id]
+
+
+# The curvature of N with the sign of its second base-derivative term,
+# d_j N^i_k, flipped.  On a flat frame with a uniform field (flat_uniform_b)
+# R3 builds no dN, so the defect reaches nothing there.
+def _dN_term_flipped(spec, *ops):
+    out = jeinsum(spec, *ops)
+    return -out if spec == "jik->ijk" else out
+
+
+R3_DN_SIGN = {
+    "angular-trace", "curvature-antisymmetry", "einstein-trace-full",
+    "maxwell-homogeneous", "maxwell-homogeneous-cyclic",
+    "maxwell-inhomogeneous-divergence", "maxwell-inhomogeneous-quadratic",
+    "ricci-base-reduction", "tidal-orthogonality", "trace-decomposition"}
+
+
+@pytest.mark.parametrize("scenario_id", ["reissner_nordstrom",
+                                         "schwarzschild_vacuum"])
+def test_curvature_dN_term_sign_flipped(monkeypatch, scenario_id):
+    assert not _killed(scenario_id)
+    monkeypatch.setattr(connection, "jeinsum", _dN_term_flipped)
+    assert _killed(scenario_id) == R3_DN_SIGN
+
+
+# The angular metric with the wrong causal sign, h = g + eps l l.  Without
+# a field (schwarzschild_vacuum) E is orthogonal to l on both sides and the
+# contortion vanishes, so the sign reaches nothing there.
+ANGULAR_SIGN = {
+    "reissner_nordstrom": {
+        "angular-projection", "einstein-trace-full", "homogeneity-ladder",
+        "maxwell-homogeneous", "maxwell-homogeneous-cyclic",
+        "maxwell-inhomogeneous-divergence",
+        "maxwell-inhomogeneous-quadratic", "trace-decomposition"},
+    "flat_uniform_b": {
+        "angular-projection", "homogeneity-ladder", "maxwell-homogeneous",
+        "maxwell-homogeneous-cyclic", "maxwell-inhomogeneous-divergence",
+        "maxwell-inhomogeneous-quadratic", "trace-decomposition"},
+}
+
+
+@pytest.mark.parametrize("scenario_id", sorted(ANGULAR_SIGN))
+def test_angular_metric_wrong_causal_sign(monkeypatch, scenario_id):
+    assert not _killed(scenario_id)
+    monkeypatch.setattr(FiberParts, "h_low", property(
+        lambda self: self.g + self.eps * jeinsum("i,j->ij", self.l_low,
+                                                 self.l_low)))
+    assert _killed(scenario_id) == ANGULAR_SIGN[scenario_id]
+
+
+# A coulomb charge of 0.4 under the Q = 0.5 Reissner-Nordstrom metric: the
+# field solves Maxwell's equations there, but does not source the metric.
+MISMATCHED_CHARGE = {"einstein-trace", "einstein-trace-full"}
+
+
+def test_metric_and_potential_with_mismatched_charge():
+    data = copy.deepcopy(builtin_scenario("reissner_nordstrom").raw)
+    data["potential"]["params"]["Q"] = 0.4
+    assert data["einstein_consistent"]
+    assert _killed(scenario_from_dict(data)) == MISMATCHED_CHARGE
+
+
+# The Ricci tensor traced over the upper slot and a fiber-derivative slot
+# of the Hessian of E, in place of its two tensor slots.  ricci-hessian,
+# the trace of the curvature block, is the check that reads it at every
+# coupling; ricci-base-reduction reads it at alpha = 0 only.
+RICCI_WRONG_TRACE = {
+    "reissner_nordstrom": {"ricci-base-reduction", "ricci-hessian"},
+    "flat_uniform_b": {"ricci-hessian"},
+}
+
+
+@pytest.mark.parametrize("scenario_id", sorted(RICCI_WRONG_TRACE))
+def test_ricci_traced_over_wrong_slots(monkeypatch, scenario_id):
+    assert not _killed(scenario_id)
+    monkeypatch.setattr(Sample, "ricci", property(
+        lambda self: -0.5 * np.einsum("iY...Zi->...ZY", self.jet.E.h)))
+    assert _killed(scenario_id) == RICCI_WRONG_TRACE[scenario_id]
+
+
+def test_every_check_has_a_killer():
+    killers = set().union(
+        *TRANSPOSED_FMIX.values(), FALSE_FLAT,
+        *(killed for _, sets in JET_KERNEL.values()
+          for killed in sets.values()),
+        R3_DN_SIGN, *ANGULAR_SIGN.values(), MISMATCHED_CHARGE,
+        *RICCI_WRONG_TRACE.values())
+    assert killers == set(TOLERANCES)

@@ -42,6 +42,8 @@ its chart: (t, r, theta, phi), (t, x, y, z), else x0 to x3.
 
 from __future__ import annotations
 
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,7 +147,9 @@ class MetricPack:
 
     @cached_property
     def riemann(self):
-        """Levi-Civita curvature riem[i,j,k,l]; see base_riemann."""
+        """Levi-Civita curvature riem[i,j,k,l] = d_l gamma^i_jk
+        - d_k gamma^i_jl + gamma^h_jk gamma^i_hl - gamma^h_jl gamma^i_hk,
+        antisymmetric in the last pair."""
         gamma, dgamma = self.gamma, self.dgamma
         return (np.einsum("lijk->ijkl", dgamma) - np.einsum("kijl->ijkl", dgamma)
                 + np.einsum("hjk,ihl->ijkl", gamma, gamma)
@@ -153,7 +157,9 @@ class MetricPack:
 
     @cached_property
     def ricci(self):
-        """Its trace ricci[j,k] = riem[i,j,k,i]; see base_riemann."""
+        """The trace pairing the upper slot with the last lower slot,
+        ricci[j,k] = riem[i,j,k,i]: the sign that makes a charged exterior
+        satisfy ricci = 8 pi T_em."""
         return np.einsum("ijki->jk", self.riemann)
 
 
@@ -173,26 +179,24 @@ class PotentialPack:
         return self.d2A - np.einsum("kij->kji", self.d2A)
 
 
-class MetricField:
-    """Metric with guard and closed-form derivative evaluation.
+def _everywhere(x):
+    """Guard margins of a field defined on its whole chart."""
+    return np.array([1.0])
 
-    zeros names the derived data the catalog declares identically zero:
-    {"dg"} for a flat connection, else empty (see the module docstring).
-    """
+
+class _GuardedField:
+    """A field on one chart: its pack function and the chart's guard,
+    everywhere if margins_fn is None.  zeros names the derived data the
+    catalog declares identically zero (see the module docstring)."""
 
     zeros = frozenset()
 
-    def __init__(self, name, params, coords, pack_fn, margins_fn, is_flat):
+    def __init__(self, name, params, coords, pack_fn, margins_fn=None):
         self.name = name
         self.params = dict(params)
         self.coords = coords
         self._pack_fn = pack_fn
-        self._margins_fn = margins_fn
-        self.is_flat = is_flat
-
-    @property
-    def coord_names(self):
-        return _COORD_NAMES.get(self.coords, ("x0", "x1", "x2", "x3"))
+        self._margins_fn = margins_fn or _everywhere
 
     def guard_margins(self, x):
         """Scalars that are positive strictly inside the chart."""
@@ -202,12 +206,36 @@ class MetricField:
         return bool(np.all(self.guard_margins(x) > 0.0))
 
     def check_chart(self, x):
+        if not self.guard_ok(x):
+            raise ChartDomainError(f"point {np.asarray(x).tolist()} outside "
+                                   f"{self._domain} {self.name!r}")
+
+    def _evaluate(self, x, check):
+        x = np.asarray(x, dtype=float)
+        if check:
+            self.check_chart(x)
+        return self._pack_fn(x)
+
+
+class MetricField(_GuardedField):
+    """Metric with guard and closed-form derivative evaluation; zeros is
+    {"dg"} for a flat connection, else empty."""
+
+    _domain = "chart of metric"
+
+    def __init__(self, name, params, coords, pack_fn, margins_fn=None,
+                 is_flat=False):
+        super().__init__(name, params, coords, pack_fn, margins_fn)
+        self.is_flat = is_flat
+
+    @property
+    def coord_names(self):
+        return _COORD_NAMES.get(self.coords, ("x0", "x1", "x2", "x3"))
+
+    def check_chart(self, x):
         if not np.all(np.isfinite(x)):
             raise ChartDomainError(f"non-finite base point {x!r}")
-        if not self.guard_ok(x):
-            raise ChartDomainError(
-                f"point {np.asarray(x).tolist()} outside chart of metric {self.name!r}"
-            )
+        super().check_chart(x)
 
     def pack(self, x, check=True) -> MetricPack:
         """Evaluate g with derivatives; check=False skips the chart guard.
@@ -215,49 +243,21 @@ class MetricField:
         Unguarded evaluation exists for adaptive integrators whose trial
         steps may probe slightly past the boundary the guard protects.
         """
-        x = np.asarray(x, dtype=float)
-        if check:
-            self.check_chart(x)
-        pack = self._pack_fn(x)
+        pack = self._evaluate(x, check)
         if check and abs(np.linalg.det(pack.g)) < 1e-10:
-            raise ChartDomainError(f"metric degenerate at {x.tolist()}")
+            raise ChartDomainError(
+                f"metric degenerate at {np.asarray(x, dtype=float).tolist()}")
         return pack
 
 
-class PotentialField:
-    """4-potential with guard and closed-form derivative evaluation.
+class PotentialField(_GuardedField):
+    """4-potential with guard and closed-form derivative evaluation; zeros
+    holds "d2A" for a uniform field, and "F" too for a field-free one."""
 
-    zeros names the derived data the catalog declares identically zero:
-    "d2A" for a uniform field, "F" for a field-free one (see the module
-    docstring).
-    """
-
-    zeros = frozenset()
-
-    def __init__(self, name, params, coords, pack_fn, margins_fn):
-        self.name = name
-        self.params = dict(params)
-        self.coords = coords
-        self._pack_fn = pack_fn
-        self._margins_fn = margins_fn
-
-    def guard_margins(self, x):
-        return self._margins_fn(np.asarray(x, dtype=float))
-
-    def guard_ok(self, x):
-        return bool(np.all(self.guard_margins(x) > 0.0))
-
-    def check_chart(self, x):
-        if not self.guard_ok(x):
-            raise ChartDomainError(
-                f"point {np.asarray(x).tolist()} outside domain of potential {self.name!r}"
-            )
+    _domain = "domain of potential"
 
     def pack(self, x, check=True) -> PotentialPack:
-        x = np.asarray(x, dtype=float)
-        if check:
-            self.check_chart(x)
-        return self._pack_fn(x)
+        return self._evaluate(x, check)
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +313,9 @@ def _read(catalog, name, params, **defaults):
 
     A parameter named in defaults may be left out, and takes only a
     boolean if its default is one.  Every other one is required, and is a
-    number read through float: a boolean is refused.  A missing or an
-    unexpected parameter raises ValueError.
+    finite real number, read through float: a boolean or a string is
+    refused.  A missing, an unexpected or a refused parameter raises
+    ValueError.
     """
     names, params = catalog[name][0], {**defaults, **(params or {})}
     extra = sorted(params.keys() - set(names))
@@ -324,8 +325,11 @@ def _read(catalog, name, params, **defaults):
     if missing:
         raise ValueError(f"{name} requires params {missing}")
     for p in names:
-        flag = isinstance(defaults.get(p), bool)
-        if (p not in defaults or flag) and isinstance(params[p], bool) != flag:
+        value, flag = params[p], isinstance(defaults.get(p), bool)
+        ok = (isinstance(value, bool) if flag else
+              isinstance(value, numbers.Real) and not isinstance(value, bool)
+              and abs(value) <= sys.float_info.max)
+        if (p not in defaults or flag) and not ok:
             raise ValueError(f"{name} param {p} must be "
                              f"{'true or false' if flag else 'a number'}, "
                              f"got {params[p]!r}")
@@ -342,7 +346,7 @@ def builtin_metric(name, params=None) -> MetricField:
                               np.zeros((DIM, DIM, DIM, DIM)))
             return _declare(MetricField(
                 name, {"coordinates": coords}, "cartesian", _constant(flat),
-                lambda x: np.array([1.0]), is_flat=True), "dg")
+                is_flat=True), "dg")
         if coords == "spherical":
             return MetricField(
                 name, {"coordinates": coords}, "spherical",
@@ -399,14 +403,12 @@ _B_COMPONENTS = {"z": (1, 2), "x": (2, 3), "y": (3, 1)}
 
 def builtin_potential(name, params=None) -> PotentialField:
     """Catalog lookup: zero, uniform_b(B, axis), uniform_e(E, axis), coulomb(Q), pure_gauge(c)."""
-    always = lambda x: np.array([1.0])
-
     if name == "zero":
         _read(POTENTIAL_CATALOG, name, params)
         none = PotentialPack(np.zeros(DIM), np.zeros((DIM, DIM)),
                              np.zeros((DIM, DIM, DIM)))
-        return _declare(PotentialField(name, {}, "any", _constant(none),
-                                       always), "d2A", "F")
+        return _declare(PotentialField(name, {}, "any", _constant(none)),
+                        "d2A", "F")
 
     if name == "uniform_b":
         B, axis = _read(POTENTIAL_CATALOG, name, params, axis="z")
@@ -415,7 +417,7 @@ def builtin_potential(name, params=None) -> PotentialField:
         dA = np.zeros((DIM, DIM))
         dA[_B_COMPONENTS[axis]] = B
         return _declare(PotentialField(name, {"B": B, "axis": axis},
-                                       "cartesian", _linear(dA), always), "d2A")
+                                       "cartesian", _linear(dA)), "d2A")
 
     if name == "uniform_e":
         E, axis = _read(POTENTIAL_CATALOG, name, params, axis="x")
@@ -424,7 +426,7 @@ def builtin_potential(name, params=None) -> PotentialField:
         dA = np.zeros((DIM, DIM))
         dA[_AXIS_INDEX[axis], 0] = -E
         return _declare(PotentialField(name, {"E": E, "axis": axis},
-                                       "cartesian", _linear(dA), always), "d2A")
+                                       "cartesian", _linear(dA)), "d2A")
 
     if name == "coulomb":
         Q, = _read(POTENTIAL_CATALOG, name, params)
@@ -440,17 +442,15 @@ def builtin_potential(name, params=None) -> PotentialField:
             d2A[1, 1, 0] = 2.0 * Q / r ** 3
             return PotentialPack(A, dA, d2A)
 
-        return PotentialField(
-            name, {"Q": Q}, "spherical", pack,
-            lambda x: np.array([x[1] - r_min]),
-        )
+        return PotentialField(name, {"Q": Q}, "spherical", pack,
+                              lambda x: np.array([x[1] - r_min]))
 
     if name == "pure_gauge":
         c, = _read(POTENTIAL_CATALOG, name, params)
         dA = np.zeros((DIM, DIM))
         dA[2, 1] = dA[1, 2] = c
         return _declare(PotentialField(name, {"c": c}, "cartesian",
-                                       _linear(dA), always), "d2A", "F")
+                                       _linear(dA)), "d2A", "F")
 
     raise ValueError(f"unknown potential {name!r}")
 
@@ -463,6 +463,15 @@ def coords_compatible(metric: MetricField, potential: PotentialField) -> bool:
 # generic evaluator for user-defined fields
 
 
+def _jet_pack(fn, pack_type):
+    """The pack function of a jet-evaluable callable fn: its value, first
+    and second derivatives at the point, seeded in all 4 directions."""
+    def pack(x):
+        J = fn(Jet.seed(x, DIM))
+        return pack_type(J.v, J.d, J.h)
+    return pack
+
+
 def metric_from_callable(fn, name="custom", coords="cartesian",
                          margins_fn=None, is_flat=False) -> MetricField:
     """Build a MetricField from a jet-evaluable callable x -> g_ij.
@@ -471,12 +480,8 @@ def metric_from_callable(fn, name="custom", coords="cartesian",
     seeded in all 4 directions and must use jet-safe arithmetic, so the
     derivative packs come out exact.  It declares no zeros.
     """
-    def pack(x):
-        G = fn(Jet.seed(x, DIM))
-        return MetricPack(G.v, G.d, G.h)
-
-    return MetricField(name, {}, coords, pack,
-                       margins_fn or (lambda x: np.array([1.0])), is_flat)
+    return MetricField(name, {}, coords, _jet_pack(fn, MetricPack),
+                       margins_fn, is_flat)
 
 
 def potential_from_callable(fn, name="custom", coords="cartesian",
@@ -485,56 +490,31 @@ def potential_from_callable(fn, name="custom", coords="cartesian",
 
     It declares no zeros.
     """
-    def pack(x):
-        A = fn(Jet.seed(x, DIM))
-        return PotentialPack(A.v, A.d, A.h)
-
-    return PotentialField(name, {}, coords, pack,
-                          margins_fn or (lambda x: np.array([1.0])))
+    return PotentialField(name, {}, coords, _jet_pack(fn, PotentialPack),
+                          margins_fn)
 
 
 # ---------------------------------------------------------------------------
 # derived quantities
 
 
-def _metric_pack(metric, x):
-    if isinstance(metric, MetricField):
-        return metric.pack(x)
-    return metric
-
-
-def _potential_pack(potential, x):
-    if isinstance(potential, PotentialField):
-        return potential.pack(x)
-    return potential
-
-
-def christoffel(metric, x=None):
-    """Levi-Civita coefficients gamma^i_jk and their base derivatives.
-
-    Accepts a MetricField with a point, or a prebuilt MetricPack.
-    Returns (gamma[i,j,k], dgamma[m,i,j,k]) with dgamma the x^m partial.
-    """
-    pack = _metric_pack(metric, x)
+def christoffel(metric, x):
+    """Levi-Civita coefficients gamma[i,j,k] at x, and dgamma[m,i,j,k],
+    their x^m partials."""
+    pack = metric.pack(x)
     return pack.gamma, pack.dgamma
 
 
-def faraday(potential, x=None):
-    """Field strength F_ij = d_i A_j - d_j A_i and its base derivatives."""
-    pack = _potential_pack(potential, x)
+def faraday(potential, x):
+    """Field strength F_ij = d_i A_j - d_j A_i and its base derivatives at x."""
+    pack = potential.pack(x)
     return pack.F, pack.dF
 
 
-def base_riemann(metric, x=None):
-    """Curvature of the Levi-Civita connection and its trace.
-
-    riem[i,j,k,l] = d_l gamma^i_jk - d_k gamma^i_jl
-                    + gamma^h_jk gamma^i_hl - gamma^h_jl gamma^i_hk,
-    antisymmetric in the last pair.  The trace pairs the upper slot with
-    the last lower slot, ricci[j,k] = riem[i,j,k,i], which is the sign
-    that makes a charged exterior satisfy ricci = 8 pi T_em.
-    """
-    pack = _metric_pack(metric, x)
+def base_riemann(metric, x):
+    """Curvature of the Levi-Civita connection at x and its trace; see
+    MetricPack.riemann and ricci for the sign convention."""
+    pack = metric.pack(x)
     return pack.riemann, pack.ricci
 
 

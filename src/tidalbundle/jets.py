@@ -124,8 +124,8 @@ class Jet:
             r = max(self.s.ndim, other.s.ndim) - 1
             return Jet._of(_pad(self.s, 1, r) + _pad(other.s, 1, r), self.m)
         # an array moves the value only; the derivatives are copied as is
-        v = self.s[0] + np.asarray(other, dtype=float)
-        s = np.empty((len(self.s),) + v.shape)
+        v = self.s[0] + np.asarray(other)
+        s = np.empty((len(self.s),) + v.shape, dtype=v.dtype)
         s[0] = v
         s[1:] = _pad(self.s[1:], 1, v.ndim)
         return Jet._of(s, self.m)
@@ -138,7 +138,7 @@ class Jet:
     def __sub__(self, other):
         if isinstance(other, Jet):
             return self + (-other)
-        return self + (-np.asarray(other, dtype=float))
+        return self + (-np.asarray(other))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -155,7 +155,7 @@ class Jet:
                 cross = a[1:1 + m, None] * b[None, 1:1 + m]
                 _add_cross(s, m, cross, np.swapaxes(cross, 0, 1))
             return Jet._of(s, m)
-        other = np.asarray(other, dtype=float)
+        other = np.asarray(other)
         return Jet._of(_pad(self.s, 1, other.ndim) * other, m)
 
     __rmul__ = __mul__
@@ -174,7 +174,7 @@ class Jet:
     def __truediv__(self, other):
         if isinstance(other, Jet):
             return self * other.reciprocal()
-        return self * (1.0 / np.asarray(other, dtype=float))
+        return self * (1.0 / np.asarray(other))
 
     def __rtruediv__(self, other):
         return self.reciprocal() * other

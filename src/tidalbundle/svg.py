@@ -5,6 +5,8 @@ Diagnostic figures only; deterministic output for identical inputs.
 
 from __future__ import annotations
 
+from xml.sax.saxutils import escape
+
 import numpy as np
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -14,18 +16,15 @@ def _fmt(v):
     return f"{v:.2f}"
 
 
-def _ticks(lo, hi, n=5):
-    if hi == lo:
-        hi = lo + 1.0
-    raw = np.linspace(lo, hi, n)
-    return raw
-
-
 def line_plot(series, title="", xlabel="", ylabel="",
               width=640, height=480) -> str:
-    """series: iterable of (x array, y array, label). Returns an SVG document."""
-    series = [(np.asarray(x, float), np.asarray(y, float), str(label))
+    """series: iterable of (x array, y array, label). Returns an SVG document.
+
+    The title, labels and axis labels are text, escaped for XML.
+    """
+    series = [(np.asarray(x, float), np.asarray(y, float), escape(str(label)))
               for x, y, label in series]
+    title, xlabel, ylabel = escape(title), escape(xlabel), escape(ylabel)
     if not series:
         raise ValueError("line_plot needs at least one series")
     m_left, m_right, m_top, m_bottom = 64, 16, 28, 44
@@ -55,14 +54,14 @@ def line_plot(series, title="", xlabel="", ylabel="",
         f'<rect x="{m_left}" y="{m_top}" width="{pw}" height="{ph}" '
         'fill="none" stroke="#333333" stroke-width="1"/>',
     ]
-    for tx in _ticks(xlo, xhi):
+    for tx in np.linspace(xlo, xhi, 5):
         X = px(tx)
         out.append(f'<line x1="{_fmt(X)}" y1="{m_top + ph}" x2="{_fmt(X)}" '
                    f'y2="{m_top + ph + 5}" stroke="#333333"/>')
         out.append(f'<text x="{_fmt(X)}" y="{m_top + ph + 18}" '
                    f'font-size="11" text-anchor="middle" '
                    f'font-family="sans-serif">{tx:.3g}</text>')
-    for ty in _ticks(ylo, yhi):
+    for ty in np.linspace(ylo, yhi, 5):
         Y = py(ty)
         out.append(f'<line x1="{m_left - 5}" y1="{_fmt(Y)}" x2="{m_left}" '
                    f'y2="{_fmt(Y)}" stroke="#333333"/>')

@@ -146,6 +146,11 @@ class _Bench(Sample):
         return np.trace(self.jet.E.v, axis1=-2, axis2=-1)
 
     @cached_property
+    def angular_E(self):
+        """The angular tidal tensor h_ik E^k_j from the fiber-jet tier."""
+        return self.jet.h_low.v @ self.jet.E.v
+
+    @cached_property
     def quad(self):
         """The contortion quadratic B^l_i B^i_l from the fiber-jet tier."""
         B1 = self.jet.B1.v
@@ -274,7 +279,7 @@ def _structural(b):
                       float(np.max(np.abs(b.frame.gamma)))))
 
     l_low = jp.l_low.v
-    Et = jp.h_low.v @ E
+    Et = b.angular_E
     E_low = b.frame.g @ E
     yield _Row("angular-projection", Et,
                E_low - b.eps * (l_low[:, None] * (l_low @ E)[:, None, :]),
@@ -323,8 +328,7 @@ def _cyclic_side(bench):
 
 
 def _maxwell_homogeneous(b):
-    E = b.jet.E.v
-    Et = b.jet.h_low.v @ E
+    E, Et = b.jet.E.v, b.angular_E
     antisym = 0.5 * (Et - np.swapaxes(Et, -1, -2))
     scale = _scale(Et, E)
     yield _Row("maxwell-homogeneous", antisym, np.zeros((DIM, DIM)), scale)

@@ -90,6 +90,18 @@ def test_simulate_deterministic_csv_and_svg(tmp_path):
     svg = tmp_path / "a.svg"
     root = ET.fromstring(svg.read_text())
     assert root.tag.endswith("svg")
+    # the plot's text is escaped: a scenario id with markup characters
+    # still makes a document that parses, and its title round-trips
+    cyclotron = (Path(tidalbundle.__file__).parent / "scenarios"
+                 / "cyclotron.json")
+    marked = tmp_path / "marked.json"
+    marked.write_text(json.dumps({**json.loads(cyclotron.read_text()),
+                                  "id": "B<1 & E>0"}))
+    assert main(["simulate", "--scenario", str(marked), "--out",
+                 str(tmp_path / "m.csv"), "--plot"]) == 0
+    root = ET.fromstring((tmp_path / "m.svg").read_text())
+    texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert "worldline: B<1 & E>0" in texts
 
 
 def test_deviate_outputs_rate_columns(tmp_path, capsys):
@@ -280,8 +292,17 @@ def test_listed_params_are_the_accepted_ones(capsys):
      "potential: coulomb param Q must be a number, got False"),
     ({"name": "minkowski"}, {"name": "zero", "params": {"Q": 1.0}},
      "potential: unexpected zero params ['Q']"),
+    ({"name": "minkowski"}, {"name": "uniform_b", "params": {"B": "nan"}},
+     "potential: uniform_b param B must be a number, got 'nan'"),
+    ({"name": "minkowski"}, {"name": "uniform_b", "params": {"B": "inf"}},
+     "potential: uniform_b param B must be a number, got 'inf'"),
+    ({"name": "schwarzschild", "params": {"M": "1e400"}}, {"name": "zero"},
+     "metric: schwarzschild param M must be a number, got '1e400'"),
+    ({"name": "schwarzschild", "params": {"M": "1.0"}}, {"name": "zero"},
+     "metric: schwarzschild param M must be a number, got '1.0'"),
 ], ids=["missing-M", "missing-B", "naked-string", "naked-number",
-        "B-boolean", "M-boolean", "Q-boolean", "zero-extra"])
+        "B-boolean", "M-boolean", "Q-boolean", "zero-extra", "B-nan-string",
+        "B-inf-string", "M-overflow-string", "M-numeric-string"])
 def test_bad_catalog_params_exit_two(tmp_path, capsys, metric, potential,
                                      message):
     # refused with the parameter named, never a traceback and exit 1

@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 from conftest import fd_hessian
 
-from tidalbundle.connection import Sample, field_frame, phase_point
+from tidalbundle.connection import (FiberParts, Sample, field_frame,
+                                    phase_point)
 from tidalbundle.curvature import tidal_packet, trace_decomposition
 from tidalbundle.fields import builtin_metric, builtin_potential
-from tidalbundle.jets import Jet
+from tidalbundle.jets import Jet, jeinsum, jsqrt
+from tidalbundle.scenario import builtin_scenario
+from tidalbundle.tensors import DIM, norm_and_sign
+from tidalbundle.verify import DEFAULT_ALPHAS
 
 RN = builtin_metric("reissner_nordstrom", {"M": 1.0, "Q": 0.5})
 COULOMB = builtin_potential("coulomb", {"Q": 0.5})
@@ -128,6 +132,57 @@ def test_jet_hessian_of_tidal_matches_finite_differences(monkeypatch):
     def flat_sqrt(self):
         root = sqrt(self)
         root.h[...] = 0.0
+        return root
+
+    monkeypatch.setattr(Jet, "sqrt", flat_sqrt)
+    assert gap() > bound
+
+
+def test_complex_step_hessian_of_tidal_matches_jet_hessian(monkeypatch):
+    # complex-step differentiation (Squire and Trapp, SIAM Review 40, 110
+    # (1998)) of the order-1 fiber jet's exact first derivative gives a
+    # Hessian row of E, v.E.h = Im E.d(y + i h v) / h, with no subtractive
+    # cancellation and none of the order-2 code (no cross terms, no sqrt
+    # or reciprocal Hessian): an independent oracle for the jet tier's E.h
+    sc = builtin_scenario("reissner_nordstrom")
+    x = np.array([0.0, 8.0, 1.3, 0.4])
+    y = np.array([1.2, 0.0, 0.0, 0.036])
+    frame = field_frame(sc.metric, sc.potential, x)
+    alphas = np.array(DEFAULT_ALPHAS)
+    _, eps = norm_and_sign(frame.g, y)
+    step = 1e-30
+
+    def complex_step(v):
+        s = np.zeros((1 + DIM, DIM), dtype=complex)
+        s[0] = y + 1j * step * v
+        s[1:] = np.eye(DIM)
+        yj = Jet._of(s, DIM)
+        nrm = jsqrt(eps * jeinsum("i,i->", jeinsum("ij,j->i", frame.g, yj),
+                                  yj))
+        parts = FiberParts(frame, alphas, frame.g, frame.gamma, frame.Fmix,
+                           yj, eps, nrm)
+        return parts.E.d.imag / step
+
+    def gap():
+        # worst over the 4 coordinate directions and the 5 couplings, each
+        # coupling relative to the largest entry of its own Hessian
+        h = Sample(frame, alphas, y).jet.E.h       # (m, m, coupling, i, j)
+        scale = np.abs(h).max(axis=(0, 1, 3, 4))
+        return max(np.max(np.abs(complex_step(v)
+                                 - np.einsum("b,ab...->a...", v, h)
+                                 ).max(axis=(0, 2, 3)) / scale)
+                   for v in np.eye(DIM))
+
+    bound = 1e-12   # clean: below 1e-15 here
+    assert gap() < bound
+    # a jet norm without its Hessian fails it (0.5 here); the complex step
+    # never reads that Hessian
+    sqrt = Jet.sqrt
+
+    def flat_sqrt(self):
+        root = sqrt(self)
+        if root.h is not None:
+            root.h[...] = 0.0
         return root
 
     monkeypatch.setattr(Jet, "sqrt", flat_sqrt)

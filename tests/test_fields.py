@@ -10,12 +10,11 @@ from conftest import fd_gradient, fd_hessian
 import tidalbundle
 from tidalbundle.connection import field_frame
 from tidalbundle.errors import ChartDomainError
-from tidalbundle.fields import (MetricPack, PotentialPack, base_riemann,
-                                builtin_metric, builtin_potential,
-                                cached_property, christoffel,
-                                coords_compatible, current, faraday,
-                                metric_from_callable, potential_from_callable,
-                                stress_energy_em)
+from tidalbundle.fields import (MetricPack, PotentialPack, builtin_metric,
+                                builtin_potential, cached_property,
+                                christoffel, coords_compatible, current,
+                                faraday, metric_from_callable,
+                                potential_from_callable, stress_energy_em)
 from tidalbundle.jets import jeinsum, jsqrt
 
 X_SPH = np.array([0.0, 10.0, 1.1, 0.3])  # generic exterior point
@@ -35,7 +34,7 @@ def test_schwarzschild_components_by_hand():
     assert pk.g[2, 2] == pytest.approx(100.0)
     assert pk.g[3, 3] == pytest.approx(100.0 * np.sin(1.1) ** 2)
     # gamma^r_tt = f f'/2 = 0.8 * 0.02 / 2
-    gamma, _ = christoffel(pk)
+    gamma = pk.gamma
     assert gamma[1, 0, 0] == pytest.approx(0.008, rel=1e-12)
     # gamma^t_tr = f'/(2f) = 0.0125
     assert gamma[0, 0, 1] == pytest.approx(0.0125, rel=1e-12)
@@ -43,7 +42,8 @@ def test_schwarzschild_components_by_hand():
 
 def test_uniform_b_field_strength():
     pot = builtin_potential("uniform_b", {"B": 1.5, "axis": "z"})
-    F, dF = faraday(pot.pack(X_CART))
+    pk = pot.pack(X_CART)
+    F, dF = pk.F, pk.dF
     assert F[1, 2] == pytest.approx(1.5)
     assert F[2, 1] == pytest.approx(-1.5)
     assert np.count_nonzero(F) == 2
@@ -52,7 +52,7 @@ def test_uniform_b_field_strength():
 
 def test_coulomb_field_strength_by_hand():
     pot = builtin_potential("coulomb", {"Q": 0.5})
-    F, _ = faraday(pot.pack(X_SPH))
+    F = pot.pack(X_SPH).F
     # A_t = Q/r, so F_rt = d_r A_t = -Q/r^2
     assert F[1, 0] == pytest.approx(-0.005, rel=1e-12)
     np.testing.assert_allclose(F, -F.T, atol=0)
@@ -107,7 +107,7 @@ def test_christoffel_matches_fd_of_metric():
     want = 0.5 * (np.einsum("ia,jak->ijk", ginv, dg)
                   + np.einsum("ia,kaj->ijk", ginv, dg)
                   - np.einsum("ia,ajk->ijk", ginv, dg))
-    gamma, _ = christoffel(m.pack(X_SPH))
+    gamma = m.pack(X_SPH).gamma
     np.testing.assert_allclose(gamma, want, rtol=1e-6, atol=1e-9)
 
 
@@ -130,19 +130,19 @@ def test_derived_tensors_are_the_packs():
     F, dF = faraday(pot, X_SPH)
     np.testing.assert_array_equal(frame.F, F)
     np.testing.assert_array_equal(frame.dF, dF)
-    assert christoffel(mp)[1] is mp.dgamma
+    assert frame.dgamma is frame.metric_pack.dgamma
 
 
 def test_flat_spherical_chart_is_flat():
-    m = builtin_metric("minkowski", {"coordinates": "spherical"})
-    riem, ricci = base_riemann(m.pack(X_SPH))
+    pk = builtin_metric("minkowski", {"coordinates": "spherical"}).pack(X_SPH)
+    riem, ricci = pk.riemann, pk.ricci
     assert np.max(np.abs(riem)) < 1e-12
     assert np.max(np.abs(ricci)) < 1e-12
 
 
 def test_schwarzschild_is_ricci_flat():
-    m = builtin_metric("schwarzschild", {"M": 1.0})
-    riem, ricci = base_riemann(m.pack(X_SPH))
+    pk = builtin_metric("schwarzschild", {"M": 1.0}).pack(X_SPH)
+    riem, ricci = pk.riemann, pk.ricci
     assert np.max(np.abs(riem)) > 1e-4  # curvature itself is not zero
     assert np.max(np.abs(ricci)) < 1e-12
 
@@ -153,8 +153,8 @@ def test_reissner_nordstrom_sources_coulomb():
     m = builtin_metric("reissner_nordstrom", {"M": 1.0, "Q": 0.5})
     pot = builtin_potential("coulomb", {"Q": 0.5})
     pk = m.pack(X_SPH)
-    _, ricci = base_riemann(pk)
-    F, _ = faraday(pot.pack(X_SPH))
+    ricci = pk.ricci
+    F = pot.pack(X_SPH).F
     T = stress_energy_em(F, pk.g, pk.ginv)
     np.testing.assert_allclose(ricci, 8.0 * np.pi * T,
                                rtol=1e-8, atol=1e-14)
@@ -195,6 +195,22 @@ def test_catalog_rejects_bad_params():
         builtin_metric("nosuch")
     with pytest.raises(ValueError):
         builtin_potential("uniform_b", {"B": 1.0, "axis": "t"})
+
+
+def test_catalog_refuses_strings_and_non_finite_numbers():
+    # a numeric parameter is a finite int or float: a string that float()
+    # would read, NaN, an infinity or an int past the float range is
+    # refused, and a finite number of any real type is read as a float
+    for value in (float("nan"), float("inf"), -float("inf"), "nan", "inf",
+                  "1e400", "0.5", 10 ** 400, True, None):
+        with pytest.raises(ValueError, match="param B must be a number"):
+            builtin_potential("uniform_b", {"B": value})
+    with pytest.raises(ValueError, match="param M must be a number"):
+        builtin_metric("schwarzschild", {"M": float("nan")})
+    for value in (2, 2.0, np.float64(2.0), np.int64(2)):
+        assert builtin_potential("uniform_b", {"B": value}).params["B"] == 2.0
+        assert type(builtin_potential("uniform_b",
+                                      {"B": value}).params["B"]) is float
 
 
 def test_coord_names_follow_the_chart():

@@ -11,6 +11,8 @@ import functools
 import re
 from pathlib import Path
 
+import numpy as np
+
 import tidalbundle
 from tidalbundle.verify import TOLERANCES
 
@@ -39,3 +41,27 @@ def test_every_tolerance_the_benchmark_reads_exists():
     names = set(re.findall(r"self\.tol\[\"([\w-]+)\"\]", _text()))
     assert "unit-direction-transport" in names
     assert names <= set(TOLERANCES)
+
+
+def test_field_wrappers_take_the_benchmarks_call_form():
+    # PointQueries.gate calls tb.faraday(field, x), and tracing.py wraps
+    # christoffel and base_riemann by name around the same calls: each
+    # takes a field and a point, and returns the arrays of its pack there
+    calls = re.findall(r"\btb\.(faraday|christoffel|base_riemann)\(([^()]*)\)",
+                       _text())
+    assert ("faraday", "s.potential, p.x") in calls
+    assert all(len(args.split(",")) == 2 for _, args in calls)
+    assert {"christoffel", "base_riemann"} <= set(re.findall(
+        r"\(\"fields\", \"(\w+)\"", (PERFBENCH / "tracing.py").read_text()))
+
+    sc = tidalbundle.builtin_scenario("reissner_nordstrom")
+    x = np.array([0.0, 8.0, 1.3, 0.4])
+    mp, pp = sc.metric.pack(x), sc.potential.pack(x)
+    for got, want in ((tidalbundle.faraday(sc.potential, x), (pp.F, pp.dF)),
+                      (tidalbundle.christoffel(sc.metric, x),
+                       (mp.gamma, mp.dgamma)),
+                      (tidalbundle.base_riemann(sc.metric, x),
+                       (mp.riemann, mp.ricci))):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)

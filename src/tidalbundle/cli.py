@@ -51,7 +51,7 @@ def _emit(text: str, out) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
+        Path(out).write_text(text, encoding="utf-8")
         log.info("wrote %s", out)
 
 
@@ -149,7 +149,7 @@ def _finish_trajectory(traj, args, plot_series, plot_title, ylabel) -> int:
     if args.plot:
         svg = line_plot(plot_series, title=plot_title, xlabel="t", ylabel=ylabel)
         path = _plot_path(args.out)
-        Path(path).write_text(svg)
+        Path(path).write_text(svg, encoding="utf-8")
         log.info("wrote %s", path)
     if traj.truncated:
         log.warning("integration left the chart near t = %s", traj.exit_time)
@@ -190,7 +190,7 @@ def cmd_verify(args) -> int:
     report = run_suite(scenarios, points=args.points, seed=args.seed,
                        alphas=args.alphas, progress=_log_progress)
     out = args.out or "report.json"
-    Path(out).write_text(report_json(report))
+    Path(out).write_text(report_json(report), encoding="utf-8")
     sys.stdout.write(report_summary_table(report))
     sys.stdout.write(f"report written to {out}\n")
     if report["summary"]["fail"] > 0:
@@ -242,7 +242,8 @@ def cmd_sweep(args) -> int:
                            f"point {pt}"))
         path = _plot_path(args.out)
         Path(path).write_text(line_plot(series, title=f"sweep: {sc.id}",
-                                        xlabel="alpha", ylabel="tidal trace"))
+                                        xlabel="alpha", ylabel="tidal trace"),
+                              encoding="utf-8")
         log.info("wrote %s", path)
     return EXIT_OK
 

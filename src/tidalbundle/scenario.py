@@ -1,10 +1,14 @@
 """Scenario files: a metric, a potential, a coupling, and run parameters.
 
-A scenario is the single unit of configuration every command consumes.  The
-JSON layout is validated against the shipped schema, then semantically:
-catalog names must resolve, the charts of metric and potential must match,
-the initial point must pass the chart guard, and the initial fiber must be
-non-null after optional normalization.
+A scenario is the single unit of configuration every command consumes.  A
+scenario file given by path, or a dict, is validated against the shipped
+schema; the built-in files ship with the package and are schema-checked by
+the test suite instead, so jsonschema is imported only for outside data.
+Every scenario, built-ins included, is then checked semantically: numbers
+must be finite, catalog names must resolve, the charts of metric and
+potential must match, the initial point must pass the chart guard, and the
+initial fiber must be non-null after optional normalization.  Scenario
+files are UTF-8, the JSON encoding.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ import json
 import math
 from dataclasses import asdict, dataclass
 
-import jsonschema
 import numpy as np
 
 from .dynamics import IntegratorConfig, normalize_velocity
@@ -86,8 +89,10 @@ class Scenario:
 @functools.cache
 def _validator():
     """The scenario schema's validator, checked against its metaschema once."""
+    import jsonschema
+
     ref = importlib.resources.files("tidalbundle") / "schemas/scenario.schema.json"
-    schema = json.loads(ref.read_text())
+    schema = json.loads(ref.read_text(encoding="utf-8"))
     cls = jsonschema.validators.validator_for(schema)
     cls.check_schema(schema)
     return cls(schema)
@@ -129,11 +134,19 @@ def _fill_defaults(data: dict) -> dict:
 
 
 def scenario_from_dict(data: dict, source="<dict>") -> Scenario:
+    """Schema-check scenario data from outside the package, then build it."""
+    import jsonschema
+
     # what jsonschema.validate does, without rebuilding the validator
     e = jsonschema.exceptions.best_match(_validator().iter_errors(data))
     if e is not None:
         path = "/".join(str(p) for p in e.absolute_path) or "<root>"
         raise ScenarioError(f"{source}: invalid scenario at {path}: {e.message}")
+    return _build(data, source)
+
+
+def _build(data: dict, source: str) -> Scenario:
+    """Every check after the schema's, then the Scenario itself."""
     bad = _non_finite(data)
     if bad is not None:
         path = "/".join(str(p) for p in bad) or "<root>"
@@ -214,12 +227,14 @@ def scenario_from_dict(data: dict, source="<dict>") -> Scenario:
 
 def load_scenario(path) -> Scenario:
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             data = json.load(f)
     except OSError as e:
         raise ScenarioError(f"cannot read scenario file: {e}")
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise ScenarioError(f"{path}: not valid JSON: {e}")
+    except RecursionError:
+        raise ScenarioError(f"{path}: not valid JSON: nested too deeply")
     return scenario_from_dict(data, source=str(path))
 
 
@@ -230,8 +245,9 @@ def builtin_scenario(scenario_id: str) -> Scenario:
             f"available: {', '.join(BUILTIN_IDS)}")
     ref = (importlib.resources.files("tidalbundle")
            / f"scenarios/{scenario_id}.json")
-    return scenario_from_dict(json.loads(ref.read_text()),
-                              source=f"builtin:{scenario_id}")
+    # shipped files are schema-checked by the test suite, not at every start
+    return _build(json.loads(ref.read_text(encoding="utf-8")),
+                  source=f"builtin:{scenario_id}")
 
 
 def builtin_scenarios(ids=DEFAULT_SUITE):

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import logging
 import os
+import shutil
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -322,6 +323,14 @@ def test_bad_inputs_exit_two(tmp_path, capsys):
     bad.write_text('{"id": "x"}')  # metric is required
     assert main(["compute", "--scenario", str(bad)]) == 2
     capsys.readouterr()
+    # so are bytes that are not UTF-8, and nesting past the parser's depth
+    for name, raw in (("latin.json", b'\xff\xfe{"id": "x"}'),
+                      ("deep.json", b"[" * 100_000 + b"]" * 100_000)):
+        path = tmp_path / name
+        path.write_bytes(raw)
+        assert main(["compute", "--scenario", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: not valid JSON: ")
     # an output path that cannot be written is bad input too
     unwritable = tmp_path / "missing" / "x.json"
     assert main(["compute", "--scenario", "flat_vacuum", "--out",
@@ -371,25 +380,59 @@ def test_console_script_entry_point(tmp_path):
 
 
 def test_commands_leave_scipy_integrate_unloaded(tmp_path):
-    # no command loads scipy: importing the package, a command that does
-    # not integrate, and both integrating commands on rk45-adaptive
+    # no command loads scipy, and none loads jsonschema on built-in
+    # scenarios: importing the package, list, a command that does not
+    # integrate, both integrating commands on rk45-adaptive and a one-point
+    # verify; a scenario file given by path is schema-checked, so only the
+    # closing compute on a written copy loads jsonschema
     src = Path(tidalbundle.__file__).parents[1]
+    written = shutil.copy(src / "tidalbundle" / "scenarios" / "cyclotron.json",
+                          tmp_path / "written.json")
     code = ("import sys, tidalbundle, tidalbundle.cli\n"
             "def loaded():\n"
-            "    print(any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
+            "    roots = {m.split('.')[0] for m in sys.modules}\n"
+            "    print('loaded', *(r in roots for r in ('scipy', 'jsonschema')))\n"
+            "def run(*argv):\n"
+            f"    out = {str(tmp_path)!r} + '/' + argv[0] + '.out'\n"
+            "    assert tidalbundle.cli.main([*argv, '--out', out]) == 0\n"
+            "    loaded()\n"
             "loaded()\n"
-            "tidalbundle.cli.main(['compute', '--scenario', 'cyclotron',\n"
-            f"                      '--out', {str(tmp_path / 'c.json')!r}])\n"
-            "loaded()\n"
-            "for cmd in ('simulate', 'deviate'):\n"
-            "    out = " + repr(str(tmp_path)) + " + '/' + cmd + '.csv'\n"
-            "    assert tidalbundle.cli.main(\n"
-            "        [cmd, '--scenario', 'cyclotron', '--out', out]) == 0\n"
-            "    loaded()\n")
+            "run('list')\n"
+            "for cmd in ('compute', 'simulate', 'deviate'):\n"
+            "    run(cmd, '--scenario', 'cyclotron')\n"
+            "run('verify', '--scenario', 'flat_vacuum', '--points', '1')\n"
+            f"run('compute', '--scenario', {str(written)!r})\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False"] * 4
+    # verify prints its summary table to stdout too
+    loaded = [line for line in proc.stdout.splitlines()
+              if line.startswith("loaded ")]
+    assert loaded == ["loaded False False"] * 6 + ["loaded False True"]
+
+
+def test_scenario_and_plot_files_are_utf8_in_any_locale(tmp_path):
+    # JSON is UTF-8 (RFC 8259) and the SVG declares UTF-8, so a scenario id
+    # with a non-ASCII letter reads and plots under an ASCII locale too
+    src = Path(tidalbundle.__file__).parents[1]
+    cyclotron = src / "tidalbundle" / "scenarios" / "cyclotron.json"
+    path = tmp_path / "mu.json"
+    path.write_text(json.dumps({**json.loads(cyclotron.read_text()),
+                                "id": "\u00b5-cyclotron"}, ensure_ascii=False),
+                    encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(src), "LC_ALL": "C",
+           "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    for argv in (["compute"], ["simulate", "--plot"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "tidalbundle", *argv, "--scenario",
+             str(path), "--out", str(tmp_path / f"{argv[0]}.out")],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+    payload = json.loads((tmp_path / "compute.out").read_text(encoding="utf-8"))
+    assert payload["scenario"] == "\u00b5-cyclotron"
+    root = ET.fromstring((tmp_path / "simulate.svg").read_bytes())
+    texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert "worldline: \u00b5-cyclotron" in texts
 
 
 def test_verify_progress_logging_keeps_report_bytes(tmp_path):

@@ -1,5 +1,8 @@
+import dataclasses
 import json
+import shutil
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -7,10 +10,15 @@ import pytest
 
 from tidalbundle import scenario
 from tidalbundle.errors import ScenarioError
-from tidalbundle.scenario import (BUILTIN_IDS, DEFAULT_SUITE, builtin_scenario,
-                                  builtin_scenarios, load_scenario,
-                                  resolve_scenario, scenario_defaults,
-                                  scenario_from_dict)
+from tidalbundle.fields import MetricField, PotentialField
+from tidalbundle.scenario import (BUILTIN_IDS, DEFAULT_SUITE, Scenario,
+                                  builtin_scenario, builtin_scenarios,
+                                  load_scenario, resolve_scenario,
+                                  scenario_defaults, scenario_from_dict)
+
+SHIPPED = resources.files("tidalbundle") / "scenarios"
+SHIPPED_FILES = sorted(f.name for f in SHIPPED.iterdir()
+                       if f.name.endswith(".json"))
 
 
 def _minimal(**extra):
@@ -122,20 +130,65 @@ def test_schema_errors_match_jsonschema_validate(data):
     assert str(got.value) == f"doc.json: invalid scenario at {path}: {e.message}"
 
 
-def test_validator_is_built_and_checked_once(monkeypatch):
+def test_validator_is_built_and_checked_once(monkeypatch, tmp_path):
     cls = jsonschema.Draft202012Validator
     check = cls.check_schema
     checked = []
     monkeypatch.setattr(cls, "check_schema", classmethod(
         lambda klass, schema: checked.append(schema) or check(schema)))
     scenario._validator.cache_clear()
+    paths = [shutil.copy(SHIPPED / f"{sid}.json", tmp_path)
+             for sid in BUILTIN_IDS]
     for _ in range(3):
-        for sid in BUILTIN_IDS:
-            builtin_scenario(sid)
+        for path in paths:
+            load_scenario(path)
     info = scenario._validator.cache_info()
     assert len(checked) == 1 and checked[0]["$schema"].endswith("2020-12/schema")
-    # one validation per scenario, built-ins included
-    assert (info.misses, info.hits) == (1, 3 * len(BUILTIN_IDS) - 1)
+    # one validation per file given by path
+    assert (info.misses, info.hits) == (1, 3 * len(paths) - 1)
+    # built-ins ship with the package: schema-checked by
+    # test_shipped_scenario_matches_schema, never at run time
+    scenario._validator.cache_clear()
+    for sid in BUILTIN_IDS:
+        builtin_scenario(sid)
+    info = scenario._validator.cache_info()
+    assert (info.misses, info.hits) == (0, 0) and len(checked) == 1
+
+
+def test_shipped_scenario_files_are_the_builtins():
+    # so a new built-in cannot skip test_shipped_scenario_matches_schema
+    assert SHIPPED_FILES == sorted(f"{sid}.json" for sid in BUILTIN_IDS)
+
+
+def _assert_same_scenario(a, b):
+    for f in dataclasses.fields(Scenario):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, (MetricField, PotentialField)):
+            assert (type(x), x.name, x.params, x.coords, x.zeros) == \
+                (type(y), y.name, y.params, y.coords, y.zeros), f.name
+        elif isinstance(x, np.ndarray) or x is None:
+            assert (x is None) == (y is None), f.name
+            np.testing.assert_array_equal(x, y, err_msg=f.name)
+        else:
+            assert x == y, f.name
+
+
+@pytest.mark.parametrize("name", SHIPPED_FILES)
+def test_shipped_scenario_matches_schema(name, tmp_path):
+    # the schema check builtin_scenario leaves out at run time
+    data = json.loads((SHIPPED / name).read_text(encoding="utf-8"))
+    assert list(scenario._validator().iter_errors(data)) == []
+    # so a copy given by path, schema-checked, builds the same scenario
+    path = shutil.copy(SHIPPED / name, tmp_path)
+    _assert_same_scenario(load_scenario(path),
+                          builtin_scenario(name.removesuffix(".json")))
+    # and the check has teeth: the same file with an unknown key is refused
+    Path(path).write_text(json.dumps({**data, "extra_knob": 1}))
+    with pytest.raises(ScenarioError) as got:
+        load_scenario(path)
+    assert str(got.value) == (
+        f"{path}: invalid scenario at <root>: Additional properties are not "
+        "allowed ('extra_knob' was unexpected)")
 
 
 def test_deviation_requires_both_vectors():

@@ -11,8 +11,10 @@ Subcommands
 Exit codes: 0 success, 1 verification failures, 2 bad input (scenario,
 chart, or argument errors), 3 integration left the chart early (partial
 output is still written).  Set TIDAL_LOG=info (or debug) for progress
-messages on stderr, among them the right-hand-side count and the accepted
-and rejected step counts of simulate and deviate.
+messages on stderr, among them the right-hand-side count, the accepted
+and rejected step counts and the shortest and longest accepted step of
+simulate and deviate.  Text written to stdout is UTF-8 in any locale, the
+bytes --out would write.
 """
 
 from __future__ import annotations
@@ -48,8 +50,15 @@ log = logging.getLogger("tidalbundle")
 
 
 def _emit(text: str, out) -> None:
+    """Write text to the file out, or to stdout when out is None, as UTF-8
+    whatever the locale's encoding (a scenario id may hold any letter)."""
     if out is None:
-        sys.stdout.write(text)
+        buffer = getattr(sys.stdout, "buffer", None)
+        if buffer is None:          # a text-only stream stands in for stdout
+            sys.stdout.write(text)
+        else:
+            sys.stdout.flush()
+            buffer.write(text.encode("utf-8"))
     else:
         Path(out).write_text(text, encoding="utf-8")
         log.info("wrote %s", out)
@@ -143,8 +152,8 @@ def cmd_compute(args) -> int:
 
 def _finish_trajectory(traj, args, plot_series, plot_title, ylabel) -> int:
     log.info("%s: %d right-hand-side evaluations, %d steps accepted, "
-             "%d rejected", traj.method, traj.nfev, traj.accepted,
-             traj.rejected)
+             "%d rejected, step %.3g to %.3g", traj.method, traj.nfev,
+             traj.accepted, traj.rejected, traj.min_step, traj.max_step)
     _emit(trajectory_csv(traj), args.out)
     if args.plot:
         svg = line_plot(plot_series, title=plot_title, xlabel="t", ylabel=ylabel)
@@ -191,8 +200,7 @@ def cmd_verify(args) -> int:
                        alphas=args.alphas, progress=_log_progress)
     out = args.out or "report.json"
     Path(out).write_text(report_json(report), encoding="utf-8")
-    sys.stdout.write(report_summary_table(report))
-    sys.stdout.write(f"report written to {out}\n")
+    _emit(report_summary_table(report) + f"report written to {out}\n", None)
     if report["summary"]["fail"] > 0:
         return EXIT_VERIFY_FAILED
     return EXIT_OK

@@ -45,7 +45,7 @@ import numpy as np
 from .errors import FrameMismatchError
 from .fields import (MetricField, MetricPack, PotentialField, PotentialPack,
                      cached_property, coords_compatible)
-from .jets import Jet, jeinsum, jsqrt, value_of
+from .jets import Jet, einsum, jeinsum, jsqrt, value_of
 from .tensors import DIM, PhasePoint, norm_and_sign
 
 
@@ -84,12 +84,12 @@ class FieldFrame:
     @cached_property
     def Fmix(self):
         """F^i_j = g^ia F_aj, the one copy every fiber tier reads."""
-        return np.einsum("ia,aj->ij", self.ginv, self.F)
+        return einsum("ia,aj->ij", self.ginv, self.F)
 
     @cached_property
     def dFmix(self):
-        return (np.einsum("kia,aj->kij", self.dginv, self.F)
-                + np.einsum("ia,kaj->kij", self.ginv, self.dF))
+        return (einsum("kia,aj->kij", self.dginv, self.F)
+                + einsum("ia,kaj->kij", self.ginv, self.dF))
 
 
 def field_frame(metric: MetricField, potential: PotentialField, x,
@@ -239,8 +239,7 @@ class FiberParts:
     @cached_property
     def gravity_trace(self):
         """r^i_aib y^a y^b, the alpha = 0 tidal trace (plain y only)."""
-        return float(np.einsum("iaib,a,b->", self.frame.riemann, self.y,
-                               self.y))
+        return float(einsum("iaib,a,b->", self.frame.riemann, self.y, self.y))
 
     # ---- curvature channel: the curvature of N ----
 
@@ -415,18 +414,18 @@ class Sample:
     def torsion(self):
         """Strong torsion y^k dN^i_k/dy^j - N^i_j, from the jet tier."""
         N = self.jet.N
-        return (np.einsum("j...ik,k->...ij", N.d, self.y)
+        return (einsum("j...ik,k->...ij", N.d, self.y)
                 - (N.v + self.perturbation))
 
     @cached_property
     def block(self):
         """Curvature block [j,i,k,l]: half the fiber Hessian of E."""
-        return 0.5 * np.einsum("jl...ik->...jikl", self.jet.E.h)
+        return 0.5 * einsum("jl...ik->...jikl", self.jet.E.h)
 
     @cached_property
     def ricci(self):
         """Ricci tensor of the affine connection, from the Hessian of E."""
-        return -0.5 * np.einsum("ZY...ii->...ZY", self.jet.E.h)
+        return -0.5 * einsum("ZY...ii->...ZY", self.jet.E.h)
 
     @cached_property
     def td(self) -> TraceDecomposition:
@@ -438,10 +437,10 @@ class Sample:
         """
         frame, parts = self.frame, self.plain
         e_trace = parts.gravity_trace
-        div = (np.einsum("...ii->...", parts.dB)
-               - np.einsum("li,...il->...", parts.n1, parts.B1)
-               + np.einsum("iai,...a->...", frame.gamma, parts.B))
-        quad = np.einsum("...li,...il->...", parts.B1, parts.B1)
+        div = (einsum("...ii->...", parts.dB)
+               - einsum("li,...il->...", parts.n1, parts.B1)
+               + einsum("iai,...a->...", frame.gamma, parts.B))
+        quad = einsum("...li,...il->...", parts.B1, parts.B1)
         values = (np.trace(parts.E, axis1=-2, axis2=-1),
                   e_trace - 2.0 * div + quad, e_trace, div, quad)
         if np.ndim(self.alpha) == 0:
@@ -489,7 +488,7 @@ def _covariant(frame, ctx, field, reference):
     V, dT = (T.v, T.d) if T.v.ndim > rank else (T.v[None], T.d[:, None])
     # delta_k T = d_k T - N^l_k dT/dy^l, derivative axis moved last
     delta = (np.moveaxis(dT[X_DIRS], 0, 1)
-             - np.einsum("alk,la...->ak...", N_value, dT[Y_DIRS]))
+             - einsum("alk,la...->ak...", N_value, dT[Y_DIRS]))
     out = np.moveaxis(delta, 1, -1)
     for slot, ch in enumerate(field.variance):
         # +G^i_mk T^..m.. or -G^m_jk T_..m.., summed over m as (ik, m) @ m

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connection import Sample, field_frame
+from .jets import einsum
 from .tensors import PhasePoint
 
 
@@ -55,10 +56,10 @@ class TidalPacket:
         return cls(point=p, alpha=float(s.alpha), nonlinear_curvature=jp.R3.v,
                    tidal=E, tidal_angular=jp.h_low.v @ E,
                    tidal_trace=float(np.trace(E)),
-                   gravity_tidal=np.einsum("iajb,a,b->ij", riem, y, y),
+                   gravity_tidal=einsum("iajb,a,b->ij", riem, y, y),
                    base_riemann=riem, base_ricci=s.frame.ricci,
                    curvature_block=s.block,
-                   contortion_block=np.einsum("ijkl->jikl", jp.B3),
+                   contortion_block=einsum("ijkl->jikl", jp.B3),
                    d_ricci=s.ricci, torsion=s.torsion)
 
 

@@ -34,6 +34,7 @@ import numpy as np
 
 from .connection import field_frame, fiber_parts
 from .errors import ChartDomainError, NullFiberError, TidalError
+from .jets import einsum
 from .tensors import DIM, PhasePoint, norm_and_sign
 
 
@@ -73,6 +74,8 @@ class Trajectory:
     nfev: int                     # right-hand-side evaluations
     accepted: int                 # steps kept (rk4-fixed: substeps)
     rejected: int                 # steps retried smaller (rk4-fixed: 0)
+    min_step: float               # shortest and longest accepted step
+    max_step: float
     w: np.ndarray = None          # deviation components, when integrated
     v: np.ndarray = None          # deviation rate, channel per rate_channel
     rate_channel: str = None      # "adapted" or "levi-civita"
@@ -216,8 +219,9 @@ def _dopri45(fun, t0, t1, y0, t_eval, rtol, atol, margin):
     [0.2, 10] (no growth right after a rejection).  Samples come from the
     step's quartic dense output, one vectorized call per step.  The run
     stops where margin(state) falls through zero, located by Brent's
-    method on the dense output.  Returns (t, states, exit_time, accepted,
-    rejected), exit_time None when the run reached t1.
+    method on the dense output.  Returns (t, states, exit_time, steps),
+    exit_time None when the run reached t1 and steps the Trajectory fields
+    accepted, rejected, min_step and max_step.
     """
     y = np.asarray(y0, dtype=float)
     if not np.isfinite(y).all():
@@ -236,6 +240,7 @@ def _dopri45(fun, t0, t1, y0, t_eval, rtol, atol, margin):
     t, g = t0, margin(y)
     ts, ys, i = [], [], 0
     accepted = rejected = 0
+    min_step_taken, max_step_taken = np.inf, 0.0
     exit_time = None
     while exit_time is None and t < t1:
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
@@ -266,6 +271,8 @@ def _dopri45(fun, t0, t1, y0, t_eval, rtol, atol, margin):
             rejected_here = True
             rejected += 1
         accepted += 1
+        min_step_taken = min(min_step_taken, h)
+        max_step_taken = max(max_step_taken, h)
         t_old, y_old, t, y, f = t, y, t_new, y_new, f_new
 
         Q = K.T.dot(_P)
@@ -290,7 +297,9 @@ def _dopri45(fun, t0, t1, y0, t_eval, rtol, atol, margin):
             i = i_new
     return (np.hstack(ts), np.hstack(ys).T,
             None if exit_time is None else float(exit_time),
-            accepted, rejected)
+            dict(accepted=accepted, rejected=rejected,
+                 min_step=float(min_step_taken),
+                 max_step=float(max_step_taken)))
 
 
 def _integrate(rhs, state0, cfg, metric, potential):
@@ -301,7 +310,8 @@ def _integrate(rhs, state0, cfg, metric, potential):
     located on that output; ``rk4-fixed`` is classical RK4 with the guard
     checked after every substep.  Returns (states, run), run holding the
     Trajectory fields t, truncated, exit_time, nfev (right-hand-side
-    evaluations), accepted and rejected (steps).  Samples lie on the
+    evaluations), accepted and rejected (steps), and min_step and max_step
+    (the shortest and longest accepted step).  Samples lie on the
     uniform grid over cfg.t_span; on truncation only in-chart samples are
     kept.
     """
@@ -321,20 +331,26 @@ def _integrate(rhs, state0, cfg, metric, potential):
                 raise TidalError(_MAX_STEPS_EXCEEDED)
             return rhs(t, s)
 
-        t, states, exit_time, accepted, rejected = _dopri45(
+        t, states, exit_time, steps = _dopri45(
             counted, t0, t1, state0, t_eval, cfg.rtol, cfg.atol, margin)
         return states, dict(t=t, truncated=exit_time is not None,
                             exit_time=t1 if exit_time is None else exit_time,
-                            nfev=nfev[0], accepted=accepted,
-                            rejected=rejected)
+                            nfev=nfev[0], **steps)
 
     dt = cfg.step if cfg.step is not None else (t1 - t0) / 2000.0
     states = [np.asarray(state0, dtype=float)]
     taken = 0
+    hs = set()                   # the substep of every segment entered
+
+    def steps():
+        return dict(nfev=4 * taken, accepted=taken, rejected=0,
+                    min_step=float(min(hs)), max_step=float(max(hs)))
+
     for k in range(1, cfg.samples):
         seg0, seg1 = t_eval[k - 1], t_eval[k]
         nsub = max(1, int(np.ceil((seg1 - seg0) / dt)))
         h = (seg1 - seg0) / nsub
+        hs.add(h)
         s = states[-1].copy()
         t = seg0
         for _ in range(nsub):
@@ -351,11 +367,11 @@ def _integrate(rhs, state0, cfg, metric, potential):
             if not margin(s) > 0.0:
                 return np.array(states), dict(
                     t=t_eval[:k], truncated=True, exit_time=float(t),
-                    nfev=4 * taken, accepted=taken, rejected=0)
+                    **steps())
             t += h
         states.append(s)
     return np.array(states), dict(t=t_eval, truncated=False, exit_time=t1,
-                                  nfev=4 * taken, accepted=taken, rejected=0)
+                                  **steps())
 
 
 def _drift(metric, t, xs, ys):
@@ -400,7 +416,7 @@ def integrate_geodesic_lc(metric, init: PhasePoint,
     def rhs(t, s):
         x, y = s[:DIM], s[DIM:]
         gamma = metric.pack(x, check=False).gamma
-        return np.concatenate([y, -np.einsum("ijk,j,k->i", gamma, y, y)])
+        return np.concatenate([y, -einsum("ijk,j,k->i", gamma, y, y)])
 
     return _trajectory(rhs, cfg, metric, None, init)
 
@@ -426,8 +442,8 @@ def integrate_deviation_tidal(metric, potential, alpha, init: PhasePoint,
 def _classical_pieces(metric, potential, x):
     frame = field_frame(metric, potential, x, check=False)
     nabla_F = (frame.dFmix
-               + np.einsum("iak,aj->kij", frame.gamma, frame.Fmix)
-               - np.einsum("ajk,ia->kij", frame.gamma, frame.Fmix))
+               + einsum("iak,aj->kij", frame.gamma, frame.Fmix)
+               - einsum("ajk,ia->kij", frame.gamma, frame.Fmix))
     return frame, nabla_F
 
 
@@ -450,8 +466,8 @@ def integrate_deviation_classical(metric, potential, alpha, init: PhasePoint,
         x, u, w, om = s[:4], s[4:8], s[8:12], s[12:16]
         frame, nabla_F = _classical_pieces(metric, potential, x)
         parts = fiber_parts(frame, alpha, u, check=False)
-        E_cl = np.einsum("kij,j->ik", nabla_F, u)
-        gu = np.einsum("ijk,j->ik", frame.gamma, u)
+        E_cl = einsum("kij,j->ik", nabla_F, u)
+        gu = einsum("ijk,j->ik", frame.gamma, u)
         return np.concatenate([
             u,
             -parts.N @ u,

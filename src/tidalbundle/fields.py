@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChartDomainError
-from .jets import Jet
+from .jets import Jet, einsum
 from .tensors import DIM
 
 SIN_THETA_FLOOR = 1e-8
@@ -123,27 +123,27 @@ class MetricPack:
 
     @cached_property
     def dginv(self):
-        return -np.einsum("ia,mab,bl->mil", self.ginv, self.dg, self.ginv)
+        return -einsum("ia,mab,bl->mil", self.ginv, self.dg, self.ginv)
 
     @cached_property
     def _lowered_gamma(self):
         """S[l,j,k] = d_j g_lk + d_k g_lj - d_l g_jk, twice gamma_ljk."""
         dg = self.dg
-        return np.einsum("jlk->ljk", dg) + np.einsum("klj->ljk", dg) - dg
+        return einsum("jlk->ljk", dg) + einsum("klj->ljk", dg) - dg
 
     @cached_property
     def gamma(self):
         """Levi-Civita coefficients gamma^i_jk."""
-        return 0.5 * np.einsum("il,ljk->ijk", self.ginv, self._lowered_gamma)
+        return 0.5 * einsum("il,ljk->ijk", self.ginv, self._lowered_gamma)
 
     @cached_property
     def dgamma(self):
         """dgamma[m,i,j,k], the x^m partial of gamma^i_jk."""
         d2g = self.d2g
-        dS = (np.einsum("mjlk->mljk", d2g) + np.einsum("mklj->mljk", d2g)
-              - np.einsum("mljk->mljk", d2g))
-        return (0.5 * np.einsum("mil,ljk->mijk", self.dginv, self._lowered_gamma)
-                + 0.5 * np.einsum("il,mljk->mijk", self.ginv, dS))
+        dS = (einsum("mjlk->mljk", d2g) + einsum("mklj->mljk", d2g)
+              - einsum("mljk->mljk", d2g))
+        return (0.5 * einsum("mil,ljk->mijk", self.dginv, self._lowered_gamma)
+                + 0.5 * einsum("il,mljk->mijk", self.ginv, dS))
 
     @cached_property
     def riemann(self):
@@ -151,16 +151,16 @@ class MetricPack:
         - d_k gamma^i_jl + gamma^h_jk gamma^i_hl - gamma^h_jl gamma^i_hk,
         antisymmetric in the last pair."""
         gamma, dgamma = self.gamma, self.dgamma
-        return (np.einsum("lijk->ijkl", dgamma) - np.einsum("kijl->ijkl", dgamma)
-                + np.einsum("hjk,ihl->ijkl", gamma, gamma)
-                - np.einsum("hjl,ihk->ijkl", gamma, gamma))
+        return (einsum("lijk->ijkl", dgamma) - einsum("kijl->ijkl", dgamma)
+                + einsum("hjk,ihl->ijkl", gamma, gamma)
+                - einsum("hjl,ihk->ijkl", gamma, gamma))
 
     @cached_property
     def ricci(self):
         """The trace pairing the upper slot with the last lower slot,
         ricci[j,k] = riem[i,j,k,i]: the sign that makes a charged exterior
         satisfy ricci = 8 pi T_em."""
-        return np.einsum("ijki->jk", self.riemann)
+        return einsum("ijki->jk", self.riemann)
 
 
 @dataclass(frozen=True)
@@ -176,7 +176,7 @@ class PotentialPack:
 
     @cached_property
     def dF(self):
-        return self.d2A - np.einsum("kij->kji", self.d2A)
+        return self.d2A - einsum("kij->kji", self.d2A)
 
 
 def _everywhere(x):
@@ -523,12 +523,12 @@ def current(pp, mp):
     pack pp and a metric pack mp."""
     ginv, dginv, gamma, F, dF = mp.ginv, mp.dginv, mp.gamma, pp.F, pp.dF
     Fup = ginv @ F @ ginv
-    dFup = (np.einsum("mac,cd,bd->mab", dginv, F, ginv)
-            + np.einsum("ac,mcd,bd->mab", ginv, dF, ginv)
-            + np.einsum("ac,cd,mbd->mab", ginv, F, dginv))
-    divF = (np.einsum("jja->a", dFup)
-            + np.einsum("jbj,ba->a", gamma, Fup)
-            + np.einsum("abj,jb->a", gamma, Fup))
+    dFup = (einsum("mac,cd,bd->mab", dginv, F, ginv)
+            + einsum("ac,mcd,bd->mab", ginv, dF, ginv)
+            + einsum("ac,cd,mbd->mab", ginv, F, dginv))
+    divF = (einsum("jja->a", dFup)
+            + einsum("jbj,ba->a", gamma, Fup)
+            + einsum("abj,jb->a", gamma, Fup))
     return divF / (4.0 * np.pi)
 
 
@@ -540,6 +540,6 @@ def stress_energy_em(F, g, ginv) -> np.ndarray:
     ricci_ij = 8 pi T_ij exactly.  ginv is the inverse of g.
     """
     F = np.asarray(F, dtype=float)
-    term = np.einsum("ia,ab,jb->ij", F, ginv, F)
-    scalar = np.einsum("ab,ab->", F, ginv @ F @ ginv)
+    term = einsum("ia,ab,jb->ij", F, ginv, F)
+    scalar = einsum("ab,ab->", F, ginv @ F @ ginv)
     return (term - 0.25 * g * scalar) / (4.0 * np.pi)

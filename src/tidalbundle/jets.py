@@ -30,6 +30,19 @@ from functools import lru_cache
 
 import numpy as np
 
+# numpy's einsum kernel, bound once.  np.einsum with its default
+# optimize=False only forwards (spec, *operands) to this function, so a
+# call through it gives the same bits without the Python-level dispatch
+# wrapper, which costs more than the arithmetic on 4x4 arrays.  Every
+# contraction in the package calls it.
+try:  # numpy >= 2
+    from numpy._core.multiarray import c_einsum as einsum
+except ImportError:
+    try:  # numpy 1.x
+        from numpy.core.multiarray import c_einsum as einsum
+    except ImportError:
+        einsum = np.einsum
+
 _JET_AXES = "ZY"  # reserved subscript letters for derivative axes
 
 
@@ -254,24 +267,24 @@ def jeinsum(spec, *ops):
     if len(ops) == 1:
         (a,) = ops
         if not isinstance(a, Jet):
-            return np.einsum(spec, a)
-        return Jet._of(np.einsum(jet_specs[0], a.s), a.m)
+            return einsum(spec, a)
+        return Jet._of(einsum(jet_specs[0], a.s), a.m)
     if len(ops) != 2:
         raise ValueError("jeinsum supports one or two operands")
     a, b = ops
     ja, jb = isinstance(a, Jet), isinstance(b, Jet)
     if not ja and not jb:
-        return np.einsum(spec, a, b)
+        return einsum(spec, a, b)
     left, right, cross = jet_specs
     if not ja:
-        return Jet._of(np.einsum(right, a, b.s), b.m)
+        return Jet._of(einsum(right, a, b.s), b.m)
     if not jb:
-        return Jet._of(np.einsum(left, a.s, b), a.m)
+        return Jet._of(einsum(left, a.s, b), a.m)
     _check_pair(a, b)
     m = a.m
-    s = np.einsum(left, a.s, b.s[0])
-    s[1:] += np.einsum(right, a.s[0], b.s[1:])
+    s = einsum(left, a.s, b.s[0])
+    s[1:] += einsum(right, a.s[0], b.s[1:])
     if len(s) > 1 + m:
-        c = np.einsum(cross, a.s[1:1 + m], b.s[1:1 + m])
+        c = einsum(cross, a.s[1:1 + m], b.s[1:1 + m])
         _add_cross(s, m, c + np.swapaxes(c, 0, 1))
     return Jet._of(s, m)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NullFiberError
+from .jets import einsum
 
 DIM = 4
 
@@ -39,7 +40,7 @@ def norm_and_sign(g, y, tol=None):
     """
     g = np.asarray(g, dtype=float)
     y = np.asarray(y, dtype=float)
-    q = float(np.einsum("ij,i,j->", g, y, y))
+    q = float(einsum("ij,i,j->", g, y, y))
     if tol is None:
         tol = null_tolerance(y)
     if abs(q) < tol:

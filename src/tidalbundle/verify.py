@@ -66,6 +66,7 @@ from . import __version__
 from .connection import (Sample, contortion_vector, field_frame,
                          unit_direction_low)
 from .fields import cached_property, current, stress_energy_em
+from .jets import einsum
 from .tensors import DIM, PhasePoint
 
 DEFAULT_ALPHAS = (-1.0, 0.0, 0.5, 1.0, 3.0)
@@ -118,28 +119,28 @@ class _Bench(Sample):
         super().__init__(fr, np.asarray(alphas, dtype=float), p.y,
                          nonspray_perturbation)
         self.p, y = p, self.y
-        self.e_scale = float(np.einsum("iaib,a,b->", np.abs(fr.riemann),
-                                       np.abs(y), np.abs(y)))
+        self.e_scale = float(einsum("iaib,a,b->", np.abs(fr.riemann),
+                                    np.abs(y), np.abs(y)))
         J = current(fr.potential_pack, fr.metric_pack)
         self.rho_c = -float(J @ (fr.g @ (p.y / p.norm)))   # -J^i l_i
         self.nrm2 = p.norm ** 2
         self.eps = p.causal_sign
         self.T_em = stress_energy_em(fr.F, fr.g, fr.ginv)
         # field invariant for the d'Alembertian assembly
-        self.F_sq = float(np.einsum("ab,ac,bd,cd->", fr.F, fr.ginv, fr.ginv,
-                                    fr.F))
+        self.F_sq = float(einsum("ab,ac,bd,cd->", fr.F, fr.ginv, fr.ginv,
+                                 fr.F))
         # pre-cancellation size of the tidal trace: the curvature assembly
         # with absolute values taken term by term, so it stays nonzero where
         # the curvature cancels (flat space in a spherical chart); the
         # alpha-free part and the coefficient of |alpha| ||y||
         ag, adg = np.abs(fr.gamma), np.abs(fr.dgamma)
-        riem_abs = (np.einsum("lijk->ijkl", adg) + np.einsum("kijl->ijkl", adg)
-                    + np.einsum("hjk,ihl->ijkl", ag, ag)
-                    + np.einsum("hjl,ihk->ijkl", ag, ag))
+        riem_abs = (einsum("lijk->ijkl", adg) + einsum("kijl->ijkl", adg)
+                    + einsum("hjk,ihl->ijkl", ag, ag)
+                    + einsum("hjl,ihk->ijkl", ag, ag))
         ay = np.abs(y)
-        self.grav_scale = np.einsum("iaib,a,b->", riem_abs, ay, ay)
-        self.charge_scale = (np.einsum("kik,i->", np.abs(fr.dFmix), ay)
-                             + np.einsum("iak,ak->", ag, np.abs(fr.Fmix)))
+        self.grav_scale = einsum("iaib,a,b->", riem_abs, ay, ay)
+        self.charge_scale = (einsum("kik,i->", np.abs(fr.dFmix), ay)
+                             + einsum("iak,ak->", ag, np.abs(fr.Fmix)))
 
     @cached_property
     def trace_E(self):
@@ -154,13 +155,13 @@ class _Bench(Sample):
     def quad(self):
         """The contortion quadratic B^l_i B^i_l from the fiber-jet tier."""
         B1 = self.jet.B1.v
-        return np.einsum("...li,...il->...", B1, B1)
+        return einsum("...li,...il->...", B1, B1)
 
     @cached_property
     def div_phase(self):
         """Levi-Civita divergence of B through the phase jets."""
-        return np.einsum("...ii->...", self.covariant(contortion_vector,
-                                                      reference="base"))
+        return einsum("...ii->...", self.covariant(contortion_vector,
+                                                   reference="base"))
 
     @cached_property
     def assembly_scale(self):
@@ -257,9 +258,9 @@ def _structural(b):
     jp, y = b.jet, b.y
     E, N = jp.E.v, jp.N.v
     yield _Row("reconstruction",
-               np.einsum("...jikl,j,l->...ik", b.block, y, y), E, _scale(E))
+               einsum("...jikl,j,l->...ik", b.block, y, y), E, _scale(E))
 
-    yield _Row("ricci-hessian", b.ricci, -np.einsum("...jiil->...jl", b.block),
+    yield _Row("ricci-hessian", b.ricci, -einsum("...jiil->...jl", b.block),
                _scale(b.ricci, b.block))
 
     zero = np.flatnonzero(b.alpha == 0.0)
@@ -285,25 +286,25 @@ def _structural(b):
                E_low - b.eps * (l_low[:, None] * (l_low @ E)[:, None, :]),
                _scale(E_low))
 
-    yield _Row("angular-trace", np.einsum("ik,...ki->...", b.frame.ginv, Et),
+    yield _Row("angular-trace", einsum("ik,...ki->...", b.frame.ginv, Et),
                b.trace_E, _scale(b.trace_E, Et))
 
     yield _Row("tidal-orthogonality",
-               np.einsum("k,i,...ik->...", jp.l_up.v, l_low, E), 0.0, _scale(E))
+               einsum("k,i,...ik->...", jp.l_up.v, l_low, E), 0.0, _scale(E))
 
     # homogeneity ladder: each fiber derivative drops the degree by one;
     # one row per rung, judged by its worst
     B, B1, B2, G = jp.B.v, jp.B1.v, jp.B2.v, jp.G.v
     for lhs, rhs, scl in (
             (B1 @ y, 2.0 * B, B),
-            (np.einsum("...ijk,k->...ij", B2, y), B1, B1),
-            (np.einsum("...ijkl,l->...ijk", jp.B3, y),
+            (einsum("...ijk,k->...ij", B2, y), B1, B1),
+            (einsum("...ijkl,l->...ijk", jp.B3, y),
              np.zeros((DIM,) * 3), B2),
-            (np.einsum("...ijk,k->...ij", jp.Gaff.v, y), N, N),
+            (einsum("...ijk,k->...ij", jp.Gaff.v, y), N, N),
             (N @ y, 2.0 * G, G)):
         yield _Row("homogeneity-ladder", lhs, rhs, _scale(scl, lhs))
 
-    yield _Row("spray-coherence", np.einsum("j...i->...ij", jp.G.d), N,
+    yield _Row("spray-coherence", einsum("j...i->...ij", jp.G.d), N,
                _scale(N))
 
     yield _Row("strong-torsion", b.torsion, np.zeros((DIM, DIM)),
@@ -321,9 +322,9 @@ def _cyclic_side(bench):
     derivatives, so this path touches the connection not at all.
     """
     dF, y = bench.frame.dF, bench.y
-    cyc = (np.einsum("kij,k->ij", dF, y)
-           + np.einsum("jki,k->ij", dF, y)
-           + np.einsum("ijk,k->ij", dF, y))
+    cyc = (einsum("kij,k->ij", dF, y)
+           + einsum("jki,k->ij", dF, y)
+           + einsum("ijk,k->ij", dF, y))
     return (-0.5 * bench.alpha * bench.p.norm)[:, None, None] * cyc
 
 
@@ -385,7 +386,7 @@ def full_trace_rhs(bench, rho_m=0.0, matter_trace=0.0):
 def _einstein(b):
     T = b.T_em
     T_yy = float(b.y @ T @ b.y)
-    T_tr = float(np.einsum("ij,ij->", b.frame.ginv, T))
+    T_tr = float(einsum("ij,ij->", b.frame.ginv, T))
     yield _Row("einstein-trace", np.full(len(b.alpha), b.td.gravity_trace),
                -8.0 * np.pi * (T_yy - 0.5 * T_tr * (b.eps * b.nrm2)),
                max(b.e_scale,

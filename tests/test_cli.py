@@ -116,8 +116,8 @@ def test_deviate_outputs_rate_columns(tmp_path, capsys):
 
 def test_trajectory_commands_log_rhs_count(tmp_path, capsys, caplog):
     # at info level simulate and deviate log the integrator's right-hand-
-    # side and step counts; the CSV bytes on stdout and the exit code are
-    # the same at every level
+    # side and step counts and its shortest and longest accepted step; the
+    # CSV bytes on stdout and the exit code are the same at every level
     assert main(["simulate", "--echo-defaults", "--scenario",
                  "cyclotron"]) == 0
     raw = json.loads(capsys.readouterr().out)
@@ -127,18 +127,18 @@ def test_trajectory_commands_log_rhs_count(tmp_path, capsys, caplog):
     path.write_text(json.dumps(raw))
     # 10 segments of 0.1, one rk4 substep each, four evaluations a step
     short = ("rk4-fixed: 40 right-hand-side evaluations, 10 steps accepted, "
-             "0 rejected")
+             "0 rejected, step 0.1 to 0.1")
     cases = [
         ("simulate", str(path), 0, [short]),
         ("deviate", str(path), 0, [short]),
         # rk45-adaptive: rejected steps, and a run that leaves the chart
         ("simulate", "reissner_nordstrom", 3,
          ["rk45-adaptive: 2912 right-hand-side evaluations, 475 steps "
-          "accepted, 10 rejected",
+          "accepted, 10 rejected, step 5.27e-08 to 0.666",
           "integration left the chart near t = 23.79714087231002"]),
         ("deviate", "cyclotron", 0,
          ["rk45-adaptive: 1574 right-hand-side evaluations, 262 steps "
-          "accepted, 0 rejected"]),
+          "accepted, 0 rejected, step 0.002 to 0.0176"]),
     ]
     for command, scenario, code, messages in cases:
         outs, logs = [], []
@@ -411,9 +411,9 @@ def test_commands_leave_scipy_integrate_unloaded(tmp_path):
     assert loaded == ["loaded False False"] * 6 + ["loaded False True"]
 
 
-def test_scenario_and_plot_files_are_utf8_in_any_locale(tmp_path):
-    # JSON is UTF-8 (RFC 8259) and the SVG declares UTF-8, so a scenario id
-    # with a non-ASCII letter reads and plots under an ASCII locale too
+def _mu_scenario_ascii_locale(tmp_path):
+    """A cyclotron scenario file whose id holds a non-ASCII letter, and the
+    environment of a fresh interpreter under an ASCII locale."""
     src = Path(tidalbundle.__file__).parents[1]
     cyclotron = src / "tidalbundle" / "scenarios" / "cyclotron.json"
     path = tmp_path / "mu.json"
@@ -422,6 +422,13 @@ def test_scenario_and_plot_files_are_utf8_in_any_locale(tmp_path):
                     encoding="utf-8")
     env = {**os.environ, "PYTHONPATH": str(src), "LC_ALL": "C",
            "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    return path, env
+
+
+def test_scenario_and_plot_files_are_utf8_in_any_locale(tmp_path):
+    # JSON is UTF-8 (RFC 8259) and the SVG declares UTF-8, so a scenario id
+    # with a non-ASCII letter reads and plots under an ASCII locale too
+    path, env = _mu_scenario_ascii_locale(tmp_path)
     for argv in (["compute"], ["simulate", "--plot"]):
         proc = subprocess.run(
             [sys.executable, "-m", "tidalbundle", *argv, "--scenario",
@@ -433,6 +440,22 @@ def test_scenario_and_plot_files_are_utf8_in_any_locale(tmp_path):
     root = ET.fromstring((tmp_path / "simulate.svg").read_bytes())
     texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
     assert "worldline: \u00b5-cyclotron" in texts
+
+
+def test_stdout_is_utf8_in_any_locale(tmp_path):
+    # a CSV row carries the scenario id unescaped; on stdout it is the bytes
+    # --out writes, under an ASCII locale with UTF-8 mode off too
+    path, env = _mu_scenario_ascii_locale(tmp_path)
+    args = [sys.executable, "-X", "utf8=0", "-m", "tidalbundle", "sweep",
+            "--scenario", str(path), "--points", "1", "--alphas", "0,1"]
+    out = tmp_path / "sweep.csv"
+    proc = subprocess.run(args + ["--out", str(out)], capture_output=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    proc = subprocess.run(args, capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "\u00b5-cyclotron".encode("utf-8") in proc.stdout
+    assert proc.stdout == out.read_bytes()
 
 
 def test_verify_progress_logging_keeps_report_bytes(tmp_path):

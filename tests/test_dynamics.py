@@ -134,7 +134,8 @@ def test_fixed_step_guards_every_substep():
 
 def test_fixed_step_nfev_is_four_per_substep():
     # two sample intervals of 0.5 at step 0.25: 4 substeps, 16 evaluations,
-    # every substep accepted
+    # every substep accepted and, the intervals being exact binary
+    # fractions, every substep the same float
     p, _ = _cyclotron_start()
     cfg = IntegratorConfig(method="rk4-fixed", t_span=(0.0, 1.0), samples=3,
                            step=0.25)
@@ -142,6 +143,7 @@ def test_fixed_step_nfev_is_four_per_substep():
     for traj in (integrate_worldline(CART, UB, 0.7, p, cfg),
                  integrate_deviation_tidal(CART, UB, 0.7, p, w0, v0, cfg)):
         assert (traj.nfev, traj.accepted, traj.rejected) == (16, 4, 0)
+        assert traj.min_step == traj.max_step == 0.25
 
 
 @pytest.mark.parametrize("method", ["rk45-adaptive", "rk4-fixed"])
@@ -165,6 +167,7 @@ def test_adaptive_nfev_is_six_per_attempted_step():
     # rk45-adaptive: f(t0), the initial-step probe, then six stages per
     # attempted step (the seventh is reused: first same as last).  The
     # reissner_nordstrom run rejects steps and ends at the chart guard.
+    # The accepted steps span a positive range, on a truncated run too.
     rn = builtin_metric("reissner_nordstrom", {"M": 1.0, "Q": 0.5})
     coul = builtin_potential("coulomb", {"Q": 0.5})
     x0 = np.array([0.0, 8.0, np.pi / 2, 0.0])
@@ -174,12 +177,14 @@ def test_adaptive_nfev_is_six_per_attempted_step():
         t_span=(0.0, 40.0), samples=201))
     assert traj.truncated and traj.rejected > 0
     assert traj.nfev == 2 + 6 * (traj.accepted + traj.rejected)
+    assert 0.0 < traj.min_step < traj.max_step <= traj.exit_time
     q, _ = _cyclotron_start()
     w0, v0 = np.array([0.0, 0.5, -0.3, 0.7]), np.zeros(4)
     dev = integrate_deviation_tidal(CART, UB, 0.7, q, w0, v0,
                                     IntegratorConfig(t_span=(0.0, 1.0)))
     assert dev.accepted > 0
     assert dev.nfev == 2 + 6 * (dev.accepted + dev.rejected)
+    assert 0.0 < dev.min_step < dev.max_step <= 1.0
 
 
 @pytest.mark.parametrize("method", ["rk45-adaptive", "rk4-fixed"])

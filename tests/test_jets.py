@@ -1,12 +1,22 @@
+import ast
 import inspect
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import fd_gradient, fd_hessian
 
-from tidalbundle import connection
+import tidalbundle
+from tidalbundle import connection, dynamics, jets
+from tidalbundle.curvature import tidal_packet
+from tidalbundle.dynamics import IntegratorConfig, integrate_deviation_tidal
 from tidalbundle.jets import Jet, jeinsum, jsqrt, value_of
+from tidalbundle.scenario import DEFAULT_SUITE, builtin_scenario
+from tidalbundle.verify import run_suite
 
 G = np.array([[-1.0, 0.1, 0.0, 0.0],
               [0.1, 1.3, 0.2, 0.0],
@@ -382,3 +392,111 @@ def test_jet_arithmetic_is_product_rule_as_written():
                                       None if order == 1
                                       else batch.h[(slice(None),) + full]),
                                idx)
+
+
+def _record_einsum(monkeypatch):
+    """Wrap the einsum binding wherever a tidalbundle module holds it.
+
+    Each call runs both the binding and np.einsum on the same operands and
+    returns the binding's result; the record keeps, per call, the spec,
+    the operand shapes and whether the two results are the same bytes.
+    """
+    seen = []
+    binding = jets.einsum
+
+    def recorded(spec, *ops):
+        got, want = binding(spec, *ops), np.einsum(spec, *ops)
+        same = (type(got) is type(want)
+                and np.shape(got) == np.shape(want)
+                and np.asarray(got).dtype == np.asarray(want).dtype
+                and np.asarray(got).tobytes() == np.asarray(want).tobytes())
+        seen.append((spec, tuple(np.shape(op) for op in ops), same))
+        return got
+
+    for name, module in list(sys.modules.items()):
+        if (name == "tidalbundle" or name.startswith("tidalbundle.")) \
+                and getattr(module, "einsum", None) is binding:
+            monkeypatch.setattr(module, "einsum", recorded)
+    return seen
+
+
+def _kinds(spec, shapes):
+    """The operand kinds one recorded call covers: "plain" (no jet stack
+    axis Z), "order1" or "order2" (the stack length of a fiber seed, 1 + 4
+    + 16, is order 2), and "batched" when "..." absorbs an axis."""
+    kinds = set()
+    subs = spec.split("->")[0].split(",")
+    if "Z" not in spec:
+        kinds.add("plain")
+    for sub, shape in zip(subs, shapes):
+        if len(shape) > len(sub.replace("...", "")):
+            kinds.add("batched")
+        if sub.startswith("Z") and not sub.startswith("ZY"):
+            kinds.add("order2" if shape[0] == 1 + 4 + 16 else "order1")
+    return kinds
+
+
+def test_einsum_binding_matches_np_einsum_bytes(monkeypatch):
+    # every spec the engine contracts while it judges one suite point per
+    # default scenario, reads a tidal packet and a covariant derivative and
+    # evaluates worldline and deviation right-hand sides gives the bytes of
+    # np.einsum on the same operands
+    seen = _record_einsum(monkeypatch)
+    run_suite([builtin_scenario(sid) for sid in DEFAULT_SUITE], points=1,
+              seed=0)
+    rn = builtin_scenario("reissner_nordstrom")
+    args = (rn.metric, rn.potential, rn.alpha, rn.initial_point)
+    tidal_packet(*args)
+    connection.d_covariant_derivative(*args, connection.contortion_vector)
+    p = rn.initial_point
+    dynamics.worldline_rhs(rn.metric, rn.potential, rn.alpha, p.x, p.y)
+    # one rk4 substep: four deviation right-hand sides
+    integrate_deviation_tidal(*args, [0.0, 0.1, 0.0, 0.0], np.zeros(4),
+                              IntegratorConfig(method="rk4-fixed",
+                                               t_span=(0.0, 0.5), samples=2,
+                                               step=0.5))
+    assert len({spec for spec, _, _ in seen}) > 100
+    assert [(spec, shapes) for spec, shapes, same in seen if not same] == []
+    covered = set().union(*(_kinds(spec, shapes) for spec, shapes, _ in seen))
+    assert covered == {"plain", "order1", "order2", "batched"}
+
+
+def test_einsum_binding_is_numpy_kernel():
+    # where numpy exposes its einsum kernel the package binds it, so no
+    # contraction pays np.einsum's dispatch wrapper
+    try:
+        from numpy._core.multiarray import c_einsum
+    except ImportError:
+        pytest.skip("numpy exposes no numpy._core.multiarray.c_einsum")
+    assert jets.einsum is c_einsum
+
+
+def test_only_jets_calls_np_einsum():
+    # every contraction goes through the one binding in jets
+    offenders = []
+    for path in Path(tidalbundle.__file__).parent.rglob("*.py"):
+        if path.name == "jets.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr == "einsum"
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in ("np", "numpy")):
+                offenders.append((path.name, node.lineno))
+            if (isinstance(node, ast.ImportFrom)
+                    and (node.module or "").startswith("numpy")
+                    and any(a.name in ("einsum", "c_einsum")
+                            for a in node.names)):
+                offenders.append((path.name, node.lineno))
+    assert offenders == []
+
+
+def test_import_raises_no_warning():
+    # numpy 2 warns on importing numpy.core.multiarray, so the binding
+    # tries numpy._core first; -W error turns any warning into a failure
+    src = Path(tidalbundle.__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c",
+         "import tidalbundle, tidalbundle.cli"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr

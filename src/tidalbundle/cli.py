@@ -106,8 +106,7 @@ def cmd_compute(args) -> int:
         x = np.array(args.at[:4], dtype=float)
         y = np.array(args.at[4:], dtype=float)
         sc.metric.check_chart(x)
-        if sc.potential is not None:
-            sc.potential.check_chart(x)
+        sc.potential.check_chart(x)
         p = PhasePoint.create(sc.metric.pack(x).g, x, y)
     else:
         p = sc.initial_point

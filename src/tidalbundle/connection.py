@@ -61,7 +61,6 @@ class FieldFrame:
     nothing.
     """
 
-    x: np.ndarray
     metric_pack: MetricPack
     potential_pack: PotentialPack
     zeros = frozenset()
@@ -98,8 +97,7 @@ def field_frame(metric: MetricField, potential: PotentialField, x,
         raise FrameMismatchError(
             f"{metric.name} uses {metric.coords} coordinates but "
             f"{potential.name} expects {potential.coords}")
-    x = np.asarray(x, dtype=float)
-    frame = FieldFrame(x, metric.pack(x, check=check),
+    frame = FieldFrame(metric.pack(x, check=check),
                        potential.pack(x, check=check))
     object.__setattr__(frame, "zeros", metric.zeros | potential.zeros)
     return frame

@@ -8,18 +8,21 @@ order, packed with the derivative axes leading:
     dA[k, i]         = d A_i / dx^k
     d2A[l, k, i]     = d^2 A_i / dx^l dx^k
 
-The packs derive the rest on first read and keep it: MetricPack the
-inverse metric, its derivative, the Christoffel symbols with theirs and
-the Riemann and Ricci tensors, PotentialPack the field strength and its
+A potential pack holds dA and d2A only, not A: the engine reads the
+potential only through F = dA and dF, so the packs are gauge-free.  The
+packs derive the rest on first read and keep it: MetricPack the inverse
+metric, its derivative, the Christoffel symbols with theirs and the
+Riemann and Ricci tensors, PotentialPack the field strength and its
 derivative.  So each is computed at most once per pack, and only if
 something reads it.
 
 A catalog field whose pack does not depend on the point (Minkowski in
-its Cartesian chart, the zero potential) builds that pack once, with
-the field, and every pack(x) returns the same object.  Its derived
-tensors are read at build, so they too are computed once per field, and
-every array it holds is read-only: an in-place write raises instead of
-reaching every later point.  pack(x, check=True) still guards the point.
+its Cartesian chart, the zero potential and the potentials linear in x:
+uniform_b, uniform_e, pure_gauge) builds that pack once, with the field,
+and every pack(x) returns the same object.  Its derived tensors are read
+at build, so they too are computed once per field, and every array it
+holds is read-only: an in-place write raises instead of reaching every
+later point.  pack(x, check=True) still guards the point.
 
 A catalog field also declares which derived data its construction makes
 identically zero, in zeros, a set of three possible names:
@@ -102,15 +105,6 @@ def _declare(field, *zeros):
     return field
 
 
-def _linear(dA):
-    """The pack function of A_i = dA[k, i] x^k: dA and the zero d2A are
-    built once per field and read-only, since all points share them."""
-    dA = np.asarray(dA, dtype=float)
-    d2A = np.zeros((DIM, DIM, DIM))
-    dA.flags.writeable = d2A.flags.writeable = False
-    return lambda x: PotentialPack(x @ dA, dA, d2A)
-
-
 @dataclass(frozen=True)
 class MetricPack:
     g: np.ndarray
@@ -165,7 +159,9 @@ class MetricPack:
 
 @dataclass(frozen=True)
 class PotentialPack:
-    A: np.ndarray
+    """dA and d2A of a 4-potential at a point, gauge-free: A is never
+    read, so a potential linear in x has one pack at every point."""
+
     dA: np.ndarray
     d2A: np.ndarray
 
@@ -308,6 +304,13 @@ POTENTIAL_CATALOG = {
 }
 
 
+def finite_number(value):
+    """Whether value is a real number other than a bool, and finite: NaN,
+    the infinities and an int past the float range are not."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
 def _read(catalog, name, params, **defaults):
     """The values of catalog[name]'s parameters, in catalog order.
 
@@ -326,9 +329,7 @@ def _read(catalog, name, params, **defaults):
         raise ValueError(f"{name} requires params {missing}")
     for p in names:
         value, flag = params[p], isinstance(defaults.get(p), bool)
-        ok = (isinstance(value, bool) if flag else
-              isinstance(value, numbers.Real) and not isinstance(value, bool)
-              and abs(value) <= sys.float_info.max)
+        ok = isinstance(value, bool) if flag else finite_number(value)
         if (p not in defaults or flag) and not ok:
             raise ValueError(f"{name} param {p} must be "
                              f"{'true or false' if flag else 'a number'}, "
@@ -405,8 +406,7 @@ def builtin_potential(name, params=None) -> PotentialField:
     """Catalog lookup: zero, uniform_b(B, axis), uniform_e(E, axis), coulomb(Q), pure_gauge(c)."""
     if name == "zero":
         _read(POTENTIAL_CATALOG, name, params)
-        none = PotentialPack(np.zeros(DIM), np.zeros((DIM, DIM)),
-                             np.zeros((DIM, DIM, DIM)))
+        none = PotentialPack(np.zeros((DIM, DIM)), np.zeros((DIM, DIM, DIM)))
         return _declare(PotentialField(name, {}, "any", _constant(none)),
                         "d2A", "F")
 
@@ -416,8 +416,9 @@ def builtin_potential(name, params=None) -> PotentialField:
             raise ValueError(f"uniform_b axis must be x, y, or z, got {axis!r}")
         dA = np.zeros((DIM, DIM))
         dA[_B_COMPONENTS[axis]] = B
-        return _declare(PotentialField(name, {"B": B, "axis": axis},
-                                       "cartesian", _linear(dA)), "d2A")
+        return _declare(PotentialField(
+            name, {"B": B, "axis": axis}, "cartesian",
+            _constant(PotentialPack(dA, np.zeros((DIM, DIM, DIM))))), "d2A")
 
     if name == "uniform_e":
         E, axis = _read(POTENTIAL_CATALOG, name, params, axis="x")
@@ -425,8 +426,9 @@ def builtin_potential(name, params=None) -> PotentialField:
             raise ValueError(f"uniform_e axis must be x, y, or z, got {axis!r}")
         dA = np.zeros((DIM, DIM))
         dA[_AXIS_INDEX[axis], 0] = -E
-        return _declare(PotentialField(name, {"E": E, "axis": axis},
-                                       "cartesian", _linear(dA)), "d2A")
+        return _declare(PotentialField(
+            name, {"E": E, "axis": axis}, "cartesian",
+            _constant(PotentialPack(dA, np.zeros((DIM, DIM, DIM))))), "d2A")
 
     if name == "coulomb":
         Q, = _read(POTENTIAL_CATALOG, name, params)
@@ -434,13 +436,11 @@ def builtin_potential(name, params=None) -> PotentialField:
 
         def pack(x, Q=Q):
             r = x[1]
-            A = np.zeros(DIM)
-            A[0] = Q / r
             dA = np.zeros((DIM, DIM))
             dA[1, 0] = -Q / r ** 2
             d2A = np.zeros((DIM, DIM, DIM))
             d2A[1, 1, 0] = 2.0 * Q / r ** 3
-            return PotentialPack(A, dA, d2A)
+            return PotentialPack(dA, d2A)
 
         return PotentialField(name, {"Q": Q}, "spherical", pack,
                               lambda x: np.array([x[1] - r_min]))
@@ -449,8 +449,10 @@ def builtin_potential(name, params=None) -> PotentialField:
         c, = _read(POTENTIAL_CATALOG, name, params)
         dA = np.zeros((DIM, DIM))
         dA[2, 1] = dA[1, 2] = c
-        return _declare(PotentialField(name, {"c": c}, "cartesian",
-                                       _linear(dA)), "d2A", "F")
+        return _declare(PotentialField(
+            name, {"c": c}, "cartesian",
+            _constant(PotentialPack(dA, np.zeros((DIM, DIM, DIM))))),
+            "d2A", "F")
 
     raise ValueError(f"unknown potential {name!r}")
 
@@ -463,13 +465,10 @@ def coords_compatible(metric: MetricField, potential: PotentialField) -> bool:
 # generic evaluator for user-defined fields
 
 
-def _jet_pack(fn, pack_type):
-    """The pack function of a jet-evaluable callable fn: its value, first
-    and second derivatives at the point, seeded in all 4 directions."""
-    def pack(x):
-        J = fn(Jet.seed(x, DIM))
-        return pack_type(J.v, J.d, J.h)
-    return pack
+def _jet_pack(fn, build):
+    """The pack function of a jet-evaluable callable fn: build applied to
+    fn's jet at the point, seeded in all 4 directions."""
+    return lambda x: build(fn(Jet.seed(x, DIM)))
 
 
 def metric_from_callable(fn, name="custom", coords="cartesian",
@@ -480,7 +479,8 @@ def metric_from_callable(fn, name="custom", coords="cartesian",
     seeded in all 4 directions and must use jet-safe arithmetic, so the
     derivative packs come out exact.  It declares no zeros.
     """
-    return MetricField(name, {}, coords, _jet_pack(fn, MetricPack),
+    return MetricField(name, {}, coords,
+                       _jet_pack(fn, lambda J: MetricPack(J.v, J.d, J.h)),
                        margins_fn, is_flat)
 
 
@@ -490,7 +490,8 @@ def potential_from_callable(fn, name="custom", coords="cartesian",
 
     It declares no zeros.
     """
-    return PotentialField(name, {}, coords, _jet_pack(fn, PotentialPack),
+    return PotentialField(name, {}, coords,
+                          _jet_pack(fn, lambda J: PotentialPack(J.d, J.h)),
                           margins_fn)
 
 

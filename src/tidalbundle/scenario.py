@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import importlib.resources
 import json
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -24,7 +23,7 @@ import numpy as np
 from .dynamics import IntegratorConfig, normalize_velocity
 from .errors import NullFiberError, ScenarioError
 from .fields import (MetricField, PotentialField, builtin_metric,
-                     builtin_potential, coords_compatible)
+                     builtin_potential, coords_compatible, finite_number)
 from .tensors import PhasePoint
 
 # Default base-coordinate sampling boxes per chart.  Spherical boxes keep
@@ -99,12 +98,14 @@ def _validator():
 
 
 def _non_finite(value, path=()):
-    """The path to the first NaN or infinity in JSON data, or None.
+    """The path to the first number in JSON data that is not a finite
+    real, or None.
 
-    json parses NaN and Infinity, and the schema's "number" admits them.
+    json parses NaN, Infinity and ints of any size, and the schema's
+    "number" admits them all; a bool is not a number here.
     """
-    if isinstance(value, float):
-        return None if math.isfinite(value) else path
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return None if finite_number(value) else path
     items = (value.items() if isinstance(value, dict)
              else enumerate(value) if isinstance(value, list) else ())
     for key, item in items:

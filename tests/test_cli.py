@@ -323,6 +323,13 @@ def test_bad_inputs_exit_two(tmp_path, capsys):
     bad.write_text('{"id": "x"}')  # metric is required
     assert main(["compute", "--scenario", str(bad)]) == 2
     capsys.readouterr()
+    # and so is a number past the float range, which json reads as an int
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"id": "x", "metric": {"name": "minkowski"}, '
+                    '"alpha": 1' + "0" * 400 + '}')
+    assert main(["compute", "--scenario", str(huge)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {huge}: invalid scenario at alpha: numbers must be finite\n")
     # so are bytes that are not UTF-8, and nesting past the parser's depth
     for name, raw in (("latin.json", b'\xff\xfe{"id": "x"}'),
                       ("deep.json", b"[" * 100_000 + b"]" * 100_000)):

@@ -307,8 +307,10 @@ def test_only_field_frame_declares():
     x = sc.initial_point.x
     packs = (sc.metric.pack(x), sc.potential.pack(x))
     with pytest.raises(TypeError):
-        FieldFrame(x, *packs, frozenset({"dg"}))
-    assert FieldFrame(x, *packs).zeros == frozenset()
+        FieldFrame(*packs, frozenset({"dg"}))
+    with pytest.raises(TypeError):
+        FieldFrame(*packs, zeros=frozenset({"dg"}))
+    assert FieldFrame(*packs).zeros == frozenset()
     assert field_frame(sc.metric, sc.potential, x).zeros == {"dg", "d2A"}
 
 

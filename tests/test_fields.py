@@ -1,6 +1,6 @@
 import ast
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -84,18 +84,37 @@ def test_metric_derivatives_match_fd(name, params, x):
                                rtol=1e-4, atol=1e-5)
 
 
+def _potential_by_hand(name, params, x):
+    """A_i of a catalog potential, written out independently of the
+    catalog code (its packs hold no A)."""
+    A = np.zeros(4)
+    if name == "coulomb":        # A_t = Q/r
+        A[0] = params["Q"] / x[1]
+    elif name == "uniform_e":    # A_t = -E x^axis
+        A[0] = -params["E"] * x["txyz".index(params["axis"])]
+    elif name == "pure_gauge":   # A = c d(xy)
+        A[1], A[2] = params["c"] * x[2], params["c"] * x[1]
+    elif name == "uniform_b":    # B along z: A_y = B x, and cyclically
+        i, j = {"z": (2, 1), "x": (3, 2), "y": (1, 3)}[params["axis"]]
+        A[i] = params["B"] * x[j]
+    return A
+
+
 @pytest.mark.parametrize("name,params,x", [
     ("coulomb", {"Q": 0.7}, X_SPH),
     ("uniform_e", {"E": 0.3, "axis": "x"}, X_CART),
     ("pure_gauge", {"c": 0.8}, X_CART),
+    ("uniform_b", {"B": 1.5, "axis": "z"}, X_CART),
+    ("uniform_b", {"B": -0.6, "axis": "x"}, X_CART),
+    ("uniform_b", {"B": 2.0, "axis": "y"}, X_CART),
 ])
 def test_potential_derivatives_match_fd(name, params, x):
     pot = builtin_potential(name, params)
-    np.testing.assert_allclose(pot.pack(x).dA,
-                               fd_gradient(lambda z: pot.pack(z).A, x),
+    def A(z):
+        return _potential_by_hand(name, params, z)
+    np.testing.assert_allclose(pot.pack(x).dA, fd_gradient(A, x),
                                rtol=1e-7, atol=1e-10)
-    np.testing.assert_allclose(pot.pack(x).d2A,
-                               fd_hessian(lambda z: pot.pack(z).A, x),
+    np.testing.assert_allclose(pot.pack(x).d2A, fd_hessian(A, x),
                                rtol=1e-4, atol=1e-6)
 
 
@@ -238,17 +257,41 @@ def _derived(pack):
             if isinstance(attr, cached_property)}
 
 
+def _dA(*entries):
+    """A 4x4 dA holding the (k, i, value) entries, zero elsewhere."""
+    dA = np.zeros((4, 4))
+    for k, i, value in entries:
+        dA[k, i] = value
+    return dA
+
+
+# the potentials whose pack does not depend on x, with their dA by hand:
+# zero and the potentials linear in x
+CONSTANT_POTENTIALS = [
+    (builtin_potential("zero"), _dA()),
+    (builtin_potential("uniform_b", {"B": 1.5}), _dA((1, 2, 1.5))),
+    (builtin_potential("uniform_e", {"E": 0.3}), _dA((1, 0, -0.3))),
+    (builtin_potential("pure_gauge", {"c": 0.8}),
+     _dA((1, 2, 0.8), (2, 1, 0.8))),
+]
+
+
 def test_constant_packs_are_built_once_per_field():
     # fields whose pack does not depend on x hand every point one pack,
     # with the same bits as a fresh build of it
-    cart, zero = builtin_metric("minkowski"), builtin_potential("zero")
+    assert [f.name for f in fields(PotentialPack)] == ["dA", "d2A"]
+    cart = builtin_metric("minkowski")
     assert cart.pack(X_CART) is cart.pack(-X_CART)
     assert cart.pack(X_CART) is cart.pack(X_CART, check=False)
-    assert zero.pack(X_CART) is zero.pack(X_SPH)
-    fresh = (MetricPack(np.diag([-1.0, 1.0, 1.0, 1.0]), np.zeros((4, 4, 4)),
-                        np.zeros((4, 4, 4, 4))),
-             PotentialPack(np.zeros(4), np.zeros((4, 4)), np.zeros((4, 4, 4))))
-    for shared, ref in zip((cart.pack(X_CART), zero.pack(X_CART)), fresh):
+    cases = [(cart.pack(X_CART),
+              MetricPack(np.diag([-1.0, 1.0, 1.0, 1.0]), np.zeros((4, 4, 4)),
+                         np.zeros((4, 4, 4, 4))))]
+    for pot, dA in CONSTANT_POTENTIALS:
+        assert pot.pack(X_CART) is pot.pack(X_SPH), pot.name
+        assert pot.pack(X_CART) is pot.pack(-X_CART, check=False), pot.name
+        cases.append((pot.pack(X_CART),
+                      PotentialPack(dA, np.zeros((4, 4, 4)))))
+    for shared, ref in cases:
         want = {**vars(ref), **_derived(ref)}
         assert set(vars(shared)) == set(want)
         for name, value in want.items():
@@ -263,19 +306,20 @@ def test_constant_packs_are_built_once_per_field():
     (builtin_metric("schwarzschild", {"M": 1.0}), X_SPH),
     (builtin_metric("reissner_nordstrom", {"M": 1.0, "Q": 0.5}), X_SPH),
     (builtin_potential("coulomb", {"Q": 0.5}), X_SPH),
-    (builtin_potential("uniform_b", {"B": 1.5}), X_CART),
 ], ids=["minkowski-spherical", "schwarzschild", "reissner_nordstrom",
-        "coulomb", "uniform_b"])
+        "coulomb"])
 def test_point_dependent_packs_are_fresh(field, x):
     assert field.pack(x) is not field.pack(x)
-    assert not vars(field.pack(x)).keys() - {"g", "dg", "d2g", "A", "dA", "d2A"}
+    assert not vars(field.pack(x)).keys() - {"g", "dg", "d2g", "dA", "d2A"}
 
 
 def test_shared_pack_is_read_only():
     # a write into the one pack every point shares raises, inputs and
     # derived tensors alike, and so does one through a frame
     cart, zero = builtin_metric("minkowski"), builtin_potential("zero")
-    for pack in (cart.pack(X_CART), zero.pack(X_CART)):
+    packs = [cart.pack(X_CART)] + [pot.pack(X_CART)
+                                   for pot, _ in CONSTANT_POTENTIALS]
+    for pack in packs:
         for name, value in vars(pack).items():
             assert not value.flags.writeable, name
             with pytest.raises(ValueError, match="read-only"):
@@ -287,6 +331,10 @@ def test_shared_pack_is_read_only():
         frame.dF[...] *= 2.0
     np.testing.assert_array_equal(cart.pack(X_CART).gamma, 0.0)
     np.testing.assert_array_equal(zero.pack(X_CART).dF, 0.0)
+    uniform_b = CONSTANT_POTENTIALS[1][0]
+    with pytest.raises(ValueError, match="read-only"):
+        field_frame(cart, uniform_b, X_CART).F[1, 2] = 0.0
+    assert uniform_b.pack(X_CART).F[1, 2] == 1.5
 
 
 def test_read_once_attribute_behaves_like_functools():
@@ -367,6 +415,6 @@ def test_callable_potential_matches_catalog():
 
     pot = potential_from_callable(afn, coords="spherical")
     ref = builtin_potential("coulomb", {"Q": 0.5})
-    np.testing.assert_allclose(pot.pack(X_SPH).A, ref.pack(X_SPH).A, rtol=1e-15)
-    np.testing.assert_allclose(pot.pack(X_SPH).dA, ref.pack(X_SPH).dA, rtol=1e-15)
-    np.testing.assert_allclose(pot.pack(X_SPH).d2A, ref.pack(X_SPH).d2A, rtol=1e-15)
+    for name in ("dA", "d2A", "F"):
+        np.testing.assert_allclose(getattr(pot.pack(X_SPH), name),
+                                   getattr(ref.pack(X_SPH), name), rtol=1e-15)

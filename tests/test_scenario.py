@@ -216,9 +216,10 @@ def test_load_from_file_and_resolve(tmp_path):
 
 
 def test_non_finite_numbers_rejected(tmp_path):
-    # json reads NaN and Infinity and the schema's "number" admits them;
-    # the scenario refuses them, named by path, from a dict or a file
-    nan, inf = float("nan"), float("inf")
+    # json reads NaN, Infinity and ints past the float range, and the
+    # schema's "number" admits them; the scenario refuses them, named by
+    # path, from a dict or a file
+    nan, inf, huge = float("nan"), float("inf"), 10 ** 400
     for data, path in ((_minimal(alpha=nan), "alpha"),
                        (_minimal(nonspray_perturbation=-inf),
                         "nonspray_perturbation"),
@@ -228,6 +229,24 @@ def test_non_finite_numbers_rejected(tmp_path):
                         "integrator/t_span/1"),
                        (_minimal(metric={"name": "schwarzschild",
                                          "params": {"M": nan}}),
+                        "metric/params/M"),
+                       (_minimal(alpha=huge), "alpha"),
+                       (_minimal(nonspray_perturbation=-huge),
+                        "nonspray_perturbation"),
+                       (_minimal(initial={"x0": [0, huge, 0, 0]}),
+                        "initial/x0/1"),
+                       (_minimal(initial={"y0": [huge, 0, 0, 0]}),
+                        "initial/y0/0"),
+                       (_minimal(integrator={"t_span": [0, huge]}),
+                        "integrator/t_span/1"),
+                       (_minimal(sampling={"box": [[0, 1], [0, huge],
+                                                   [0, 1], [0, 1]]}),
+                        "sampling/box/1/1"),
+                       (_minimal(deviation={"w0": [0, 0, huge, 0],
+                                            "v0": [0, 0, 0, 0]}),
+                        "deviation/w0/2"),
+                       (_minimal(metric={"name": "schwarzschild",
+                                         "params": {"M": huge}}),
                         "metric/params/M")):
         with pytest.raises(ScenarioError,
                            match=f"at {path}: numbers must be finite"):
@@ -237,7 +256,9 @@ def test_non_finite_numbers_rejected(tmp_path):
                  '{"id": "bad", "metric": {"name": "minkowski"}, '
                  '"initial": {"y0": [NaN, 0, 0, 0]}}',
                  '{"id": "bad", "metric": {"name": "minkowski"}, '
-                 '"alpha": -Infinity}'):
+                 '"alpha": -Infinity}',
+                 '{"id": "bad", "metric": {"name": "minkowski"}, '
+                 '"initial": {"x0": [0, 1' + "0" * 400 + ', 0, 0]}}'):
         path = tmp_path / "bad.json"
         path.write_text(text)
         with pytest.raises(ScenarioError, match="numbers must be finite"):

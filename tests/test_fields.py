@@ -313,6 +313,20 @@ def test_point_dependent_packs_are_fresh(field, x):
     assert not vars(field.pack(x)).keys() - {"g", "dg", "d2g", "dA", "d2A"}
 
 
+@pytest.mark.parametrize("field", [builtin_metric("minkowski")]
+                         + [pot for pot, _ in CONSTANT_POTENTIALS],
+                         ids=["minkowski"] + [pot.name
+                                              for pot, _ in CONSTANT_POTENTIALS])
+def test_point_independent_packs_are_shared(field):
+    # the counterpart of the fresh packs above: one pack for every point,
+    # its derived tensors already built
+    pack = field.pack(X_CART)
+    assert pack is field.pack(X_CART)
+    assert pack is field.pack(2.0 * X_CART)
+    built = set(vars(pack))
+    assert built == {f.name for f in fields(pack)} | _derived(pack).keys()
+
+
 def test_shared_pack_is_read_only():
     # a write into the one pack every point shares raises, inputs and
     # derived tensors alike, and so does one through a frame

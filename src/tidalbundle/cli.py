@@ -9,12 +9,12 @@ Subcommands
     list       show catalog fields and built-in scenarios
 
 Exit codes: 0 success, 1 verification failures, 2 bad input (scenario,
-chart, or argument errors), 3 integration left the chart early (partial
-output is still written).  Set TIDAL_LOG=info (or debug) for progress
-messages on stderr, among them the right-hand-side count, the accepted
-and rejected step counts and the shortest and longest accepted step of
-simulate and deviate.  Text written to stdout is UTF-8 in any locale, the
-bytes --out would write.
+chart, or argument errors, or a non-finite compute result), 3 integration
+left the chart early (partial output is still written).  Set TIDAL_LOG=info
+(or debug) for progress messages on stderr, among them the right-hand-side
+count, the accepted and rejected step counts and the shortest and longest
+accepted step of simulate and deviate.  Text written to stdout is UTF-8 in
+any locale, the bytes --out would write.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from .dynamics import (integrate_deviation_tidal, integrate_worldline,
                        trajectory_csv)
 from .errors import TidalError
 from .fields import METRIC_CATALOG, POTENTIAL_CATALOG
-from .scenario import (BUILTIN_IDS, DEFAULT_SUITE, builtin_scenario,
-                       resolve_scenario, scenario_defaults)
+from .scenario import (BUILTIN_IDS, DEFAULT_SUITE, _non_finite,
+                       builtin_scenario, resolve_scenario, scenario_defaults)
 from .svg import line_plot
 from .tensors import PhasePoint
 from .verify import (DEFAULT_ALPHAS, alpha_sweep, report_json,
@@ -145,6 +145,10 @@ def cmd_compute(args) -> int:
             "torsion_max": float(np.max(np.abs(tp.torsion))),
         },
     }
+    bad = _non_finite(payload)
+    if bad is not None:
+        raise SystemExit2("compute result is not finite at "
+                          + "/".join(str(k) for k in bad))
     _emit(report_json(payload), args.out)
     return EXIT_OK
 

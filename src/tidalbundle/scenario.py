@@ -1,10 +1,10 @@
 """Scenario files: a metric, a potential, a coupling, and run parameters.
 
-A scenario is the single unit of configuration every command consumes.  A
-scenario file given by path, or a dict, is validated against the shipped
-schema; the built-in files ship with the package and are schema-checked by
-the test suite instead, so jsonschema is imported only for outside data.
-Every scenario, built-ins included, is then checked semantically: numbers
+A scenario is the single unit of configuration every command consumes.
+Built-ins, files given by path and dicts take one load path: the data is
+checked against the shipped schema by a small in-repo validator, which
+words its error as jsonschema's `best_match` would, so numpy is the only
+runtime dependency.  Then every scenario is checked semantically: numbers
 must be finite, catalog names must resolve, the charts of metric and
 potential must match, the initial point must pass the chart guard, and the
 initial fiber must be non-null after optional normalization.  Scenario
@@ -13,9 +13,9 @@ files are UTF-8, the JSON encoding.
 
 from __future__ import annotations
 
-import functools
 import importlib.resources
 import json
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -85,16 +85,70 @@ class Scenario:
         return self.w0 is not None
 
 
-@functools.cache
-def _validator():
-    """The scenario schema's validator, checked against its metaschema once."""
-    import jsonschema
+# read once, at import; _schema_errors checks every scenario against it
+_SCHEMA = json.loads((importlib.resources.files("tidalbundle")
+                      / "schemas/scenario.schema.json").read_text("utf-8"))
+_TYPES = {"object": dict, "array": list, "string": str,
+          "number": numbers.Number, "boolean": bool, "null": type(None)}
 
-    ref = importlib.resources.files("tidalbundle") / "schemas/scenario.schema.json"
-    schema = json.loads(ref.read_text(encoding="utf-8"))
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+
+def _is_type(value, name) -> bool:
+    """JSON Schema's type test: a bool is no number, and 2.0 is an integer."""
+    if isinstance(value, bool) and name != "boolean":
+        return False
+    if name == "integer":
+        return isinstance(value, int) or (isinstance(value, float)
+                                          and value.is_integer())
+    return isinstance(value, _TYPES[name])
+
+
+def _schema_errors(value, schema, path=()):
+    """Yield (path, message) for each way value breaks schema, worded and
+    ordered as jsonschema yields them: the schema's keywords in file order.
+    Only the keywords the shipped schema uses are read."""
+    for key, want in schema.items():
+        if key == "$ref":                                # "#/$defs/<name>"
+            yield from _schema_errors(
+                value, _SCHEMA["$defs"][want.rpartition("/")[2]], path)
+        elif key == "type":
+            types = want if isinstance(want, list) else [want]
+            if not any(_is_type(value, t) for t in types):
+                yield path, (f"{value!r} is not of type "
+                             f"{', '.join(map(repr, types))}")
+        elif key == "enum":
+            if not any(v == value and isinstance(v, bool) == isinstance(
+                    value, bool) for v in want):
+                yield path, f"{value!r} is not one of {want!r}"
+        elif (key in ("minItems", "minLength") and isinstance(
+                value, list if key == "minItems" else str) and len(value) < want):
+            yield path, (f"{value!r} should be non-empty" if want == 1
+                         else f"{value!r} is too short")
+        elif key == "maxItems" and isinstance(value, list) and len(value) > want:
+            yield path, (f"{value!r} is expected to be empty" if want == 0
+                         else f"{value!r} is too long")
+        elif key == "minimum" and _is_type(value, "number") and value < want:
+            yield path, f"{value!r} is less than the minimum of {want!r}"
+        elif key == "exclusiveMinimum" and _is_type(value, "number") and value <= want:
+            yield path, f"{value!r} is less than or equal to the minimum of {want!r}"
+        elif key == "items" and isinstance(value, list):
+            for i, item in enumerate(value):
+                yield from _schema_errors(item, want, path + (i,))
+        elif not isinstance(value, dict):
+            continue
+        elif key == "required":
+            yield from ((path, f"{name!r} is a required property")
+                        for name in want if name not in value)
+        elif key == "properties":
+            for name, sub in want.items():
+                if name in value:
+                    yield from _schema_errors(value[name], sub, path + (name,))
+        elif key == "additionalProperties":
+            extra = sorted((k for k in value if k not in schema["properties"]),
+                           key=str)
+            if extra:
+                yield path, ("Additional properties are not allowed ("
+                             f"{', '.join(map(repr, extra))} "
+                             f"{'was' if len(extra) == 1 else 'were'} unexpected)")
 
 
 def _non_finite(value, path=()):
@@ -135,24 +189,17 @@ def _fill_defaults(data: dict) -> dict:
 
 
 def scenario_from_dict(data: dict, source="<dict>") -> Scenario:
-    """Schema-check scenario data from outside the package, then build it."""
-    import jsonschema
-
-    # what jsonschema.validate does, without rebuilding the validator
-    e = jsonschema.exceptions.best_match(_validator().iter_errors(data))
-    if e is not None:
-        path = "/".join(str(p) for p in e.absolute_path) or "<root>"
-        raise ScenarioError(f"{source}: invalid scenario at {path}: {e.message}")
-    return _build(data, source)
-
-
-def _build(data: dict, source: str) -> Scenario:
-    """Every check after the schema's, then the Scenario itself."""
-    bad = _non_finite(data)
+    """Check scenario data against the schema and semantically, then build
+    it: the one path of built-ins, files given by path and dicts."""
+    # jsonschema's best_match: the shortest path, then the greatest; on a
+    # full tie the first error yielded
+    bad = max(_schema_errors(data, _SCHEMA), default=None,
+              key=lambda e: (-len(e[0]), e[0]))
+    if bad is None and (where := _non_finite(data)) is not None:
+        bad = where, "numbers must be finite"
     if bad is not None:
-        path = "/".join(str(p) for p in bad) or "<root>"
-        raise ScenarioError(
-            f"{source}: invalid scenario at {path}: numbers must be finite")
+        path = "/".join(str(p) for p in bad[0]) or "<root>"
+        raise ScenarioError(f"{source}: invalid scenario at {path}: {bad[1]}")
 
     data = _fill_defaults(data)
 
@@ -246,9 +293,8 @@ def builtin_scenario(scenario_id: str) -> Scenario:
             f"available: {', '.join(BUILTIN_IDS)}")
     ref = (importlib.resources.files("tidalbundle")
            / f"scenarios/{scenario_id}.json")
-    # shipped files are schema-checked by the test suite, not at every start
-    return _build(json.loads(ref.read_text(encoding="utf-8")),
-                  source=f"builtin:{scenario_id}")
+    return scenario_from_dict(json.loads(ref.read_text(encoding="utf-8")),
+                              source=f"builtin:{scenario_id}")
 
 
 def builtin_scenarios(ids=DEFAULT_SUITE):

@@ -360,7 +360,7 @@ def _trace_split(b):
                       b.assembly_scale))
 
 
-def full_trace_rhs(bench, rho_m=0.0, matter_trace=0.0):
+def full_trace_rhs(bench):
     """Right side of the fully contracted field equation at alpha != 0.
 
     One value per coupling in bench.nonzero.  Assembles the
@@ -376,11 +376,9 @@ def full_trace_rhs(bench, rho_m=0.0, matter_trace=0.0):
     F_vec_sq = float(F_up @ (b.frame.g @ F_up))
     lbox = (b.div_phase[at] + a2 * (0.25 * b.F_sq * b.nrm2
                                     - b.eps * F_vec_sq)) / b.nrm2
-    rhs = (2.0 * b.eps / a2 * lbox
-           - (2.0 / b.nrm2) * ((b.eps / a2 + 1.0) * b.td.divergence[at]
-                               - 0.5 * b.quad[at])
-           - 8.0 * np.pi * (rho_m - 0.5 * b.eps * matter_trace))
-    return rhs
+    return (2.0 * b.eps / a2 * lbox
+            - (2.0 / b.nrm2) * ((b.eps / a2 + 1.0) * b.td.divergence[at]
+                                - 0.5 * b.quad[at]))
 
 
 def _einstein(b):

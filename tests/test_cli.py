@@ -330,6 +330,23 @@ def test_bad_inputs_exit_two(tmp_path, capsys):
     assert main(["compute", "--scenario", str(huge)]) == 2
     assert capsys.readouterr().err == (
         f"error: {huge}: invalid scenario at alpha: numbers must be finite\n")
+    # a scenario the loader accepts whose compute result is not finite: a
+    # 1e300 fiber component, left unnormalized, or a 1e300 coupling
+    src = Path(tidalbundle.__file__).parent / "scenarios"
+    for name, edit, where in (
+            ("cyclotron", {"initial": {"x0": [0.0, 0.0, 0.0, 0.0],
+                                       "y0": [1e300, 0.1, 0, 0],
+                                       "normalize": "none"}}, "point/norm"),
+            ("reissner_nordstrom", {"alpha": 1e300},
+             "curvature/nonlinear_curvature/0/0/0")):
+        path = tmp_path / f"{name}_1e300.json"
+        path.write_text(json.dumps({**json.loads(
+            (src / f"{name}.json").read_text()), **edit}))
+        with np.errstate(all="ignore"):
+            assert main(["compute", "--scenario", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == (
+            "", f"error: compute result is not finite at {where}\n")
     # so are bytes that are not UTF-8, and nesting past the parser's depth
     for name, raw in (("latin.json", b'\xff\xfe{"id": "x"}'),
                       ("deep.json", b"[" * 100_000 + b"]" * 100_000)):
@@ -387,11 +404,10 @@ def test_console_script_entry_point(tmp_path):
 
 
 def test_commands_leave_scipy_integrate_unloaded(tmp_path):
-    # no command loads scipy, and none loads jsonschema on built-in
-    # scenarios: importing the package, list, a command that does not
-    # integrate, both integrating commands on rk45-adaptive and a one-point
-    # verify; a scenario file given by path is schema-checked, so only the
-    # closing compute on a written copy loads jsonschema
+    # no command loads scipy or jsonschema: importing the package, list, a
+    # command that does not integrate, both integrating commands on
+    # rk45-adaptive, a one-point verify, and a compute on a scenario file
+    # given by path, which the in-repo schema check reads
     src = Path(tidalbundle.__file__).parents[1]
     written = shutil.copy(src / "tidalbundle" / "scenarios" / "cyclotron.json",
                           tmp_path / "written.json")
@@ -415,7 +431,44 @@ def test_commands_leave_scipy_integrate_unloaded(tmp_path):
     # verify prints its summary table to stdout too
     loaded = [line for line in proc.stdout.splitlines()
               if line.startswith("loaded ")]
-    assert loaded == ["loaded False False"] * 6 + ["loaded False True"]
+    assert loaded == ["loaded False False"] * 7
+
+
+def test_runs_where_jsonschema_cannot_be_imported(tmp_path):
+    # numpy is the only runtime dependency: with `import jsonschema`
+    # raising, a scenario file given by path computes the built-in's bytes,
+    # an invalid one is refused with the words jsonschema would give, and
+    # verify runs on it
+    src = Path(tidalbundle.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    block = "import sys; sys.modules['jsonschema'] = None\n"
+    proc = subprocess.run([sys.executable, "-c", block + "import jsonschema"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1 and "ModuleNotFoundError" in proc.stderr
+
+    def tidal(*argv):
+        code = block + "from tidalbundle.cli import main\nsys.exit(main())\n"
+        return subprocess.run([sys.executable, "-c", code, *argv],
+                              capture_output=True, env=env)
+
+    shipped = src / "tidalbundle" / "scenarios" / "reissner_nordstrom.json"
+    copy = shutil.copy(shipped, tmp_path / "rn.json")
+    builtin = tidal("compute", "--scenario", "reissner_nordstrom")
+    assert builtin.returncode == 0, builtin.stderr
+    by_path = tidal("compute", "--scenario", str(copy))
+    assert (by_path.returncode, by_path.stdout, by_path.stderr) == (
+        0, builtin.stdout, b"")
+    invalid = tmp_path / "invalid.json"
+    invalid.write_text(json.dumps({**json.loads(shipped.read_text()),
+                                   "alpha": "big"}))
+    proc = tidal("compute", "--scenario", str(invalid))
+    assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (
+        2, b"", f"error: {invalid}: invalid scenario at alpha: 'big' is not "
+        "of type 'number'\n")
+    proc = tidal("verify", "--scenario", str(copy), "--points", "1", "--out",
+                 str(tmp_path / "report.json"))
+    assert proc.returncode == 0, proc.stderr
+    assert b"0 failed" in proc.stdout
 
 
 def _mu_scenario_ascii_locale(tmp_path):

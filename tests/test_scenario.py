@@ -1,13 +1,15 @@
+import ast
 import dataclasses
 import json
+import random
 import shutil
 from importlib import resources
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 import pytest
 
+import tidalbundle
 from tidalbundle import scenario
 from tidalbundle.errors import ScenarioError
 from tidalbundle.fields import MetricField, PotentialField
@@ -16,9 +18,20 @@ from tidalbundle.scenario import (BUILTIN_IDS, DEFAULT_SUITE, Scenario,
                                   load_scenario, resolve_scenario,
                                   scenario_defaults, scenario_from_dict)
 
+try:
+    import jsonschema
+except ImportError:
+    jsonschema = None
+
+# jsonschema is a test extra: it is the reference the in-repo schema check
+# is compared with, and the tests that need it skip where it is missing
+needs_jsonschema = pytest.mark.skipif(jsonschema is None,
+                                      reason="jsonschema is not installed")
+
 SHIPPED = resources.files("tidalbundle") / "scenarios"
 SHIPPED_FILES = sorted(f.name for f in SHIPPED.iterdir()
                        if f.name.endswith(".json"))
+SCHEMA_FILE = resources.files("tidalbundle") / "schemas/scenario.schema.json"
 
 
 def _minimal(**extra):
@@ -106,6 +119,20 @@ def test_bad_integrator_rejected():
         scenario_from_dict(data)
 
 
+def _jsonschema_words(data, schema=None):
+    """What scenario_from_dict must say of data: jsonschema's best_match
+    against the shipped schema, or None where jsonschema accepts it."""
+    if schema is None:
+        schema = json.loads(SCHEMA_FILE.read_text(encoding="utf-8"))
+    e = jsonschema.exceptions.best_match(
+        jsonschema.Draft202012Validator(schema).iter_errors(data))
+    if e is None:
+        return None
+    path = "/".join(str(p) for p in e.absolute_path) or "<root>"
+    return f"doc.json: invalid scenario at {path}: {e.message}"
+
+
+@needs_jsonschema
 @pytest.mark.parametrize("data", [
     _minimal(extra_knob=1),                                  # extra key
     _minimal(alpha="big"),                                   # wrong type
@@ -130,29 +157,137 @@ def test_schema_errors_match_jsonschema_validate(data):
     assert str(got.value) == f"doc.json: invalid scenario at {path}: {e.message}"
 
 
-def test_validator_is_built_and_checked_once(monkeypatch, tmp_path):
-    cls = jsonschema.Draft202012Validator
-    check = cls.check_schema
-    checked = []
-    monkeypatch.setattr(cls, "check_schema", classmethod(
-        lambda klass, schema: checked.append(schema) or check(schema)))
-    scenario._validator.cache_clear()
+# what a mutation may put in: every type, each schema bound and its edge
+_FUZZ_VALUES = ("null", "true", "false", "0", "1", "2", "2.0", "-0.5", "1e300",
+                '""', '"x"', '"none"', '"rk4-fixed"', "[]", "[1]", "[true, 0]",
+                "[0, 0, 0, 0]", "[0, 1, 2, 3, 4]", "{}", '{"name": "zero"}')
+_FUZZ_KEYS = ("extra", "aa", "zz", "id", "w0", "step")
+
+
+def _mutated(doc, rng):
+    """A copy of doc with one to three random edits, each a value replaced,
+    a key or item dropped, or a key or item added."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(rng.randint(1, 3)):
+        # walk down from the root, stopping at random
+        node, key = doc, None
+        while True:
+            keys = list(node) if isinstance(node, dict) else range(len(node))
+            key = rng.choice(keys) if keys and rng.random() < 0.8 else None
+            if (key is None or not isinstance(node[key], (dict, list))
+                    or rng.random() < 0.3):
+                break
+            node = node[key]
+        value = json.loads(rng.choice(_FUZZ_VALUES))
+        if key is None and isinstance(node, dict):
+            node[rng.choice(_FUZZ_KEYS)] = value
+        elif key is None:
+            node.append(value)
+        elif rng.random() < 0.2:
+            del node[key]
+        else:
+            node[key] = value
+    return doc
+
+
+@needs_jsonschema
+def test_schema_errors_match_jsonschema_on_mutated_builtins():
+    # every refusal is worded as jsonschema's best_match words it, and
+    # every document jsonschema accepts passes the schema check
+    builtins = [json.loads((SHIPPED / f"{sid}.json").read_text("utf-8"))
+                for sid in BUILTIN_IDS]
+    validator = jsonschema.Draft202012Validator(
+        json.loads(SCHEMA_FILE.read_text(encoding="utf-8")))
+    keywords, accepted = set(), 0
+    for seed in (0, 1):
+        rng = random.Random(seed)
+        for _ in range(2000):
+            doc = _mutated(rng.choice(builtins), rng)
+            e = jsonschema.exceptions.best_match(validator.iter_errors(doc))
+            if e is None:
+                accepted += 1
+                assert list(scenario._schema_errors(doc, scenario._SCHEMA)) \
+                    == [], doc
+                continue
+            keywords.add(e.validator)
+            path = "/".join(str(p) for p in e.absolute_path) or "<root>"
+            with pytest.raises(ScenarioError) as got:
+                scenario_from_dict(doc, source="doc.json")
+            assert str(got.value) == (
+                f"doc.json: invalid scenario at {path}: {e.message}"), doc
+    # the fuzz reaches every keyword that can fail, and accepts some
+    assert keywords == {"type", "enum", "required", "additionalProperties",
+                        "minItems", "maxItems", "minLength", "minimum",
+                        "exclusiveMinimum"}
+    assert 0 < accepted < 4000
+
+
+def test_schema_uses_only_supported_keywords():
+    # the in-repo check reads only these keywords, so a schema edit that
+    # adds another (anyOf, pattern, ...) must fail here, not be ignored
+    schema = json.loads(SCHEMA_FILE.read_text(encoding="utf-8"))
+    assert schema == scenario._SCHEMA
+    checked = {"type", "enum", "required", "properties",
+               "additionalProperties", "items", "minItems", "maxItems",
+               "minLength", "minimum", "exclusiveMinimum", "$ref"}
+    types = {"object", "array", "string", "number", "integer", "boolean",
+             "null"}
+    assert set(schema) - checked == {"$schema", "$id", "title", "version",
+                                     "$defs"}
+    todo = [{k: v for k, v in schema.items() if k in checked},
+            *schema["$defs"].values()]
+    while todo:
+        node = todo.pop()
+        assert set(node) <= checked, node
+        for t in ([node["type"]] if isinstance(node.get("type"), str)
+                  else node.get("type", [])):
+            assert t in types, node
+        if "additionalProperties" in node:
+            assert node["additionalProperties"] is False, node
+            assert "properties" in node, node
+        if "$ref" in node:
+            assert node["$ref"].startswith("#/$defs/"), node
+            assert node["$ref"].removeprefix("#/$defs/") in schema["$defs"]
+        todo += node.get("properties", {}).values()
+        todo += [node["items"]] if "items" in node else []
+
+
+@needs_jsonschema
+def test_shipped_schema_passes_its_metaschema():
+    schema = json.loads(SCHEMA_FILE.read_text(encoding="utf-8"))
+    cls = jsonschema.validators.validator_for(schema)
+    assert cls is jsonschema.Draft202012Validator
+    cls.check_schema(schema)
+
+
+@needs_jsonschema
+def test_schema_is_read_once(monkeypatch, tmp_path):
+    # the schema is read at import: loading every built-in and a copy of
+    # each by path, three times over, opens no schema file
+    opened = []
+    read_text = Path.read_text
+    monkeypatch.setattr(Path, "read_text", lambda self, *a, **k: opened.append(
+        self.name) or read_text(self, *a, **k))
     paths = [shutil.copy(SHIPPED / f"{sid}.json", tmp_path)
              for sid in BUILTIN_IDS]
     for _ in range(3):
-        for path in paths:
+        for sid, path in zip(BUILTIN_IDS, paths):
+            builtin_scenario(sid)
             load_scenario(path)
-    info = scenario._validator.cache_info()
-    assert len(checked) == 1 and checked[0]["$schema"].endswith("2020-12/schema")
-    # one validation per file given by path
-    assert (info.misses, info.hits) == (1, 3 * len(paths) - 1)
-    # built-ins ship with the package: schema-checked by
-    # test_shipped_scenario_matches_schema, never at run time
-    scenario._validator.cache_clear()
-    for sid in BUILTIN_IDS:
-        builtin_scenario(sid)
-    info = scenario._validator.cache_info()
-    assert (info.misses, info.hits) == (0, 0) and len(checked) == 1
+    assert "scenario.schema.json" not in opened
+    assert opened.count("cyclotron.json") == 3     # built-ins are read
+    # and the check takes its rules from that schema, not from code: with
+    # alpha made required, a scenario without one is refused as jsonschema
+    # refuses it
+    strict = {**scenario._SCHEMA,
+              "required": [*scenario._SCHEMA["required"], "alpha"]}
+    monkeypatch.setattr(scenario, "_SCHEMA", strict)
+    want = _jsonschema_words(_minimal(), strict)
+    assert want == "doc.json: invalid scenario at <root>: " \
+        "'alpha' is a required property"
+    with pytest.raises(ScenarioError) as got:
+        scenario_from_dict(_minimal(), source="doc.json")
+    assert str(got.value) == want
 
 
 def test_shipped_scenario_files_are_the_builtins():
@@ -173,22 +308,42 @@ def _assert_same_scenario(a, b):
             assert x == y, f.name
 
 
+@needs_jsonschema
 @pytest.mark.parametrize("name", SHIPPED_FILES)
 def test_shipped_scenario_matches_schema(name, tmp_path):
-    # the schema check builtin_scenario leaves out at run time
+    # jsonschema, the reference, accepts every shipped file
     data = json.loads((SHIPPED / name).read_text(encoding="utf-8"))
-    assert list(scenario._validator().iter_errors(data)) == []
-    # so a copy given by path, schema-checked, builds the same scenario
+    assert _jsonschema_words(data) is None
+    # a built-in and a copy given by path take one path and build the same
     path = shutil.copy(SHIPPED / name, tmp_path)
     _assert_same_scenario(load_scenario(path),
                           builtin_scenario(name.removesuffix(".json")))
-    # and the check has teeth: the same file with an unknown key is refused
-    Path(path).write_text(json.dumps({**data, "extra_knob": 1}))
-    with pytest.raises(ScenarioError) as got:
-        load_scenario(path)
+    # and the check has teeth: the same file with unknown keys is refused,
+    # worded as jsonschema words it
+    for extra in ({"extra_knob": 1}, {"zz": 1, "extra_knob": 2}):
+        Path(path).write_text(json.dumps({**data, **extra}))
+        with pytest.raises(ScenarioError) as got:
+            load_scenario(path)
+        assert str(got.value) == _jsonschema_words(
+            {**data, **extra}).replace("doc.json", str(path), 1)
     assert str(got.value) == (
         f"{path}: invalid scenario at <root>: Additional properties are not "
-        "allowed ('extra_knob' was unexpected)")
+        "allowed ('extra_knob', 'zz' were unexpected)")
+
+
+def test_no_module_imports_jsonschema():
+    # numpy is the only runtime dependency: the scenario schema is checked
+    # in-repo, and jsonschema is a test extra
+    offenders = []
+    for path in Path(tidalbundle.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([a.name for a in node.names]
+                     if isinstance(node, ast.Import)
+                     else [node.module or ""]
+                     if isinstance(node, ast.ImportFrom) else [])
+            offenders += [(path.name, node.lineno) for n in names
+                          if n.split(".")[0] == "jsonschema"]
+    assert offenders == []
 
 
 def test_deviation_requires_both_vectors():

@@ -54,20 +54,18 @@ class FieldFrame:
     """Base-point snapshot of the metric and potential with derivatives.
 
     Fiber-independent; one frame serves every y and alpha at its point.
-    zeros holds what the fields declare identically zero (see fields),
-    read as three facts: flat (dg = 0, so gamma and dgamma vanish),
-    uniform (dF = 0) and field_free (F = 0).  Only field_frame sets it,
-    from the fields' own declarations; a frame built directly declares
-    nothing.
+    Three facts read the zeros its packs report (see fields): flat (dg =
+    0, so gamma and dgamma vanish), uniform (dF = 0) and field_free (F =
+    0).  Each is one membership test on one pack, so a frame built
+    directly from packs reads what field_frame's does.
     """
 
     metric_pack: MetricPack
     potential_pack: PotentialPack
-    zeros = frozenset()
 
-    flat = property(lambda self: "dg" in self.zeros)
-    uniform = property(lambda self: "d2A" in self.zeros)
-    field_free = property(lambda self: "F" in self.zeros)
+    flat = property(lambda self: "dg" in self.metric_pack.zeros)
+    uniform = property(lambda self: "d2A" in self.potential_pack.zeros)
+    field_free = property(lambda self: "F" in self.potential_pack.zeros)
 
     g = property(lambda self: self.metric_pack.g)
     ginv = property(lambda self: self.metric_pack.ginv)
@@ -97,10 +95,8 @@ def field_frame(metric: MetricField, potential: PotentialField, x,
         raise FrameMismatchError(
             f"{metric.name} uses {metric.coords} coordinates but "
             f"{potential.name} expects {potential.coords}")
-    frame = FieldFrame(metric.pack(x, check=check),
-                       potential.pack(x, check=check))
-    object.__setattr__(frame, "zeros", metric.zeros | potential.zeros)
-    return frame
+    return FieldFrame(metric.pack(x, check=check),
+                      potential.pack(x, check=check))
 
 
 def phase_point(metric: MetricField, x, y) -> PhasePoint:
@@ -124,8 +120,8 @@ class FiberParts:
     the worldline right-hand side first, reads; the rest is built on first
     read.  The curvature channel (dB, dB1, R3, E) differentiates the base
     dependence in closed form, so it reads the plain frame arrays whether
-    y is plain or a fiber-seeded Jet, and builds no term the frame
-    declares identically zero (flat, uniform, field_free; see R3).
+    y is plain or a fiber-seeded Jet, and builds no term the frame's
+    packs report zero (flat, uniform, field_free; see R3).
 
     alpha may be a 1-D array of couplings.  Then every coupling-dependent
     tensor carries a coupling axis that follows the jet axes and leads
@@ -251,7 +247,7 @@ class FiberParts:
 
     @cached_property
     def R3(self):
-        """The curvature of N, skipping what the frame declares zero.
+        """The curvature of N, skipping what the frame's packs report zero.
 
         dN = dn1 + dB1: dn1 vanishes on a flat frame, and dB1 on a
         field-free one or a flat one with a uniform field.  A field-free
@@ -345,8 +341,8 @@ def phase_context(frame: FieldFrame, alpha, y):
 class PhaseFieldSpec:
     """A tensor field on the tangent bundle given by its jet components.
 
-    variance: one character per slot, 'u' (contravariant) or 'd'
-    (covariant); '' for scalars.  build maps a phase_context to a Jet of
+    variance: '' for a scalar, 'u' for a vector, 'd' for a covector;
+    any other is refused.  build maps a phase_context to a Jet of
     coordinate components.
 
     Over a batch of couplings the context's coupling-dependent reads
@@ -361,6 +357,11 @@ class PhaseFieldSpec:
 
     variance: str
     build: object
+
+    def __post_init__(self):
+        if self.variance not in ("", "u", "d"):
+            raise ValueError(f"phase field variance must be '', 'u' or "
+                             f"'d', got {self.variance!r}")
 
 
 unit_direction_low = PhaseFieldSpec("d", lambda ctx: ctx.l_low)
@@ -457,11 +458,11 @@ def _covariant(frame, ctx, field, reference):
     """The covariant derivative on the phase tier ctx, coupling axis first.
 
     Every operand gets a coupling axis (length 1 where it is
-    coupling-free) and broadcasts over it.  The connection terms are one
-    stacked matmul per slot: the product np.tensordot takes at one
-    coupling, so a batch equals its couplings bit for bit.
+    coupling-free) and broadcasts over it.  A vector or covector adds one
+    connection term, a stacked matmul: the product np.tensordot takes at
+    one coupling, so a batch equals its couplings bit for bit.
     """
-    T = field.build(ctx)
+    T, rank = field.build(ctx), len(field.variance)
     builds = [(T, np.shape(ctx.alpha))]
     if np.shape(ctx.alpha) == (DIM,):
         # a slot indexed as a coupling (ctx.B[0]) leaves a leading axis as
@@ -469,39 +470,29 @@ def _covariant(frame, ctx, field, reference):
         builds.append((field.build(phase_context(
             frame, ctx.alpha[:1], value_of(ctx.y))), (1,)))
     for built, couplings in builds:
-        lead = built.v.shape[:built.v.ndim - len(field.variance)]
+        lead = built.v.shape[:built.v.ndim - rank]
         if lead not in ((), couplings):
             raise ValueError(
                 f"phase field {field!r} built values with leading axes "
                 f"{lead}; expected none or the coupling axis {couplings}")
-    if reference == "base":
-        N_value = value_of(ctx.n1)
-        coeff = frame.gamma
-    else:
-        N_value = value_of(ctx.N)
-        coeff = value_of(ctx.Gaff)
-    rank = len(field.variance)
+    base = reference == "base"
+    N_value = value_of(ctx.n1 if base else ctx.N)
     N_value = N_value if N_value.ndim == 3 else N_value[None]
-    coeff = coeff if coeff.ndim == 4 else coeff[None]
     V, dT = (T.v, T.d) if T.v.ndim > rank else (T.v[None], T.d[:, None])
     # delta_k T = d_k T - N^l_k dT/dy^l, derivative axis moved last
     delta = (np.moveaxis(dT[X_DIRS], 0, 1)
              - einsum("alk,la...->ak...", N_value, dT[Y_DIRS]))
     out = np.moveaxis(delta, 1, -1)
-    for slot, ch in enumerate(field.variance):
-        # +G^i_mk T^..m.. or -G^m_jk T_..m.., summed over m as (ik, m) @ m
-        C = coeff.transpose(0, 1, 3, 2) if ch == "u" \
-            else coeff.transpose(0, 2, 3, 1)
-        Vs = np.moveaxis(V, slot + 1, -1)
-        term = (C.reshape(len(C), DIM * DIM, DIM)
-                @ Vs.reshape(len(Vs), -1, DIM).transpose(0, 2, 1))
-        term = term.reshape((-1, DIM, DIM) + Vs.shape[1:-1])
-        if ch == "d":
-            term = -term
-        # (coupling, slot axis, k, other slots): restore slot, push k last
-        term = np.moveaxis(np.moveaxis(term, 2, -1), 1, slot + 1)
-        out = out + term
-    return out
+    if not rank:
+        return out
+    coeff = frame.gamma if base else value_of(ctx.Gaff)
+    coeff = coeff if coeff.ndim == 4 else coeff[None]
+    # +G^i_mk T^m or -G^m_ik T_m, summed over m as (ik, m) @ m
+    up = field.variance == "u"
+    C = coeff.transpose(0, 1, 3, 2) if up else coeff.transpose(0, 2, 3, 1)
+    term = (C.reshape(len(C), DIM * DIM, DIM) @ V[..., None]).reshape(
+        -1, DIM, DIM)
+    return out + term if up else out - term
 
 
 # ---- public per-point operations: each reads one Sample -----------------
@@ -554,10 +545,10 @@ def d_covariant_derivative(metric, potential, alpha, p: PhasePoint, field,
                            reference="full"):
     """Covariant derivative along the adapted basis, derivative axis last.
 
-    For a field with components T^i..._j... the result adds, per slot,
-    +G^i_ak T^a or -G^a_jk T_a on top of the adapted derivative
-    delta_k = d/dx^k - N^l_k d/dy^l.  reference="base" uses the alpha = 0
-    coefficients (Levi-Civita transport) instead.
+    The field is a scalar, a vector T^i or a covector T_j (rank 0 or 1):
+    the result adds +G^i_ak T^a or -G^a_jk T_a on top of the adapted
+    derivative delta_k = d/dx^k - N^l_k d/dy^l.  reference="base" uses the
+    alpha = 0 coefficients (Levi-Civita transport) instead.
     """
     frame = field_frame(metric, potential, p.x)
     return Sample(frame, alpha, p.y).covariant(field, reference)

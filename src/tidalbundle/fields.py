@@ -22,21 +22,13 @@ uniform_b, uniform_e, pure_gauge) builds that pack once, with the field,
 and every pack(x) returns the same object.  Its derived tensors are read
 at build, so they too are computed once per field, and every array it
 holds is read-only: an in-place write raises instead of reaching every
-later point.  pack(x, check=True) still guards the point.
-
-A catalog field also declares which derived data its construction makes
-identically zero, in zeros, a set of three possible names:
-
-    "dg"   flat connection: Minkowski in its Cartesian chart, so gamma
-           and every base derivative of g vanish;
-    "d2A"  uniform field: the potentials linear in x (uniform_b,
-           uniform_e, pure_gauge) and zero, so dF vanishes;
-    "F"    field-free: zero, and pure_gauge, whose dA is symmetric.
-
-Only the catalog declares, and never by testing values: a field built
-with metric_from_callable or potential_from_callable declares nothing.
-field_frame carries the declarations into the frame, and the fiber
-tiers skip the terms they make zero (see connection.FiberParts).
+later point.  pack(x, check=True) still guards the point.  Such a pack
+also reports, in zeros, which of its data are exactly zero, and so zero
+everywhere: "dg" (with d2g: a flat connection, so gamma and every base
+derivative of g vanish), "d2A" (a uniform field: dF vanishes) and "F"
+(no field).  Callable fields, whose packs depend on the point, report
+none.  The frame reads these facts, and the fiber tiers skip the terms
+they make zero (see connection.FiberParts).
 
 Units: geometrized Gaussian, c = G = k_Coulomb = 1.  Charges and field
 strengths carry the same mass units as M.  A metric's coord_names follow
@@ -85,24 +77,27 @@ class cached_property:
         return value
 
 
+# each name a constant pack may report in zeros, with its zero arrays
+_ZERO_FACTS = {"dg": ("dg", "d2g"), "d2A": ("d2A",), "F": ("F",)}
+
+
 def _constant(pack):
     """The pack function of a field whose pack does not depend on x.
 
     Every derived tensor of pack is read here, once, and every array it
-    holds is made read-only, since all points share them.
+    holds is made read-only, since all points share them.  Its zeros are
+    recorded too.
     """
     for name, attr in vars(type(pack)).items():
         if isinstance(attr, cached_property):
             getattr(pack, name)
-    for array in vars(pack).values():
+    arrays = vars(pack)
+    for array in arrays.values():
         array.flags.writeable = False
+    object.__setattr__(pack, "zeros", frozenset(
+        fact for fact, names in _ZERO_FACTS.items()
+        if all(n in arrays and not arrays[n].any() for n in names)))
     return lambda x: pack
-
-
-def _declare(field, *zeros):
-    """field, declaring the derived data named in zeros identically zero."""
-    field.zeros = frozenset(zeros)
-    return field
 
 
 @dataclass(frozen=True)
@@ -110,6 +105,7 @@ class MetricPack:
     g: np.ndarray
     dg: np.ndarray
     d2g: np.ndarray
+    zeros = frozenset()  # none, unless _constant records a constant pack's
 
     @cached_property
     def ginv(self):
@@ -164,6 +160,7 @@ class PotentialPack:
 
     dA: np.ndarray
     d2A: np.ndarray
+    zeros = frozenset()
 
     @cached_property
     def F(self):
@@ -182,10 +179,7 @@ def _everywhere(x):
 
 class _GuardedField:
     """A field on one chart: its pack function and the chart's guard,
-    everywhere if margins_fn is None.  zeros names the derived data the
-    catalog declares identically zero (see the module docstring)."""
-
-    zeros = frozenset()
+    everywhere if margins_fn is None."""
 
     def __init__(self, name, params, coords, pack_fn, margins_fn=None):
         self.name = name
@@ -214,8 +208,7 @@ class _GuardedField:
 
 
 class MetricField(_GuardedField):
-    """Metric with guard and closed-form derivative evaluation; zeros is
-    {"dg"} for a flat connection, else empty."""
+    """Metric with guard and closed-form derivative evaluation."""
 
     _domain = "chart of metric"
 
@@ -247,8 +240,7 @@ class MetricField(_GuardedField):
 
 
 class PotentialField(_GuardedField):
-    """4-potential with guard and closed-form derivative evaluation; zeros
-    holds "d2A" for a uniform field, and "F" too for a field-free one."""
+    """4-potential with guard and closed-form derivative evaluation."""
 
     _domain = "domain of potential"
 
@@ -345,9 +337,8 @@ def builtin_metric(name, params=None) -> MetricField:
             flat = MetricPack(np.diag([-1.0, 1.0, 1.0, 1.0]),
                               np.zeros((DIM, DIM, DIM)),
                               np.zeros((DIM, DIM, DIM, DIM)))
-            return _declare(MetricField(
-                name, {"coordinates": coords}, "cartesian", _constant(flat),
-                is_flat=True), "dg")
+            return MetricField(name, {"coordinates": coords}, "cartesian",
+                               _constant(flat), is_flat=True)
         if coords == "spherical":
             return MetricField(
                 name, {"coordinates": coords}, "spherical",
@@ -407,8 +398,7 @@ def builtin_potential(name, params=None) -> PotentialField:
     if name == "zero":
         _read(POTENTIAL_CATALOG, name, params)
         none = PotentialPack(np.zeros((DIM, DIM)), np.zeros((DIM, DIM, DIM)))
-        return _declare(PotentialField(name, {}, "any", _constant(none)),
-                        "d2A", "F")
+        return PotentialField(name, {}, "any", _constant(none))
 
     if name == "uniform_b":
         B, axis = _read(POTENTIAL_CATALOG, name, params, axis="z")
@@ -416,9 +406,9 @@ def builtin_potential(name, params=None) -> PotentialField:
             raise ValueError(f"uniform_b axis must be x, y, or z, got {axis!r}")
         dA = np.zeros((DIM, DIM))
         dA[_B_COMPONENTS[axis]] = B
-        return _declare(PotentialField(
+        return PotentialField(
             name, {"B": B, "axis": axis}, "cartesian",
-            _constant(PotentialPack(dA, np.zeros((DIM, DIM, DIM))))), "d2A")
+            _constant(PotentialPack(dA, np.zeros((DIM, DIM, DIM)))))
 
     if name == "uniform_e":
         E, axis = _read(POTENTIAL_CATALOG, name, params, axis="x")
@@ -426,9 +416,9 @@ def builtin_potential(name, params=None) -> PotentialField:
             raise ValueError(f"uniform_e axis must be x, y, or z, got {axis!r}")
         dA = np.zeros((DIM, DIM))
         dA[_AXIS_INDEX[axis], 0] = -E
-        return _declare(PotentialField(
+        return PotentialField(
             name, {"E": E, "axis": axis}, "cartesian",
-            _constant(PotentialPack(dA, np.zeros((DIM, DIM, DIM))))), "d2A")
+            _constant(PotentialPack(dA, np.zeros((DIM, DIM, DIM)))))
 
     if name == "coulomb":
         Q, = _read(POTENTIAL_CATALOG, name, params)
@@ -449,10 +439,9 @@ def builtin_potential(name, params=None) -> PotentialField:
         c, = _read(POTENTIAL_CATALOG, name, params)
         dA = np.zeros((DIM, DIM))
         dA[2, 1] = dA[1, 2] = c
-        return _declare(PotentialField(
+        return PotentialField(
             name, {"c": c}, "cartesian",
-            _constant(PotentialPack(dA, np.zeros((DIM, DIM, DIM))))),
-            "d2A", "F")
+            _constant(PotentialPack(dA, np.zeros((DIM, DIM, DIM)))))
 
     raise ValueError(f"unknown potential {name!r}")
 
@@ -477,7 +466,7 @@ def metric_from_callable(fn, name="custom", coords="cartesian",
 
     The callable receives the base point with infinitesimal components
     seeded in all 4 directions and must use jet-safe arithmetic, so the
-    derivative packs come out exact.  It declares no zeros.
+    derivative packs come out exact.  Its packs report no zeros.
     """
     return MetricField(name, {}, coords,
                        _jet_pack(fn, lambda J: MetricPack(J.v, J.d, J.h)),
@@ -486,10 +475,8 @@ def metric_from_callable(fn, name="custom", coords="cartesian",
 
 def potential_from_callable(fn, name="custom", coords="cartesian",
                             margins_fn=None) -> PotentialField:
-    """Build a PotentialField from a jet-evaluable callable x -> A_i.
-
-    It declares no zeros.
-    """
+    """Build a PotentialField from a jet-evaluable callable x -> A_i;
+    its packs report no zeros."""
     return PotentialField(name, {}, coords,
                           _jet_pack(fn, lambda J: PotentialPack(J.d, J.h)),
                           margins_fn)

@@ -233,10 +233,12 @@ def scenario_from_dict(data: dict, source="<dict>") -> Scenario:
     if normalize != "none":
         try:
             y0 = normalize_velocity(g, y0, normalize)
-        except NullFiberError as e:
+        except (NullFiberError, ValueError) as e:
             raise ScenarioError(f"{source}: initial.normalize: {e}")
     try:
         PhasePoint.create(g, x0, y0)
+    except ValueError as e:
+        raise ScenarioError(f"{source}: initial.y0: {e}")
     except NullFiberError as e:
         raise ScenarioError(
             f"{source}: initial fiber vector is null: {e}. Set "
@@ -279,7 +281,9 @@ def load_scenario(path) -> Scenario:
             data = json.load(f)
     except OSError as e:
         raise ScenarioError(f"cannot read scenario file: {e}")
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+    except ValueError as e:
+        # JSONDecodeError, UnicodeDecodeError, or an int literal longer
+        # than the interpreter's int-string conversion limit
         raise ScenarioError(f"{path}: not valid JSON: {e}")
     except RecursionError:
         raise ScenarioError(f"{path}: not valid JSON: nested too deeply")

@@ -10,14 +10,14 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+WIDTH, HEIGHT = 640, 480  # every figure's size in px
 
 
 def _fmt(v):
     return f"{v:.2f}"
 
 
-def line_plot(series, title="", xlabel="", ylabel="",
-              width=640, height=480) -> str:
+def line_plot(series, title="", xlabel="", ylabel="") -> str:
     """series: iterable of (x array, y array, label). Returns an SVG document.
 
     The title, labels and axis labels are text, escaped for XML.
@@ -28,8 +28,8 @@ def line_plot(series, title="", xlabel="", ylabel="",
     if not series:
         raise ValueError("line_plot needs at least one series")
     m_left, m_right, m_top, m_bottom = 64, 16, 28, 44
-    pw = width - m_left - m_right
-    ph = height - m_top - m_bottom
+    pw = WIDTH - m_left - m_right
+    ph = HEIGHT - m_top - m_bottom
     xlo = min(float(np.min(x)) for x, _, _ in series)
     xhi = max(float(np.max(x)) for x, _, _ in series)
     ylo = min(float(np.min(y)) for _, y, _ in series)
@@ -48,9 +48,9 @@ def line_plot(series, title="", xlabel="", ylabel="",
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+        f'width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<rect x="{m_left}" y="{m_top}" width="{pw}" height="{ph}" '
         'fill="none" stroke="#333333" stroke-width="1"/>',
     ]
@@ -80,10 +80,10 @@ def line_plot(series, title="", xlabel="", ylabel="",
             out.append(f'<text x="{m_left + pw - 95}" y="{ly}" font-size="11" '
                        f'font-family="sans-serif">{label}</text>')
     if title:
-        out.append(f'<text x="{width / 2:.1f}" y="18" font-size="13" '
+        out.append(f'<text x="{WIDTH / 2:.1f}" y="18" font-size="13" '
                    f'text-anchor="middle" font-family="sans-serif">{title}</text>')
     if xlabel:
-        out.append(f'<text x="{m_left + pw / 2:.1f}" y="{height - 10}" '
+        out.append(f'<text x="{m_left + pw / 2:.1f}" y="{HEIGHT - 10}" '
                    f'font-size="12" text-anchor="middle" '
                    f'font-family="sans-serif">{xlabel}</text>')
     if ylabel:

@@ -1,4 +1,5 @@
-"""Shared finite-difference oracles, a counter of what a call builds, and
+"""Shared finite-difference oracles, the catalog potentials and a
+conserved charge written by hand, a counter of what a call builds, and
 the hypothesis profile every property test runs under.
 
 Expected values in the test suite come from one of three places: hand
@@ -7,6 +8,7 @@ oracle built here, or an identity that must hold to machine precision.
 Nothing is copied from the implementation under test.
 """
 
+import dataclasses
 import sys
 from collections import Counter
 
@@ -14,7 +16,9 @@ import numpy as np
 from hypothesis import settings
 
 from tidalbundle import connection
+from tidalbundle.dynamics import integrate_worldline
 from tidalbundle.jets import Jet
+from tidalbundle.scenario import builtin_scenario
 
 # Property tests draw their examples from a fixed seed and keep no
 # example database, so every run of the suite gives the same verdict;
@@ -39,6 +43,57 @@ def fd_gradient(fn, x, h=1e-6):
 def fd_hessian(fn, x, h=1e-4):
     """Nested central differences; accurate to about h**2."""
     return fd_gradient(lambda z: fd_gradient(fn, z, h), x, h)
+
+
+def potential_by_hand(name, params, x):
+    """A_i of a catalog potential, written out independently of the
+    catalog code (its packs hold no A)."""
+    A = np.zeros(4)
+    if name == "coulomb":        # A_t = Q/r
+        A[0] = params["Q"] / x[1]
+    elif name == "uniform_e":    # A_t = -E x^axis
+        A[0] = -params["E"] * x["txyz".index(params["axis"])]
+    elif name == "pure_gauge":   # A = c d(xy)
+        A[1], A[2] = params["c"] * x[2], params["c"] * x[1]
+    elif name == "uniform_b":    # B along z: A_y = B x, and cyclically
+        i, j = {"z": (2, 1), "x": (3, 2), "y": (1, 3)}[params["axis"]]
+        A[i] = params["B"] * x[j]
+    return A
+
+
+# built-in -> (k of the Killing vector d/dx^k, t_span or None for the
+# scenario's own, bound on the charge drift).  Each bound is ten times
+# the drift of the clean engine, rounded up: 4.2e-13 for cyclotron's
+# p_y = y^y + alpha B x at its rtol 1e-12, and 8.7e-10 for
+# reissner_nordstrom's -E = g_tj y^j + alpha Q/r at the default rtol
+# 1e-10, on tau in [0, 20], which keeps the run off the horizon.
+KILLING_CHARGES = {
+    "cyclotron": (2, None, 5e-12),
+    "reissner_nordstrom": (0, (0.0, 20.0), 1e-8),
+}
+
+
+def charge_drift(scenario_id, k, t_span=None):
+    """Largest change of the Killing charge xi_a (y^a + alpha A^a) of
+    xi = d/dx^k, that is g_ka y^a + alpha A_k, over the samples of the
+    built-in's worldline, on its own t_span or on t_span.
+
+    xi must be a Killing vector of the metric that leaves A invariant;
+    the charge is then conserved along a charged worldline (Carter, Phys.
+    Rev. 174, 1559 (1968)).  A comes from potential_by_hand, so the
+    oracle reads no connection code.
+    """
+    sc = builtin_scenario(scenario_id)
+    cfg = sc.integrator if t_span is None else dataclasses.replace(
+        sc.integrator, t_span=t_span)
+    traj = integrate_worldline(sc.metric, sc.potential, sc.alpha,
+                               sc.initial_point, cfg)
+    assert not traj.truncated
+    A = sc.potential
+    charge = [sc.metric.pack(x).g[k] @ y
+              + sc.alpha * potential_by_hand(A.name, A.params, x)[k]
+              for x, y in zip(traj.x, traj.y)]
+    return float(np.max(np.abs(np.asarray(charge) - charge[0])))
 
 
 def count_builds(monkeypatch):

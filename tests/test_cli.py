@@ -330,23 +330,32 @@ def test_bad_inputs_exit_two(tmp_path, capsys):
     assert main(["compute", "--scenario", str(huge)]) == 2
     assert capsys.readouterr().err == (
         f"error: {huge}: invalid scenario at alpha: numbers must be finite\n")
-    # a scenario the loader accepts whose compute result is not finite: a
-    # 1e300 fiber component, left unnormalized, or a 1e300 coupling
+    # a 1e300 fiber component, left unnormalized, whose g(y,y) is not
+    # finite, is refused at load; a scenario the loader accepts whose
+    # compute result is not finite, a 1e300 coupling, is refused by compute
     src = Path(tidalbundle.__file__).parent / "scenarios"
-    for name, edit, where in (
+    for name, edit, error in (
             ("cyclotron", {"initial": {"x0": [0.0, 0.0, 0.0, 0.0],
                                        "y0": [1e300, 0.1, 0, 0],
-                                       "normalize": "none"}}, "point/norm"),
-            ("reissner_nordstrom", {"alpha": 1e300},
-             "curvature/nonlinear_curvature/0/0/0")):
+                                       "normalize": "none"}},
+             "{path}: initial.y0: g(y,y) = -inf is not finite"),
+            ("reissner_nordstrom", {"alpha": 1e300}, "compute result is not "
+             "finite at curvature/nonlinear_curvature/0/0/0")):
         path = tmp_path / f"{name}_1e300.json"
         path.write_text(json.dumps({**json.loads(
             (src / f"{name}.json").read_text()), **edit}))
         with np.errstate(all="ignore"):
             assert main(["compute", "--scenario", str(path)]) == 2
         out, err = capsys.readouterr()
-        assert (out, err) == (
-            "", f"error: compute result is not finite at {where}\n")
+        assert (out, err) == ("", f"error: {error.format(path=path)}\n")
+    # an int longer than the interpreter converts (4300 digits by default)
+    # is refused as the parser raises it
+    long_int = tmp_path / "long_int.json"
+    long_int.write_text('{"id": "x", "metric": {"name": "minkowski"}, '
+                        '"alpha": 1' + "0" * 5000 + '}')
+    assert main(["compute", "--scenario", str(long_int)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {long_int}: not valid JSON: ")
     # so are bytes that are not UTF-8, and nesting past the parser's depth
     for name, raw in (("latin.json", b'\xff\xfe{"id": "x"}'),
                       ("deep.json", b"[" * 100_000 + b"]" * 100_000)):

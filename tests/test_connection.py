@@ -231,19 +231,34 @@ def test_deviation_rhs_builds_only_what_is_nonzero(monkeypatch, sid,
 FACTS = ("flat", "uniform", "field_free")
 DECLARING = ("flat_vacuum", "flat_uniform_b", "schwarzschild_vacuum",
              "flat_gauge", "cyclotron", "schwarzschild_circular",
-             "negative_control")
+             "negative_control", "uniform_b B=0")
 SKIP_NAMES = ("N", "Gaff", "dB", "dB1", "R3", "E")
+
+
+def _facts(frame):
+    return tuple(getattr(frame, fact) for fact in FACTS)
+
+
+def _skip_cases():
+    """(label, scenario to sample, metric, potential): every built-in, and
+    flat_uniform_b's sampling with its field at B = 0, whose pack reports
+    F zero."""
+    for sid in BUILTIN_IDS:
+        sc = builtin_scenario(sid)
+        yield sid, sc, sc.metric, sc.potential
+    sc = builtin_scenario("flat_uniform_b")
+    yield ("uniform_b B=0", sc, sc.metric,
+           builtin_potential("uniform_b", {"B": 0.0}))
 
 
 def test_declared_zeros_skip_bit_for_bit(monkeypatch):
     # every tensor the skips touch equals the full path's bit for bit, on
     # every tier, at one coupling and over a batch
-    for sid in BUILTIN_IDS:
-        sc = builtin_scenario(sid)
+    for sid, sc, metric, potential in _skip_cases():
         for p in sample_phase_points(sc, 2, np.random.default_rng(8)):
-            frame = field_frame(sc.metric, sc.potential, p.x)
-            assert bool(frame.zeros) is (sid in DECLARING), sid
-            if not frame.zeros:
+            frame = field_frame(metric, potential, p.x)
+            assert any(_facts(frame)) is (sid in DECLARING), sid
+            if not any(_facts(frame)):
                 continue
             for alpha in (ALPHA, np.array(DEFAULT_ALPHAS)):
                 builds = _tiers(frame, p.y)
@@ -262,11 +277,11 @@ def test_declared_zeros_skip_bit_for_bit(monkeypatch):
 
 def test_callable_fields_declare_nothing():
     # a callable Minkowski and a callable uniform field are the catalog
-    # pair of flat_uniform_b, but declare no zeros.  Paired with each other
-    # or with the catalog fields, the curvature of N skips only what the
-    # catalog side declares, and E equals that of the pair it mirrors.  A
-    # non-uniform callable field on the catalog Minkowski skips dn1 but
-    # still reads db1
+    # pair of flat_uniform_b, but their packs report no zeros.  Paired
+    # with each other or with the catalog fields, the curvature of N skips
+    # only what the catalog side reports, and E equals that of the pair it
+    # mirrors.  A non-uniform callable field on the catalog Minkowski
+    # skips dn1 but still reads db1
     eta = np.diag([-1.0, 1.0, 1.0, 1.0])
     metric = metric_from_callable(
         lambda x: jeinsum("ij,->ij", eta, 1.0 + 0.0 * x[0]))
@@ -275,16 +290,17 @@ def test_callable_fields_declare_nothing():
     c = np.array([0.3, 0.05, 0.0, 0.02])
     quadratic = potential_from_callable(lambda x: jeinsum(
         "i,->i", c, x[1] * x[1] + x[2] * x[2] + x[3] * x[3]))
-    assert metric.zeros == potential.zeros == quadratic.zeros == frozenset()
     sc = builtin_scenario("flat_uniform_b")
     catalog = (sc.metric, sc.potential)
     pairs = (((metric, potential), catalog), ((sc.metric, potential), catalog),
              ((metric, sc.potential), catalog),
              ((sc.metric, quadratic), (metric, quadratic)))
     for p in sample_phase_points(sc, 3, np.random.default_rng(9)):
+        for field in (metric, potential, quadratic):
+            assert field.pack(p.x).zeros == frozenset()
         for (m, a), mirror in pairs:
             frame = field_frame(m, a, p.x)
-            assert frame.zeros == m.zeros | a.zeros
+            assert _facts(frame) == (m is sc.metric, a is sc.potential, False)
             ref_frame = field_frame(*mirror, p.x)
             for alpha in (ALPHA, np.array(DEFAULT_ALPHAS)):
                 for build, ref in zip(_tiers(frame, p.y),
@@ -300,18 +316,22 @@ def test_callable_fields_declare_nothing():
                         np.testing.assert_array_equal(got, exp)
 
 
-def test_only_field_frame_declares():
-    # the declarations come from the catalog fields alone: the frame's
-    # constructor takes none, and a frame built directly declares nothing
-    sc = builtin_scenario("cyclotron")
-    x = sc.initial_point.x
-    packs = (sc.metric.pack(x), sc.potential.pack(x))
-    with pytest.raises(TypeError):
-        FieldFrame(*packs, frozenset({"dg"}))
-    with pytest.raises(TypeError):
-        FieldFrame(*packs, zeros=frozenset({"dg"}))
-    assert FieldFrame(*packs).zeros == frozenset()
-    assert field_frame(sc.metric, sc.potential, x).zeros == {"dg", "d2A"}
+def test_frame_built_from_packs_reads_their_facts():
+    # the facts are the packs' own: the frame's constructor takes none,
+    # and a frame built directly from the packs reads what field_frame's
+    # reads, on a frame that skips and on one that does not
+    for sid, want in (("cyclotron", (True, True, False)),
+                      ("flat_gauge", (True, True, True)),
+                      ("reissner_nordstrom", (False, False, False))):
+        sc = builtin_scenario(sid)
+        x = sc.initial_point.x
+        packs = (sc.metric.pack(x), sc.potential.pack(x))
+        with pytest.raises(TypeError):
+            FieldFrame(*packs, frozenset({"dg"}))
+        with pytest.raises(TypeError):
+            FieldFrame(*packs, zeros=frozenset({"dg"}))
+        assert _facts(FieldFrame(*packs)) == want, sid
+        assert _facts(field_frame(sc.metric, sc.potential, x)) == want, sid
 
 
 def _channels(x):
@@ -392,6 +412,16 @@ def test_phase_field_leading_axes_checked():
                           (one, extra_axis)):
         with pytest.raises(ValueError, match="phase field PhaseFieldSpec"):
             sample.covariant(field)
+
+
+def test_phase_field_variance_is_rank_0_or_1():
+    # a field of rank 2 or more, or with a slot that is not u or d, is
+    # refused when it is declared, before any build
+    for variance in ("ud", "uu", "dd", "x", "U", "du"):
+        with pytest.raises(ValueError, match="variance must be"):
+            PhaseFieldSpec(variance, lambda ctx: ctx.N)
+    for variance in ("", "u", "d"):
+        assert PhaseFieldSpec(variance, None).variance == variance
 
 
 def test_phase_field_on_dim_couplings():

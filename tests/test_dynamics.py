@@ -2,6 +2,7 @@ import io
 
 import numpy as np
 import pytest
+from conftest import KILLING_CHARGES, charge_drift
 
 from tidalbundle import dynamics
 from tidalbundle.connection import phase_point
@@ -328,3 +329,12 @@ def test_integrator_config_validation():
         IntegratorConfig(samples=1).validate()
     with pytest.raises(ValueError):
         IntegratorConfig(step=-0.1).validate()
+
+
+@pytest.mark.parametrize("scenario_id", sorted(KILLING_CHARGES))
+def test_killing_charge_is_conserved(scenario_id):
+    # g(y,y), the cyclotron radius and period hold at either sign of the
+    # coupling; the charge of a Killing vector that leaves A invariant
+    # holds only at the right one (see test_mutations)
+    k, t_span, bound = KILLING_CHARGES[scenario_id]
+    assert charge_drift(scenario_id, k, t_span) < bound

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import fd_gradient, fd_hessian
+from conftest import fd_gradient, fd_hessian, potential_by_hand
 
 import tidalbundle
 from tidalbundle.connection import field_frame
@@ -84,22 +84,6 @@ def test_metric_derivatives_match_fd(name, params, x):
                                rtol=1e-4, atol=1e-5)
 
 
-def _potential_by_hand(name, params, x):
-    """A_i of a catalog potential, written out independently of the
-    catalog code (its packs hold no A)."""
-    A = np.zeros(4)
-    if name == "coulomb":        # A_t = Q/r
-        A[0] = params["Q"] / x[1]
-    elif name == "uniform_e":    # A_t = -E x^axis
-        A[0] = -params["E"] * x["txyz".index(params["axis"])]
-    elif name == "pure_gauge":   # A = c d(xy)
-        A[1], A[2] = params["c"] * x[2], params["c"] * x[1]
-    elif name == "uniform_b":    # B along z: A_y = B x, and cyclically
-        i, j = {"z": (2, 1), "x": (3, 2), "y": (1, 3)}[params["axis"]]
-        A[i] = params["B"] * x[j]
-    return A
-
-
 @pytest.mark.parametrize("name,params,x", [
     ("coulomb", {"Q": 0.7}, X_SPH),
     ("uniform_e", {"E": 0.3, "axis": "x"}, X_CART),
@@ -111,7 +95,7 @@ def _potential_by_hand(name, params, x):
 def test_potential_derivatives_match_fd(name, params, x):
     pot = builtin_potential(name, params)
     def A(z):
-        return _potential_by_hand(name, params, z)
+        return potential_by_hand(name, params, z)
     np.testing.assert_allclose(pot.pack(x).dA, fd_gradient(A, x),
                                rtol=1e-7, atol=1e-10)
     np.testing.assert_allclose(pot.pack(x).d2A, fd_hessian(A, x),
@@ -293,7 +277,8 @@ def test_constant_packs_are_built_once_per_field():
                       PotentialPack(dA, np.zeros((4, 4, 4)))))
     for shared, ref in cases:
         want = {**vars(ref), **_derived(ref)}
-        assert set(vars(shared)) == set(want)
+        # and the record of its zeros (see test_packs_report_their_zeros)
+        assert set(vars(shared)) == set(want) | {"zeros"}
         for name, value in want.items():
             assert getattr(shared, name).tobytes() == value.tobytes(), name
     # the shared pack still guards the point
@@ -324,7 +309,50 @@ def test_point_independent_packs_are_shared(field):
     assert pack is field.pack(X_CART)
     assert pack is field.pack(2.0 * X_CART)
     built = set(vars(pack))
-    assert built == {f.name for f in fields(pack)} | _derived(pack).keys()
+    assert built == ({f.name for f in fields(pack)} | _derived(pack).keys()
+                     | {"zeros"})
+
+
+# every catalog field, at nominal strength and at zero, with the zeros
+# its pack reports: the names whose arrays are all zero in a constant pack,
+# and none in a pack that depends on the point (coulomb at Q = 0 too)
+ZERO_REPORTS = [
+    (builtin_metric("minkowski"), X_CART, {"dg"}),
+    (builtin_metric("minkowski", {"coordinates": "spherical"}), X_SPH, set()),
+    (builtin_metric("schwarzschild", {"M": 1.0}), X_SPH, set()),
+    (builtin_metric("reissner_nordstrom", {"M": 1.0, "Q": 0.5}), X_SPH,
+     set()),
+    (builtin_potential("zero"), X_CART, {"d2A", "F"}),
+    (builtin_potential("uniform_b", {"B": 1.5}), X_CART, {"d2A"}),
+    (builtin_potential("uniform_b", {"B": 0.0, "axis": "x"}), X_CART,
+     {"d2A", "F"}),
+    (builtin_potential("uniform_e", {"E": 0.3}), X_CART, {"d2A"}),
+    (builtin_potential("uniform_e", {"E": 0.0}), X_CART, {"d2A", "F"}),
+    (builtin_potential("coulomb", {"Q": 0.5}), X_SPH, set()),
+    (builtin_potential("coulomb", {"Q": 0.0}), X_SPH, set()),
+    (builtin_potential("pure_gauge", {"c": 0.8}), X_CART, {"d2A", "F"}),
+    (builtin_potential("pure_gauge", {"c": 0.0}), X_CART, {"d2A", "F"}),
+]
+
+
+@pytest.mark.parametrize("field, x, want", ZERO_REPORTS, ids=[
+    f"{f.name}-{'-'.join(map(str, f.params.values()))}"
+    for f, _, _ in ZERO_REPORTS])
+def test_packs_report_their_zeros(field, x, want):
+    pack = field.pack(x)
+    assert pack.zeros == want
+    if pack is not field.pack(x):  # point-dependent
+        assert want == set()
+        return
+    # a constant pack names exactly the facts whose arrays are all zero
+    # ("dg" needs d2g too); F is read from the pack, dA - dA^T by hand
+    arrays = {name: np.asarray(value) for name, value in vars(pack).items()
+              if name != "zeros"}
+    if isinstance(pack, PotentialPack):
+        arrays["F"] = pack.dA - pack.dA.T
+    zero = {name for name, value in arrays.items() if np.all(value == 0.0)}
+    facts = {"dg": {"dg", "d2g"}, "d2A": {"d2A"}, "F": {"F"}}
+    assert want == {fact for fact, names in facts.items() if names <= zero}
 
 
 def test_shared_pack_is_read_only():
@@ -334,7 +362,10 @@ def test_shared_pack_is_read_only():
     packs = [cart.pack(X_CART)] + [pot.pack(X_CART)
                                    for pot, _ in CONSTANT_POTENTIALS]
     for pack in packs:
+        assert type(pack.zeros) is frozenset  # immutable by type
         for name, value in vars(pack).items():
+            if name == "zeros":
+                continue
             assert not value.flags.writeable, name
             with pytest.raises(ValueError, match="read-only"):
                 value[...] = 1.0

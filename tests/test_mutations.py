@@ -10,10 +10,11 @@ import copy
 
 import numpy as np
 import pytest
+from conftest import KILLING_CHARGES, charge_drift
 
 from tidalbundle import connection
 from tidalbundle.connection import FiberParts, FieldFrame, Sample
-from tidalbundle.fields import MetricField
+from tidalbundle.fields import MetricPack
 from tidalbundle.jets import Jet, jeinsum
 from tidalbundle.scenario import builtin_scenario, scenario_from_dict
 from tidalbundle.verify import TOLERANCES, run_suite
@@ -50,10 +51,10 @@ def test_transposed_mixed_field_strength(monkeypatch, scenario_id):
     assert _killed(scenario_id) == TRANSPOSED_FMIX[scenario_id]
 
 
-# A false structural-zero declaration: every metric that declares nothing
-# of its own (reissner_nordstrom's among them) declares a flat connection.
-# The curvature of N then drops dn1, and dB its dnrm term, though dg is
-# not zero there.
+# A false zero report: every metric pack that reports nothing of its own
+# (the point-dependent ones, reissner_nordstrom's among them) reports a
+# flat connection.  The curvature of N then drops dn1, and dB its dnrm
+# term, though dg is not zero there.
 FALSE_FLAT = {
     "einstein-trace-full", "maxwell-homogeneous",
     "maxwell-homogeneous-cyclic", "maxwell-inhomogeneous-divergence",
@@ -63,7 +64,7 @@ FALSE_FLAT = {
 
 def test_false_flat_declaration(monkeypatch):
     assert not _killed("reissner_nordstrom")
-    monkeypatch.setattr(MetricField, "zeros", frozenset({"dg"}))
+    monkeypatch.setattr(MetricPack, "zeros", frozenset({"dg"}))
     assert _killed("reissner_nordstrom") == FALSE_FLAT
 
 
@@ -193,11 +194,29 @@ def test_ricci_traced_over_wrong_slots(monkeypatch, scenario_id):
     assert _killed(scenario_id) == RICCI_WRONG_TRACE[scenario_id]
 
 
+# The Lorentz force with the wrong sign: the coupling factor that scales
+# each bracket of the contortion family negated, so every tier runs at
+# -alpha.  The identities hold at either sign, and only the transport of
+# the unit direction, which reads alpha itself, fails in the suite.  Each
+# worldline's Killing charge drifts past its bound: the mutant's
+# trajectory kill, which no norm, radius or period check gives.
+LORENTZ_SIGN = {"unit-direction-transport"}
+
+
+def test_lorentz_sign_flipped(monkeypatch):
+    lead = connection._lead
+    monkeypatch.setattr(connection, "_lead",
+                        lambda factor, rank: -lead(factor, rank))
+    assert _killed("reissner_nordstrom") == LORENTZ_SIGN
+    for scenario_id, (k, t_span, bound) in KILLING_CHARGES.items():
+        assert charge_drift(scenario_id, k, t_span) > bound, scenario_id
+
+
 def test_every_check_has_a_killer():
     killers = set().union(
         *TRANSPOSED_FMIX.values(), FALSE_FLAT,
         *(killed for _, sets in JET_KERNEL.values()
           for killed in sets.values()),
         R3_DN_SIGN, *ANGULAR_SIGN.values(), MISMATCHED_CHARGE,
-        *RICCI_WRONG_TRACE.values())
+        *RICCI_WRONG_TRACE.values(), LORENTZ_SIGN)
     assert killers == set(TOLERANCES)

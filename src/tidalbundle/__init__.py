@@ -21,8 +21,9 @@ from .dynamics import (IntegratorConfig, Trajectory, convert_deviation_frame,
                        integrate_deviation_tidal, integrate_geodesic_lc,
                        integrate_worldline, normalize_velocity, trajectory_csv,
                        two_worldline_oracle, worldline_rhs)
-from .errors import (ChartDomainError, FrameMismatchError, NullFiberError,
-                     ScenarioError, TidalError)
+from .errors import (ChartDomainError, FrameMismatchError,
+                     NonFiniteFiberError, NullFiberError, ScenarioError,
+                     TidalError)
 from .fields import (METRIC_CATALOG, POTENTIAL_CATALOG, MetricField,
                      PotentialField, base_riemann, builtin_metric,
                      builtin_potential, christoffel, coords_compatible,

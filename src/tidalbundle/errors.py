@@ -9,6 +9,10 @@ class NullFiberError(TidalError):
     """Fiber vector is null (or too close to null) for norm-based operations."""
 
 
+class NonFiniteFiberError(TidalError):
+    """Fiber vector's squared length g(y,y) is not finite."""
+
+
 class ChartDomainError(TidalError):
     """Base point lies outside the chart guard of a catalog field."""
 

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .dynamics import IntegratorConfig, normalize_velocity
-from .errors import NullFiberError, ScenarioError
+from .errors import NonFiniteFiberError, NullFiberError, ScenarioError
 from .fields import (MetricField, PotentialField, builtin_metric,
                      builtin_potential, coords_compatible, finite_number)
 from .tensors import PhasePoint
@@ -233,11 +233,11 @@ def scenario_from_dict(data: dict, source="<dict>") -> Scenario:
     if normalize != "none":
         try:
             y0 = normalize_velocity(g, y0, normalize)
-        except (NullFiberError, ValueError) as e:
+        except (NullFiberError, NonFiniteFiberError) as e:
             raise ScenarioError(f"{source}: initial.normalize: {e}")
     try:
         PhasePoint.create(g, x0, y0)
-    except ValueError as e:
+    except NonFiniteFiberError as e:
         raise ScenarioError(f"{source}: initial.y0: {e}")
     except NullFiberError as e:
         raise ScenarioError(

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NullFiberError
+from .errors import NonFiniteFiberError, NullFiberError
 from .jets import einsum
 
 DIM = 4
@@ -26,17 +26,12 @@ def _as_vector(values):
     return arr
 
 
-# the largest max|y| whose square is finite
-_SQRT_MAX = np.sqrt(np.finfo(float).max)
-
-
 def null_tolerance(y):
     """Default threshold below which |g(y,y)| counts as null: inf, with
     no overflow warning, where max|y|^2 passes the float range."""
-    scale = np.max(np.abs(np.asarray(y, dtype=float)))
-    if scale > _SQRT_MAX:
-        return np.inf
-    return 1e-12 * max(scale ** 2, 1e-300)
+    y = np.asarray(y, dtype=float)
+    with np.errstate(over="ignore"):
+        return 1e-12 * max(np.max(np.abs(y)) ** 2, 1e-300)
 
 
 def norm_and_sign(g, y, tol=None):
@@ -45,15 +40,16 @@ def norm_and_sign(g, y, tol=None):
     Returns (sqrt(|g_ij y^i y^j|), sign(g_ij y^i y^j)).  The squared length
     is kept positive; the causal character rides along as a separate sign,
     -1 timelike, +1 spacelike.  Raises NullFiberError near the light cone.
-    With the default tol it raises ValueError where g(y,y) is not finite;
-    an explicit tol (the integrators' trial stages pass 0) skips that.
+    With the default tol it raises NonFiniteFiberError where g(y,y) is not
+    finite; an explicit tol (the integrators' trial stages pass 0) skips
+    that.
     """
     g = np.asarray(g, dtype=float)
     y = np.asarray(y, dtype=float)
     q = float(einsum("ij,i,j->", g, y, y))
     if tol is None:
         if not math.isfinite(q):
-            raise ValueError(f"g(y,y) = {q} is not finite")
+            raise NonFiniteFiberError(f"g(y,y) = {q} is not finite")
         tol = null_tolerance(y)
     if abs(q) < tol:
         raise NullFiberError(f"|g(y,y)| = {abs(q):.3e} below null tolerance {tol:.3e}")

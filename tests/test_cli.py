@@ -80,6 +80,11 @@ def test_compute_at_override(tmp_path, capsys):
                      "--out", str(out)]) == 2
         assert "error: --at values must be finite" in capsys.readouterr().err
         assert not out.exists()
+    # finite components whose g(y,y) is not finite: an input error too
+    with np.errstate(all="ignore"):
+        assert main(["compute", "--scenario", "flat_vacuum", "--at", "0", "0",
+                     "0", "0", "1e300", "0.1", "0", "0"]) == 2
+    assert capsys.readouterr() == ("", "error: g(y,y) = -inf is not finite\n")
 
 
 def test_simulate_deterministic_csv_and_svg(tmp_path):

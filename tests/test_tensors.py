@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tidalbundle.connection import field_frame, fiber_parts
-from tidalbundle.errors import NullFiberError
+from tidalbundle.errors import NonFiniteFiberError, NullFiberError
 from tidalbundle.fields import builtin_metric, builtin_potential
 from tidalbundle.tensors import PhasePoint, norm_and_sign, null_tolerance
 
@@ -30,6 +30,9 @@ def test_null_vector_rejected():
 
 def test_null_tolerance_scales_with_components():
     assert null_tolerance([2000.0, 0, 0, 0]) == pytest.approx(1e-12 * 2000.0 ** 2)
+    # past the float range of the square: inf, with no overflow warning
+    with np.errstate(over="raise"):
+        assert null_tolerance([1e200, 0, 0, 0]) == np.inf
 
 
 def test_distinguished_section_unit_lengths():
@@ -74,3 +77,6 @@ def test_phase_point_refuses_non_finite_fiber():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
             PhasePoint.create(ETA, np.zeros(4), [bad, 0.0, 0.0, 0.0])
+    # finite components whose g(y,y) overflows: a package error
+    with pytest.raises(NonFiniteFiberError, match="-inf is not finite"):
+        PhasePoint.create(ETA, np.zeros(4), [1e300, 0.1, 0.0, 0.0])

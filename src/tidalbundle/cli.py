@@ -11,8 +11,9 @@ Subcommands
 Exit codes: 0 success, 1 verification failures, 2 bad input (scenario,
 chart, or argument errors, or a non-finite compute result), 3 integration
 left the chart early (partial output is still written).  Set TIDAL_LOG=info
-(or debug) for progress messages on stderr, among them the right-hand-side
-count, the accepted and rejected step counts and the shortest and longest
+(or debug) for progress messages on stderr: the seconds verify spends in
+the suite and in serializing its report, and the right-hand-side count,
+the accepted and rejected step counts and the shortest and longest
 accepted step of simulate and deviate.  Text written to stdout is UTF-8 in
 any locale, the bytes --out would write.
 """
@@ -23,6 +24,7 @@ import argparse
 import logging
 import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -199,10 +201,18 @@ def _log_progress(scenario_id, idx) -> None:
 def cmd_verify(args) -> int:
     refs = args.scenario or list(DEFAULT_SUITE)
     scenarios = [resolve_scenario(r) for r in refs]
+    start = time.perf_counter()
     report = run_suite(scenarios, points=args.points, seed=args.seed,
                        alphas=args.alphas, progress=_log_progress)
+    suite_done = time.perf_counter()
+    text = report_json(report)
+    serialize_done = time.perf_counter()
     out = args.out or "report.json"
-    Path(out).write_text(report_json(report), encoding="utf-8")
+    Path(out).write_text(text, encoding="utf-8")
+    # the report is ASCII (ensure_ascii), so its length is its byte count
+    log.info("verify: %d points in %.3f s; report %d bytes, serialized in "
+             "%.3f s", len(report["points"]), suite_done - start, len(text),
+             serialize_done - suite_done)
     _emit(report_summary_table(report) + f"report written to {out}\n", None)
     if report["summary"]["fail"] > 0:
         return EXIT_VERIFY_FAILED

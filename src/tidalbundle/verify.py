@@ -49,7 +49,8 @@ rel is the worst), headroom (worst rel / tol) and failure count.  The
 judge emits each verdict as a checks row naming its point by (scenario,
 point); run_suite sorts the rows and folds them into the summaries in one
 pass.  report_json is json.dumps(report, indent=2, sort_keys=True) plus a
-newline.
+newline; the checks rows go through the json C encoder, in one call, and
+give the same bytes.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from __future__ import annotations
 import json
 import math
 from functools import reduce
+from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -65,6 +67,7 @@ import numpy as np
 from . import __version__
 from .connection import (Sample, contortion_vector, field_frame,
                          unit_direction_low)
+from .errors import ChartDomainError
 from .fields import cached_property, current, stress_energy_em
 from .jets import einsum
 from .tensors import DIM, PhasePoint
@@ -208,7 +211,8 @@ def _checks(groups, bench, scenario_id, point):
     Each row's lhs, rhs and lhs - rhs fill one block of a flat buffer, one
     reduceat takes every per-coupling max, and one stable sort finds each
     worst row.  The pass rule: rel <= tol, or under the absolute floor.
-    Each verdict is the report's own row dict (plain Python values).
+    Each verdict is the report's own row dict (plain Python values), its
+    keys in sorted order, so report_json's encoder need not reorder them.
     """
     verdicts, rows, named = {}, [], []      # check -> its first verdict
     for group in groups:
@@ -241,11 +245,11 @@ def _checks(groups, bench, scenario_id, point):
     # stably by (verdict, rel), NaN last, each verdict ends at its worst
     verdict = np.arange(len(rel)) - np.repeat(ends - n - first, n)
     worst = np.lexsort((rel, verdict))[np.cumsum(np.bincount(verdict)) - 1]
-    return [{"check": check, "scenario": scenario_id, "point": point,
-             "alpha": alpha, "lhs_magnitude": lhs_mag,
-             "rhs_magnitude": rhs_mag, "abs_residual": abs_res,
-             "rel_residual": rel,
-             "passed": rel <= TOLERANCES[check] or abs_res <= _ABS_FLOOR}
+    return [{"abs_residual": abs_res, "alpha": alpha, "check": check,
+             "lhs_magnitude": lhs_mag,
+             "passed": rel <= TOLERANCES[check] or abs_res <= _ABS_FLOOR,
+             "point": point, "rel_residual": rel, "rhs_magnitude": rhs_mag,
+             "scenario": scenario_id}
             for (check, alpha), (lhs_mag, rhs_mag, abs_res, rel) in zip(
                 named, out[:, worst].T.tolist())]
 
@@ -412,14 +416,21 @@ def sample_phase_points(scenario, n, rng):
 
     Fiber components are drawn in a frame that diagonalizes the metric so
     the rejection step is cheap and chart-independent; the returned vectors
-    are coordinate components.
+    are coordinate components.  A box whose draws miss the chart 1000
+    times in a row raises ChartDomainError.
     """
     box = scenario.sampling_box
-    pts = []
+    pts, misses = [], 0
     while len(pts) < n:
         x = rng.uniform(box[:, 0], box[:, 1])
         if not (scenario.metric.guard_ok(x) and scenario.potential.guard_ok(x)):
+            misses += 1
+            if misses == 1000:
+                raise ChartDomainError(
+                    f"scenario {scenario.id!r}: 1000 draws in a row from "
+                    f"sampling.box {box.tolist()} fell outside the chart")
             continue
+        misses = 0
         g = scenario.metric.pack(x).g
         lam, V = np.linalg.eigh(g)
         order = np.argsort(lam)
@@ -555,9 +566,57 @@ def alpha_sweep(scenario, alphas, points=10, seed=0):
     return rows
 
 
+_SCALARS = {str, int, float, bool, type(None)}
+_ROW_INDENT = "\n" + 6 * " "         # a checks row's keys, under indent=2
+
+
+def _checks_text(rows):
+    """The checks rows as indent=2 writes them between the table's
+    brackets, through the C encoder in one call; None for a table that is
+    not a list of non-empty dicts of str keys and scalar values.
+
+    The encoder puts between two values the separator that indent=2 puts
+    between a row's keys, and skips the key sort when every row's keys are
+    in order already; a flat row cannot hold itself, so it skips the
+    circular-reference check too.  Each test iterates at C speed, once per
+    table.  With ensure_ascii no encoded string holds a raw newline, so a
+    closing brace, that separator and an opening brace occur together only
+    between two rows: there each row's braces move to lines of their own.
+    """
+    if type(rows) is not list or not rows or set(map(type, rows)) != {dict}:
+        return None
+    keys = set(map(tuple, rows))
+    if (not all(keys) or set(map(type, chain.from_iterable(keys))) != {str}
+            or not set(map(type, chain.from_iterable(
+                map(dict.values, rows)))) <= _SCALARS):
+        return None
+    encoder = json.JSONEncoder(
+        sort_keys=not all(k == tuple(sorted(k)) for k in keys),
+        check_circular=False, separators=("," + _ROW_INDENT, ": "))
+    try:
+        text = encoder.encode(rows)
+    except ValueError:      # an int longer than str() converts
+        return None
+    return "\n    {" + _ROW_INDENT + text[2:-2].replace(
+        "}," + _ROW_INDENT + "{", "\n    },\n    {" + _ROW_INDENT) + "\n    }"
+
+
 def report_json(report) -> str:
-    """Canonical serialization: sorted keys, shortest round-trip floats."""
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """Canonical serialization: sorted keys, shortest round-trip floats.
+
+    The bytes are json.dumps(report, indent=2, sort_keys=True) plus a
+    newline, for any payload.  A report's flat checks rows go through the
+    C encoder (indent=2 would send them through the pure-Python one; see
+    _checks_text).  The rest of the report, every other payload, and any
+    table the encoder refuses stay on json.dumps, so every error is the
+    one json.dumps raises.
+    """
+    rows = _checks_text(report.get("checks") if type(report) is dict else None)
+    if rows is None:
+        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    head, mark, tail = json.dumps({**report, "checks": []}, indent=2,
+                                  sort_keys=True).partition('\n  "checks": [')
+    return "".join((head, mark, rows, "\n  ", tail, "\n"))
 
 
 def report_summary_table(report) -> str:

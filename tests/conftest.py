@@ -61,15 +61,29 @@ def potential_by_hand(name, params, x):
     return A
 
 
-# built-in -> (k of the Killing vector d/dx^k, t_span or None for the
-# scenario's own, bound on the charge drift).  Each bound is ten times
-# the drift of the clean engine, rounded up: 4.2e-13 for cyclotron's
-# p_y = y^y + alpha B x at its rtol 1e-12, and 8.7e-10 for
-# reissner_nordstrom's -E = g_tj y^j + alpha Q/r at the default rtol
-# 1e-10, on tau in [0, 20], which keeps the run off the horizon.
+# (built-in, k of the Killing vector d/dx^k) -> (t_span or None for the
+# scenario's own, bound on the charge drift).  Each bound is ten times the
+# drift of the clean engine at the scenario's own rtol, rounded up:
+# - cyclotron, p_y = y^y + alpha B x at rtol 1e-12: 4.2e-13;
+# - flat_uniform_b, the same p_y at the default rtol 1e-10: 1.2e-10;
+# - flat_coulomb, -E = -y^t + alpha Q/r: 3.0e-11;
+# - reissner_nordstrom, -E = g_tt y^t + alpha Q/r: 8.7e-10, and
+#   L = g_phiphi y^phi: 2.4e-9;
+# - schwarzschild_vacuum, -E = g_tt y^t: 3.3e-10;
+# - schwarzschild_circular at rtol 1e-12, -E: 1.1e-16, and L: 8.9e-16.
+# The radial infalls of reissner_nordstrom and schwarzschild_vacuum run on
+# tau in [0, 20], which keeps them off the horizon.  d/dphi on the radial
+# worldlines of flat_coulomb and schwarzschild_vacuum is left out: y^phi
+# stays exactly 0 there, so its charge gives the oracle nothing to see.
 KILLING_CHARGES = {
-    "cyclotron": (2, None, 5e-12),
-    "reissner_nordstrom": (0, (0.0, 20.0), 1e-8),
+    ("cyclotron", 2): (None, 5e-12),
+    ("flat_coulomb", 0): (None, 4e-10),
+    ("flat_uniform_b", 2): (None, 2e-9),
+    ("reissner_nordstrom", 0): ((0.0, 20.0), 1e-8),
+    ("reissner_nordstrom", 3): ((0.0, 20.0), 3e-8),
+    ("schwarzschild_circular", 0): (None, 2e-15),
+    ("schwarzschild_circular", 3): (None, 9e-15),
+    ("schwarzschild_vacuum", 0): ((0.0, 20.0), 4e-9),
 }
 
 

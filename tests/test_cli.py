@@ -2,6 +2,7 @@ import dataclasses
 import json
 import logging
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -403,6 +404,24 @@ def test_bad_inputs_exit_two(tmp_path, capsys):
         assert exc.value.code == 2
         assert "is negative" in capsys.readouterr().err
         assert not (tmp_path / command).exists()
+    # a sampling box with no point in the chart, inside the horizon or on
+    # the axis, is refused after 1000 draws in a row, not drawn forever
+    for name, box in (("horizon", [[0.0, 1.0], [0.5, 1.0], [0.7, 2.4],
+                                   [0.0, 6.2]]),
+                      ("axis", [[0.0, 1.0], [4.0, 50.0], [0.0, 0.0],
+                                [0.0, 6.2]])):
+        path = tmp_path / f"rn_{name}.json"
+        path.write_text(json.dumps({**json.loads(
+            (src / "reissner_nordstrom.json").read_text()),
+            "sampling": {"box": box}}))
+        for command in ("verify", "sweep"):
+            out = tmp_path / f"{name}.{command}"
+            assert main([command, "--scenario", str(path), "--points", "1",
+                         "--out", str(out)]) == 2
+            assert capsys.readouterr().err == (
+                "error: scenario 'reissner_nordstrom': 1000 draws in a row "
+                f"from sampling.box {box} fell outside the chart\n")
+            assert not out.exists()
 
 
 def test_console_script_entry_point(tmp_path):
@@ -533,7 +552,8 @@ def test_stdout_is_utf8_in_any_locale(tmp_path):
 
 
 def test_verify_progress_logging_keeps_report_bytes(tmp_path):
-    # TIDAL_LOG=info adds one stderr line per sampled point and nothing else
+    # TIDAL_LOG=info adds one stderr line per sampled point, then one on
+    # where the time went, and nothing else
     src = Path(tidalbundle.__file__).parents[1]
     args = [sys.executable, "-m", "tidalbundle", "verify", "--scenario",
             "flat_vacuum", "--points", "2", "--out"]
@@ -547,6 +567,24 @@ def test_verify_progress_logging_keeps_report_bytes(tmp_path):
         runs[level] = (out.read_bytes(), proc.stderr)
     assert runs["info"][0] == runs["warning"][0]
     assert runs["warning"][1] == ""
-    lines = runs["info"][1].splitlines()
+    *lines, timing = runs["info"][1].splitlines()
     assert lines == [f"INFO tidalbundle: verify flat_vacuum: point {i} done"
                      for i in range(2)]
+    assert timing.startswith("INFO tidalbundle: verify: 2 points in ")
+
+
+def test_verify_logs_where_its_time_goes(tmp_path, capsys, caplog):
+    # after the report is written: the point count, the suite's seconds,
+    # the report's bytes and the seconds spent serializing it
+    out = tmp_path / "r.json"
+    with caplog.at_level(logging.INFO, logger="tidalbundle"):
+        assert main(["verify", "--scenario", "flat_vacuum", "--points", "2",
+                     "--out", str(out)]) == 0
+    timing = re.fullmatch(r"verify: 2 points in (\d+\.\d{3}) s; report "
+                          r"(\d+) bytes, serialized in (\d+\.\d{3}) s",
+                          caplog.records[-1].getMessage())
+    assert timing is not None
+    assert int(timing[2]) == out.stat().st_size
+    assert [r.getMessage() for r in caplog.records[:-1]] == [
+        f"verify flat_vacuum: point {i} done" for i in range(2)]
+    assert "verify:" not in capsys.readouterr().out

@@ -198,9 +198,13 @@ def test_ricci_traced_over_wrong_slots(monkeypatch, scenario_id):
 # each bracket of the contortion family negated, so every tier runs at
 # -alpha.  The identities hold at either sign, and only the transport of
 # the unit direction, which reads alpha itself, fails in the suite.  Each
-# worldline's Killing charge drifts past its bound: the mutant's
-# trajectory kill, which no norm, radius or period check gives.
+# Killing charge that A enters drifts past its bound: the mutant's
+# trajectory kill, which no norm, radius or period check gives.  The
+# others, d/dphi on reissner_nordstrom (A_phi = 0) and the uncharged
+# Schwarzschild worldlines, hold at either sign and are not listed.
 LORENTZ_SIGN = {"unit-direction-transport"}
+LORENTZ_SIGN_CHARGES = (("cyclotron", 2), ("flat_coulomb", 0),
+                        ("flat_uniform_b", 2), ("reissner_nordstrom", 0))
 
 
 def test_lorentz_sign_flipped(monkeypatch):
@@ -208,7 +212,8 @@ def test_lorentz_sign_flipped(monkeypatch):
     monkeypatch.setattr(connection, "_lead",
                         lambda factor, rank: -lead(factor, rank))
     assert _killed("reissner_nordstrom") == LORENTZ_SIGN
-    for scenario_id, (k, t_span, bound) in KILLING_CHARGES.items():
+    for scenario_id, k in LORENTZ_SIGN_CHARGES:
+        t_span, bound = KILLING_CHARGES[scenario_id, k]
         assert charge_drift(scenario_id, k, t_span) > bound, scenario_id
 
 

@@ -8,6 +8,8 @@ from importlib import resources
 import numpy as np
 import pytest
 from conftest import count_builds
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tidalbundle.connection import (connection_data, d_covariant_derivative,
                                     phase_point, strong_torsion,
@@ -91,6 +93,116 @@ def test_report_json_rejects_what_json_dumps_rejects(bad):
     with pytest.raises(TypeError) as got:
         report_json(bad)
     assert str(got.value) == str(want.value)
+
+
+def _reference(obj):
+    # report_json's contract, written out
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.fixture(scope="module")
+def control_report():
+    # negative_control fails strong-torsion, so its rows hold both verdicts
+    return run_suite([builtin_scenario("negative_control")], points=2, seed=1)
+
+
+_ODD_IDS = ['"', "\\", "\n", "%", "\u00e9", "\U0001f30a", "},\n      {"]
+
+
+def _tables(report):
+    """checks tables on report's rows: doctored values, and shapes that are
+    not flat rows of scalars."""
+    rows = report["checks"]
+    row = rows[0]
+    return {
+        "as-run": rows,
+        "reversed-keys": [dict(reversed(r.items())) for r in rows],
+        "non-finite": [{**r, "rel_residual": v, "lhs_magnitude": -v}
+                       for r, v in zip(rows, [math.nan, math.inf] * 9)],
+        "odd-ids": [{**r, "scenario": i} for r, i in zip(rows, _ODD_IDS)],
+        "odd-keys": [{**row, i: 1.0} for i in _ODD_IDS],
+        "np-float64": [{**r, "alpha": np.float64(r["alpha"])} for r in rows],
+        "varied-keys": [row, {"a": None}, {**row, "extra": True}],
+        "list-value": [row, {**row, "x": [1.0, 2.0]}],
+        "dict-value": [{**row, "x": {"b": 1}}, row],
+        "empty-row": [row, {}],
+        "list-row": [row, [1, 2]],
+        "none-row": [row, None],
+        "dict-subclass": [row, Counter(a=1)],
+        "int-key": [{1: 2.0, 3: "x"}],
+        "empty": [],
+        "not-a-list": (row,),
+    }
+
+
+def test_report_json_is_json_dumps(control_report):
+    assert _reference(control_report) == report_json(control_report)
+    assert not all(r["passed"] for r in control_report["checks"])
+    for name, table in _tables(control_report).items():
+        report = {**control_report, "checks": table}
+        assert report_json(report) == _reference(report), name
+    # a "checks" key deeper down, before and after the table's; the empty
+    # table of a points=0 report, and payloads with no table
+    nested = {**control_report, "a": {"checks": []},
+              "cheap": [{"checks": [1]}], "z": {"checks": "checks"}}
+    for payload in (nested, _suite(points=0), {"checks": None},
+                    [control_report], control_report["checks"], "checks"):
+        assert report_json(payload) == _reference(payload)
+
+
+@pytest.mark.parametrize("extra", [
+    {"z": object()}, {"a": np.int64(1)}, {2: 3}, {"z": [np.bool_(True)]},
+    {"checks": [{"point": 10 ** 5000}]},
+    {"checks": [{"point": 10 ** 5000}], "z": object()}])
+def test_report_json_with_flat_rows_raises_as_json_dumps(control_report,
+                                                         extra):
+    # the rows take the C encoder; the rest of the report still raises,
+    # and a row's int longer than str() converts raises where json.dumps
+    # meets it (before "z")
+    bad = {**control_report, **extra}
+    with pytest.raises((TypeError, ValueError)) as want:
+        _reference(bad)
+    with pytest.raises(want.type) as got:
+        report_json(bad)
+    assert str(got.value) == str(want.value)
+
+
+def test_report_json_rows_take_the_c_encoder(control_report, monkeypatch):
+    # json.dumps sees the report with an empty table: the rows went
+    # through the C encoder, and give the same bytes without it too
+    tables = []
+    dumps = json.dumps
+
+    def spy(obj, **kwargs):
+        tables.append(obj["checks"])
+        return dumps(obj, **kwargs)
+
+    monkeypatch.setattr(verify.json, "dumps", spy)
+    text = report_json(control_report)
+    assert tables == [[]]
+    monkeypatch.undo()
+    assert text == _reference(control_report)
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    for name, table in _tables(control_report).items():
+        report = {**control_report, "checks": table}
+        assert report_json(report) == _reference(report), name
+
+
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+            | st.text(max_size=6))
+_TREES = st.recursive(_SCALARS, lambda kids: (
+    st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=4), kids, max_size=3)), max_leaves=8)
+
+
+@given(rest=st.dictionaries(st.text(max_size=8), _TREES, max_size=4),
+       checks=(st.lists(st.dictionaries(st.text(max_size=8), _SCALARS,
+                                        min_size=1, max_size=5),
+                        min_size=1, max_size=4)
+               | _TREES))
+def test_report_json_is_json_dumps_on_any_tree(rest, checks):
+    report = {**rest, "checks": checks}
+    assert report_json(report) == _reference(report)
 
 
 def test_negative_control_fails_only_torsion():
@@ -227,7 +339,8 @@ def _reference_residuals(lhs, rhs, scale):
 
 def _reference_checks(groups, bench, scenario_id, point):
     """The judge row by row: one residual pass per row, then the worst
-    row per check and coupling through np.where, one coupling at a time."""
+    row per check and coupling through np.where, one coupling at a time;
+    each row's keys in sorted order, as report_json's encoder expects."""
     judged = {}
     for group in groups:
         for check, lhs, rhs, scale, at in group(bench):
@@ -241,12 +354,12 @@ def _reference_checks(groups, bench, scenario_id, point):
         alphas = bench.alpha if at is None else bench.alpha[at]
         for alpha, (lhs_mag, rhs_mag, abs_res, rel) in zip(
                 alphas.tolist(), parts.T.tolist()):
-            results.append({
-                "check": check, "scenario": scenario_id, "point": point,
-                "alpha": alpha, "lhs_magnitude": lhs_mag,
-                "rhs_magnitude": rhs_mag, "abs_residual": abs_res,
-                "rel_residual": rel,
-                "passed": rel <= tol or abs_res <= verify._ABS_FLOOR})
+            row = {"check": check, "scenario": scenario_id, "point": point,
+                   "alpha": alpha, "lhs_magnitude": lhs_mag,
+                   "rhs_magnitude": rhs_mag, "abs_residual": abs_res,
+                   "rel_residual": rel,
+                   "passed": rel <= tol or abs_res <= verify._ABS_FLOOR}
+            results.append(dict(sorted(row.items())))
     return results
 
 

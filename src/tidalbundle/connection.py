@@ -19,10 +19,13 @@ field strength F^i_j = g^ia F_aj is the frame's, built once per point:
 every fiber tier reads that one array (the phase tier lifts it with its
 base derivatives).  Since alpha enters only as the scalar factor above,
 FiberParts builds the alpha-free data once and scales it by the
-coupling.  alpha may be a 1-D array, a batch of couplings evaluated in
-one pass; a scalar coupling is a batch with no axis, and both run the
-same code (see FiberParts).  The per-point public functions take a
-scalar coupling.
+coupling.  Where the potential's pack reports F zero (a field-free
+frame), no contraction reads F: F^i_j, its derivative and the
+alpha-free data built from them are zero arrays (see FiberParts), and
+the spray is the Levi-Civita geodesic spray.  alpha may be a 1-D
+array, a batch of couplings evaluated in one pass; a scalar coupling is
+a batch with no axis, and both run the same code (see FiberParts).  The
+per-point public functions take a scalar coupling.
 A Sample is one phase point at one coupling (or one batch of them): it
 holds three FiberParts tiers (plain, fiber jet, phase jet), each built on
 first read, and the reads that several callers share.  Every per-point
@@ -57,7 +60,9 @@ class FieldFrame:
     Three facts read the zeros its packs report (see fields): flat (dg =
     0, so gamma and dgamma vanish), uniform (dF = 0) and field_free (F =
     0).  Each is one membership test on one pack, so a frame built
-    directly from packs reads what field_frame's does.
+    directly from packs reads what field_frame's does.  On a field-free
+    frame Fmix and dFmix are zero arrays, built with no contraction: F
+    vanishes everywhere, so dF does too.
     """
 
     metric_pack: MetricPack
@@ -81,10 +86,14 @@ class FieldFrame:
     @cached_property
     def Fmix(self):
         """F^i_j = g^ia F_aj, the one copy every fiber tier reads."""
+        if self.field_free:
+            return np.zeros((DIM, DIM))
         return einsum("ia,aj->ij", self.ginv, self.F)
 
     @cached_property
     def dFmix(self):
+        if self.field_free:
+            return np.zeros((DIM, DIM, DIM))
         return (einsum("kia,aj->kij", self.dginv, self.F)
                 + einsum("ia,kaj->kij", self.ginv, self.dF))
 
@@ -123,6 +132,14 @@ class FiberParts:
     y is plain or a fiber-seeded Jet, and builds no term the frame's
     packs report zero (flat, uniform, field_free; see R3).
 
+    On a field-free frame no contraction reads F: F^i and the alpha-free
+    brackets b, b2, db, db1 and the two of B^i_jkl are exact +0.0 arrays
+    (zero stacks of the tier's length on a jet tier), as the full build's
+    are, since einsum sums onto a zeroed output.  b1 keeps its one
+    product that sets a signed zero (see __init__).  The coupling factors
+    and the sums with n1 and gamma still run and set each signed zero of
+    the outputs, so every output keeps its bits.
+
     alpha may be a 1-D array of couplings.  Then every coupling-dependent
     tensor carries a coupling axis that follows the jet axes and leads
     its tensor slots (B1.v has shape (A, 4, 4), B1.d (m, A, 4, 4)), and
@@ -135,10 +152,17 @@ class FiberParts:
         self.Fmix, self.y, self.eps, self.nrm = Fmix, y, eps, nrm
         self.l_up = y / nrm
         self.l_low = jeinsum("ij,j->i", g, self.l_up)
-        self.F_up = jeinsum("ij,j->i", self.Fmix, y)
         self.n1 = jeinsum("ijk,k->ij", gamma, y)
-        self.b1 = (eps * jeinsum("j,i->ij", self.l_low, self.F_up)
-                   + nrm * self.Fmix)
+        if frame.field_free:
+            # F^i and eps l_j F^i are +0.0.  Adding -0.0 (eps = -1) keeps
+            # every bit of nrm F^i_j, whose zeros take the signs of a jet
+            # nrm's stack; adding +0.0 (eps = +1) makes each zero +0.0
+            self.F_up = _zeros(y, DIM)
+            self.b1 = nrm * self.Fmix if eps < 0 else _zeros(y, DIM, DIM)
+        else:
+            self.F_up = jeinsum("ij,j->i", self.Fmix, y)
+            self.b1 = (eps * jeinsum("j,i->ij", self.l_low, self.F_up)
+                       + nrm * self.Fmix)
         self.B1 = _lead(-0.5 * alpha, 2) * self.b1
         self.N = self.n1 + self.B1
 
@@ -150,10 +174,14 @@ class FiberParts:
 
     @cached_property
     def b(self):
+        if self.frame.field_free:
+            return _zeros(self.y, DIM)
         return self.nrm * self.F_up
 
     @cached_property
     def b2(self):
+        if self.frame.field_free:
+            return _zeros(self.y, DIM, DIM, DIM)
         l_low, Fmix = self.l_low, self.Fmix
         return (jeinsum("jk,i->ijk", self.h_low, self.F_up) / self.nrm
                 + jeinsum("j,ik->ijk", l_low, Fmix)
@@ -186,8 +214,12 @@ class FiberParts:
         build bit for bit: x / n is x * (1.0 / n), and a - b is a + (-b).
         """
         half_eps = _lead(-0.5 * self.alpha * self.eps, 4)
-        over_nrm, over_nrm2 = _b3_brackets(*map(value_of, (
-            self.h_low, self.l_low, self.Fmix, self.F_up)))
+        if self.frame.field_free:
+            over_nrm = over_nrm2 = _zeros(value_of(self.y), DIM, DIM, DIM,
+                                          DIM)
+        else:
+            over_nrm, over_nrm2 = _b3_brackets(*map(value_of, (
+                self.h_low, self.l_low, self.Fmix, self.F_up)))
         first = half_eps * over_nrm
         second = (half_eps * self.eps) * over_nrm2
         nrm = self.nrm
@@ -214,12 +246,16 @@ class FiberParts:
 
     @cached_property
     def db(self):
+        if self.frame.field_free:
+            return _zeros(self.y, DIM, DIM)
         if self.frame.flat:
             return self.nrm * self.dF_up
         return jeinsum("k,i->ki", self.dnrm, self.F_up) + self.nrm * self.dF_up
 
     @cached_property
     def db1(self):
+        if self.frame.field_free:
+            return _zeros(self.y, DIM, DIM, DIM)
         frame, y, eps, nrm = self.frame, self.y, self.eps, self.nrm
         dnrm = self.dnrm
         ylow = jeinsum("ja,a->j", frame.g, y)
@@ -276,6 +312,14 @@ def _lead(factor, rank):
     if not isinstance(factor, np.ndarray):  # np.ndim costs 1-2 us a call
         return factor
     return factor.reshape(factor.shape + (1,) * rank)
+
+
+def _zeros(like, *shape):
+    """Exact +0.0 of the given tensor shape, in like's dtype: a zero stack
+    of like's length when like is a Jet, else a plain array."""
+    if isinstance(like, Jet):
+        return Jet._of(np.zeros((len(like.s),) + shape, like.s.dtype), like.m)
+    return np.zeros(shape, like.dtype)
 
 
 def _b3_brackets(h_low, l_low, Fmix, F_up):

@@ -145,10 +145,14 @@ _P = np.array([
 _EPS = np.finfo(float).eps
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 _ERROR_EXPONENT = -1 / 5          # -1 / (error estimator order + 1)
+# stage s of a step: (s, its row of A up to s, its node)
+_STAGES = tuple((s, a[:s], c)
+                for s, (a, c) in enumerate(zip(_A[1:], _C[1:]), start=1))
 
 
 def _rms(v):
-    return np.linalg.norm(v) / v.size ** 0.5
+    # np.sqrt(v.dot(v)) is what np.linalg.norm computes for a 1-D float v
+    return np.sqrt(v.dot(v)) / v.size ** 0.5
 
 
 def _initial_step(fun, t0, y0, t1, f0, rtol, atol):
@@ -256,8 +260,8 @@ def _dopri45(fun, t0, t1, y0, t_eval, rtol, atol, margin):
             h = t_new - t
             h_abs = np.abs(h)
             K[0] = f
-            for s, (a, c) in enumerate(zip(_A[1:], _C[1:]), start=1):
-                K[s] = fun(t + c * h, y + np.dot(K[:s].T, a[:s]) * h)
+            for s, a, c in _STAGES:
+                K[s] = fun(t + c * h, y + np.dot(K[:s].T, a) * h)
             y_new = y + h * np.dot(K[:-1].T, _B)
             K[-1] = f_new = fun(t + h, y_new)
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol

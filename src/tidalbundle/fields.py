@@ -28,7 +28,10 @@ everywhere: "dg" (with d2g: a flat connection, so gamma and every base
 derivative of g vanish), "d2A" (a uniform field: dF vanishes) and "F"
 (no field).  Callable fields, whose packs depend on the point, report
 none.  The frame reads these facts, and the fiber tiers skip the terms
-they make zero (see connection.FiberParts).
+they make zero (see connection.FiberParts): a flat connection and a
+uniform field shorten the curvature of N, and with no field no tier
+contracts F at all, so the connection is the Levi-Civita one at its own
+cost.
 
 Units: geometrized Gaussian, c = G = k_Coulomb = 1.  Charges and field
 strengths carry the same mass units as M.  A metric's coord_names follow
@@ -130,8 +133,7 @@ class MetricPack:
     def dgamma(self):
         """dgamma[m,i,j,k], the x^m partial of gamma^i_jk."""
         d2g = self.d2g
-        dS = (einsum("mjlk->mljk", d2g) + einsum("mklj->mljk", d2g)
-              - einsum("mljk->mljk", d2g))
+        dS = einsum("mjlk->mljk", d2g) + einsum("mklj->mljk", d2g) - d2g
         return (0.5 * einsum("mil,ljk->mijk", self.dginv, self._lowered_gamma)
                 + 0.5 * einsum("il,mljk->mijk", self.ginv, dS))
 

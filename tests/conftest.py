@@ -1,6 +1,6 @@
 """Shared finite-difference oracles, the catalog potentials and a
-conserved charge written by hand, a counter of what a call builds, and
-the hypothesis profile every property test runs under.
+conserved charge written by hand, counters of what a call builds and
+contracts, and the hypothesis profile every property test runs under.
 
 Expected values in the test suite come from one of three places: hand
 calculation (noted where it happens), an independent central-difference
@@ -147,3 +147,31 @@ def count_builds(monkeypatch):
             if getattr(module, attr, None) is original:
                 monkeypatch.setattr(module, attr, wrapper)
     return frames, tiers, couplings
+
+
+def count_contractions(monkeypatch):
+    """Record every contraction the connection module runs.
+
+    Returns a Counter of the specs its einsum and jeinsum are called
+    with, and of the calls to its _b3_brackets under that name.
+    """
+    specs = Counter()
+    einsum, jeinsum, b3_brackets = (connection.einsum, connection.jeinsum,
+                                    connection._b3_brackets)
+
+    def counted_einsum(spec, *ops):
+        specs[spec] += 1
+        return einsum(spec, *ops)
+
+    def counted_jeinsum(spec, *ops):
+        specs[spec] += 1
+        return jeinsum(spec, *ops)
+
+    def counted_b3_brackets(*args):
+        specs["_b3_brackets"] += 1
+        return b3_brackets(*args)
+
+    monkeypatch.setattr(connection, "einsum", counted_einsum)
+    monkeypatch.setattr(connection, "jeinsum", counted_jeinsum)
+    monkeypatch.setattr(connection, "_b3_brackets", counted_b3_brackets)
+    return specs

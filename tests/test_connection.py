@@ -1,6 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
-from conftest import fd_gradient
+from conftest import count_contractions, fd_gradient
 
 from tidalbundle import dynamics
 from tidalbundle.connection import (FieldFrame, PhaseFieldSpec, Sample,
@@ -16,6 +18,7 @@ from tidalbundle.fields import (builtin_metric, builtin_potential,
                                 metric_from_callable, potential_from_callable)
 from tidalbundle.jets import Jet, jeinsum, value_of
 from tidalbundle.scenario import BUILTIN_IDS, builtin_scenario
+from tidalbundle.tensors import norm_and_sign
 from tidalbundle.verify import DEFAULT_ALPHAS, sample_phase_points
 
 RN = builtin_metric("reissner_nordstrom", {"M": 1.0, "Q": 0.5})
@@ -232,7 +235,13 @@ FACTS = ("flat", "uniform", "field_free")
 DECLARING = ("flat_vacuum", "flat_uniform_b", "schwarzschild_vacuum",
              "flat_gauge", "cyclotron", "schwarzschild_circular",
              "negative_control", "uniform_b B=0")
-SKIP_NAMES = ("N", "Gaff", "dB", "dB1", "R3", "E")
+SKIP_NAMES = ("F_up", "B", "B1", "B2", "B3", "N", "Gaff", "G", "dB", "dB1",
+              "R3", "E", "Fmix")
+FRAME_SKIP_NAMES = ("Fmix", "dFmix")
+# a spacelike fiber at every sampled point: eps sets the signed zeros of
+# b1 and B^i_jkl on a field-free frame, and the sampler draws timelike
+# fibers only
+SPACELIKE = np.array([0.3, 1.1, 0.07, 0.05])
 
 
 def _facts(frame):
@@ -253,26 +262,71 @@ def _skip_cases():
 
 def test_declared_zeros_skip_bit_for_bit(monkeypatch):
     # every tensor the skips touch equals the full path's bit for bit, on
-    # every tier, at one coupling and over a batch
+    # every tier, on both causal signs, at one coupling and over a batch;
+    # the full path reads a frame of its own, so its F^i_j is contracted
     for sid, sc, metric, potential in _skip_cases():
         for p in sample_phase_points(sc, 2, np.random.default_rng(8)):
             frame = field_frame(metric, potential, p.x)
             assert any(_facts(frame)) is (sid in DECLARING), sid
             if not any(_facts(frame)):
                 continue
-            for alpha in (ALPHA, np.array(DEFAULT_ALPHAS)):
-                builds = _tiers(frame, p.y)
+            with monkeypatch.context() as m:
+                for fact in FACTS:
+                    m.setattr(FieldFrame, fact, property(lambda _: False))
+                full_frame = field_frame(metric, potential, p.x)
+                for name in FRAME_SKIP_NAMES:
+                    getattr(full_frame, name)
+            for name in FRAME_SKIP_NAMES:
+                assert _bits(getattr(frame, name)) == \
+                    _bits(getattr(full_frame, name)), (sid, name)
+            fibers = (p.y, SPACELIKE)
+            assert [norm_and_sign(frame.g, y)[1] for y in fibers] == [-1, 1]
+            for y, alpha in itertools.product(
+                    fibers, (ALPHA, np.array(DEFAULT_ALPHAS))):
                 skip = [{n: getattr(build(alpha), n) for n in SKIP_NAMES}
-                        for build in builds]
+                        for build in _tiers(frame, y)]
                 with monkeypatch.context() as m:
                     for fact in FACTS:
                         m.setattr(FieldFrame, fact, property(lambda _: False))
                     full = [{n: getattr(build(alpha), n) for n in SKIP_NAMES}
-                            for build in builds]
+                            for build in _tiers(full_frame, y)]
                 for tier, (got, want) in enumerate(zip(skip, full)):
                     for name in SKIP_NAMES:
                         assert _bits(got[name]) == _bits(want[name]), \
-                            (sid, tier, name, np.shape(alpha))
+                            (sid, tier, name, y[0], np.shape(alpha))
+
+
+# the contractions that read F and only F: F^i_j and its base derivative
+# on the frame, and the brackets b1, b2, db (through dF^i) and db1.  F^i
+# shares its spec with l_low, so it is not counted here.
+F_SPECS = {"ia,aj->ij", "kia,aj->kij", "ia,kaj->kij",
+           "j,i->ij",
+           "jk,i->ijk", "j,ik->ijk", "k,ij->ijk",
+           "kij,j->ki", "k,i->ki",
+           "ja,a->j", "kja,a->kj", "k,j->kj", "kj,i->kij", "j,ki->kij",
+           "k,ij->kij",
+           "_b3_brackets"}
+
+
+@pytest.mark.parametrize("case", ["schwarzschild_vacuum", "flat_gauge",
+                                  "uniform_b B=0", "reissner_nordstrom"])
+def test_field_free_tiers_contract_no_field(monkeypatch, case):
+    # a field-free frame runs none of the field's contractions on any
+    # tier, whatever is read, on both causal signs and over a batch;
+    # reissner_nordstrom (the control) runs every one of them
+    (sc, metric, potential), = [c[1:] for c in _skip_cases() if c[0] == case]
+    specs = count_contractions(monkeypatch)
+    for p in sample_phase_points(sc, 2, np.random.default_rng(8)):
+        frame = field_frame(metric, potential, p.x)
+        assert frame.field_free is (case != "reissner_nordstrom")
+        for y in (p.y, SPACELIKE):
+            for alpha in (ALPHA, np.array(DEFAULT_ALPHAS)):
+                for build in _tiers(frame, y):
+                    parts = build(alpha)
+                    for name in SKIP_NAMES:
+                        getattr(parts, name)
+    ran = F_SPECS & set(specs)
+    assert ran == (F_SPECS if case == "reissner_nordstrom" else set()), case
 
 
 def test_callable_fields_declare_nothing():

@@ -14,7 +14,7 @@ from conftest import KILLING_CHARGES, charge_drift
 
 from tidalbundle import connection
 from tidalbundle.connection import FiberParts, FieldFrame, Sample
-from tidalbundle.fields import MetricPack
+from tidalbundle.fields import MetricPack, PotentialPack
 from tidalbundle.jets import Jet, jeinsum
 from tidalbundle.scenario import builtin_scenario, scenario_from_dict
 from tidalbundle.verify import TOLERANCES, run_suite
@@ -66,6 +66,22 @@ def test_false_flat_declaration(monkeypatch):
     assert not _killed("reissner_nordstrom")
     monkeypatch.setattr(MetricPack, "zeros", frozenset({"dg"}))
     assert _killed("reissner_nordstrom") == FALSE_FLAT
+
+
+# A false zero report of the field: every potential pack that reports
+# nothing of its own (reissner_nordstrom's coulomb among them) reports F
+# zero.  Every fiber tier then builds the connection of no field, the
+# Levi-Civita spray, consistently, so the identities among the tiers
+# hold.  Only the checks that also read F from the pack itself fail: the
+# transport of l against (alpha/2) F, and the full Einstein trace, whose
+# right side holds the invariant F_ab F^ab.
+FALSE_FIELD_FREE = {"einstein-trace-full", "unit-direction-transport"}
+
+
+def test_false_field_free_declaration(monkeypatch):
+    assert not _killed("reissner_nordstrom")
+    monkeypatch.setattr(PotentialPack, "zeros", frozenset({"F"}))
+    assert _killed("reissner_nordstrom") == FALSE_FIELD_FREE
 
 
 # Jet-kernel defects, each a wrapper around the connection's jeinsum that

@@ -306,6 +306,12 @@ class FiberParts:
         return jeinsum("ijk,k->ij", self.R3, self.y)
 
 
+def _couplings(alpha):
+    """The shape of a coupling batch, () for one coupling: np.shape,
+    without its cost per call."""
+    return alpha.shape if isinstance(alpha, np.ndarray) else ()
+
+
 def _lead(factor, rank):
     """A 1-D coupling factor shaped to lead rank tensor slots; a scalar
     passes as is, so one-coupling callers pay no reshape."""
@@ -360,6 +366,8 @@ def fiber_parts(frame: FieldFrame, alpha, y, check=True) -> FiberParts:
 
 X_DIRS = slice(0, DIM)
 Y_DIRS = slice(DIM, 2 * DIM)
+_IDENTITY = np.eye(DIM)  # the fiber seed's derivatives; never written
+_IDENTITY.flags.writeable = False
 
 
 def phase_context(frame: FieldFrame, alpha, y):
@@ -374,7 +382,7 @@ def phase_context(frame: FieldFrame, alpha, y):
     g = Jet.from_pack(frame.g, frame.dg, m)
     gamma = Jet.from_pack(frame.gamma, frame.dgamma, m)
     Fmix = Jet.from_pack(frame.Fmix, frame.dFmix, m)
-    yj = Jet.from_pack(np.asarray(y, dtype=float), np.eye(DIM), m, start=DIM)
+    yj = Jet.from_pack(np.asarray(y, dtype=float), _IDENTITY, m, start=DIM)
     _, eps = norm_and_sign(frame.g, y)
     q = jeinsum("i,i->", jeinsum("ij,j->i", g, yj), yj)
     nrm = jsqrt(eps * q)
@@ -484,18 +492,19 @@ class Sample:
                - einsum("li,...il->...", parts.n1, parts.B1)
                + einsum("iai,...a->...", frame.gamma, parts.B))
         quad = einsum("...li,...il->...", parts.B1, parts.B1)
-        values = (np.trace(parts.E, axis1=-2, axis2=-1),
+        values = (parts.E.trace(axis1=-2, axis2=-1),
                   e_trace - 2.0 * div + quad, e_trace, div, quad)
-        if np.ndim(self.alpha) == 0:
+        if not _couplings(self.alpha):
             values = map(float, values)
         return TraceDecomposition(*values)
 
     def covariant(self, field: PhaseFieldSpec, reference="full"):
         """Covariant derivative of a phase field: d_covariant_derivative."""
         out = _covariant(self.frame, self.phase, field, reference)
-        if np.ndim(self.alpha) == 0:
+        couplings = _couplings(self.alpha)
+        if not couplings:
             return out[0]
-        return np.broadcast_to(out, np.shape(self.alpha) + out.shape[1:])
+        return np.broadcast_to(out, couplings + out.shape[1:])
 
 
 def _covariant(frame, ctx, field, reference):
@@ -507,8 +516,9 @@ def _covariant(frame, ctx, field, reference):
     one coupling, so a batch equals its couplings bit for bit.
     """
     T, rank = field.build(ctx), len(field.variance)
-    builds = [(T, np.shape(ctx.alpha))]
-    if np.shape(ctx.alpha) == (DIM,):
+    couplings = _couplings(ctx.alpha)
+    builds = [(T, couplings)]
+    if couplings == (DIM,):
         # a slot indexed as a coupling (ctx.B[0]) leaves a leading axis as
         # long as this coupling axis; on one coupling it cannot pass
         builds.append((field.build(phase_context(
@@ -524,9 +534,9 @@ def _covariant(frame, ctx, field, reference):
     N_value = N_value if N_value.ndim == 3 else N_value[None]
     V, dT = (T.v, T.d) if T.v.ndim > rank else (T.v[None], T.d[:, None])
     # delta_k T = d_k T - N^l_k dT/dy^l, derivative axis moved last
-    delta = (np.moveaxis(dT[X_DIRS], 0, 1)
+    delta = (dT[X_DIRS].swapaxes(0, 1)
              - einsum("alk,la...->ak...", N_value, dT[Y_DIRS]))
-    out = np.moveaxis(delta, 1, -1)
+    out = delta.transpose(0, *range(2, delta.ndim), 1)
     if not rank:
         return out
     coeff = frame.gamma if base else value_of(ctx.Gaff)

@@ -55,7 +55,7 @@ class TidalPacket:
         E = jp.E.v
         return cls(point=p, alpha=float(s.alpha), nonlinear_curvature=jp.R3.v,
                    tidal=E, tidal_angular=jp.h_low.v @ E,
-                   tidal_trace=float(np.trace(E)),
+                   tidal_trace=float(E.trace()),
                    gravity_tidal=einsum("iajb,a,b->ij", riem, y, y),
                    base_riemann=riem, base_ricci=s.frame.ricci,
                    curvature_block=s.block,

@@ -99,11 +99,11 @@ def worldline_rhs(metric, potential, alpha, x, y):
 
 
 def _combined_margin(metric, potential, x):
-    m = np.min(metric.guard_margins(x))
+    m = metric.guard_margins(x).min()
     if potential is not None:
         pm = potential.guard_margins(x)
         if len(pm):
-            m = min(m, np.min(pm))
+            m = min(m, pm.min())
     return float(m)
 
 

@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import ChartDomainError
 from .jets import Jet, einsum
-from .tensors import DIM
+from .tensors import DIM, det, inv
 
 SIN_THETA_FLOOR = 1e-8
 _COORD_NAMES = {"cartesian": ("t", "x", "y", "z"),
@@ -112,7 +112,7 @@ class MetricPack:
 
     @cached_property
     def ginv(self):
-        return np.linalg.inv(self.g)
+        return inv(self.g)
 
     @cached_property
     def dginv(self):
@@ -195,7 +195,7 @@ class _GuardedField:
         return self._margins_fn(np.asarray(x, dtype=float))
 
     def guard_ok(self, x):
-        return bool(np.all(self.guard_margins(x) > 0.0))
+        return bool((self.guard_margins(x) > 0.0).all())
 
     def check_chart(self, x):
         if not self.guard_ok(x):
@@ -224,7 +224,7 @@ class MetricField(_GuardedField):
         return _COORD_NAMES.get(self.coords, ("x0", "x1", "x2", "x3"))
 
     def check_chart(self, x):
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise ChartDomainError(f"non-finite base point {x!r}")
         super().check_chart(x)
 
@@ -235,7 +235,7 @@ class MetricField(_GuardedField):
         steps may probe slightly past the boundary the guard protects.
         """
         pack = self._evaluate(x, check)
-        if check and abs(np.linalg.det(pack.g)) < 1e-10:
+        if check and abs(det(pack.g)) < 1e-10:
             raise ChartDomainError(
                 f"metric degenerate at {np.asarray(x, dtype=float).tolist()}")
         return pack
@@ -254,11 +254,31 @@ class PotentialField(_GuardedField):
 # metric catalog
 
 
-def _spherical_pack(x, f, df, d2f):
+def _radial(build):
+    """The pack function x -> build(r, theta) of a field on the spherical
+    chart.
+
+    build runs on Python floats, whose arithmetic costs a fraction of
+    numpy scalars' and gives the same bits, but for the sign of a NaN,
+    which Python's does not fix.  Where it raises instead (a power past
+    the float range, a division by zero: points the chart guard refuses,
+    which an integrator's trial stage may still probe), it runs again on
+    the numpy scalars x[1] and x[2], which give inf or NaN there, with
+    numpy's warning.
+    """
+    def pack(x):
+        try:
+            return build(float(x[1]), float(x[2]))
+        except (ZeroDivisionError, OverflowError):
+            return build(x[1], x[2])
+    return pack
+
+
+def _spherical_pack(r, th, f, df, d2f):
     """diag(-f, 1/f, r^2, r^2 sin^2 th) for a radial profile f(r)."""
-    r, th = x[1], x[2]
-    s, c = np.sin(th), np.cos(th)
-    g = np.diag([-f, 1.0 / f, r * r, r * r * s * s])
+    s, c = float(np.sin(th)), float(np.cos(th))
+    g = np.zeros((DIM, DIM))
+    g[0, 0], g[1, 1], g[2, 2], g[3, 3] = -f, 1.0 / f, r * r, r * r * s * s
 
     dg = np.zeros((DIM, DIM, DIM))
     dg[1, 0, 0] = -df
@@ -344,7 +364,7 @@ def builtin_metric(name, params=None) -> MetricField:
         if coords == "spherical":
             return MetricField(
                 name, {"coordinates": coords}, "spherical",
-                lambda x: _spherical_pack(x, 1.0, 0.0, 0.0),
+                _radial(lambda r, th: _spherical_pack(r, th, 1.0, 0.0, 0.0)),
                 lambda x: _spherical_margins(x, 1e-8), is_flat=True)
         raise ValueError(f"unknown minkowski coordinates {coords!r}")
 
@@ -354,12 +374,12 @@ def builtin_metric(name, params=None) -> MetricField:
             raise ValueError("schwarzschild requires M > 0")
         r_min = 2.0 * M * (1.0 + 1e-6)
 
-        def pack(x, M=M):
-            r = x[1]
+        def pack(r, th, M=M):
             f = 1.0 - 2.0 * M / r
-            return _spherical_pack(x, f, 2.0 * M / r ** 2, -4.0 * M / r ** 3)
+            return _spherical_pack(r, th, f, 2.0 * M / r ** 2,
+                                   -4.0 * M / r ** 3)
 
-        return MetricField(name, {"M": M}, "spherical", pack,
+        return MetricField(name, {"M": M}, "spherical", _radial(pack),
                            lambda x: _spherical_margins(x, r_min), is_flat=False)
 
     if name == "reissner_nordstrom":
@@ -374,14 +394,13 @@ def builtin_metric(name, params=None) -> MetricField:
         else:
             r_min = 1e-6 * M
 
-        def pack(x, M=M, Q=Q):
-            r = x[1]
+        def pack(r, th, M=M, Q=Q):
             f = 1.0 - 2.0 * M / r + Q * Q / r ** 2
             df = 2.0 * M / r ** 2 - 2.0 * Q * Q / r ** 3
             d2f = -4.0 * M / r ** 3 + 6.0 * Q * Q / r ** 4
-            return _spherical_pack(x, f, df, d2f)
+            return _spherical_pack(r, th, f, df, d2f)
 
-        return MetricField(name, {"M": M, "Q": Q}, "spherical", pack,
+        return MetricField(name, {"M": M, "Q": Q}, "spherical", _radial(pack),
                            lambda x: _spherical_margins(x, r_min), is_flat=False)
 
     raise ValueError(f"unknown metric {name!r}")
@@ -426,15 +445,14 @@ def builtin_potential(name, params=None) -> PotentialField:
         Q, = _read(POTENTIAL_CATALOG, name, params)
         r_min = 1e-6 * max(abs(Q), 1.0)
 
-        def pack(x, Q=Q):
-            r = x[1]
+        def pack(r, th, Q=Q):
             dA = np.zeros((DIM, DIM))
             dA[1, 0] = -Q / r ** 2
             d2A = np.zeros((DIM, DIM, DIM))
             d2A[1, 1, 0] = 2.0 * Q / r ** 3
             return PotentialPack(dA, d2A)
 
-        return PotentialField(name, {"Q": Q}, "spherical", pack,
+        return PotentialField(name, {"Q": Q}, "spherical", _radial(pack),
                               lambda x: np.array([x[1] - r_min]))
 
     if name == "pure_gauge":

@@ -110,10 +110,15 @@ class Jet:
     def seed(cls, vec, m):
         """Seed a vector of k independent variables into directions 0..k-1.
 
-        The seed is an order-2 jet.
+        The seed is an order-2 jet: one zeroed stack with vec for its
+        value and np.eye(m, k) for its first derivatives.
         """
         vec = np.asarray(vec, dtype=float)
-        return cls(vec, np.eye(m, len(vec)), np.zeros((m, m) + vec.shape))
+        k = len(vec)
+        s = np.zeros((1 + m + m * m, k))
+        s[0] = vec
+        s[1:1 + min(m, k)].reshape(-1)[::k + 1] = 1.0
+        return cls._of(s, m)
 
     @classmethod
     def from_pack(cls, value, d1, m, start=0):
@@ -166,7 +171,7 @@ class Jet:
             s[1:] += a[0] * b[1:]
             if len(s) > 1 + m:
                 cross = a[1:1 + m, None] * b[None, 1:1 + m]
-                _add_cross(s, m, cross, np.swapaxes(cross, 0, 1))
+                _add_cross(s, m, cross, cross.swapaxes(0, 1))
             return Jet._of(s, m)
         other = np.asarray(other)
         return Jet._of(_pad(self.s, 1, other.ndim) * other, m)
@@ -286,5 +291,5 @@ def jeinsum(spec, *ops):
     s[1:] += einsum(right, a.s[0], b.s[1:])
     if len(s) > 1 + m:
         c = einsum(cross, a.s[1:1 + m], b.s[1:1 + m])
-        _add_cross(s, m, c + np.swapaxes(c, 0, 1))
+        _add_cross(s, m, c + c.swapaxes(0, 1))
     return Jet._of(s, m)

@@ -16,12 +16,54 @@ from .jets import einsum
 
 DIM = 4
 
+# numpy's LAPACK kernels, bound once.  np.linalg.inv, det and eigh check
+# and cast their operand, then call these gufuncs under an errstate that
+# turns a singular matrix (or an eigensolver that does not converge) into
+# LinAlgError.  On a float64 4x4 those checks cost more than the kernel, so
+# inv and eigh here call it under the same errstate, and det, which sets
+# none, is the gufunc itself: the same bits without the wrapper.  Every
+# linear-algebra call in the package goes through them.
+try:  # numpy >= 2
+    from numpy.linalg._linalg import _umath_linalg
+except ImportError:
+    try:  # numpy 1.x
+        from numpy.linalg.linalg import _umath_linalg
+    except ImportError:
+        _umath_linalg = None
+
+
+def _singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _no_convergence(err, flag):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+if _umath_linalg is None:
+    inv, det, eigh = np.linalg.inv, np.linalg.det, np.linalg.eigh
+else:
+    det = _umath_linalg.det
+
+    def inv(a):
+        """np.linalg.inv of a float64 matrix, through its kernel."""
+        with np.errstate(call=_singular, invalid="call", over="ignore",
+                         divide="ignore", under="ignore"):
+            return _umath_linalg.inv(a, signature="d->d")
+
+    def eigh(a):
+        """np.linalg.eigh of a float64 symmetric matrix, through its
+        kernel: (eigenvalues in ascending order, eigenvectors as columns)."""
+        with np.errstate(call=_no_convergence, invalid="call", over="ignore",
+                         divide="ignore", under="ignore"):
+            return _umath_linalg.eigh_lo(a, signature="d->dd")
+
 
 def _as_vector(values):
     arr = np.asarray(values, dtype=float)
     if arr.shape != (DIM,):
         raise ValueError(f"expected shape {(DIM,)}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("tensor components must be finite")
     return arr
 
@@ -31,7 +73,7 @@ def null_tolerance(y):
     no overflow warning, where max|y|^2 passes the float range."""
     y = np.asarray(y, dtype=float)
     with np.errstate(over="ignore"):
-        return 1e-12 * max(np.max(np.abs(y)) ** 2, 1e-300)
+        return 1e-12 * max(np.abs(y).max() ** 2, 1e-300)
 
 
 def norm_and_sign(g, y, tol=None):
@@ -42,7 +84,8 @@ def norm_and_sign(g, y, tol=None):
     -1 timelike, +1 spacelike.  Raises NullFiberError near the light cone.
     With the default tol it raises NonFiniteFiberError where g(y,y) is not
     finite; an explicit tol (the integrators' trial stages pass 0) skips
-    that.
+    that, and a NaN g(y,y) then takes the sign -1, on which every output
+    of the stage is NaN, so the step control rejects it.
     """
     g = np.asarray(g, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -53,7 +96,7 @@ def norm_and_sign(g, y, tol=None):
         tol = null_tolerance(y)
     if abs(q) < tol:
         raise NullFiberError(f"|g(y,y)| = {abs(q):.3e} below null tolerance {tol:.3e}")
-    return float(np.sqrt(abs(q))), int(np.sign(q))
+    return math.sqrt(abs(q)), -1 if math.isnan(q) else int(np.sign(q))
 
 
 @dataclass(frozen=True)

@@ -70,7 +70,7 @@ from .connection import (Sample, contortion_vector, field_frame,
 from .errors import ChartDomainError
 from .fields import cached_property, current, stress_energy_em
 from .jets import einsum
-from .tensors import DIM, PhasePoint
+from .tensors import DIM, PhasePoint, eigh
 
 DEFAULT_ALPHAS = (-1.0, 0.0, 0.5, 1.0, 3.0)
 
@@ -147,7 +147,7 @@ class _Bench(Sample):
 
     @cached_property
     def trace_E(self):
-        return np.trace(self.jet.E.v, axis1=-2, axis2=-1)
+        return self.jet.E.v.trace(axis1=-2, axis2=-1)
 
     @cached_property
     def angular_E(self):
@@ -432,7 +432,7 @@ def sample_phase_points(scenario, n, rng):
             continue
         misses = 0
         g = scenario.metric.pack(x).g
-        lam, V = np.linalg.eigh(g)
+        lam, V = eigh(g)
         order = np.argsort(lam)
         lam, V = lam[order], V[:, order]
         if not (lam[0] < 0 < lam[1]):

@@ -463,3 +463,108 @@ def test_callable_potential_matches_catalog():
     for name in ("dA", "d2A", "F"):
         np.testing.assert_allclose(getattr(pot.pack(X_SPH), name),
                                    getattr(ref.pack(X_SPH), name), rtol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# the spherical packs against numpy-scalar arithmetic
+
+
+def _numpy_scalar_pack(x, f, df, d2f):
+    # diag(-f, 1/f, r^2, r^2 sin^2 th) built from np.diag and numpy scalars
+    r, th = x[1], x[2]
+    s, c = np.sin(th), np.cos(th)
+    g = np.diag([-f, 1.0 / f, r * r, r * r * s * s])
+    dg = np.zeros((4, 4, 4))
+    dg[1, 0, 0] = -df
+    dg[1, 1, 1] = -df / f ** 2
+    dg[1, 2, 2] = 2.0 * r
+    dg[1, 3, 3] = 2.0 * r * s * s
+    dg[2, 3, 3] = 2.0 * r * r * s * c
+    d2g = np.zeros((4, 4, 4, 4))
+    d2g[1, 1, 0, 0] = -d2f
+    d2g[1, 1, 1, 1] = -d2f / f ** 2 + 2.0 * df ** 2 / f ** 3
+    d2g[1, 1, 2, 2] = 2.0
+    d2g[1, 1, 3, 3] = 2.0 * s * s
+    d2g[1, 2, 3, 3] = d2g[2, 1, 3, 3] = 4.0 * r * s * c
+    d2g[2, 2, 3, 3] = 2.0 * r * r * (c * c - s * s)
+    return g, dg, d2g
+
+
+def _numpy_scalar_rn(M, Q):
+    def pack(x):
+        r = x[1]
+        return _numpy_scalar_pack(
+            x, 1.0 - 2.0 * M / r + Q * Q / r ** 2,
+            2.0 * M / r ** 2 - 2.0 * Q * Q / r ** 3,
+            -4.0 * M / r ** 3 + 6.0 * Q * Q / r ** 4)
+    return pack
+
+
+def _numpy_scalar_schwarzschild(x, M=1.0):
+    r = x[1]
+    return _numpy_scalar_pack(x, 1.0 - 2.0 * M / r, 2.0 * M / r ** 2,
+                              -4.0 * M / r ** 3)
+
+
+def _numpy_scalar_coulomb(x, Q=0.7):
+    r = x[1]
+    dA, d2A = np.zeros((4, 4)), np.zeros((4, 4, 4))
+    dA[1, 0] = -Q / r ** 2
+    d2A[1, 1, 0] = 2.0 * Q / r ** 3
+    return dA, d2A
+
+
+SPHERICAL_FIELDS = [
+    (builtin_metric("minkowski", {"coordinates": "spherical"}),
+     lambda x: _numpy_scalar_pack(x, 1.0, 0.0, 0.0)),
+    (builtin_metric("schwarzschild", {"M": 1.0}), _numpy_scalar_schwarzschild),
+    (builtin_metric("reissner_nordstrom", {"M": 1.0, "Q": 0.5}),
+     _numpy_scalar_rn(1.0, 0.5)),
+    (builtin_metric("reissner_nordstrom",
+                    {"M": 1.0, "Q": 1.5, "allow_naked": True}),
+     _numpy_scalar_rn(1.0, 1.5)),
+    (builtin_potential("coulomb", {"Q": 0.7}), _numpy_scalar_coulomb),
+]
+
+
+def _arrays(pack):
+    if isinstance(pack, PotentialPack):
+        return pack.dA, pack.d2A
+    return pack.g, pack.dg, pack.d2g
+
+
+@pytest.mark.parametrize("field, reference", SPHERICAL_FIELDS)
+def test_spherical_packs_match_numpy_scalars_bytes(field, reference):
+    # Python-float arithmetic gives numpy scalars' bits, at chart points
+    # and at points within 1e-6 of the axis guard, sin(theta) = 1e-8
+    rng = np.random.default_rng(11)
+    axis = np.arcsin(1e-8)
+    for k in range(500):
+        th = (rng.uniform(0.05, np.pi - 0.05) if k % 2 else
+              axis + rng.uniform(0.0, 1e-6) if k % 4 else
+              np.pi - axis - rng.uniform(0.0, 1e-6))
+        x = np.array([rng.uniform(-5.0, 5.0), rng.uniform(0.0, 40.0), th,
+                      rng.uniform(0.0, 6.2)])
+        if not field.guard_ok(x):
+            continue
+        for mine, ref in zip(_arrays(field.pack(x, check=False)),
+                             reference(x)):
+            assert mine.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("field, reference", SPHERICAL_FIELDS)
+def test_spherical_packs_past_the_float_range_match_numpy_scalars(
+        field, reference):
+    # where Python's arithmetic raises (r = 0, a power past the float
+    # range, 1/f at a horizon) the pack takes numpy's inf and NaN, as an
+    # integrator's unguarded trial stage reads them; NaN sign bits are
+    # not compared, as Python's arithmetic does not fix them
+    with np.errstate(all="ignore"):
+        for r in (0.0, -0.0, 1e-200, 1e-80, 1e80, 1e200, 2.0, 1.0,
+                  np.nan, np.inf, -1.0):
+            x = np.array([0.0, r, 1.2, 0.3])
+            for mine, ref in zip(_arrays(field.pack(x, check=False)),
+                                 reference(x)):
+                np.testing.assert_array_equal(mine, ref)
+                assert (np.signbit(mine) == np.signbit(ref))[
+                    ~np.isnan(ref)].all()

@@ -25,6 +25,16 @@ G = np.array([[-1.0, 0.1, 0.0, 0.0],
 Y = np.array([1.4, 0.3, -0.5, 0.2])
 
 
+@pytest.mark.parametrize("m, k", [(4, 4), (8, 4), (2, 4), (4, 2), (1, 1)])
+def test_seed_is_the_identity_jet(m, k):
+    # the seed's one zeroed stack equals the constructor's, value vec,
+    # first derivatives np.eye(m, k), second derivatives zero
+    vec = np.arange(1.0, k + 1.0)
+    ref = Jet(vec, np.eye(m, k), np.zeros((m, m, k)))
+    assert Jet.seed(vec, m).s.tobytes() == ref.s.tobytes()
+    assert Jet.seed(vec, m).s.shape == ref.s.shape
+
+
 def test_seed_layout():
     j = Jet.seed(Y, 4)
     assert np.array_equal(j.v, Y)
@@ -491,8 +501,10 @@ def test_only_jets_calls_np_einsum():
 
 
 def test_import_raises_no_warning():
-    # numpy 2 warns on importing numpy.core.multiarray, so the binding
-    # tries numpy._core first; -W error turns any warning into a failure
+    # numpy 2 warns on importing numpy.core.multiarray (and its early
+    # releases on numpy.linalg.linalg), so the einsum and linalg bindings
+    # try numpy._core and numpy.linalg._linalg first; -W error turns any
+    # warning into a failure
     src = Path(tidalbundle.__file__).parents[1]
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-c",

@@ -306,12 +306,6 @@ class FiberParts:
         return jeinsum("ijk,k->ij", self.R3, self.y)
 
 
-def _couplings(alpha):
-    """The shape of a coupling batch, () for one coupling: np.shape,
-    without its cost per call."""
-    return alpha.shape if isinstance(alpha, np.ndarray) else ()
-
-
 def _lead(factor, rank):
     """A 1-D coupling factor shaped to lead rank tensor slots; a scalar
     passes as is, so one-coupling callers pay no reshape."""
@@ -494,14 +488,15 @@ class Sample:
         quad = einsum("...li,...il->...", parts.B1, parts.B1)
         values = (parts.E.trace(axis1=-2, axis2=-1),
                   e_trace - 2.0 * div + quad, e_trace, div, quad)
-        if not _couplings(self.alpha):
+        if not isinstance(self.alpha, np.ndarray) or not self.alpha.ndim:
             values = map(float, values)
         return TraceDecomposition(*values)
 
     def covariant(self, field: PhaseFieldSpec, reference="full"):
         """Covariant derivative of a phase field: d_covariant_derivative."""
         out = _covariant(self.frame, self.phase, field, reference)
-        couplings = _couplings(self.alpha)
+        alpha = self.alpha
+        couplings = alpha.shape if isinstance(alpha, np.ndarray) else ()
         if not couplings:
             return out[0]
         return np.broadcast_to(out, couplings + out.shape[1:])
@@ -516,7 +511,7 @@ def _covariant(frame, ctx, field, reference):
     one coupling, so a batch equals its couplings bit for bit.
     """
     T, rank = field.build(ctx), len(field.variance)
-    couplings = _couplings(ctx.alpha)
+    couplings = ctx.alpha.shape if isinstance(ctx.alpha, np.ndarray) else ()
     builds = [(T, couplings)]
     if couplings == (DIM,):
         # a slot indexed as a coupling (ctx.B[0]) leaves a leading axis as

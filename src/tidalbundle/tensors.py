@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import NonFiniteFiberError, NullFiberError
 from .jets import einsum
@@ -22,14 +23,9 @@ DIM = 4
 # LinAlgError.  On a float64 4x4 those checks cost more than the kernel, so
 # inv and eigh here call it under the same errstate, and det, which sets
 # none, is the gufunc itself: the same bits without the wrapper.  Every
-# linear-algebra call in the package goes through them.
-try:  # numpy >= 2
-    from numpy.linalg._linalg import _umath_linalg
-except ImportError:
-    try:  # numpy 1.x
-        from numpy.linalg.linalg import _umath_linalg
-    except ImportError:
-        _umath_linalg = None
+# linear-algebra call in the package goes through them.  numpy's own linalg
+# module imports the gufuncs from numpy.linalg on both numpy 1.x and 2.x.
+det = _umath_linalg.det
 
 
 def _singular(err, flag):
@@ -40,23 +36,19 @@ def _no_convergence(err, flag):
     raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
 
-if _umath_linalg is None:
-    inv, det, eigh = np.linalg.inv, np.linalg.det, np.linalg.eigh
-else:
-    det = _umath_linalg.det
+def inv(a):
+    """np.linalg.inv of a float64 matrix, through its kernel."""
+    with np.errstate(call=_singular, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        return _umath_linalg.inv(a, signature="d->d")
 
-    def inv(a):
-        """np.linalg.inv of a float64 matrix, through its kernel."""
-        with np.errstate(call=_singular, invalid="call", over="ignore",
-                         divide="ignore", under="ignore"):
-            return _umath_linalg.inv(a, signature="d->d")
 
-    def eigh(a):
-        """np.linalg.eigh of a float64 symmetric matrix, through its
-        kernel: (eigenvalues in ascending order, eigenvectors as columns)."""
-        with np.errstate(call=_no_convergence, invalid="call", over="ignore",
-                         divide="ignore", under="ignore"):
-            return _umath_linalg.eigh_lo(a, signature="d->dd")
+def eigh(a):
+    """np.linalg.eigh of a float64 symmetric matrix, through its kernel:
+    (eigenvalues in ascending order, eigenvectors as columns)."""
+    with np.errstate(call=_no_convergence, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        return _umath_linalg.eigh_lo(a, signature="d->dd")
 
 
 def _as_vector(values):

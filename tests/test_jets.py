@@ -501,10 +501,9 @@ def test_only_jets_calls_np_einsum():
 
 
 def test_import_raises_no_warning():
-    # numpy 2 warns on importing numpy.core.multiarray (and its early
-    # releases on numpy.linalg.linalg), so the einsum and linalg bindings
-    # try numpy._core and numpy.linalg._linalg first; -W error turns any
-    # warning into a failure
+    # numpy 2 warns on importing numpy.core.multiarray, so the einsum
+    # binding tries numpy._core first; -W error turns any warning into a
+    # failure
     src = Path(tidalbundle.__file__).parents[1]
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-c",

@@ -191,12 +191,10 @@ def test_linalg_binding_keeps_numpy_errors():
 
 
 def test_linalg_binding_is_numpy_kernel():
-    # where numpy exposes its LAPACK gufuncs the package binds them, so no
-    # inverse, determinant or eigensolve pays np.linalg's wrapper
-    try:
-        from numpy.linalg import _umath_linalg
-    except ImportError:
-        pytest.skip("numpy exposes no numpy.linalg._umath_linalg")
+    # the package binds numpy's LAPACK gufuncs, so no inverse, determinant
+    # or eigensolve pays np.linalg's wrapper
+    from numpy.linalg import _umath_linalg
+
     assert tensors._umath_linalg is _umath_linalg
     assert tensors.det is _umath_linalg.det
 

@@ -25,13 +25,14 @@ tiers (b.jet, b.plain, b.phase) and the point's data (b.p, b.e_scale,
 ...) directly, and each tensor is built on its first read, once.
 
 Residual policy: every check is one row (check, lhs, rhs, scale, at)
-over the bench's couplings, all judged in one pass.  A row holds every
-coupling, or the subset at where the check applies (ricci-base-reduction
-at alpha = 0, einstein-trace-full at alpha != 0).  Per coupling it gives
-max|lhs|, max|rhs|, the absolute residual max|lhs - rhs| over the tensor
-slots, and rel, that residual over the row's scale: the magnitude of the
-data feeding the comparison (for identities whose both sides vanish, the
-pre-cancellation scale), so "rel < tol" measures conditioning, not luck.
+over the bench's couplings, all judged in one pass.  CHECKS gives each
+check's tolerance, group, scenario declaration and the couplings its row
+holds (at: every one, alpha = 0 or alpha != 0); run_suite holds each
+bench's verdicts to it.  Per coupling a row gives max|lhs|, max|rhs|, the
+absolute residual max|lhs - rhs| over the tensor slots, and rel, that
+residual over the row's scale: the magnitude of the data feeding the
+comparison (for identities whose both sides vanish, the pre-cancellation
+scale), so "rel < tol" measures conditioning, not luck.
 Each check name has one scale, shared by the suite and by alpha_sweep;
 the trace-level checks (the inhomogeneous Maxwell forms and the trace
 decomposition) include the term-by-term magnitude of the curvature
@@ -67,36 +68,12 @@ import numpy as np
 from . import __version__
 from .connection import (Sample, contortion_vector, field_frame,
                          unit_direction_low)
-from .errors import ChartDomainError
+from .errors import ChartDomainError, ScenarioError
 from .fields import cached_property, current, stress_energy_em
 from .jets import einsum
 from .tensors import DIM, PhasePoint, eigh
 
 DEFAULT_ALPHAS = (-1.0, 0.0, 0.5, 1.0, 3.0)
-
-# Structural identities are plain algebra on exact derivatives; the
-# field-equation forms stack more derivative layers and meet looser bars.
-TOLERANCES = {
-    "reconstruction": 1e-9,
-    "ricci-hessian": 1e-9,
-    "ricci-base-reduction": 1e-9,
-    "unit-direction-transport": 1e-9,
-    "angular-projection": 1e-9,
-    "angular-trace": 1e-9,
-    "tidal-orthogonality": 1e-9,
-    "homogeneity-ladder": 1e-9,
-    "spray-coherence": 1e-10,
-    "strong-torsion": 1e-9,
-    "curvature-antisymmetry": 1e-9,
-    "maxwell-homogeneous": 1e-9,
-    "maxwell-homogeneous-cyclic": 1e-8,
-    "maxwell-inhomogeneous-quadratic": 1e-8,
-    "maxwell-inhomogeneous-divergence": 1e-8,
-    "maxwell-variants-agree": 1e-9,
-    "trace-decomposition": 1e-8,
-    "einstein-trace": 1e-7,
-    "einstein-trace-full": 1e-7,
-}
 
 _ABS_FLOOR = 1e-14
 
@@ -171,18 +148,17 @@ class _Bench(Sample):
         return (self.grav_scale
                 + np.abs(self.alpha) * self.charge_scale * self.p.norm)
 
-    @cached_property
-    def nonzero(self):
-        """Indices of the couplings alpha != 0."""
-        return np.flatnonzero(self.alpha != 0.0)
+    def at(self, check):
+        """Indices of the couplings where CHECKS applies a subset check."""
+        return np.flatnonzero((self.alpha == 0.0) == CHECKS[check].zero)
 
 
 class _Row(NamedTuple):
     """One check, lhs against rhs, at some couplings of a bench.
 
-    at indexes the bench's couplings the row holds (None: all of them).
-    lhs leads with that coupling axis; rhs broadcasts against lhs, and
-    scale against one value per coupling.
+    at indexes the bench's couplings the row holds (None: all; a subset
+    is CHECKS's, through _Bench.at).  lhs leads with that coupling axis;
+    rhs broadcasts against lhs, and scale against one value per coupling.
     """
 
     check: str
@@ -233,7 +209,7 @@ def _checks(groups, bench, scenario_id, point):
         sides[1, stop - a.size:stop].reshape(a.shape)[...] = b
         scales[end - len(a):end] = s
     np.subtract(sides[0], sides[1], out=sides[2])
-    seg = np.repeat(size // n, n)          # one segment per (row, coupling)
+    seg = np.repeat(size // np.maximum(n, 1), n)   # per (row, coupling)
     lhs_mag, rhs_mag, abs_res, rel = out = np.full((4, ends[-1]), np.inf)
     np.maximum.reduceat(np.abs(sides, out=sides), np.cumsum(seg) - seg,
                         axis=1, out=out[:3])
@@ -267,12 +243,10 @@ def _structural(b):
     yield _Row("ricci-hessian", b.ricci, -einsum("...jiil->...jl", b.block),
                _scale(b.ricci, b.block))
 
-    zero = np.flatnonzero(b.alpha == 0.0)
-    if zero.size:
-        ricci = b.ricci[zero]
-        yield _Row("ricci-base-reduction", ricci, b.frame.ricci,
-                   _scale(float(np.max(np.abs(b.frame.ricci))), ricci,
-                          b.e_scale / b.nrm2), zero)
+    zero = b.at("ricci-base-reduction")
+    yield _Row("ricci-base-reduction", b.ricci[zero], b.frame.ricci,
+               _scale(float(np.max(np.abs(b.frame.ricci))), b.ricci,
+                      b.e_scale / b.nrm2)[zero], zero)
 
     # scale includes the connection magnitude: the derivative is assembled
     # from terms of that size even when the result cancels to zero
@@ -365,15 +339,15 @@ def _trace_split(b):
 
 
 def full_trace_rhs(bench):
-    """Right side of the fully contracted field equation at alpha != 0.
+    """Right side of the fully contracted field equation, alpha != 0.
 
-    One value per coupling in bench.nonzero.  Assembles the
-    unit-direction d'Alembertian from the base-referenced contortion
-    divergence and the field invariants, then the remaining divergence
-    and quadratic terms from the closed-form path, so the two pipelines
-    cross-check each other inside one equation.
+    One value per coupling of bench.at("einstein-trace-full"), which reads
+    CHECKS.  Assembles the unit-direction d'Alembertian from the
+    base-referenced contortion divergence and the field invariants, then
+    the remaining divergence and quadratic terms from the closed-form
+    path, so the two pipelines cross-check each other inside one equation.
     """
-    b, at = bench, bench.nonzero
+    b, at = bench, bench.at("einstein-trace-full")
     alpha = b.alpha[at]
     a2 = alpha * alpha
     F_up = b.jet.F_up.v
@@ -393,18 +367,44 @@ def _einstein(b):
                -8.0 * np.pi * (T_yy - 0.5 * T_tr * (b.eps * b.nrm2)),
                max(b.e_scale,
                    8.0 * np.pi * (abs(T_yy) + 0.5 * abs(T_tr) * b.nrm2)))
-    at = b.nonzero
-    if at.size:
-        lhs = b.trace_E[at] / b.nrm2
-        rhs = full_trace_rhs(b)
-        yield _Row("einstein-trace-full", lhs, rhs,
-                   _scale(lhs, rhs, b.e_scale / b.nrm2,
-                          b.td.divergence[at] / b.nrm2,
-                          b.quad[at] / b.nrm2), at)
+    at = b.at("einstein-trace-full")
+    lhs, rhs = b.trace_E[at] / b.nrm2, full_trace_rhs(b)
+    yield _Row("einstein-trace-full", lhs, rhs,
+               _scale(lhs, rhs, b.e_scale / b.nrm2,
+                      b.td.divergence[at] / b.nrm2, b.quad[at] / b.nrm2), at)
 
 
-_GROUPS = (_structural, _maxwell_homogeneous, _maxwell_inhomogeneous,
-           _trace_split)
+class _Check(NamedTuple):
+    tol: float
+    group: object       # the check group that yields its rows
+    zero: bool = None   # only at alpha = 0 (True), != 0 (False); -0.0 is 0
+    needs: str = None   # the Scenario flag it needs, if any
+
+
+# In yield order.  Field-equation forms stack derivative layers: looser bars.
+CHECKS = {
+    "reconstruction": _Check(1e-9, _structural),
+    "ricci-hessian": _Check(1e-9, _structural),
+    "ricci-base-reduction": _Check(1e-9, _structural, zero=True),
+    "unit-direction-transport": _Check(1e-9, _structural),
+    "angular-projection": _Check(1e-9, _structural),
+    "angular-trace": _Check(1e-9, _structural),
+    "tidal-orthogonality": _Check(1e-9, _structural),
+    "homogeneity-ladder": _Check(1e-9, _structural),
+    "spray-coherence": _Check(1e-10, _structural),
+    "strong-torsion": _Check(1e-9, _structural),
+    "curvature-antisymmetry": _Check(1e-9, _structural),
+    "maxwell-homogeneous": _Check(1e-9, _maxwell_homogeneous),
+    "maxwell-homogeneous-cyclic": _Check(1e-8, _maxwell_homogeneous),
+    "maxwell-inhomogeneous-quadratic": _Check(1e-8, _maxwell_inhomogeneous),
+    "maxwell-inhomogeneous-divergence": _Check(1e-8, _maxwell_inhomogeneous),
+    "maxwell-variants-agree": _Check(1e-9, _maxwell_inhomogeneous),
+    "trace-decomposition": _Check(1e-8, _trace_split),
+    "einstein-trace": _Check(1e-7, _einstein, needs="einstein_consistent"),
+    "einstein-trace-full": _Check(1e-7, _einstein, zero=False,
+                                  needs="einstein_consistent"),
+}
+TOLERANCES = {name: c.tol for name, c in CHECKS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -468,11 +468,31 @@ def _grid(alphas, points):
     return alphas
 
 
+def _plans(scenarios, alphas):
+    """In id order, each scenario, the groups CHECKS runs on it and the
+    (check, alpha) of their verdicts at a bench, in the judge's order."""
+    ordered = sorted(scenarios, key=lambda s: s.id)
+    if dup := [s.id for s, t in zip(ordered, ordered[1:]) if s.id == t.id]:
+        raise ScenarioError(f"scenario id {dup[0]!r} is given twice")
+    for s in ordered:
+        on = [(name, c) for name, c in CHECKS.items()
+              if c.needs is None or getattr(s, c.needs)]
+        yield (s, tuple(dict.fromkeys(c.group for _, c in on)),
+               [(name, a) for name, c in on for a in alphas
+                if c.zero is None or c.zero == (a == 0.0)])
+
+
+def expected_rows(scenarios, alphas, points):
+    """The number of checks rows run_suite gives for these arguments."""
+    alphas = _grid(alphas, points)
+    return points * sum(len(rows) for _, _, rows in _plans(scenarios, alphas))
+
+
 def run_suite(scenarios, points=50, seed=0, alphas=None, progress=None):
     """Evaluate every check over sampled phase points; deterministic report.
 
-    alphas=None runs DEFAULT_ALPHAS; an empty sequence, a non-finite
-    coupling or a negative point count raises ValueError.
+    alphas=None runs DEFAULT_ALPHAS; an empty or non-finite grid or
+    points < 0 raise ValueError, a repeated scenario id ScenarioError.
 
     The report is a plain-JSON dict: identical (scenario set, points,
     alphas, seed, version) give byte-identical serialization.
@@ -480,12 +500,10 @@ def run_suite(scenarios, points=50, seed=0, alphas=None, progress=None):
     alphas = _grid(DEFAULT_ALPHAS if alphas is None else alphas, points)
     if not alphas:
         raise ValueError("run_suite needs at least one coupling")
-    ordered = sorted(scenarios, key=lambda s: s.id)
+    plans = list(_plans(scenarios, alphas))
     rng = np.random.default_rng(seed)
     sampled, checks = [], []
-    for scenario in ordered:
-        groups = _GROUPS + ((_einstein,) if scenario.einstein_consistent
-                            else ())
+    for scenario, groups, expected in plans:
         pts = sample_phase_points(scenario, points, rng)
         for idx, p in enumerate(pts):
             sampled.append({
@@ -495,16 +513,18 @@ def run_suite(scenarios, points=50, seed=0, alphas=None, progress=None):
                 "conditioning": float(np.abs(p.y).max()) ** 2 / p.norm ** 2})
             bench = _Bench(scenario.metric, scenario.potential, p, alphas,
                            scenario.nonspray_perturbation)
-            checks += _checks(groups, bench, scenario.id, idx)
+            rows = _checks(groups, bench, scenario.id, idx)
+            if list(map(itemgetter("check", "alpha"), rows)) != expected:
+                raise RuntimeError(f"{scenario.id!r}: rows differ from CHECKS")
+            checks += rows
             if progress is not None:
                 progress(scenario.id, idx)
     checks.sort(key=itemgetter("scenario", "point", "alpha", "check"))
-    by_check = {}
+    by_check = {name: {"tol": TOLERANCES[name], "worst_rel": 0.0,
+                       "failures": 0} for _, _, rows in plans if points
+                for name, _ in rows}
     for c in checks:
-        entry = by_check.get(c["check"])
-        if entry is None:
-            entry = by_check[c["check"]] = {
-                "tol": TOLERANCES[c["check"]], "worst_rel": 0.0, "failures": 0}
+        entry = by_check[c["check"]]
         entry["worst_rel"] = _worse(entry["worst_rel"], c["rel_residual"])
         entry["failures"] += not c["passed"]
     max_rel = 0.0
@@ -517,7 +537,7 @@ def run_suite(scenarios, points=50, seed=0, alphas=None, progress=None):
         "version": __version__,
         "seed": int(seed),
         "config": {"points": int(points), "alphas": list(alphas)},
-        "scenarios": [s.id for s in ordered],
+        "scenarios": [s.id for s, _, _ in plans],
         "points": sampled,
         "checks": checks,
         "check_summary": by_check,

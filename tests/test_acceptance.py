@@ -25,7 +25,8 @@ from tidalbundle.dynamics import (IntegratorConfig, convert_deviation_frame,
 from tidalbundle.fields import builtin_metric, builtin_potential
 from tidalbundle.scenario import (BUILTIN_IDS, builtin_scenario,
                                  builtin_scenarios)
-from tidalbundle.verify import _Bench, _checks, _einstein, report_json, run_suite
+from tidalbundle.verify import (CHECKS, DEFAULT_ALPHAS, _Bench, _checks,
+                                expected_rows, report_json, run_suite)
 
 SUITE_POINTS = 50
 SUITE_SEED = 0
@@ -125,6 +126,8 @@ def test_criterion_04_trace_decomposition(suite_report):
 def test_criterion_05_einstein_trace_profiles():
     rn = builtin_scenario("reissner_nordstrom")
     sw = builtin_scenario("schwarzschild_vacuum")
+    check = CHECKS["einstein-trace"]
+    assert all(getattr(sc, check.needs) for sc in (rn, sw))
     worst_rel, worst_abs = 0.0, 0.0
     for i, r in enumerate(np.linspace(4.0, 50.0, 20)):
         x = np.array([0.0, r, 1.2, 0.3])
@@ -133,7 +136,7 @@ def test_criterion_05_einstein_trace_profiles():
             y = normalize_velocity(g, [1.0, 0.02, 0.001, 0.3 / r], -1.0)
             p = phase_point(sc.metric, x, y)
             bench = _Bench(sc.metric, sc.potential, p, [alpha])
-            for res in _checks((_einstein,), bench, sc.id, 0):
+            for res in _checks((check.group,), bench, sc.id, 0):
                 if res["check"] != "einstein-trace":
                     continue
                 rel, res_abs = res["rel_residual"], res["abs_residual"]
@@ -292,6 +295,12 @@ def test_criterion_09_determinism_and_exit_codes(tmp_path, suite_report,
     assert main(["simulate", "--scenario", str(infall),
                  "--out", str(tmp_path / "i.csv")]) == 3
     _ok("determinism: byte-identical reports and CSV; exit codes 0/1/2/3")
+
+
+def test_report_rows_are_the_expected_count(suite_report):
+    # the pinned report holds the rows the check table gives
+    assert len(suite_report["checks"]) == expected_rows(
+        builtin_scenarios(), DEFAULT_ALPHAS, SUITE_POINTS) == 17550
 
 
 def test_report_v2_rows_rebuild_v1(suite_report):

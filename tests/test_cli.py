@@ -174,6 +174,28 @@ def test_verify_exit_codes(tmp_path, capsys):
                  "--out", str(rep)]) == 0
 
 
+def test_verify_refuses_a_repeated_scenario_id(tmp_path, capsys):
+    # a report names each point by (scenario, point): two scenarios with
+    # one id, a built-in given twice or two files, would share those keys
+    data = json.loads((Path(tidalbundle.__file__).parent / "scenarios"
+                       / "flat_vacuum.json").read_text())
+    files = []
+    for k, alpha in enumerate((0.5, 2.0)):
+        files.append(tmp_path / f"twin{k}.json")
+        files[-1].write_text(json.dumps({**data, "id": "twin",
+                                         "alpha": alpha}))
+    out = tmp_path / "r.json"
+    for refs, sid in ((["flat_vacuum"] * 2, "flat_vacuum"),
+                      (list(map(str, files)), "twin")):
+        argv = ["verify", "--points", "2", "--out", str(out)]
+        for ref in refs:
+            argv += ["--scenario", ref]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: scenario id {sid!r} is given twice\n")
+        assert not out.exists()
+
+
 def test_verify_reports_byte_identical(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["verify", "--scenario", "flat_uniform_b", "--points", "3",

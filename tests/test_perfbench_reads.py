@@ -3,18 +3,20 @@
 perfbench/workloads.py and perfbench/run.py call tidalbundle through the
 module object they are handed (tb.<name>), so a public name that is
 renamed or deleted would surface only when the benchmark runs.  The files
-are read here as text, never imported, so nothing is written under
+are read here as text, never imported (workloads.py is executed from its
+text, as test_perfbench_tracing.py does), so nothing is written under
 perfbench/.
 """
 
 import functools
 import re
+import types
 from pathlib import Path
 
 import numpy as np
 
 import tidalbundle
-from tidalbundle.verify import TOLERANCES
+from tidalbundle.verify import TOLERANCES, expected_rows
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -65,3 +67,23 @@ def test_field_wrappers_take_the_benchmarks_call_form():
         assert len(got) == len(want)
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
+
+
+def _workloads():
+    path = PERFBENCH / "workloads.py"
+    mod = types.ModuleType("perfbench_workloads")
+    exec(compile(path.read_text(), str(path), "exec"), mod.__dict__)
+    return mod
+
+
+def test_suite_gate_counts_the_rows_the_check_table_gives():
+    # VerifySuite.gate refuses a report whose row count is not its own
+    # expected_checks(); the suite counts the same rows from verify.CHECKS,
+    # for the benchmark's config and for its negative control alike
+    workloads = _workloads()
+    suite = workloads.VerifySuite(tidalbundle, 0)
+    [(_, control, _)] = suite.controls()
+    for workload in (suite, control):
+        assert workload.expected_checks() == expected_rows(
+            workload.scenarios, workloads.ALPHAS, workload.points)
+    assert control.scenario_ids == ("negative_control",)

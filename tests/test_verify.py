@@ -1,7 +1,10 @@
 import json
 import math
+import re
+import warnings
 from collections import Counter
 from functools import reduce
+from pathlib import Path
 from types import SimpleNamespace
 from importlib import resources
 
@@ -16,12 +19,14 @@ from tidalbundle.connection import (connection_data, d_covariant_derivative,
                                     unit_direction_low)
 from tidalbundle.curvature import tidal_packet, trace_decomposition
 from tidalbundle import verify
-from tidalbundle.scenario import (DEFAULT_SUITE, builtin_scenario,
+from tidalbundle.errors import ScenarioError
+from tidalbundle.scenario import (BUILTIN_IDS, DEFAULT_SUITE, builtin_scenario,
                                  builtin_scenarios)
-from tidalbundle.verify import (DEFAULT_ALPHAS, TOLERANCES, _GROUPS, _Bench,
+from tidalbundle.verify import (CHECKS, DEFAULT_ALPHAS, TOLERANCES, _Bench,
                                 _checks, _einstein, _maxwell_homogeneous,
-                                _maxwell_inhomogeneous, _structural,
-                                alpha_sweep, report_json,
+                                _maxwell_inhomogeneous, _plans, _Row,
+                                _scale, _structural, alpha_sweep,
+                                expected_rows, report_json,
                                 report_summary_table, run_suite,
                                 sample_phase_points)
 
@@ -344,8 +349,9 @@ def _reference_checks(groups, bench, scenario_id, point):
     judged = {}
     for group in groups:
         for check, lhs, rhs, scale, at in group(bench):
-            judged.setdefault(check, (at, []))[1].append(
-                _reference_residuals(lhs, rhs, scale))
+            if len(lhs):        # a row at no coupling gives no verdict
+                judged.setdefault(check, (at, []))[1].append(
+                    _reference_residuals(lhs, rhs, scale))
     results = []
     for check, (at, rows) in judged.items():
         parts = reduce(lambda top, row: np.where(
@@ -412,6 +418,10 @@ def _hand_built_groups(n):
                np.abs(tensor()[at]), at)
         yield "ricci-base-reduction", tensor(4, 4)[:1], tensor(4, 4)[0], \
             0.0, np.array([n - 1])
+        # at the zero couplings only: no coupling on some grids
+        zero = np.flatnonzero(b.alpha == 0.0)
+        yield ("unit-direction-transport", tensor(4, 4)[zero],
+               tensor(4, 4)[0], np.abs(tensor())[zero], zero)
 
     def shapes(b):
         # scalar, lower-rank and column rhs, and a rank-4 row
@@ -463,7 +473,7 @@ def test_judge_matches_row_by_row_reference(alphas):
 def test_judge_matches_row_by_row_reference_on_every_scenario():
     rng = np.random.default_rng(12)
     for sc in builtin_scenarios():
-        groups = _GROUPS + ((_einstein,) if sc.einstein_consistent else ())
+        [(_, groups, _)] = _plans([sc], DEFAULT_ALPHAS)
         for k, p in enumerate(sample_phase_points(sc, 2, rng)):
             bench = _Bench(sc.metric, sc.potential, p, DEFAULT_ALPHAS,
                            sc.nonspray_perturbation)
@@ -476,18 +486,21 @@ def test_alpha_zero_skips_full_trace():
     sc = builtin_scenario("reissner_nordstrom")
     rng = np.random.default_rng(0)
     p = sample_phase_points(sc, 1, rng)[0]
-    fields = (sc.metric, sc.potential, p)
-    names = {row.check for row in _einstein(_Bench(*fields, [0.0]))}
-    assert names == {"einstein-trace"}
-    names = {row.check for row in _einstein(_Bench(*fields, [1.0]))}
-    assert names == {"einstein-trace", "einstein-trace-full"}
+
+    def judged(alphas):
+        bench = _Bench(sc.metric, sc.potential, p, alphas)
+        return [(r["check"], r["alpha"])
+                for r in _checks((_einstein,), bench, sc.id, 0)]
+
+    # at alpha = 0 (-0.0 too) the full trace's row holds no coupling
+    for zero in (0.0, -0.0):
+        assert judged([zero]) == [("einstein-trace", zero)]
+    assert judged([1.0]) == [("einstein-trace", 1.0),
+                             ("einstein-trace-full", 1.0)]
     # over a batch the full trace carries only its nonzero couplings
-    bench = _Bench(*fields, DEFAULT_ALPHAS)
-    judged = {(r["check"], r["alpha"])
-              for r in _checks((_einstein,), bench, sc.id, 0)}
-    assert judged == ({("einstein-trace", a) for a in DEFAULT_ALPHAS}
-                      | {("einstein-trace-full", a) for a in DEFAULT_ALPHAS
-                         if a != 0.0})
+    assert judged(DEFAULT_ALPHAS) == (
+        [("einstein-trace", a) for a in DEFAULT_ALPHAS]
+        + [("einstein-trace-full", a) for a in DEFAULT_ALPHAS if a != 0.0])
 
 
 def test_custom_alpha_grid_respected():
@@ -539,6 +552,69 @@ def test_suite_yields_every_check_name():
     report = run_suite([builtin_scenario(s) for s in DEFAULT_SUITE],
                        points=1, seed=0)
     assert {c["check"] for c in report["checks"]} == set(TOLERANCES)
+
+
+def test_expected_rows_counts_every_report_row():
+    # -0.0 is a zero coupling, and a repeated coupling gives its rows twice;
+    # a grid with no zero (or no nonzero) coupling gives rows at none, and
+    # no warning
+    scenarios = [builtin_scenario(i) for i in BUILTIN_IDS]
+    for alphas in ((-2.0, 0.0, 0.7, 3.0, -0.0), (1.0, 1.0), (-0.0,),
+                   (0.0, 0.0, 1.5)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_suite(scenarios, points=1, seed=3, alphas=alphas)
+        assert len(report["checks"]) == expected_rows(scenarios, alphas, 1)
+    assert expected_rows(scenarios, (0.0, 1.0), 3) == 3 * (
+        9 * 2 * 16 + 9 + 5 * (2 + 1))      # 5 Einstein-consistent built-ins
+    assert expected_rows(scenarios, (0.5,), 0) == 0
+    with pytest.raises(ValueError, match="finite"):
+        expected_rows(scenarios, (0.5, math.inf), 1)
+    # a repeated scenario id is refused by both, before any point is drawn
+    twins = scenarios[:1] * 2
+    with pytest.raises(ScenarioError, match="'flat_vacuum'"):
+        expected_rows(twins, (1.0,), 1)
+    with pytest.raises(ScenarioError, match="'flat_vacuum'"):
+        run_suite(twins, points=1, progress=pytest.fail)
+
+
+def test_a_dropped_or_an_extra_row_raises(monkeypatch):
+    # run_suite holds each bench's verdicts to CHECKS: a group that drops a
+    # check, or yields one at a coupling the table does not give it, raises
+    def dropping(b):
+        return (row for row in _structural(b)
+                if row.check != "spray-coherence")
+
+    def widened(b):
+        for row in _structural(b):
+            if row.check == "ricci-base-reduction":     # at every coupling
+                row = _Row(row.check, b.ricci, b.frame.ricci, _scale(b.ricci))
+            yield row
+
+    sc = builtin_scenario("flat_vacuum")
+    run_suite([sc], points=1, seed=0)
+    for group in (dropping, widened):
+        # the table gives group every check it gives _structural
+        monkeypatch.setattr(verify, "CHECKS", {
+            name: c._replace(group=group) if c.group is _structural else c
+            for name, c in CHECKS.items()})
+        with pytest.raises(RuntimeError, match="rows differ from CHECKS"):
+            run_suite([sc], points=1, seed=0)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_check_list_is_the_table():
+    # one line per check, in table order, each saying where it applies
+    text = README.read_text().split("### What each check realizes")[1]
+    listed = re.findall(r"^- `([\w-]+)` \(([^)]*)\): ", text.split("\n#")[0],
+                        flags=re.M)
+    couplings = {None: "every alpha", True: "alpha = 0", False: "alpha != 0"}
+    assert listed == [
+        (name, couplings[c.zero] + (f", `{c.needs}` scenarios" if c.needs
+                                    else ", every scenario"))
+        for name, c in CHECKS.items()]
 
 
 def test_empty_coupling_grid_is_refused():

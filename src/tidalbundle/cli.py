@@ -107,14 +107,12 @@ def cmd_compute(args) -> int:
             raise SystemExit2(f"--at values must be finite, got {args.at}")
         x = np.array(args.at[:4], dtype=float)
         y = np.array(args.at[4:], dtype=float)
-        sc.metric.check_chart(x)
-        sc.potential.check_chart(x)
-        p = PhasePoint.create(sc.metric.pack(x).g, x, y)
     else:
-        p = sc.initial_point
+        x, y = sc.x0, sc.y0
     # one sample serves both reads: one frame, one plain and one jet tier
-    s = Sample(field_frame(sc.metric, sc.potential, p.x), sc.alpha, p.y,
-               sc.nonspray_perturbation)
+    frame = field_frame(sc.metric, sc.potential, x)
+    p = PhasePoint.create(frame.g, x, y)
+    s = Sample(frame, sc.alpha, p.y, sc.nonspray_perturbation)
     cd, tp = ConnectionData.read(s, p), TidalPacket.read(s, p)
     payload = {
         "scenario": sc.id,

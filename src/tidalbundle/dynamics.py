@@ -99,12 +99,9 @@ def worldline_rhs(metric, potential, alpha, x, y):
 
 
 def _combined_margin(metric, potential, x):
-    m = metric.guard_margins(x).min()
-    if potential is not None:
-        pm = potential.guard_margins(x)
-        if len(pm):
-            m = min(m, pm.min())
-    return float(m)
+    """The least margin of the fields' guards at x; inf with no guard."""
+    fields = (metric,) if potential is None else (metric, potential)
+    return float(min(f.guard_margins(x).min(initial=np.inf) for f in fields))
 
 
 _MAX_STEPS_EXCEEDED = ("integrator exceeded max_steps; the step size is too "

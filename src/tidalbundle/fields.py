@@ -22,7 +22,7 @@ uniform_b, uniform_e, pure_gauge) builds that pack once, with the field,
 and every pack(x) returns the same object.  Its derived tensors are read
 at build, so they too are computed once per field, and every array it
 holds is read-only: an in-place write raises instead of reaching every
-later point.  pack(x, check=True) still guards the point.  Such a pack
+later point.  pack(x, check=True) still admits the point.  Such a pack
 also reports, in zeros, which of its data are exactly zero, and so zero
 everywhere: "dg" (with d2g: a flat connection, so gamma and every base
 derivative of g vanish), "d2A" (a uniform field: dF vanishes) and "F"
@@ -174,38 +174,40 @@ class PotentialPack:
         return self.d2A - einsum("kij->kji", self.d2A)
 
 
-def _everywhere(x):
-    """Guard margins of a field defined on its whole chart."""
-    return np.array([1.0])
+# the guard margins of a field with no guard: it has its whole chart
+_NO_GUARD = np.empty(0)
+_NO_GUARD.flags.writeable = False
 
 
 class _GuardedField:
     """A field on one chart: its pack function and the chart's guard,
-    everywhere if margins_fn is None."""
+    the whole chart if margins_fn is None."""
 
     def __init__(self, name, params, coords, pack_fn, margins_fn=None):
         self.name = name
         self.params = dict(params)
         self.coords = coords
         self._pack_fn = pack_fn
-        self._margins_fn = margins_fn or _everywhere
+        self._margins_fn = margins_fn
 
     def guard_margins(self, x):
-        """Scalars that are positive strictly inside the chart."""
+        """Scalars positive strictly inside the chart; none if no guard."""
+        if self._margins_fn is None:
+            return _NO_GUARD
         return self._margins_fn(np.asarray(x, dtype=float))
 
     def guard_ok(self, x):
         return bool((self.guard_margins(x) > 0.0).all())
 
-    def check_chart(self, x):
-        if not self.guard_ok(x):
-            raise ChartDomainError(f"point {np.asarray(x).tolist()} outside "
-                                   f"{self._domain} {self.name!r}")
-
     def _evaluate(self, x, check):
+        """The pack at x, admitted first if check (see MetricField.pack)."""
         x = np.asarray(x, dtype=float)
         if check:
-            self.check_chart(x)
+            if not np.isfinite(x).all():
+                raise ChartDomainError(f"non-finite base point {x.tolist()}")
+            if not self.guard_ok(x):
+                raise ChartDomainError(f"point {x.tolist()} outside "
+                                       f"{self._domain} {self.name!r}")
         return self._pack_fn(x)
 
 
@@ -223,13 +225,10 @@ class MetricField(_GuardedField):
     def coord_names(self):
         return _COORD_NAMES.get(self.coords, ("x0", "x1", "x2", "x3"))
 
-    def check_chart(self, x):
-        if not np.isfinite(x).all():
-            raise ChartDomainError(f"non-finite base point {x!r}")
-        super().check_chart(x)
-
     def pack(self, x, check=True) -> MetricPack:
-        """Evaluate g with derivatives; check=False skips the chart guard.
+        """Evaluate g with derivatives.  check=True admits x: it refuses a
+        non-finite point, one outside the guard and, here, one where
+        |det g| < 1e-10, with ChartDomainError; check=False skips all three.
 
         Unguarded evaluation exists for adaptive integrators whose trial
         steps may probe slightly past the boundary the guard protects.

@@ -37,11 +37,8 @@ import numpy as np
 # contraction in the package calls it.
 try:  # numpy >= 2
     from numpy._core.multiarray import c_einsum as einsum
-except ImportError:
-    try:  # numpy 1.x
-        from numpy.core.multiarray import c_einsum as einsum
-    except ImportError:
-        einsum = np.einsum
+except ImportError:  # numpy 1.x
+    from numpy.core.multiarray import c_einsum as einsum
 
 _JET_AXES = "ZY"  # reserved subscript letters for derivative axes
 

@@ -6,8 +6,8 @@ checked against the shipped schema by a small in-repo validator, which
 words its error as jsonschema's `best_match` would, so numpy is the only
 runtime dependency.  Then every scenario is checked semantically: numbers
 must be finite, catalog names must resolve, the charts of metric and
-potential must match, the initial point must pass the chart guard, and the
-initial fiber must be non-null after optional normalization.  Scenario
+potential must match, both fields' packs must admit the initial point, and
+the initial fiber must be non-null after optional normalization.  Scenario
 files are UTF-8, the JSON encoding.
 """
 
@@ -21,7 +21,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .dynamics import IntegratorConfig, normalize_velocity
-from .errors import NonFiniteFiberError, NullFiberError, ScenarioError
+from .errors import (ChartDomainError, NonFiniteFiberError, NullFiberError,
+                     ScenarioError)
 from .fields import (MetricField, PotentialField, builtin_metric,
                      builtin_potential, coords_compatible, finite_number)
 from .tensors import PhasePoint
@@ -219,16 +220,11 @@ def scenario_from_dict(data: dict, source="<dict>") -> Scenario:
 
     x0 = np.asarray(data["initial"]["x0"], dtype=float)
     y0 = np.asarray(data["initial"]["y0"], dtype=float)
-    if not metric.guard_ok(x0):
-        raise ScenarioError(
-            f"{source}: initial.x0 {x0.tolist()} is outside the chart of "
-            f"metric {metric.name!r}")
-    if not potential.guard_ok(x0):
-        raise ScenarioError(
-            f"{source}: initial.x0 {x0.tolist()} is outside the domain of "
-            f"potential {potential.name!r}")
-
-    g = metric.pack(x0).g
+    try:
+        g = metric.pack(x0).g
+        potential.pack(x0)
+    except ChartDomainError as e:
+        raise ScenarioError(f"{source}: initial.x0: {e}")
     normalize = data["initial"]["normalize"]
     if normalize != "none":
         try:

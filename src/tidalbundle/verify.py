@@ -245,7 +245,7 @@ def _structural(b):
 
     zero = b.at("ricci-base-reduction")
     yield _Row("ricci-base-reduction", b.ricci[zero], b.frame.ricci,
-               _scale(float(np.max(np.abs(b.frame.ricci))), b.ricci,
+               _scale(float(np.abs(b.frame.ricci).max()), b.ricci,
                       b.e_scale / b.nrm2)[zero], zero)
 
     # scale includes the connection magnitude: the derivative is assembled
@@ -253,9 +253,9 @@ def _structural(b):
     transport = b.covariant(unit_direction_low)
     yield _Row("unit-direction-transport", transport,
                (0.5 * b.alpha)[:, None, None] * b.frame.F,
-               _scale(float(np.max(np.abs(b.frame.F))), transport,
+               _scale(float(np.abs(b.frame.F).max()), transport,
                       N / b.p.norm,
-                      float(np.max(np.abs(b.frame.gamma)))))
+                      float(np.abs(b.frame.gamma).max())))
 
     l_low = jp.l_low.v
     Et = b.angular_E
@@ -289,7 +289,7 @@ def _structural(b):
                _scale(N, b.torsion))
 
     R3 = jp.R3.v
-    yield _Row("curvature-antisymmetry", R3, -np.swapaxes(R3, -1, -2),
+    yield _Row("curvature-antisymmetry", R3, -R3.swapaxes(-1, -2),
                _scale(R3))
 
 
@@ -308,11 +308,11 @@ def _cyclic_side(bench):
 
 def _maxwell_homogeneous(b):
     E, Et = b.jet.E.v, b.angular_E
-    antisym = 0.5 * (Et - np.swapaxes(Et, -1, -2))
+    antisym = 0.5 * (Et - Et.swapaxes(-1, -2))
     scale = _scale(Et, E)
     yield _Row("maxwell-homogeneous", antisym, np.zeros((DIM, DIM)), scale)
     cyc_scale = (np.abs(b.alpha) * b.p.norm
-                 * float(np.max(np.abs(b.frame.dF))) * float(np.max(np.abs(b.y))))
+                 * float(np.abs(b.frame.dF).max()) * float(np.abs(b.y).max()))
     yield _Row("maxwell-homogeneous-cyclic", antisym, _cyclic_side(b),
                _scale(scale, cyc_scale))
 
@@ -416,14 +416,17 @@ def sample_phase_points(scenario, n, rng):
 
     Fiber components are drawn in a frame that diagonalizes the metric so
     the rejection step is cheap and chart-independent; the returned vectors
-    are coordinate components.  A box whose draws miss the chart 1000
-    times in a row raises ChartDomainError.
+    are coordinate components.  A draw the fields' packs refuse is a miss,
+    drawn again; 1000 misses in a row raise ChartDomainError.
     """
     box = scenario.sampling_box
     pts, misses = [], 0
     while len(pts) < n:
         x = rng.uniform(box[:, 0], box[:, 1])
-        if not (scenario.metric.guard_ok(x) and scenario.potential.guard_ok(x)):
+        try:
+            g = scenario.metric.pack(x).g
+            scenario.potential.pack(x)
+        except ChartDomainError:
             misses += 1
             if misses == 1000:
                 raise ChartDomainError(
@@ -431,7 +434,6 @@ def sample_phase_points(scenario, n, rng):
                     f"sampling.box {box.tolist()} fell outside the chart")
             continue
         misses = 0
-        g = scenario.metric.pack(x).g
         lam, V = eigh(g)
         order = np.argsort(lam)
         lam, V = lam[order], V[:, order]

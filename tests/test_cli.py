@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import logging
 import os
@@ -36,6 +38,16 @@ def test_list_text_and_json(capsys):
     data = json.loads(capsys.readouterr().out)
     assert "coulomb" in data["potentials"]
     assert "negative_control" in data["scenarios"]
+
+
+def test_emit_to_a_text_only_stdout(capsys):
+    # a stream with no byte buffer standing in for stdout gets the text the
+    # byte path writes
+    assert main(["list", "--format", "json"]) == 0
+    want = capsys.readouterr().out
+    with contextlib.redirect_stdout(io.StringIO()) as text:
+        assert main(["list", "--format", "json"]) == 0
+    assert text.getvalue() == want
 
 
 def test_compute_json_payload(tmp_path):
@@ -86,6 +98,19 @@ def test_compute_at_override(tmp_path, capsys):
         assert main(["compute", "--scenario", "flat_vacuum", "--at", "0", "0",
                      "0", "0", "1e300", "0.1", "0", "0"]) == 2
     assert capsys.readouterr() == ("", "error: g(y,y) = -inf is not finite\n")
+
+
+def test_compute_refuses_a_degenerate_initial_point(tmp_path, capsys):
+    # x0 clears the chart guard but its metric is degenerate: the loader
+    # names the file and the key, in one error line
+    path = tmp_path / "axis.json"
+    path.write_text(json.dumps({**INFALL, "initial": {
+        **INFALL["initial"], "x0": [0.0, 4.0, 5e-8, 0.0]}}))
+    assert main(["compute", "--scenario", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {path}: initial.x0: metric degenerate at ")
+    assert err.count("\n") == 1
 
 
 def test_simulate_deterministic_csv_and_svg(tmp_path):

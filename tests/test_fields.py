@@ -286,6 +286,15 @@ def test_constant_packs_are_built_once_per_field():
         cart.pack(np.array([np.nan, 0.0, 0.0, 0.0]))
 
 
+def test_packs_refuse_a_non_finite_point():
+    # a field with no guard still admits no NaN, and the message lists the
+    # point as a list, for the metric and the potential alike
+    for field in (builtin_potential("zero"), builtin_metric("minkowski")):
+        with pytest.raises(ChartDomainError) as exc:
+            field.pack([np.nan, 0.0, 0.0, 0.0])
+        assert str(exc.value) == "non-finite base point [nan, 0.0, 0.0, 0.0]"
+
+
 @pytest.mark.parametrize("field, x", [
     (builtin_metric("minkowski", {"coordinates": "spherical"}), X_SPH),
     (builtin_metric("schwarzschild", {"M": 1.0}), X_SPH),

@@ -88,6 +88,16 @@ def test_initial_point_outside_chart():
         scenario_from_dict(data)
 
 
+def test_degenerate_initial_point_names_its_source():
+    # sin(theta) = 5e-8 clears the chart guard, but |det g| < 1e-10: the
+    # metric's pack refuses x0, and the error says where it was read
+    data = {"id": "t", "metric": {"name": "schwarzschild", "params": {"M": 1.0}},
+            "initial": {"x0": [0.0, 4.0, 5e-8, 0.0]}}
+    with pytest.raises(ScenarioError,
+                       match=r"^s\.json: initial\.x0: metric degenerate at "):
+        scenario_from_dict(data, source="s.json")
+
+
 def test_null_initial_velocity_hint():
     data = _minimal(initial={"x0": [0, 0, 0, 0], "y0": [1.0, 1.0, 0.0, 0.0]})
     with pytest.raises(ScenarioError, match="normalize"):

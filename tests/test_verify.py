@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -19,7 +20,9 @@ from tidalbundle.connection import (connection_data, d_covariant_derivative,
                                     unit_direction_low)
 from tidalbundle.curvature import tidal_packet, trace_decomposition
 from tidalbundle import verify
-from tidalbundle.errors import ScenarioError
+from tidalbundle.errors import ChartDomainError, ScenarioError
+from tidalbundle.fields import metric_from_callable
+from tidalbundle.jets import jeinsum, value_of
 from tidalbundle.scenario import (BUILTIN_IDS, DEFAULT_SUITE, builtin_scenario,
                                  builtin_scenarios)
 from tidalbundle.verify import (CHECKS, DEFAULT_ALPHAS, TOLERANCES, _Bench,
@@ -275,6 +278,26 @@ def test_point_sampler_contract():
             assert box[i][0] <= p.x[i] <= box[i][1]
         q = p.causal_sign * p.norm ** 2
         assert -4.0 <= q <= -0.25
+
+
+def test_point_sampler_redraws_a_degenerate_draw():
+    # a metric degenerate where x^1 < 0: the packs refuse those draws, and
+    # each is a miss that is drawn again, like a draw outside the guard
+    def half_degenerate(x):
+        e = np.diag([-1.0, 1.0, 1.0, float(value_of(x[1]) >= 0.0)])
+        return jeinsum("ij,->ij", e, 1.0 + x[2] * x[2])
+
+    sc = dataclasses.replace(builtin_scenario("flat_vacuum"),
+                             metric=metric_from_callable(half_degenerate))
+    pts = sample_phase_points(sc, 20, np.random.default_rng(0))
+    assert len(pts) == 20
+    for p in pts:
+        assert abs(np.linalg.det(sc.metric.pack(p.x, check=False).g)) >= 1e-10
+    # a box where every draw is degenerate still ends after 1000 misses
+    sc = dataclasses.replace(sc, sampling_box=np.array(
+        [[0.0, 1.0], [-1.0, -0.5], [-1.0, 1.0], [-1.0, 1.0]]))
+    with pytest.raises(ChartDomainError, match="1000 draws in a row"):
+        sample_phase_points(sc, 1, np.random.default_rng(0))
 
 
 def test_check_groups_pass_individually():

@@ -344,8 +344,7 @@ def fiber_parts(frame: FieldFrame, alpha, y, check=True) -> FiberParts:
     produce large finite values (which the step control then rejects) rather
     than raise.
     """
-    nrm_v, eps = norm_and_sign(frame.g, value_of(y),
-                               tol=None if check else 0.0)
+    nrm_v, eps = norm_and_sign(frame.g, value_of(y), check)
     if isinstance(y, Jet):
         q = jeinsum("i,i->", jeinsum("ij,j->i", frame.g, y), y)
         nrm = jsqrt(eps * q)
@@ -461,6 +460,16 @@ class Sample:
         N = self.jet.N
         return (einsum("j...ik,k->...ij", N.d, self.y)
                 - (N.v + self.perturbation))
+
+    @cached_property
+    def trace_E(self):
+        """The tidal trace E^i_i from the jet tier."""
+        return self.jet.E.v.trace(axis1=-2, axis2=-1)
+
+    @cached_property
+    def angular_E(self):
+        """The angular tidal tensor h_ik E^k_j from the jet tier."""
+        return self.jet.h_low.v @ self.jet.E.v
 
     @cached_property
     def block(self):

@@ -52,10 +52,9 @@ class TidalPacket:
     def read(cls, s: Sample, p: PhasePoint) -> TidalPacket:
         """The curvature of Sample s (at p) from its fiber-jet tier."""
         jp, riem, y = s.jet, s.frame.riemann, s.y
-        E = jp.E.v
         return cls(point=p, alpha=float(s.alpha), nonlinear_curvature=jp.R3.v,
-                   tidal=E, tidal_angular=jp.h_low.v @ E,
-                   tidal_trace=float(E.trace()),
+                   tidal=jp.E.v, tidal_angular=s.angular_E,
+                   tidal_trace=float(s.trace_E),
                    gravity_tidal=einsum("iajb,a,b->ij", riem, y, y),
                    base_riemann=riem, base_ricci=s.frame.ricci,
                    curvature_block=s.block,

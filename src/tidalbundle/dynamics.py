@@ -32,7 +32,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .connection import field_frame, fiber_parts
+from .connection import field_frame, fiber_parts, phase_point
 from .errors import ChartDomainError, NullFiberError, TidalError
 from .jets import einsum
 from .tensors import DIM, PhasePoint, norm_and_sign
@@ -387,7 +387,9 @@ def _trajectory(rhs, cfg, metric, potential, init: PhasePoint,
     """Integrate from init, plus a deviation (w0, v0) in rate_channel."""
     state0 = np.concatenate([init.x, init.y,
                              *(np.asarray(d, float) for d in deviation)])
-    states, run = _integrate(rhs, state0, cfg, metric, potential)
+    # a trial stage past the chart reads inf or NaN, which the run refuses
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        states, run = _integrate(rhs, state0, cfg, metric, potential)
     xs, ys = states[:, :DIM], states[:, DIM:2 * DIM]
     w, v = (states[:, 8:12], states[:, 12:16]) if deviation else (None, None)
     return Trajectory(**run, x=xs, y=ys,
@@ -494,8 +496,7 @@ def two_worldline_oracle(metric, potential, alpha, init: PhasePoint, w0, v0,
     parts = fiber_parts(frame, alpha, init.y)
     u0 = v0 - parts.N @ w0
     ref = integrate_worldline(metric, potential, alpha, init, cfg)
-    g_n = metric.pack(init.x + eps * w0).g
-    neighbor = PhasePoint.create(g_n, init.x + eps * w0, init.y + eps * u0)
+    neighbor = phase_point(metric, init.x + eps * w0, init.y + eps * u0)
     per = integrate_worldline(metric, potential, alpha, neighbor, cfg)
     n = min(len(ref.t), len(per.t))
     w_fd = (per.x[:n] - ref.x[:n]) / eps

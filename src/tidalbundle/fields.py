@@ -263,7 +263,7 @@ def _radial(build):
     the float range, a division by zero: points the chart guard refuses,
     which an integrator's trial stage may still probe), it runs again on
     the numpy scalars x[1] and x[2], which give inf or NaN there, with
-    numpy's warning.
+    numpy's warning, which the integrators turn off (dynamics._trajectory).
     """
     def pack(x):
         try:

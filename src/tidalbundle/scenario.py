@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .connection import phase_point
 from .dynamics import IntegratorConfig, normalize_velocity
 from .errors import (ChartDomainError, NonFiniteFiberError, NullFiberError,
                      ScenarioError)
@@ -78,8 +79,7 @@ class Scenario:
 
     @property
     def initial_point(self) -> PhasePoint:
-        g = self.metric.pack(self.x0).g
-        return PhasePoint.create(g, self.x0, self.y0)
+        return phase_point(self.metric, self.x0, self.y0)
 
     @property
     def has_deviation(self) -> bool:

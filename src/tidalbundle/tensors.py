@@ -68,26 +68,26 @@ def null_tolerance(y):
         return 1e-12 * max(np.abs(y).max() ** 2, 1e-300)
 
 
-def norm_and_sign(g, y, tol=None):
+def norm_and_sign(g, y, check=True):
     """Positive norm and causal sign of a fiber vector.
 
     Returns (sqrt(|g_ij y^i y^j|), sign(g_ij y^i y^j)).  The squared length
     is kept positive; the causal character rides along as a separate sign,
-    -1 timelike, +1 spacelike.  Raises NullFiberError near the light cone.
-    With the default tol it raises NonFiniteFiberError where g(y,y) is not
-    finite; an explicit tol (the integrators' trial stages pass 0) skips
-    that, and a NaN g(y,y) then takes the sign -1, on which every output
-    of the stage is NaN, so the step control rejects it.
+    -1 timelike, +1 spacelike.  With check it raises NullFiberError near
+    the light cone and NonFiniteFiberError where g(y,y) is not finite;
+    check=False (the integrators' trial stages) skips both, and a NaN
+    g(y,y) then takes the sign -1, on which every output of the stage is
+    NaN, so the step control rejects it.
     """
     g = np.asarray(g, dtype=float)
     y = np.asarray(y, dtype=float)
     q = float(einsum("ij,i,j->", g, y, y))
-    if tol is None:
+    if check:
         if not math.isfinite(q):
             raise NonFiniteFiberError(f"g(y,y) = {q} is not finite")
-        tol = null_tolerance(y)
-    if abs(q) < tol:
-        raise NullFiberError(f"|g(y,y)| = {abs(q):.3e} below null tolerance {tol:.3e}")
+        if abs(q) < (tol := null_tolerance(y)):
+            raise NullFiberError(
+                f"|g(y,y)| = {abs(q):.3e} below null tolerance {tol:.3e}")
     return math.sqrt(abs(q)), -1 if math.isnan(q) else int(np.sign(q))
 
 

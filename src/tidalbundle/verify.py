@@ -9,7 +9,8 @@ numerical confirmation, not a tautology.
 
 The raw field evaluation is the FieldFrame: metric, potential and their
 derivatives at the base point, and the mixed field strength F^i_j that
-every fiber tier reads.  It is built once per sampled point, with
+every fiber tier reads.  The sampler admits each draw through field_frame
+(a draw it refuses is a miss), and that frame is its bench's, built with
 the rest of the coupling-independent data (charge density, stress-energy,
 residual scales), and reused for every coupling; each check's two sides
 still run on disjoint paths from it (fiber jet against plain fiber, phase
@@ -85,6 +86,7 @@ _ABS_FLOOR = 1e-14
 class _Bench(Sample):
     """Every coupling at one sampled point: a Sample over a batch of them.
 
+    fr is the FieldFrame the sampler admitted p with (see _draws).
     alphas is a 1-D array of couplings: each tier is built once, at that
     array, and its coupling-dependent tensors carry the coupling axis
     first.  The check groups read the tiers directly (b.jet.E.v) and the
@@ -93,9 +95,7 @@ class _Bench(Sample):
     here too.
     """
 
-    def __init__(self, metric, potential, p: PhasePoint, alphas,
-                 nonspray_perturbation=0.0):
-        fr = field_frame(metric, potential, p.x)
+    def __init__(self, fr, p: PhasePoint, alphas, nonspray_perturbation=0.0):
         super().__init__(fr, np.asarray(alphas, dtype=float), p.y,
                          nonspray_perturbation)
         self.p, y = p, self.y
@@ -121,15 +121,6 @@ class _Bench(Sample):
         self.grav_scale = einsum("iaib,a,b->", riem_abs, ay, ay)
         self.charge_scale = (einsum("kik,i->", np.abs(fr.dFmix), ay)
                              + einsum("iak,ak->", ag, np.abs(fr.Fmix)))
-
-    @cached_property
-    def trace_E(self):
-        return self.jet.E.v.trace(axis1=-2, axis2=-1)
-
-    @cached_property
-    def angular_E(self):
-        """The angular tidal tensor h_ik E^k_j from the fiber-jet tier."""
-        return self.jet.h_low.v @ self.jet.E.v
 
     @cached_property
     def quad(self):
@@ -416,25 +407,29 @@ def sample_phase_points(scenario, n, rng):
 
     Fiber components are drawn in a frame that diagonalizes the metric so
     the rejection step is cheap and chart-independent; the returned vectors
-    are coordinate components.  A draw the fields' packs refuse is a miss,
+    are coordinate components.  A draw that field_frame refuses is a miss,
     drawn again; 1000 misses in a row raise ChartDomainError.
     """
+    return [p for _, p in _draws(scenario, n, rng)]
+
+
+def _draws(scenario, n, rng):
+    """sample_phase_points's draws, each made when asked for, as (frame,
+    point): the FieldFrame that admitted the draw is the point's bench's."""
     box = scenario.sampling_box
-    pts, misses = [], 0
-    while len(pts) < n:
-        x = rng.uniform(box[:, 0], box[:, 1])
-        try:
-            g = scenario.metric.pack(x).g
-            scenario.potential.pack(x)
-        except ChartDomainError:
-            misses += 1
-            if misses == 1000:
-                raise ChartDomainError(
-                    f"scenario {scenario.id!r}: 1000 draws in a row from "
-                    f"sampling.box {box.tolist()} fell outside the chart")
-            continue
-        misses = 0
-        lam, V = eigh(g)
+    for _ in range(n):
+        for _ in range(1000):
+            x = rng.uniform(box[:, 0], box[:, 1])
+            try:
+                frame = field_frame(scenario.metric, scenario.potential, x)
+                break
+            except ChartDomainError:
+                pass
+        else:
+            raise ChartDomainError(
+                f"scenario {scenario.id!r}: 1000 draws in a row from "
+                f"sampling.box {box.tolist()} fell outside the chart")
+        lam, V = eigh(frame.g)
         order = np.argsort(lam)
         lam, V = lam[order], V[:, order]
         if not (lam[0] < 0 < lam[1]):
@@ -449,9 +444,7 @@ def sample_phase_points(scenario, n, rng):
                 break
         else:
             raise RuntimeError("fiber sampler failed to find a timelike draw")
-        y = frame_vectors @ yhat
-        pts.append(PhasePoint.create(g, x, y))
-    return pts
+        yield frame, PhasePoint.create(frame.g, x, frame_vectors @ yhat)
 
 
 def _worse(worst, rel):
@@ -506,15 +499,13 @@ def run_suite(scenarios, points=50, seed=0, alphas=None, progress=None):
     rng = np.random.default_rng(seed)
     sampled, checks = [], []
     for scenario, groups, expected in plans:
-        pts = sample_phase_points(scenario, points, rng)
-        for idx, p in enumerate(pts):
+        for idx, (frame, p) in enumerate(_draws(scenario, points, rng)):
             sampled.append({
                 "scenario": scenario.id, "point": idx,
                 "x": p.x.tolist(), "y": p.y.tolist(),
                 "causal_sign": p.causal_sign,
                 "conditioning": float(np.abs(p.y).max()) ** 2 / p.norm ** 2})
-            bench = _Bench(scenario.metric, scenario.potential, p, alphas,
-                           scenario.nonspray_perturbation)
+            bench = _Bench(frame, p, alphas, scenario.nonspray_perturbation)
             rows = _checks(groups, bench, scenario.id, idx)
             if list(map(itemgetter("check", "alpha"), rows)) != expected:
                 raise RuntimeError(f"{scenario.id!r}: rows differ from CHECKS")
@@ -560,10 +551,9 @@ def alpha_sweep(scenario, alphas, points=10, seed=0):
     if len(alphas) == 0:
         return []
     rows = []
-    pts = sample_phase_points(scenario, points, np.random.default_rng(seed))
-    for idx, p in enumerate(pts):
-        b = _Bench(scenario.metric, scenario.potential, p, alphas,
-                   scenario.nonspray_perturbation)
+    draws = _draws(scenario, points, np.random.default_rng(seed))
+    for idx, (frame, p) in enumerate(draws):
+        b = _Bench(frame, p, alphas, scenario.nonspray_perturbation)
         rel = {}
         for r in _checks((_maxwell_inhomogeneous, _trace_split), b,
                          scenario.id, idx):

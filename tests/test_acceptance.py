@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from tidalbundle.cli import main
-from tidalbundle.connection import phase_point
+from tidalbundle.connection import field_frame, phase_point
 from tidalbundle.curvature import tidal_packet
 from tidalbundle.dynamics import (IntegratorConfig, convert_deviation_frame,
                                   integrate_deviation_classical,
@@ -135,7 +135,8 @@ def test_criterion_05_einstein_trace_profiles():
             g = sc.metric.pack(x).g
             y = normalize_velocity(g, [1.0, 0.02, 0.001, 0.3 / r], -1.0)
             p = phase_point(sc.metric, x, y)
-            bench = _Bench(sc.metric, sc.potential, p, [alpha])
+            bench = _Bench(field_frame(sc.metric, sc.potential, p.x), p,
+                           [alpha])
             for res in _checks((check.group,), bench, sc.id, 0):
                 if res["check"] != "einstein-trace":
                     continue

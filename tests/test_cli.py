@@ -261,6 +261,16 @@ def test_sweep_formats(tmp_path):
     assert float(cell) == rows[0]["tidal_trace"]
 
 
+def test_sweep_plot_draws_one_curve_per_point(tmp_path):
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--scenario", "flat_coulomb", "--points", "3",
+                 "--alphas", "0,0.5,1", "--out", str(out), "--plot"]) == 0
+    root = ET.fromstring((tmp_path / "s.svg").read_text())
+    svg = "{http://www.w3.org/2000/svg}"
+    assert len(list(root.iter(svg + "polyline"))) == 3
+    assert "sweep: flat_coulomb" in [t.text for t in root.iter(svg + "text")]
+
+
 def test_truncated_simulation_exit_code(tmp_path):
     case = tmp_path / "infall.json"
     case.write_text(json.dumps(INFALL))

@@ -13,7 +13,7 @@ from tidalbundle.connection import (FieldFrame, PhaseFieldSpec, Sample,
                                     unit_direction_low)
 from tidalbundle.dynamics import (IntegratorConfig, integrate_deviation_tidal,
                                   worldline_rhs)
-from tidalbundle.errors import NullFiberError
+from tidalbundle.errors import FrameMismatchError, NullFiberError
 from tidalbundle.fields import (builtin_metric, builtin_potential,
                                 metric_from_callable, potential_from_callable)
 from tidalbundle.jets import Jet, jeinsum, value_of
@@ -45,6 +45,14 @@ def _rn_point(y=Y):
 
 def _contortion(alpha=ALPHA):
     return connection_data(RN, COULOMB, alpha, _rn_point()).contortion
+
+
+def test_field_frame_refuses_mismatched_charts():
+    # a spherical metric with a Cartesian potential: no frame is built
+    with pytest.raises(FrameMismatchError,
+                       match="schwarzschild uses spherical coordinates but "
+                             "uniform_b expects cartesian"):
+        field_frame(builtin_metric("schwarzschild", {"M": 1.0}), UB, X)
 
 
 def test_contortion_orthogonal_to_fiber():

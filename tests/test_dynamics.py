@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -112,6 +113,23 @@ def test_truncation_at_chart_boundary():
     assert traj.x[:, 1].min() > 2.0
     text = trajectory_csv(traj)
     assert text.rstrip().endswith(f"# truncated: left chart near t={traj.exit_time!r}")
+
+
+def test_truncated_fixed_step_run_prints_no_float_warning():
+    # a charged infall through the outer horizon: the last RK4 stages
+    # probe points past the chart guard, where the packs overflow; the
+    # run stops at the guard without a numpy warning
+    rn = builtin_metric("reissner_nordstrom", {"M": 1.0, "Q": 0.5})
+    coulomb = builtin_potential("coulomb", {"Q": 0.5})
+    x0 = np.array([0.0, 4.0, 1.2, 0.0])
+    y0 = normalize_velocity(rn.pack(x0).g, [1.0, -0.3, 0.0, 0.02], -1.0)
+    cfg = IntegratorConfig(method="rk4-fixed", t_span=(0.0, 40.0), step=0.2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = integrate_worldline(rn, coulomb, 3.0, phase_point(rn, x0, y0),
+                                   cfg)
+    assert traj.truncated
+    assert traj.exit_time == 2.8000000000000003
 
 
 def test_fixed_step_guards_every_substep():

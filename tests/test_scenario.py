@@ -11,6 +11,7 @@ import pytest
 
 import tidalbundle
 from tidalbundle import scenario
+from tidalbundle.cli import main
 from tidalbundle.errors import ScenarioError
 from tidalbundle.fields import MetricField, PotentialField
 from tidalbundle.scenario import (BUILTIN_IDS, DEFAULT_SUITE, Scenario,
@@ -127,6 +128,19 @@ def test_bad_integrator_rejected():
     data = _minimal(integrator={"method": "rk4-fixed", "step": -0.5})
     with pytest.raises(ScenarioError):
         scenario_from_dict(data)
+
+
+def test_reversed_t_span_rejected(tmp_path, capsys):
+    # the schema admits any two numbers; the integrator's own check
+    # refuses a span that runs backwards
+    data = _minimal(integrator={"t_span": [1.0, 0.0]})
+    with pytest.raises(ScenarioError,
+                       match=r"<dict>: integrator: bad t_span \(1.0, 0.0\)"):
+        scenario_from_dict(data)
+    path = tmp_path / "backwards.json"
+    path.write_text(json.dumps(data))
+    assert main(["simulate", "--scenario", str(path)]) == 2
+    assert "integrator: bad t_span (1.0, 0.0)" in capsys.readouterr().err
 
 
 def _jsonschema_words(data, schema=None):

@@ -36,8 +36,8 @@ def test_norm_and_sign_hand_values():
 def test_null_vector_rejected():
     with pytest.raises(NullFiberError):
         norm_and_sign(ETA, [1.0, 1.0, 0.0, 0.0])
-    # tol=0 disables the guard; exact zero still yields sign 0
-    nrm, eps = norm_and_sign(ETA, [1.0, 1.0, 0.0, 0.0], tol=0.0)
+    # check=False disables the guard; exact zero still yields sign 0
+    nrm, eps = norm_and_sign(ETA, [1.0, 1.0, 0.0, 0.0], check=False)
     assert nrm == 0.0 and eps == 0
 
 
@@ -101,7 +101,7 @@ def test_nan_norm_on_a_trial_stage_gives_nan_outputs():
     y = [1e200, 1e200, 0.0, 0.0]
     with pytest.raises(NonFiniteFiberError, match="nan is not finite"):
         norm_and_sign(ETA, y)
-    nrm, eps = norm_and_sign(ETA, y, tol=0.0)
+    nrm, eps = norm_and_sign(ETA, y, check=False)
     assert np.isnan(nrm) and eps == -1
     x = np.array([0.0, 6.0, 1.2, 0.3])
     for potential in (builtin_potential("zero"),

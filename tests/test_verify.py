@@ -16,7 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tidalbundle.connection import (connection_data, d_covariant_derivative,
-                                    phase_point, strong_torsion,
+                                    field_frame, phase_point, strong_torsion,
                                     unit_direction_low)
 from tidalbundle.curvature import tidal_packet, trace_decomposition
 from tidalbundle import verify
@@ -304,7 +304,8 @@ def test_check_groups_pass_individually():
     sc = builtin_scenario("reissner_nordstrom")
     rng = np.random.default_rng(0)
     p = sample_phase_points(sc, 1, rng)[0]
-    bench = _Bench(sc.metric, sc.potential, p, DEFAULT_ALPHAS)
+    bench = _Bench(field_frame(sc.metric, sc.potential, p.x), p,
+                   DEFAULT_ALPHAS)
     for fn in (_structural, _maxwell_homogeneous, _maxwell_inhomogeneous,
                _einstein):
         results = _checks((fn,), bench, sc.id, 0)
@@ -498,8 +499,8 @@ def test_judge_matches_row_by_row_reference_on_every_scenario():
     for sc in builtin_scenarios():
         [(_, groups, _)] = _plans([sc], DEFAULT_ALPHAS)
         for k, p in enumerate(sample_phase_points(sc, 2, rng)):
-            bench = _Bench(sc.metric, sc.potential, p, DEFAULT_ALPHAS,
-                           sc.nonspray_perturbation)
+            bench = _Bench(field_frame(sc.metric, sc.potential, p.x), p,
+                           DEFAULT_ALPHAS, sc.nonspray_perturbation)
             assert (_bits(_checks(groups, bench, sc.id, k))
                     == _bits(_reference_checks(groups, bench, sc.id, k))), \
                 sc.id
@@ -511,7 +512,7 @@ def test_alpha_zero_skips_full_trace():
     p = sample_phase_points(sc, 1, rng)[0]
 
     def judged(alphas):
-        bench = _Bench(sc.metric, sc.potential, p, alphas)
+        bench = _Bench(field_frame(sc.metric, sc.potential, p.x), p, alphas)
         return [(r["check"], r["alpha"])
                 for r in _checks((_einstein,), bench, sc.id, 0)]
 
@@ -654,7 +655,7 @@ def test_alpha_sweep_without_couplings_samples_nothing(monkeypatch):
     def refuse(*args):
         raise AssertionError("sampled phase points for no coupling")
 
-    monkeypatch.setattr(verify, "sample_phase_points", refuse)
+    monkeypatch.setattr(verify, "_draws", refuse)
     assert alpha_sweep(builtin_scenario("flat_coulomb"), [], points=200) == []
 
 
@@ -687,7 +688,8 @@ def test_shared_cores_match_public_functions():
         sc = builtin_scenario(sid)
         pert = sc.nonspray_perturbation
         for p in sample_phase_points(sc, 2, np.random.default_rng(11)):
-            b = _Bench(sc.metric, sc.potential, p, (0.0, 1.0), pert)
+            b = _Bench(field_frame(sc.metric, sc.potential, p.x), p,
+                       (0.0, 1.0), pert)
             transport = b.covariant(unit_direction_low)
             for k, alpha in enumerate((0.0, 1.0)):
                 args = (sc.metric, sc.potential, alpha, p)

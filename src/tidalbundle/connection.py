@@ -118,7 +118,7 @@ class FiberParts:
     The coupling enters the charged spray only as a scalar factor on the
     contortion family, so ||y||, l, h, F^i, gamma^i_jk y^k, the base
     derivatives of ||y||, F^i and gamma y, and the alpha-free brackets
-    b, b1, b2, db, db1 of B, B^i_j, B^i_jk, dB and dB^i_j are built once,
+    b, b1, b2, db1 of B, B^i_j, B^i_jk and dB^i_j are built once,
     whatever alpha is.  Each coupling-dependent tensor is its coupling
     factor (-alpha/2, or -alpha eps/2) times one of those brackets, and N,
     G^i_jk, the spray, the curvature of N and E are assembled from them.
@@ -127,13 +127,13 @@ class FiberParts:
     tier); g, gamma, Fmix and y may be Jets.  The eager
     attributes (N, B^i_j and what they read) are the ones every reader,
     the worldline right-hand side first, reads; the rest is built on first
-    read.  The curvature channel (dB, dB1, R3, E) differentiates the base
+    read.  The curvature channel (dB1, R3, E) differentiates the base
     dependence in closed form, so it reads the plain frame arrays whether
     y is plain or a fiber-seeded Jet, and builds no term the frame's
     packs report zero (flat, uniform, field_free; see R3).
 
     On a field-free frame no contraction reads F: F^i and the alpha-free
-    brackets b, b2, db, db1 and the two of B^i_jkl are exact +0.0 arrays
+    brackets b, b2, db1 and the two of B^i_jkl are exact +0.0 arrays
     (zero stacks of the tier's length on a jet tier), as the full build's
     are, since einsum sums onto a zeroed output.  b1 keeps its one
     product that sets a signed zero (see __init__).  The coupling factors
@@ -245,14 +245,6 @@ class FiberParts:
         return jeinsum("kijm,m->kij", self.frame.dgamma, self.y)
 
     @cached_property
-    def db(self):
-        if self.frame.field_free:
-            return _zeros(self.y, DIM, DIM)
-        if self.frame.flat:
-            return self.nrm * self.dF_up
-        return jeinsum("k,i->ki", self.dnrm, self.F_up) + self.nrm * self.dF_up
-
-    @cached_property
     def db1(self):
         if self.frame.field_free:
             return _zeros(self.y, DIM, DIM, DIM)
@@ -272,10 +264,6 @@ class FiberParts:
         return float(einsum("iaib,a,b->", self.frame.riemann, self.y, self.y))
 
     # ---- curvature channel: the curvature of N ----
-
-    @cached_property
-    def dB(self):
-        return _lead(-0.5 * self.alpha, 2) * self.db
 
     @cached_property
     def dB1(self):
@@ -486,12 +474,19 @@ class Sample:
         """Both sides of the tidal-trace split, from the plain tier.
 
         The divergence is the Levi-Civita horizontal divergence of B in
-        closed form, d_i B^i - n^l_i B^i_l + gamma^i_ai B^a.  Floats at
-        one coupling, arrays over a batch.
+        closed form, d_i B^i - n^l_i B^i_l + gamma^i_ai B^a; d_i B^i sums
+        the diagonal of d_k B^i, built alone.  Floats at one coupling,
+        arrays over a batch.
         """
         frame, parts = self.frame, self.plain
         e_trace = parts.gravity_trace
-        div = (einsum("...ii->...", parts.dB)
+        if frame.field_free:
+            d_b = np.zeros(DIM)
+        elif frame.flat:
+            d_b = parts.nrm * parts.dF_up.diagonal()
+        else:
+            d_b = parts.dnrm * parts.F_up + parts.nrm * parts.dF_up.diagonal()
+        div = (einsum("...i->...", _lead(-0.5 * self.alpha, 1) * d_b)
                - einsum("li,...il->...", parts.n1, parts.B1)
                + einsum("iai,...a->...", frame.gamma, parts.B))
         quad = einsum("...li,...il->...", parts.B1, parts.B1)

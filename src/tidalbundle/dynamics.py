@@ -375,9 +375,7 @@ def _integrate(rhs, state0, cfg, metric, potential):
                                   **steps())
 
 
-def _drift(metric, t, xs, ys):
-    if len(t) == 0:
-        return 0.0
+def _drift(metric, xs, ys):
     q = [float(metric.pack(x, check=False).g @ y @ y) for x, y in zip(xs, ys)]
     return float(np.max(np.abs(np.asarray(q) - q[0])))
 
@@ -393,7 +391,7 @@ def _trajectory(rhs, cfg, metric, potential, init: PhasePoint,
     xs, ys = states[:, :DIM], states[:, DIM:2 * DIM]
     w, v = (states[:, 8:12], states[:, 12:16]) if deviation else (None, None)
     return Trajectory(**run, x=xs, y=ys,
-                      norm_drift=_drift(metric, run["t"], xs, ys),
+                      norm_drift=_drift(metric, xs, ys),
                       method=cfg.method, w=w, v=v, rate_channel=rate_channel)
 
 

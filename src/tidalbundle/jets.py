@@ -56,9 +56,9 @@ class Jet:
     """Multivariate Taylor value: v, d[a,...] and, at order 2, h[a,b,...].
 
     The components are held in one array s (see the module docstring);
-    v, d and h are views of it.  The constructor copies v, d and h into a
-    new stack, broadcasting d to (m,)+shape(v) and h to (m,m)+shape(v).
-    h=None makes an order-1 jet.
+    v, d and h are views of it.  seed, from_pack, the arithmetic, jeinsum
+    and indexing (x[k], a coupling's slice of a batch) each wrap a stack
+    through _of, which copies nothing; an order-1 jet's h is None.
     """
 
     __slots__ = ("s", "m")
@@ -66,19 +66,6 @@ class Jet:
     # keep numpy from absorbing us into object arrays; binary ops must
     # fall through to the reflected methods below
     __array_ufunc__ = None
-
-    def __init__(self, v, d, h=None):
-        v = np.asarray(v, dtype=float)
-        d = np.asarray(d, dtype=float)
-        m = d.shape[0]
-        s = np.empty((1 + m + (0 if h is None else m * m),) + v.shape)
-        s[0] = v
-        s[1:1 + m] = _pad(d, 1, v.ndim)
-        if h is not None:
-            h = np.broadcast_to(_pad(np.asarray(h, dtype=float), 2, v.ndim),
-                                (m, m) + v.shape)
-            s[1 + m:] = h.reshape(s[1 + m:].shape)
-        self.s, self.m = s, m
 
     @classmethod
     def _of(cls, s, m):

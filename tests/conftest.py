@@ -1,6 +1,7 @@
-"""Shared finite-difference oracles, the catalog potentials and a
-conserved charge written by hand, counters of what a call builds and
-contracts, and the hypothesis profile every property test runs under.
+"""Shared finite-difference oracles, a jet built from its parts, the
+catalog potentials and a conserved charge written by hand, counters of
+what a call builds and contracts, and the hypothesis profile every
+property test runs under.
 
 Expected values in the test suite come from one of three places: hand
 calculation (noted where it happens), an independent central-difference
@@ -43,6 +44,18 @@ def fd_gradient(fn, x, h=1e-6):
 def fd_hessian(fn, x, h=1e-4):
     """Nested central differences; accurate to about h**2."""
     return fd_gradient(lambda z: fd_gradient(fn, z, h), x, h)
+
+
+def make_jet(v, d, h=None):
+    """A Jet of value v, first derivatives d, shape (m,)+shape(v), and, at
+    order 2, second derivatives h, shape (m, m)+shape(v), stacked into
+    one array in the layout of the jets module."""
+    v = np.asarray(v, dtype=float)
+    m = len(d)
+    parts = [v[None], np.reshape(d, (m,) + v.shape)]
+    if h is not None:
+        parts.append(np.reshape(h, (m * m,) + v.shape))
+    return Jet._of(np.concatenate(parts, dtype=float), m)
 
 
 def potential_by_hand(name, params, x):

@@ -136,6 +136,16 @@ def test_simulate_deterministic_csv_and_svg(tmp_path):
     assert "worldline: B<1 & E>0" in texts
 
 
+def test_plot_without_out_goes_to_the_working_directory(
+        tmp_path, monkeypatch, capsys):
+    # the trajectory goes to stdout, and the plot to tidal-plot.svg
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--scenario", "cyclotron", "--plot"]) == 0
+    assert capsys.readouterr().out.startswith("t,")
+    root = ET.fromstring((tmp_path / "tidal-plot.svg").read_text())
+    assert root.tag.endswith("svg")
+
+
 def test_deviate_outputs_rate_columns(tmp_path, capsys):
     out = tmp_path / "d.csv"
     assert main(["deviate", "--scenario", "cyclotron", "--out", str(out)]) == 0
@@ -364,9 +374,19 @@ def test_listed_params_are_the_accepted_ones(capsys):
      "metric: schwarzschild param M must be a number, got '1e400'"),
     ({"name": "schwarzschild", "params": {"M": "1.0"}}, {"name": "zero"},
      "metric: schwarzschild param M must be a number, got '1.0'"),
+    ({"name": "minkowski", "params": {"coordinates": "polar"}},
+     {"name": "zero"}, "metric: unknown minkowski coordinates 'polar'"),
+    ({"name": "reissner_nordstrom", "params": {"M": 0.0, "Q": 0.0}},
+     {"name": "zero"}, "metric: reissner_nordstrom requires M > 0"),
+    ({"name": "minkowski"}, {"name": "uniform_e",
+                             "params": {"E": 1.0, "axis": "w"}},
+     "potential: uniform_e axis must be x, y, or z, got 'w'"),
+    ({"name": "minkowski"}, {"name": "dipole"},
+     "potential: unknown potential 'dipole'"),
 ], ids=["missing-M", "missing-B", "naked-string", "naked-number",
         "B-boolean", "M-boolean", "Q-boolean", "zero-extra", "B-nan-string",
-        "B-inf-string", "M-overflow-string", "M-numeric-string"])
+        "B-inf-string", "M-overflow-string", "M-numeric-string",
+        "polar-coordinates", "rn-M-zero", "E-axis-w", "unknown-potential"])
 def test_bad_catalog_params_exit_two(tmp_path, capsys, metric, potential,
                                      message):
     # refused with the parameter named, never a traceback and exit 1
@@ -449,6 +469,15 @@ def test_bad_inputs_exit_two(tmp_path, capsys):
         assert exc.value.code == 2
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / command).exists()
+    # and so is an alpha list or a count that does not parse
+    for flag, value, error in (("--alphas", "a,b", "bad alpha list 'a,b'"),
+                               ("--seed", "x", "bad count 'x'")):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--scenario", "flat_vacuum", flag, value,
+                  "--out", str(tmp_path / "verify")])
+        assert exc.value.code == 2
+        assert error in capsys.readouterr().err
+        assert not (tmp_path / "verify").exists()
     # and a negative seed, which no sampler takes, or point count, which
     # would judge nothing and pass
     for command, flag, value in (("verify", "--seed", "-1"),

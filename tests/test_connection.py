@@ -243,8 +243,8 @@ FACTS = ("flat", "uniform", "field_free")
 DECLARING = ("flat_vacuum", "flat_uniform_b", "schwarzschild_vacuum",
              "flat_gauge", "cyclotron", "schwarzschild_circular",
              "negative_control", "uniform_b B=0")
-SKIP_NAMES = ("F_up", "B", "B1", "B2", "B3", "N", "Gaff", "G", "dB", "dB1",
-              "R3", "E", "Fmix")
+SKIP_NAMES = ("F_up", "B", "B1", "B2", "B3", "N", "Gaff", "G", "dB1", "R3",
+              "E", "Fmix")
 FRAME_SKIP_NAMES = ("Fmix", "dFmix")
 # a spacelike fiber at every sampled point: eps sets the signed zeros of
 # b1 and B^i_jkl on a field-free frame, and the sampler draws timelike
@@ -270,8 +270,10 @@ def _skip_cases():
 
 def test_declared_zeros_skip_bit_for_bit(monkeypatch):
     # every tensor the skips touch equals the full path's bit for bit, on
-    # every tier, on both causal signs, at one coupling and over a batch;
-    # the full path reads a frame of its own, so its F^i_j is contracted
+    # every tier, on both causal signs, at one coupling and over a batch,
+    # and so does the trace decomposition, whose divergence skips on its
+    # own; the full path reads a frame of its own, so its F^i_j is
+    # contracted
     for sid, sc, metric, potential in _skip_cases():
         for p in sample_phase_points(sc, 2, np.random.default_rng(8)):
             frame = field_frame(metric, potential, p.x)
@@ -293,11 +295,15 @@ def test_declared_zeros_skip_bit_for_bit(monkeypatch):
                     fibers, (ALPHA, np.array(DEFAULT_ALPHAS))):
                 skip = [{n: getattr(build(alpha), n) for n in SKIP_NAMES}
                         for build in _tiers(frame, y)]
+                skip_td = Sample(frame, alpha, y).td
                 with monkeypatch.context() as m:
                     for fact in FACTS:
                         m.setattr(FieldFrame, fact, property(lambda _: False))
                     full = [{n: getattr(build(alpha), n) for n in SKIP_NAMES}
                             for build in _tiers(full_frame, y)]
+                    full_td = Sample(full_frame, alpha, y).td
+                assert [*map(_bits, skip_td)] == [*map(_bits, full_td)], \
+                    (sid, y[0], np.shape(alpha))
                 for tier, (got, want) in enumerate(zip(skip, full)):
                     for name in SKIP_NAMES:
                         assert _bits(got[name]) == _bits(want[name]), \
@@ -305,12 +311,13 @@ def test_declared_zeros_skip_bit_for_bit(monkeypatch):
 
 
 # the contractions that read F and only F: F^i_j and its base derivative
-# on the frame, and the brackets b1, b2, db (through dF^i) and db1.  F^i
-# shares its spec with l_low, so it is not counted here.
+# on the frame, the brackets b1, b2 and db1, and dF^i, which the
+# divergence of B reads.  F^i shares its spec with l_low, so it is not
+# counted here.
 F_SPECS = {"ia,aj->ij", "kia,aj->kij", "ia,kaj->kij",
            "j,i->ij",
            "jk,i->ijk", "j,ik->ijk", "k,ij->ijk",
-           "kij,j->ki", "k,i->ki",
+           "kij,j->ki",
            "ja,a->j", "kja,a->kj", "k,j->kj", "kj,i->kij", "j,ki->kij",
            "k,ij->kij",
            "_b3_brackets"}
@@ -320,8 +327,9 @@ F_SPECS = {"ia,aj->ij", "kia,aj->kij", "ia,kaj->kij",
                                   "uniform_b B=0", "reissner_nordstrom"])
 def test_field_free_tiers_contract_no_field(monkeypatch, case):
     # a field-free frame runs none of the field's contractions on any
-    # tier, whatever is read, on both causal signs and over a batch;
-    # reissner_nordstrom (the control) runs every one of them
+    # tier, whatever is read, the trace decomposition too, on both causal
+    # signs and over a batch; reissner_nordstrom (the control) runs every
+    # one of them
     (sc, metric, potential), = [c[1:] for c in _skip_cases() if c[0] == case]
     specs = count_contractions(monkeypatch)
     for p in sample_phase_points(sc, 2, np.random.default_rng(8)):
@@ -333,6 +341,7 @@ def test_field_free_tiers_contract_no_field(monkeypatch, case):
                     parts = build(alpha)
                     for name in SKIP_NAMES:
                         getattr(parts, name)
+                Sample(frame, alpha, y).td
     ran = F_SPECS & set(specs)
     assert ran == (F_SPECS if case == "reissner_nordstrom" else set()), case
 
@@ -408,8 +417,7 @@ def _bits(x):
     return np.asarray(x, dtype=float).tobytes()
 
 
-BATCH_NAMES = ("N", "B", "B1", "B2", "B3", "Gaff", "G", "dB", "dB1",
-               "R3", "E")
+BATCH_NAMES = ("N", "B", "B1", "B2", "B3", "Gaff", "G", "dB1", "R3", "E")
 
 
 def _tiers(frame, y):
@@ -417,13 +425,6 @@ def _tiers(frame, y):
     return (lambda a: fiber_parts(frame, a, y),
             lambda a: fiber_parts(frame, a, Jet.seed(y, 4)),
             lambda a: phase_context(frame, a, y))
-
-
-def _coupling(x, k):
-    """Coupling k of a batched value or Jet (the axis after the jet axes)."""
-    if isinstance(x, Jet):
-        return Jet(x.v[k], x.d[:, k], None if x.h is None else x.h[:, :, k])
-    return x[k]
 
 
 def test_batched_tier_matches_each_coupling():
@@ -439,7 +440,9 @@ def test_batched_tier_matches_each_coupling():
                 for k, alpha in enumerate(DEFAULT_ALPHAS):
                     one = build(alpha)
                     for name in BATCH_NAMES:
-                        assert _bits(_coupling(getattr(batch, name), k)) == \
+                        # coupling k: x[k] indexes the axis after a
+                        # Jet's stack axis, as it does a plain array's
+                        assert _bits(getattr(batch, name)[k]) == \
                             _bits(getattr(one, name)), (sid, name, alpha)
 
 

@@ -347,6 +347,8 @@ def test_integrator_config_validation():
         IntegratorConfig(samples=1).validate()
     with pytest.raises(ValueError):
         IntegratorConfig(step=-0.1).validate()
+    with pytest.raises(ValueError, match="max_steps must be positive"):
+        IntegratorConfig(max_steps=0).validate()
 
 
 @pytest.mark.parametrize("scenario_id",

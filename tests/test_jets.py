@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import fd_gradient, fd_hessian
+from conftest import fd_gradient, fd_hessian, make_jet
 
 import tidalbundle
 from tidalbundle import connection, dynamics, jets
@@ -27,10 +27,10 @@ Y = np.array([1.4, 0.3, -0.5, 0.2])
 
 @pytest.mark.parametrize("m, k", [(4, 4), (8, 4), (2, 4), (4, 2), (1, 1)])
 def test_seed_is_the_identity_jet(m, k):
-    # the seed's one zeroed stack equals the constructor's, value vec,
-    # first derivatives np.eye(m, k), second derivatives zero
+    # the seed's one zeroed stack equals the jet of value vec, first
+    # derivatives np.eye(m, k) and second derivatives zero
     vec = np.arange(1.0, k + 1.0)
-    ref = Jet(vec, np.eye(m, k), np.zeros((m, m, k)))
+    ref = make_jet(vec, np.eye(m, k), np.zeros((m, m, k)))
     assert Jet.seed(vec, m).s.tobytes() == ref.s.tobytes()
     assert Jet.seed(vec, m).s.shape == ref.s.shape
 
@@ -125,6 +125,15 @@ def test_mixed_orders_rejected():
             op()
 
 
+def test_mismatched_operands_rejected():
+    with pytest.raises(ValueError, match="one or two operands"):
+        jeinsum("i,i,i->", Y, Y, Y)
+    for op in (lambda a, b: a + b, lambda a, b: a * b,
+               lambda a, b: jeinsum("i,i->", a, b)):
+        with pytest.raises(ValueError, match="jet direction counts differ"):
+            op(Jet.seed(Y, 4), Jet.seed(Y, 8))
+
+
 def test_getitem_keeps_jet_axes():
     j = Jet.seed(Y, 4)
     outer = jeinsum("i,j->ij", j, j)
@@ -156,15 +165,7 @@ def test_mixed_jet_and_constant_operand():
 
 def _stack(jets):
     """Stack per-item jets on a batch axis after the jet axes."""
-    h = None if jets[0].h is None else np.stack([j.h for j in jets], axis=2)
-    return Jet(np.stack([j.v for j in jets]),
-               np.stack([j.d for j in jets], axis=1), h)
-
-
-def _item(x, k):
-    if not isinstance(x, Jet):
-        return x[k]
-    return Jet(x.v[k], x.d[:, k], None if x.h is None else x.h[:, :, k])
+    return Jet._of(np.stack([j.s for j in jets], axis=1), jets[0].m)
 
 
 def test_jeinsum_broadcasts_per_item():
@@ -188,7 +189,7 @@ def test_jeinsum_broadcasts_per_item():
             got = jeinsum(spec, *ops)
             for k in range(len(scales)):
                 want = jeinsum(spec, *item(k))
-                part = _item(got, k)
+                part = got[k]
                 for a, b in ((value_of(part), value_of(want)),
                              *(((part.d, want.d), (part.h, want.h))
                                if isinstance(want, Jet) else ())):
@@ -253,8 +254,8 @@ def test_unbatched_jeinsum_is_einsum_as_written():
         v = draw(shape)
         if kind == "plain":
             return v
-        return Jet(v, draw((m,) + shape),
-                   None if kind == "order1" else draw((m, m) + shape))
+        return make_jet(v, draw((m,) + shape),
+                        None if kind == "order1" else draw((m, m) + shape))
 
     for spec in sorted(specs):
         subs = spec.split("->")[0].split(",")
@@ -368,8 +369,8 @@ def test_jet_arithmetic_is_product_rule_as_written():
         return x
 
     def jet(shape, order):
-        return Jet(draw(shape), draw((m,) + shape, True),
-                   draw((m, m) + shape, True) if order == 2 else None)
+        return make_jet(draw(shape), draw((m,) + shape, True),
+                        draw((m, m) + shape, True) if order == 2 else None)
 
     binary = {"+": (lambda a, b: a + b, _add_written),
               "-": (lambda a, b: a - b,

@@ -10,7 +10,7 @@ import copy
 
 import numpy as np
 import pytest
-from conftest import KILLING_CHARGES, charge_drift
+from conftest import KILLING_CHARGES, charge_drift, make_jet
 
 from tidalbundle import connection
 from tidalbundle.connection import FiberParts, FieldFrame, Sample
@@ -53,8 +53,8 @@ def test_transposed_mixed_field_strength(monkeypatch, scenario_id):
 
 # A false zero report: every metric pack that reports nothing of its own
 # (the point-dependent ones, reissner_nordstrom's among them) reports a
-# flat connection.  The curvature of N then drops dn1, and dB its dnrm
-# term, though dg is not zero there.
+# flat connection.  The curvature of N then drops dn1, and the
+# divergence of B its dnrm term, though dg is not zero there.
 FALSE_FLAT = {
     "einstein-trace-full", "maxwell-homogeneous",
     "maxwell-homogeneous-cyclic", "maxwell-inhomogeneous-divergence",
@@ -94,7 +94,7 @@ def test_false_field_free_declaration(monkeypatch):
 def _second_first_derivative_dropped(spec, *ops):
     if len(ops) == 2 and isinstance(ops[1], Jet):
         b = ops[1]
-        ops = (ops[0], Jet(b.v, np.zeros_like(b.d), b.h))
+        ops = (ops[0], make_jet(b.v, np.zeros_like(b.d), b.h))
     return jeinsum(spec, *ops)
 
 

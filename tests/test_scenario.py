@@ -71,6 +71,13 @@ def test_unknown_key_rejected():
         scenario_from_dict(_minimal(extra_knob=1))
 
 
+def test_unknown_builtin_lists_the_builtins():
+    with pytest.raises(ScenarioError) as exc:
+        builtin_scenario("nope")
+    assert str(exc.value) == ("unknown built-in scenario 'nope'; available: "
+                              + ", ".join(BUILTIN_IDS))
+
+
 def test_unknown_metric_name():
     with pytest.raises(ScenarioError, match="unknown metric"):
         scenario_from_dict({"id": "t", "metric": {"name": "kerr"}})
